@@ -42,7 +42,6 @@ from .metrics import (
     MetricConfig,
     add,
     add_s,
-    add_selective,
     accuracy_at_threshold,
     auc,
     decompose_add_loss,
@@ -260,12 +259,17 @@ def _read_solves(path) -> dict[str, tuple[RigidPose | None, float | None]]:
     out: dict[str, tuple[RigidPose | None, float | None]] = {}
     for row in rows:
         name = row[0]
+        if len(row) != len(SOLVES_HEADER):
+            raise _fail(f"{path}: row for {name} has {len(row)} fields, expected {len(SOLVES_HEADER)}")
         if row[-1] == "degenerate":
             out[name] = (None, None)
             continue
-        rotation = np.array([float(v) for v in row[1:10]]).reshape(3, 3)
-        translation = np.array([float(v) for v in row[10:13]])
-        out[name] = (RigidPose(rotation, translation), float(row[13]))
+        try:
+            values = [float(v) for v in row[1:14]]
+            pose = RigidPose(np.reshape(values[:9], (3, 3)), np.array(values[9:12]))
+        except ValueError as exc:
+            raise _fail(f"{path}: bad row for {name}: {exc}") from exc
+        out[name] = (pose, values[12])
     return out
 
 
@@ -300,7 +304,7 @@ def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fracti
             gt = obs.gt_pose
             err_add = add(pose, gt, model)
             err_add_s = add_s(pose, gt, model)
-            err_sel = add_selective(pose, gt, model)
+            err_sel = err_add_s if model.symmetric else err_add  # add_selective, without a second ADD-S
             selective_errors.append(err_sel)
             rows.append(
                 [

@@ -7,6 +7,13 @@ Distance metrics (meters, unsquared):
     matched pairing ambiguous.  Exhaustive O(m^2) nearest neighbor.
   - ADD(S): picks ADD-S when the model is flagged symmetric, ADD otherwise.
 
+ADD-S and the model diameter are exhaustive over point pairs and exact: each
+pair's squared distance is ``dx*dx + dy*dy + dz*dz``, the same operations in
+the same order as a per-pair Python loop, and ``sqrt`` is taken only of the
+reduced squared values.  ``sqrt`` is correctly rounded and monotone, so
+``sqrt(min(sq)) == min(sqrt(sq))`` bit for bit and the results equal the
+per-pair loop's exactly.
+
 Threshold accuracy counts errors strictly below ``threshold_fraction *
 diameter``.  AUC is the exact area under the accuracy-vs-threshold curve up
 to ``auc_max_threshold``, i.e. the mean of ``max(0, 1 - e / M)``.
@@ -25,37 +32,59 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import EmptyInputError
 from .geometry import RigidPose, transform_points
 
 DIAMETER_TOLERANCE = 1e-9
 
-# Pairwise-distance chunk size; keeps the O(m^2) buffers at ~tens of MB.
-_CHUNK = 1024
+# Rows of ``a`` per block of pairwise squared distances: two (rows, m)
+# float64 buffers, small enough to stay in cache at m ~ 1000.
+_CHUNK = 64
+
+
+def _reduce_squared_distances(a: np.ndarray, b: np.ndarray, reduce: np.ufunc) -> np.ndarray:
+    """``reduce`` (np.minimum or np.maximum) over j of ``|a_i - b_j|^2``, per i.
+
+    Squared distances are built per component in row blocks of ``_CHUNK``,
+    as ``(dx*dx + dy*dy) + dz*dz`` -- bit-identical to a per-pair loop.
+    """
+    (ax, ay, az), (bx, by, bz) = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    out = np.empty(a.shape[0])
+    total = np.empty((min(_CHUNK, a.shape[0]), b.shape[0]))
+    term = np.empty_like(total)
+    for start in range(0, a.shape[0], _CHUNK):
+        stop = min(start + _CHUNK, a.shape[0])
+        acc, tmp = total[: stop - start], term[: stop - start]
+        np.subtract(ax[start:stop, None], bx, out=acc)
+        np.multiply(acc, acc, out=acc)
+        for ac, bc in ((ay, by), (az, bz)):
+            np.subtract(ac[start:stop, None], bc, out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            np.add(acc, tmp, out=acc)
+        reduce.reduce(acc, axis=1, out=out[start:stop])
+    return out
 
 
 def max_pairwise_distance(points: np.ndarray) -> float:
-    """Exhaustive maximum pairwise distance, chunked to bound memory."""
+    """Exhaustive maximum pairwise distance: one ``sqrt`` of the largest
+    squared distance, exactly the per-pair loop's maximum."""
     pts = np.asarray(points, dtype=np.float64)
-    best = 0.0
-    for start in range(0, pts.shape[0], _CHUNK):
-        block = cdist(pts[start : start + _CHUNK], pts)
-        best = max(best, float(block.max()))
-    return best
+    return math.sqrt(float(_reduce_squared_distances(pts, pts, np.maximum).max(initial=0.0)))
 
 
 @dataclass(frozen=True)
 class ObjectModel:
     """Object-frame point set with its diameter and symmetry flag.
 
-    ``diameter`` must equal the true maximum pairwise distance of ``points``
-    (within 1e-9); use :meth:`from_points` to compute it.
+    A declared ``diameter`` must equal the true maximum pairwise distance of
+    ``points`` (within 1e-9); ``None`` takes the computed one, which is what
+    :meth:`from_points` passes.  Either way the O(m^2) diameter is computed
+    once.
     """
 
     points: np.ndarray
-    diameter: float
+    diameter: float | None
     symmetric: bool
 
     def __post_init__(self):
@@ -67,7 +96,9 @@ class ObjectModel:
         true_diameter = max_pairwise_distance(pts)
         if true_diameter <= 0:
             raise ValueError("model diameter must be positive (all points coincide?)")
-        if abs(self.diameter - true_diameter) > DIAMETER_TOLERANCE:
+        if self.diameter is None:
+            object.__setattr__(self, "diameter", true_diameter)
+        elif not abs(self.diameter - true_diameter) <= DIAMETER_TOLERANCE:
             raise ValueError(
                 f"declared diameter {self.diameter} != max pairwise distance {true_diameter}"
             )
@@ -76,8 +107,7 @@ class ObjectModel:
 
     @staticmethod
     def from_points(points, symmetric: bool) -> "ObjectModel":
-        pts = np.asarray(points, dtype=np.float64)
-        return ObjectModel(pts, max_pairwise_distance(pts), symmetric)
+        return ObjectModel(points, None, symmetric)
 
     @property
     def point_count(self) -> int:
@@ -117,20 +147,13 @@ def add(pred: RigidPose, gt: RigidPose, model: ObjectModel) -> float:
 def add_s(pred: RigidPose, gt: RigidPose, model: ObjectModel) -> float:
     """Mean closest-point distance (exhaustive nearest neighbor).
 
-    Plain broadcast arithmetic (sqrt of coordinate-wise squared sums) so the
-    result is bit-identical to a direct per-pair loop; chunked to bound the
-    O(m^2) buffer.
+    The minimum is taken over squared distances and ``sqrt`` only of the m
+    minima; the result is bit-identical to a per-pair loop taking the
+    minimum of ``sqrt(dx*dx + dy*dy + dz*dz)``.
     """
     a = transform_points(pred, model.points)
     b = transform_points(gt, model.points)
-    m = a.shape[0]
-    mins = np.empty(m)
-    chunk = 256
-    for start in range(0, m, chunk):
-        diff = a[start : start + chunk, None, :] - b[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        mins[start : start + chunk] = dist.min(axis=1)
-    return float(np.mean(mins))
+    return float(np.mean(np.sqrt(_reduce_squared_distances(a, b, np.minimum))))
 
 
 def add_selective(pred: RigidPose, gt: RigidPose, model: ObjectModel) -> float:

@@ -159,7 +159,8 @@ def solve_from_constraints(
     Degeneracy is judged on the three informative directions: when the
     third-largest singular value collapses (all pixels at one depth kill the
     dt column and flatten dABC into a plane), the pose is not recoverable
-    and :class:`DegenerateConfigurationError` is raised.
+    and :class:`DegenerateConfigurationError` is raised.  Non-finite input
+    (a NaN regressor output, say) has no solution and raises the same error.
 
     ``refine_iterations`` optionally polishes the result by alternating
     point reconstruction with a rigid re-fit; off by default.
@@ -182,6 +183,8 @@ def solve_from_constraints(
     t0 = ref.as_array()
     lhs = np.stack([enc.delta_x, enc.delta_y, np.zeros(n)], axis=1)
     rhs = lhs + w[:, None] * t0[None, :]
+    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(rhs))):
+        raise DegenerateConfigurationError("constraint system has non-finite entries (NaN or inf input)")
 
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     if s[0] <= 0 or (s[2] / s[0]) ** 2 < RANK_RATIO_THRESHOLD:

@@ -1,6 +1,13 @@
 """Command-line pipeline: generation, encoding, verification, solving,
 evaluation, distribution and loss reports."""
 
+import dataclasses
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -298,3 +305,40 @@ class TestErrors:
             "--out", str(tmp_path / "out.csv"),
         ])
         assert r.exit_code != 0
+
+    @pytest.mark.parametrize("command", ["eval", "loss-decompose"])
+    @pytest.mark.parametrize("damage", ["short", "text"])
+    def test_malformed_solves_row_names_file_and_scene(self, pipeline_dir, tmp_path, command, damage):
+        header, rows = formats.read_csv(pipeline_dir / "solves.csv", SOLVES_VERSION)
+        bad = rows[2][:12] if damage == "short" else rows[2][:11] + ["x"] + rows[2][12:]
+        pred = tmp_path / "bad.csv"
+        formats.write_csv(pred, SOLVES_VERSION, header, rows[:2] + [bad] + rows[3:])
+        r = CliRunner().invoke(main, [
+            command, "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pred),
+            "--out", str(tmp_path / "out.csv"),
+        ])
+        assert r.exit_code == 1, r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert str(pred) in r.output and formats.scene_name(2) in r.output
+
+    def test_nan_target_flags_scene_degenerate(self, pipeline_dir, tmp_path):
+        enc = tmp_path / "enc"
+        shutil.copytree(pipeline_dir / "enc", enc)
+        targets = enc / formats.scene_name(1) / "targets.txt"
+        tgt = formats.read_targets(targets)
+        delta_abc = tgt.delta_abc.copy()
+        delta_abc[0, 0] = np.nan
+        formats.write_targets(targets, dataclasses.replace(tgt, delta_abc=delta_abc))
+        r = run(CliRunner(), ["solve", "--encodings", str(enc), "--out", str(tmp_path / "solves.csv")])
+        assert r.exit_code == 0, r.output
+        _, rows = formats.read_csv(tmp_path / "solves.csv", SOLVES_VERSION)
+        assert [row[-1] for row in rows] == ["well-posed", "degenerate"] + ["well-posed"] * 4
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Start-up cost: every CLI launch pays for what offset6d.cli imports.
+    src = Path(o6.__file__).resolve().parents[1]
+    code = "import sys, offset6d.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import offset6d as o6
+from offset6d import metrics
 from offset6d.errors import EmptyInputError
 
 from conftest import random_pose
@@ -50,6 +51,15 @@ class TestObjectModel:
         pts = rng.uniform(-1, 1, (10, 3))
         with pytest.raises(ValueError):
             o6.ObjectModel(pts, diameter=1e9, symmetric=False)
+        with pytest.raises(ValueError):
+            o6.ObjectModel(pts, diameter=math.nan, symmetric=False)
+
+    def test_diameter_computed_once(self, rng, monkeypatch):
+        calls = []
+        original = metrics.max_pairwise_distance
+        monkeypatch.setattr(metrics, "max_pairwise_distance", lambda pts: calls.append(1) or original(pts))
+        o6.ObjectModel.from_points(rng.uniform(-1, 1, (10, 3)), False)
+        assert len(calls) == 1
 
     def test_from_points_computes_true_diameter(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
@@ -109,6 +119,32 @@ class TestAddS:
             model = ball_model(rng, n=20)
             pred, gt = random_pose(rng), random_pose(rng)
             assert o6.add_s(pred, gt, model) == brute_force_add_s(pred, gt, model.points)
+
+    @pytest.mark.parametrize("m", [257, 300])
+    def test_exact_across_row_blocks(self, rng, m):
+        # Synth sphere models sized past a row-block boundary.
+        sphere = o6.make_model(o6.SphereModel(0.05), m, rng)
+        model = o6.ObjectModel.from_points(sphere.points[:m], symmetric=True)
+        assert model.point_count == m
+        for _ in range(2):
+            pred, gt = random_pose(rng), random_pose(rng)
+            assert o6.add_s(pred, gt, model) == brute_force_add_s(pred, gt, model.points)
+
+
+class TestDiameter:
+    def test_equals_per_pair_maximum_exactly(self, rng):
+        point_sets = [
+            o6.make_model(o6.BoxModel(0.08, 0.06, 0.1), 300, rng).points,
+            o6.make_model(o6.CylinderModel(0.03, 0.1), 257, rng).points,
+            rng.normal(size=(131, 3)),
+        ]
+        for pts in point_sets:
+            best = 0.0
+            for a in pts.tolist():
+                for b in pts.tolist():
+                    dx, dy, dz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+                    best = max(best, math.sqrt(dx * dx + dy * dy + dz * dz))
+            assert metrics.max_pairwise_distance(pts) == best
 
 
 class TestAddSelective:

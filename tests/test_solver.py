@@ -139,6 +139,14 @@ class TestConstraintSolve:
         with pytest.raises(DegenerateConfigurationError):
             o6.solve_from_constraints(small, tgt.delta_abc[:4], ref)
 
+    def test_non_finite_targets_are_degenerate(self):
+        scene, enc, tgt, ref = encoded_scene(0)
+        for bad in (np.nan, np.inf):
+            delta_abc = tgt.delta_abc.copy()
+            delta_abc[3, 1] = bad
+            with pytest.raises(DegenerateConfigurationError):
+                o6.solve_from_constraints(enc, delta_abc, ref)
+
     def test_requires_geometric_channels(self):
         scene, enc, tgt, ref = encoded_scene(0)
         obs = scene.observation
