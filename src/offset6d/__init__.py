@@ -43,7 +43,6 @@ from .geometry import (
     invert,
     nearest_rotation,
     project,
-    project_points,
     transform,
     transform_points,
 )

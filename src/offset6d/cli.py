@@ -11,10 +11,14 @@ Dataset layout (one directory per dataset)::
         pose.txt                 # ground truth, object -> camera
         intrinsics.txt
 
+``synth-gen`` writes ``manifest.txt`` last, so a failed run leaves none.
 Encodings mirror the scene directories (encoding.txt + targets.txt each).
-All commands are deterministic for fixed inputs and seed; CSV outputs are
-byte-identical across reruns unless ``--stamp`` adds a timestamp comment.
-Commands exit nonzero with a diagnostic on any error.
+Inputs are joined by scene name, never by position: a missing encoding or
+solves row, a duplicated row, or targets that do not match their encoding
+fail the command and name the scene; ``solve`` keys its noise by the parsed
+scene index.  All commands are deterministic for fixed inputs and seed; CSV
+outputs are byte-identical across reruns unless ``--stamp`` adds a timestamp
+comment.  Any toolkit or file error exits 1 with a one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import dataclasses
 import datetime
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import click
 import numpy as np
@@ -30,7 +35,10 @@ import numpy as np
 from . import formats, synth
 from .encoding import (
     ConstraintForm,
+    GeoEncoding,
+    GeoTargets,
     InputMode,
+    SceneObservation,
     TargetMode,
     constraint_residual,
     encode_input,
@@ -40,6 +48,7 @@ from .errors import DegenerateConfigurationError, Offset6DError
 from .geometry import RigidPose
 from .metrics import (
     MetricConfig,
+    ObjectModel,
     add,
     add_s,
     accuracy_at_threshold,
@@ -48,7 +57,7 @@ from .metrics import (
     weighted_add_loss,
 )
 from .refpoint import RefStrategy, make_reference
-from .solver import rotation_geodesic_error, solve_from_constraints
+from .solver import ConditionFlag, rotation_geodesic_error, solve_from_constraints
 from .synth import perturbation_rng
 
 _STRATEGIES = {s.value: s for s in RefStrategy}
@@ -73,32 +82,72 @@ DIST_HEADER = ["quantity", "component", "variance", "min", "max", "variance_rati
 LOSS_HEADER = ["scene", "total", "rotation_part", "cross_term", "translation_part", "weighted_total"]
 
 
-def _fail(message: str) -> "click.ClickException":
-    return click.ClickException(message)
+class _Main(click.Group):
+    """The error boundary: toolkit and file-system errors from any command
+    become a one-line diagnostic and exit status 1, never a traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except Offset6DError as exc:
+            raise click.ClickException(str(exc)) from exc
+        except OSError as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
 def _stamp_value(enabled: bool) -> str | None:
     return datetime.datetime.now(datetime.timezone.utc).isoformat() if enabled else None
 
 
-def _scene_dirs(dataset: Path, count: int) -> list[Path]:
-    dirs = [dataset / formats.scene_name(i) for i in range(count)]
-    missing = [d.name for d in dirs if not d.is_dir()]
-    if missing:
-        raise _fail(f"dataset {dataset} is missing scene directories: {missing[:5]}")
-    return dirs
-
-
-def _load_dataset(dataset: str) -> tuple[Path, synth.SceneSpec, int]:
+def _scenes(dataset: str) -> tuple[Path, list[str]]:
+    """The dataset root and the names of the scenes its manifest claims."""
     root = Path(dataset)
     manifest = root / "manifest.txt"
     if not manifest.exists():
-        raise _fail(f"{manifest} not found; is {dataset} a dataset directory?")
-    spec, count = formats.read_manifest(manifest)
-    return root, spec, count
+        raise click.ClickException(f"{manifest} not found; is {dataset} a dataset directory?")
+    _, count = formats.read_manifest(manifest)
+    names = [formats.scene_name(i) for i in range(count)]
+    missing = [name for name in names if not (root / name).is_dir()]
+    if missing:
+        raise click.ClickException(f"dataset {root} is missing scene directories: {missing[:5]}")
+    return root, names
 
 
-@click.group()
+def _observations(root: Path, names: list[str], need_pose: bool) -> Iterator[tuple[str, SceneObservation]]:
+    for name in names:
+        obs = formats.read_scene_dir(root / name)
+        if need_pose and obs.gt_pose is None:
+            raise click.ClickException(f"{root / name} has no ground-truth pose")
+        yield name, obs
+
+
+def _scene_index(name: str) -> int:
+    suffix = name.removeprefix("scene_")
+    if not suffix.isdecimal() or formats.scene_name(int(suffix)) != name:
+        raise click.ClickException(f"{name} is not a scene name (scene_NNNNN)")
+    return int(suffix)
+
+
+def _encoding_dirs(encodings: Path) -> list[tuple[int, Path]]:
+    """Scene encoding directories with their parsed scene index, in index order."""
+    dirs = sorted(
+        (_scene_index(p.name), p) for p in encodings.iterdir() if p.is_dir() and p.name.startswith("scene_")
+    )
+    if not dirs:
+        raise click.ClickException(f"no scene encodings under {encodings}")
+    return dirs
+
+
+def _read_encoded(enc_dir: Path) -> tuple[GeoEncoding, GeoTargets]:
+    """One scene's encoding and targets, which must share pixels and reference."""
+    enc, _ = formats.read_encoding(enc_dir / "encoding.txt")
+    tgt = formats.read_targets(enc_dir / "targets.txt")
+    if tgt.ref != enc.ref or not (np.array_equal(tgt.us, enc.us) and np.array_equal(tgt.vs, enc.vs)):
+        raise click.ClickException(f"{enc_dir}: targets.txt and encoding.txt differ in pixels or reference point")
+    return enc, tgt
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Relative-offset 6D pose toolkit."""
 
@@ -110,28 +159,26 @@ def main() -> None:
 @click.option("--seed", type=int, default=None, help="Overrides the config seed.")
 def synth_gen(config_path: str, out: str | None, count: int | None, seed: int | None) -> None:
     """Generate a synthetic dataset directory."""
-    try:
-        kv = formats.read_experiment_config(config_path)
-        spec = formats.pairs_to_spec(kv, config_path)
-        if seed is not None:
-            spec = dataclasses.replace(spec, seed=seed)
-        n = count if count is not None else int(kv.get("scene_count", "0"))
-        if n <= 0:
-            raise _fail("scene count must be positive (set scene_count or --count)")
-        out_dir = Path(out or kv.get("output_dir", ""))
-        if not str(out_dir):
-            raise _fail("no output directory (set output_dir or --out)")
+    kv = formats.read_experiment_config(config_path)
+    spec = formats.pairs_to_spec(kv, config_path)
+    if seed is not None:
+        spec = dataclasses.replace(spec, seed=seed)
+    n = count if count is not None else int(kv.get("scene_count", "0"))
+    if n <= 0:
+        raise click.ClickException("scene count must be positive (set scene_count or --count)")
+    out_dir = Path(out or kv.get("output_dir", ""))
+    if not str(out_dir):
+        raise click.ClickException("no output directory (set output_dir or --out)")
 
-        model = synth.model_for_spec(spec)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        formats.write_manifest(out_dir / "manifest.txt", spec, n)
-        formats.write_model(out_dir / "model.ply", model)
-        for index in range(n):
-            scene = synth.render_scene(spec, index, model=model)
-            formats.write_scene_dir(out_dir / formats.scene_name(index), scene.observation)
-        click.echo(f"wrote {n} scenes to {out_dir}")
-    except Offset6DError as exc:
-        raise _fail(str(exc)) from exc
+    model = synth.model_for_spec(spec)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.txt").unlink(missing_ok=True)
+    formats.write_model(out_dir / "model.ply", model)
+    for index in range(n):
+        scene = synth.render_scene(spec, index, model=model)
+        formats.write_scene_dir(out_dir / formats.scene_name(index), scene.observation)
+    formats.write_manifest(out_dir / "manifest.txt", spec, n)  # last: marks the dataset complete
+    click.echo(f"wrote {n} scenes to {out_dir}")
 
 
 @main.command("encode")
@@ -146,28 +193,16 @@ def synth_gen(config_path: str, out: str | None, count: int | None, seed: int | 
 def encode_cmd(dataset: str, out: str, strategy: str, input_mode: str, target_mode: str,
                form: str, include_uv_offsets: bool) -> None:
     """Encode every scene of a dataset into input channels and targets."""
-    try:
-        root, _, count = _load_dataset(dataset)
-        out_dir = Path(out)
-        for scene_dir in _scene_dirs(root, count):
-            obs = formats.read_scene_dir(scene_dir)
-            ref = make_reference(obs.depth, obs.mask, obs.intrinsics, _STRATEGIES[strategy])
-            enc = encode_input(obs, ref, _INPUT_MODES[input_mode], include_uv_offsets=include_uv_offsets)
-            enc_dir = out_dir / scene_dir.name
-            formats.write_encoding(enc_dir / "encoding.txt", enc, _FORMS[form])
-            if obs.gt_pose is not None:
-                tgt = encode_targets(obs, ref, _TARGET_MODES[target_mode])
-                formats.write_targets(enc_dir / "targets.txt", tgt)
-        click.echo(f"encoded {count} scenes to {out_dir}")
-    except Offset6DError as exc:
-        raise _fail(str(exc)) from exc
-
-
-def _encoding_dirs(encodings: Path) -> list[Path]:
-    dirs = sorted(p for p in encodings.iterdir() if p.is_dir() and p.name.startswith("scene_"))
-    if not dirs:
-        raise _fail(f"no scene encodings under {encodings}")
-    return dirs
+    root, names = _scenes(dataset)
+    out_dir = Path(out)
+    for name, obs in _observations(root, names, need_pose=False):
+        ref = make_reference(obs.depth, obs.mask, obs.intrinsics, _STRATEGIES[strategy])
+        enc = encode_input(obs, ref, _INPUT_MODES[input_mode], include_uv_offsets=include_uv_offsets)
+        formats.write_encoding(out_dir / name / "encoding.txt", enc, _FORMS[form])
+        if obs.gt_pose is not None:
+            tgt = encode_targets(obs, ref, _TARGET_MODES[target_mode])
+            formats.write_targets(out_dir / name / "targets.txt", tgt)
+    click.echo(f"encoded {len(names)} scenes to {out_dir}")
 
 
 @main.command("verify")
@@ -179,40 +214,37 @@ def _encoding_dirs(encodings: Path) -> list[Path]:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def verify_cmd(dataset: str, encodings: str, form: str, tolerance: float, out: str | None) -> None:
     """Check constraint residuals of encodings against ground-truth poses."""
-    try:
-        root, _, count = _load_dataset(dataset)
-        requested = list(_FORMS.values()) if form == "both" else [_FORMS[form]]
-        gate_form = ConstraintForm.CORRECTED
-        forms = set(requested) | {gate_form}
-        stats = {f: {"max": 0.0, "sq_sum": 0.0, "n": 0} for f in forms}
-        for scene_dir, enc_dir in zip(_scene_dirs(root, count), _encoding_dirs(Path(encodings))):
-            obs = formats.read_scene_dir(scene_dir)
-            if obs.gt_pose is None:
-                raise _fail(f"{scene_dir} has no ground-truth pose")
-            enc, _ = formats.read_encoding(enc_dir / "encoding.txt")
-            tgt = formats.read_targets(enc_dir / "targets.txt")
-            for f in forms:
-                residual = constraint_residual(enc, tgt, obs.gt_pose, f)
-                norms = np.linalg.norm(residual, axis=1)
-                stats[f]["max"] = max(stats[f]["max"], float(norms.max()))
-                stats[f]["sq_sum"] += float(np.sum(norms**2))
-                stats[f]["n"] += norms.size
-        pairs: list[tuple[str, str]] = [("format", "verify/v1")]
-        for f in requested:
-            rms = (stats[f]["sq_sum"] / stats[f]["n"]) ** 0.5
-            click.echo(f"{f.value}: max residual {stats[f]['max']:.3e}, rms {rms:.3e}")
-            pairs.append((f"{f.value.replace('-', '_')}_max", formats.format_float(stats[f]["max"])))
-            pairs.append((f"{f.value.replace('-', '_')}_rms", formats.format_float(rms)))
-        if out:
-            formats.write_keyvalue(out, pairs)
-        if stats[gate_form]["max"] > tolerance:
-            click.echo(
-                f"corrected-form max residual {stats[gate_form]['max']:.3e} exceeds tolerance {tolerance:.3e}",
-                err=True,
-            )
-            sys.exit(1)
-    except Offset6DError as exc:
-        raise _fail(str(exc)) from exc
+    root, names = _scenes(dataset)
+    enc_root = Path(encodings)
+    missing = [name for name in names if not (enc_root / name).is_dir()]
+    if missing:
+        raise click.ClickException(f"{enc_root} has no encoding for {', '.join(missing)}")
+    requested = list(_FORMS.values()) if form == "both" else [_FORMS[form]]
+    gate_form = ConstraintForm.CORRECTED
+    forms = set(requested) | {gate_form}
+    stats = {f: {"max": 0.0, "sq_sum": 0.0, "n": 0} for f in forms}
+    for name, obs in _observations(root, names, need_pose=True):
+        enc, tgt = _read_encoded(enc_root / name)
+        for f in forms:
+            residual = constraint_residual(enc, tgt, obs.gt_pose, f)
+            norms = np.linalg.norm(residual, axis=1)
+            stats[f]["max"] = max(stats[f]["max"], float(norms.max()))
+            stats[f]["sq_sum"] += float(np.sum(norms**2))
+            stats[f]["n"] += norms.size
+    pairs: list[tuple[str, str]] = [("format", "verify/v1")]
+    for f in requested:
+        rms = (stats[f]["sq_sum"] / stats[f]["n"]) ** 0.5
+        click.echo(f"{f.value}: max residual {stats[f]['max']:.3e}, rms {rms:.3e}")
+        pairs.append((f"{f.value.replace('-', '_')}_max", formats.format_float(stats[f]["max"])))
+        pairs.append((f"{f.value.replace('-', '_')}_rms", formats.format_float(rms)))
+    if out:
+        formats.write_keyvalue(out, pairs)
+    if stats[gate_form]["max"] > tolerance:
+        click.echo(
+            f"corrected-form max residual {stats[gate_form]['max']:.3e} exceeds tolerance {tolerance:.3e}",
+            err=True,
+        )
+        sys.exit(1)
 
 
 @main.command("solve")
@@ -225,52 +257,60 @@ def verify_cmd(dataset: str, encodings: str, form: str, tolerance: float, out: s
 @click.option("--stamp", is_flag=True, default=False, help="Add a timestamp comment (breaks byte-identity).")
 def solve_cmd(encodings: str, out: str, perturb_sigma: float, seed: int, refine: int, stamp: bool) -> None:
     """Recover poses from encodings (optionally with perturbed targets)."""
-    try:
-        rows = []
-        for index, enc_dir in enumerate(_encoding_dirs(Path(encodings))):
-            enc, _ = formats.read_encoding(enc_dir / "encoding.txt")
-            tgt = formats.read_targets(enc_dir / "targets.txt")
-            delta_abc = tgt.delta_abc
-            if perturb_sigma > 0:
-                rng = perturbation_rng(seed, index)
-                delta_abc = delta_abc + rng.normal(0.0, perturb_sigma, delta_abc.shape)
-            try:
-                report = solve_from_constraints(enc, delta_abc, enc.ref, refine_iterations=refine)
-            except DegenerateConfigurationError:
-                rows.append([enc_dir.name] + [None] * 14 + ["degenerate"])
-                continue
-            pose = report.pose
-            rows.append(
-                [enc_dir.name]
-                + [float(v) for v in pose.rotation.ravel()]
-                + [float(v) for v in pose.translation]
-                + [report.residual_rms, report.point_count, report.condition_flag.value]
-            )
-        formats.write_csv(out, SOLVES_VERSION, SOLVES_HEADER, rows, stamp=_stamp_value(stamp))
-        click.echo(f"solved {len(rows)} scenes -> {out}")
-    except Offset6DError as exc:
-        raise _fail(str(exc)) from exc
+    rows = []
+    for index, enc_dir in _encoding_dirs(Path(encodings)):
+        enc, tgt = _read_encoded(enc_dir)
+        delta_abc = tgt.delta_abc
+        if perturb_sigma > 0:
+            rng = perturbation_rng(seed, index)
+            delta_abc = delta_abc + rng.normal(0.0, perturb_sigma, delta_abc.shape)
+        try:
+            report = solve_from_constraints(enc, delta_abc, enc.ref, refine_iterations=refine)
+        except DegenerateConfigurationError:
+            rows.append([enc_dir.name] + [None] * 14 + [ConditionFlag.DEGENERATE.value])
+            continue
+        pose = report.pose
+        rows.append(
+            [enc_dir.name]
+            + [float(v) for v in pose.rotation.ravel()]
+            + [float(v) for v in pose.translation]
+            + [report.residual_rms, report.point_count, report.condition_flag.value]
+        )
+    formats.write_csv(out, SOLVES_VERSION, SOLVES_HEADER, rows, stamp=_stamp_value(stamp))
+    click.echo(f"solved {len(rows)} scenes -> {out}")
 
 
-def _read_solves(path) -> dict[str, tuple[RigidPose | None, float | None]]:
-    header, rows = formats.read_csv(path, SOLVES_VERSION)
+def _predicted(dataset: str, pred: str) -> tuple[ObjectModel, Iterator[tuple]]:
+    """The dataset's model, and every dataset scene joined by name to its one
+    solves row as ``(name, obs, pose, residual)``; pose and residual are None
+    for a degenerate row.  A missing or duplicated row fails before any scene
+    is read."""
+    root, names = _scenes(dataset)
+    model = formats.read_model(root / "model.ply")
+    header, rows = formats.read_csv(pred, SOLVES_VERSION)
     if header != SOLVES_HEADER:
-        raise _fail(f"{path}: unexpected solves header {header}")
-    out: dict[str, tuple[RigidPose | None, float | None]] = {}
+        raise click.ClickException(f"{pred}: unexpected solves header {header}")
+    predictions: dict[str, tuple[RigidPose | None, float | None]] = {}
     for row in rows:
         name = row[0]
         if len(row) != len(SOLVES_HEADER):
-            raise _fail(f"{path}: row for {name} has {len(row)} fields, expected {len(SOLVES_HEADER)}")
-        if row[-1] == "degenerate":
-            out[name] = (None, None)
+            raise click.ClickException(f"{pred}: row for {name} has {len(row)} fields, expected {len(SOLVES_HEADER)}")
+        if name in predictions:
+            raise click.ClickException(f"{pred}: duplicate row for {name}")
+        if row[-1] == ConditionFlag.DEGENERATE.value:
+            predictions[name] = (None, None)
             continue
         try:
             values = [float(v) for v in row[1:14]]
             pose = RigidPose(np.reshape(values[:9], (3, 3)), np.array(values[9:12]))
         except ValueError as exc:
-            raise _fail(f"{path}: bad row for {name}: {exc}") from exc
-        out[name] = (pose, values[12])
-    return out
+            raise click.ClickException(f"{pred}: bad row for {name}: {exc}") from exc
+        predictions[name] = (pose, values[12])
+    missing = [name for name in names if name not in predictions]
+    if missing:
+        raise click.ClickException(f"{pred} has no row for {', '.join(missing)}")
+    joined = ((name, obs, *predictions[name]) for name, obs in _observations(root, names, need_pose=True))
+    return model, joined
 
 
 @main.command("eval")
@@ -284,56 +324,45 @@ def _read_solves(path) -> dict[str, tuple[RigidPose | None, float | None]]:
 def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fraction: float,
              summary_out: str | None, stamp: bool) -> None:
     """Score predicted poses against ground truth."""
-    try:
-        root, _, count = _load_dataset(dataset)
-        model = formats.read_model(root / "model.ply")
-        cfg = MetricConfig(auc_max_threshold=auc_max, threshold_fraction=threshold_fraction)
-        predictions = _read_solves(pred)
-        rows = []
-        selective_errors = []
-        for scene_dir in _scene_dirs(root, count):
-            obs = formats.read_scene_dir(scene_dir)
-            if obs.gt_pose is None:
-                raise _fail(f"{scene_dir} has no ground-truth pose")
-            if scene_dir.name not in predictions:
-                raise _fail(f"{pred} has no row for {scene_dir.name}")
-            pose, residual = predictions[scene_dir.name]
-            if pose is None:
-                rows.append([scene_dir.name] + [None] * 6 + ["degenerate"])
-                continue
-            gt = obs.gt_pose
-            err_add = add(pose, gt, model)
-            err_add_s = add_s(pose, gt, model)
-            err_sel = err_add_s if model.symmetric else err_add  # add_selective, without a second ADD-S
-            selective_errors.append(err_sel)
-            rows.append(
-                [
-                    scene_dir.name,
-                    err_add,
-                    err_add_s,
-                    err_sel,
-                    rotation_geodesic_error(pose, gt),
-                    float(np.linalg.norm(pose.translation - gt.translation)),
-                    residual,
-                    "ok",
-                ]
-            )
-        formats.write_csv(out, RESULTS_VERSION, RESULTS_HEADER, rows, stamp=_stamp_value(stamp))
-        if not selective_errors:
-            raise _fail("no non-degenerate predictions to summarize")
-        summary = [
-            ("format", "summary/v1"),
-            ("scene_count", str(len(rows))),
-            ("mean_add_selective", formats.format_float(float(np.mean(selective_errors)))),
-            ("accuracy_at_threshold", formats.format_float(accuracy_at_threshold(selective_errors, model, cfg))),
-            ("auc", formats.format_float(auc(selective_errors, cfg))),
-        ]
-        for key, value in summary[1:]:
-            click.echo(f"{key} = {value}")
-        if summary_out:
-            formats.write_keyvalue(summary_out, summary)
-    except Offset6DError as exc:
-        raise _fail(str(exc)) from exc
+    cfg = MetricConfig(auc_max_threshold=auc_max, threshold_fraction=threshold_fraction)
+    model, predicted = _predicted(dataset, pred)
+    rows = []
+    selective_errors = []
+    for name, obs, pose, residual in predicted:
+        if pose is None:
+            rows.append([name] + [None] * 6 + [ConditionFlag.DEGENERATE.value])
+            continue
+        gt = obs.gt_pose
+        err_add = add(pose, gt, model)
+        err_add_s = add_s(pose, gt, model)
+        err_sel = err_add_s if model.symmetric else err_add  # add_selective, without a second ADD-S
+        selective_errors.append(err_sel)
+        rows.append(
+            [
+                name,
+                err_add,
+                err_add_s,
+                err_sel,
+                rotation_geodesic_error(pose, gt),
+                float(np.linalg.norm(pose.translation - gt.translation)),
+                residual,
+                "ok",
+            ]
+        )
+    formats.write_csv(out, RESULTS_VERSION, RESULTS_HEADER, rows, stamp=_stamp_value(stamp))
+    if not selective_errors:
+        raise click.ClickException("no non-degenerate predictions to summarize")
+    summary = [
+        ("format", "summary/v1"),
+        ("scene_count", str(len(rows))),
+        ("mean_add_selective", formats.format_float(float(np.mean(selective_errors)))),
+        ("accuracy_at_threshold", formats.format_float(accuracy_at_threshold(selective_errors, model, cfg))),
+        ("auc", formats.format_float(auc(selective_errors, cfg))),
+    ]
+    for key, value in summary[1:]:
+        click.echo(f"{key} = {value}")
+    if summary_out:
+        formats.write_keyvalue(summary_out, summary)
 
 
 @main.command("dist-report")
@@ -343,23 +372,20 @@ def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fracti
 @click.option("--stamp", is_flag=True, default=False)
 def dist_report_cmd(dataset: str, strategy: str, out: str, stamp: bool) -> None:
     """Translation-spread table: raw ground truth vs anchored offsets."""
-    try:
-        root, _, count = _load_dataset(dataset)
-        observations = [formats.read_scene_dir(d) for d in _scene_dirs(root, count)]
-        report = synth.distribution_report(observations, _STRATEGIES[strategy])
-        rows = [
-            [r["quantity"], r["component"], r["variance"], r["min"], r["max"], r["variance_ratio"]]
-            for r in report.rows()
-        ]
-        formats.write_csv(out, DIST_VERSION, DIST_HEADER, rows, stamp=_stamp_value(stamp))
-        for r in report.rows():
-            ratio = "" if r["variance_ratio"] is None else f"  ratio {r['variance_ratio']:.1f}"
-            click.echo(
-                f"{r['quantity']:8s} {r['component']}: var {r['variance']:.3e} "
-                f"range ({r['min']:.4f}, {r['max']:.4f}){ratio}"
-            )
-    except Offset6DError as exc:
-        raise _fail(str(exc)) from exc
+    root, names = _scenes(dataset)
+    observations = [obs for _, obs in _observations(root, names, need_pose=True)]
+    report = synth.distribution_report(observations, _STRATEGIES[strategy])
+    rows = [
+        [r["quantity"], r["component"], r["variance"], r["min"], r["max"], r["variance_ratio"]]
+        for r in report.rows()
+    ]
+    formats.write_csv(out, DIST_VERSION, DIST_HEADER, rows, stamp=_stamp_value(stamp))
+    for r in report.rows():
+        ratio = "" if r["variance_ratio"] is None else f"  ratio {r['variance_ratio']:.1f}"
+        click.echo(
+            f"{r['quantity']:8s} {r['component']}: var {r['variance']:.3e} "
+            f"range ({r['min']:.4f}, {r['max']:.4f}){ratio}"
+        )
 
 
 @main.command("loss-decompose")
@@ -371,34 +397,25 @@ def dist_report_cmd(dataset: str, strategy: str, out: str, stamp: bool) -> None:
 @click.option("--stamp", is_flag=True, default=False)
 def loss_decompose_cmd(dataset: str, pred: str, out: str, w_rot: float, w_trans: float, stamp: bool) -> None:
     """Split the squared pose loss into rotation/cross/translation parts."""
-    try:
-        root, _, count = _load_dataset(dataset)
-        model = formats.read_model(root / "model.ply")
-        predictions = _read_solves(pred)
-        rows = []
-        for scene_dir in _scene_dirs(root, count):
-            obs = formats.read_scene_dir(scene_dir)
-            if obs.gt_pose is None:
-                raise _fail(f"{scene_dir} has no ground-truth pose")
-            pose, _ = predictions.get(scene_dir.name, (None, None))
-            if pose is None:
-                rows.append([scene_dir.name] + [None] * 5)
-                continue
-            parts = decompose_add_loss(pose, obs.gt_pose, model)
-            rows.append(
-                [
-                    scene_dir.name,
-                    parts.total,
-                    parts.rotation_part,
-                    parts.cross_term,
-                    parts.translation_part,
-                    weighted_add_loss(pose, obs.gt_pose, model, w_rot, w_trans),
-                ]
-            )
-        formats.write_csv(out, LOSS_VERSION, LOSS_HEADER, rows, stamp=_stamp_value(stamp))
-        click.echo(f"decomposed {len(rows)} scenes -> {out}")
-    except Offset6DError as exc:
-        raise _fail(str(exc)) from exc
+    model, predicted = _predicted(dataset, pred)
+    rows = []
+    for name, obs, pose, _ in predicted:
+        if pose is None:
+            rows.append([name] + [None] * 5)
+            continue
+        parts = decompose_add_loss(pose, obs.gt_pose, model)
+        rows.append(
+            [
+                name,
+                parts.total,
+                parts.rotation_part,
+                parts.cross_term,
+                parts.translation_part,
+                weighted_add_loss(pose, obs.gt_pose, model, w_rot, w_trans),
+            ]
+        )
+    formats.write_csv(out, LOSS_VERSION, LOSS_HEADER, rows, stamp=_stamp_value(stamp))
+    click.echo(f"decomposed {len(rows)} scenes -> {out}")
 
 
 if __name__ == "__main__":

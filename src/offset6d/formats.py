@@ -364,31 +364,6 @@ def read_intrinsics(path) -> CameraIntrinsics:
     )
 
 
-def write_refpoint(path, ref: ReferencePoint) -> None:
-    write_keyvalue(
-        path,
-        [
-            ("format", "refpoint/v1"),
-            ("x0", format_float(ref.x0)),
-            ("y0", format_float(ref.y0)),
-            ("d0", format_float(ref.d0)),
-            ("strategy", ref.strategy.value),
-        ],
-    )
-
-
-def read_refpoint(path) -> ReferencePoint:
-    kv = read_keyvalue(path)
-    _check_format(kv, "refpoint/v1", path)
-    _check_no_extra(kv, {"format", "x0", "y0", "d0", "strategy"}, path)
-    return ReferencePoint(
-        x0=float(_require(kv, "x0", path)),
-        y0=float(_require(kv, "y0", path)),
-        d0=float(_require(kv, "d0", path)),
-        strategy=RefStrategy(_require(kv, "strategy", path)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # encodings and targets (key/value header + one row per pixel)
 
@@ -640,11 +615,7 @@ _SPEC_KEYS = {
     "depth_noise_sigma", "pixel_dropout", "occlusion_fraction",
 }
 
-_EXPERIMENT_KEYS = _SPEC_KEYS | {
-    "format", "scene_count", "reference_strategy", "input_mode", "target_mode",
-    "constraint_form", "auc_max_threshold", "threshold_fraction", "output_dir",
-    "include_uv_offsets",
-}
+_EXPERIMENT_KEYS = _SPEC_KEYS | {"format", "scene_count", "output_dir"}
 
 _MANIFEST_KEYS = _SPEC_KEYS | {"format", "scene_count", "rng_algorithm"}
 

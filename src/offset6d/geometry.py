@@ -200,15 +200,6 @@ def project(p, k: CameraIntrinsics) -> tuple[float, float]:
     return (k.fx * x / d + k.cx, k.fy * y / d + k.cy)
 
 
-def project_points(points: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
-    """Vectorized :func:`project`; (N, 3) camera points -> (N, 2) pixels."""
-    pts = np.asarray(points, dtype=np.float64)
-    d = pts[..., 2]
-    if not (np.all(np.isfinite(d)) and np.all(d > 0)):
-        raise InvalidDepthError("all depths must be positive and finite")
-    return np.stack([k.fx * pts[..., 0] / d + k.cx, k.fy * pts[..., 1] / d + k.cy], axis=-1)
-
-
 def transform(pose: RigidPose, p: ObjPoint) -> CamPoint:
     """Map an object-frame point into the camera frame: R p + t."""
     v = pose.rotation @ p.as_array() + pose.translation

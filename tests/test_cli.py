@@ -84,18 +84,38 @@ class TestSynthGen:
         assert depth("a") == depth("b")  # same seed: byte identical
         assert depth("a") != depth("c")  # overridden seed: different
 
-    def test_bad_config_key_fails(self, tmp_path):
+    # input_mode was once accepted and then ignored by every command.
+    @pytest.mark.parametrize("key", ["mystery_knob", "input_mode"])
+    def test_bad_config_key_fails(self, tmp_path, key):
         runner = CliRunner()
-        (tmp_path / "config.txt").write_text(CONFIG + "mystery_knob = 1\n")
+        (tmp_path / "config.txt").write_text(CONFIG + f"{key} = offset\n")
         r = runner.invoke(main, ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(tmp_path / "x")])
         assert r.exit_code != 0
-        assert "mystery_knob" in r.output
+        assert key in r.output
 
     def test_missing_count_fails(self, tmp_path):
         runner = CliRunner()
         (tmp_path / "config.txt").write_text(CONFIG.replace("scene_count = 6\n", ""))
         r = runner.invoke(main, ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(tmp_path / "x")])
         assert r.exit_code != 0
+
+    def test_failed_run_leaves_no_manifest(self, tmp_path):
+        # A Gaussian translation draw behind the camera fails partway; the
+        # manifest of an earlier complete run in the same directory goes too.
+        runner = CliRunner()
+        out = tmp_path / "dataset"
+        (tmp_path / "config.txt").write_text(CONFIG)
+        assert run(runner, ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(out)]).exit_code == 0
+        gaussian = CONFIG.replace(
+            "translation_dist = box\ntranslation_center = 0.0 0.0 1.0\ntranslation_half_widths = 0.25 0.25 0.25\n",
+            "translation_dist = gaussian\ntranslation_mean = 0.0 0.0 0.4\ntranslation_sigma = 0.05 0.05 0.3\n",
+        ).replace("scene_count = 6", "scene_count = 40")
+        (tmp_path / "gaussian.txt").write_text(gaussian)
+        r = runner.invoke(main, ["synth-gen", "-c", str(tmp_path / "gaussian.txt"), "--out", str(out)])
+        assert r.exit_code == 1, r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert "in front of the camera" in r.output
+        assert (out / formats.scene_name(0)).is_dir() and not (out / "manifest.txt").exists()
 
 
 class TestVerify:
@@ -138,6 +158,19 @@ class TestVerify:
         kv = formats.read_keyvalue(out)
         assert float(kv["corrected_max"]) < 1e-9
         assert float(kv["as_printed_max"]) > 1e-3
+
+    def test_subset_encodings_name_missing_scenes(self, pipeline_dir, tmp_path):
+        enc = tmp_path / "enc"
+        for i in (2, 3):
+            shutil.copytree(pipeline_dir / "enc" / formats.scene_name(i), enc / formats.scene_name(i))
+        r = CliRunner().invoke(main, ["verify", "--dataset", str(pipeline_dir / "dataset"), "--encodings", str(enc)])
+        assert r.exit_code == 1, r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert "residual" not in r.output
+        for i in (0, 1, 4, 5):
+            assert formats.scene_name(i) in r.output
+        for i in (2, 3):
+            assert formats.scene_name(i) not in r.output
 
 
 class TestSolveEval:
@@ -227,6 +260,34 @@ class TestSolveEval:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != (pipeline_dir / "solves.csv").read_bytes()
 
+    def test_perturbed_solve_of_subset_matches_full_run(self, pipeline_dir, tmp_path):
+        # The noise stream is keyed by scene index, not by list position.
+        enc = tmp_path / "enc"
+        shutil.copytree(pipeline_dir / "enc" / formats.scene_name(2), enc / formats.scene_name(2))
+        runs = {}
+        for name, encodings in (("full", pipeline_dir / "enc"), ("subset", enc)):
+            out = tmp_path / f"{name}.csv"
+            r = run(CliRunner(), [
+                "solve", "--encodings", str(encodings), "--out", str(out), "--perturb-sigma", "1e-3", "--seed", "3",
+            ])
+            assert r.exit_code == 0, r.output
+            runs[name] = {row[0]: row for row in formats.read_csv(out, SOLVES_VERSION)[1]}
+        assert list(runs["subset"]) == [formats.scene_name(2)]
+        assert runs["subset"][formats.scene_name(2)] == runs["full"][formats.scene_name(2)]
+
+    def test_solve_orders_encodings_by_index(self, pipeline_dir, tmp_path):
+        enc = tmp_path / "enc"
+        for source, index in ((0, 100000), (1, 10001)):
+            shutil.copytree(pipeline_dir / "enc" / formats.scene_name(source), enc / formats.scene_name(index))
+        out = tmp_path / "solves.csv"
+        assert run(CliRunner(), ["solve", "--encodings", str(enc), "--out", str(out)]).exit_code == 0
+        _, rows = formats.read_csv(out, SOLVES_VERSION)
+        assert [row[0] for row in rows] == ["scene_10001", "scene_100000"]
+        # scene_1 would parse to index 1 but is not the name scene 1 is written under.
+        shutil.copytree(enc / "scene_10001", enc / "scene_1")
+        r = CliRunner().invoke(main, ["solve", "--encodings", str(enc), "--out", str(out)])
+        assert r.exit_code == 1 and "scene_1 is not a scene name" in r.output
+
     def test_degenerate_scene_is_flagged(self, tmp_path):
         # Hand-built fronto-parallel plane: constant depth, unobservable dt.
         depth = np.zeros((40, 40))
@@ -296,15 +357,63 @@ class TestErrors:
         assert r.exit_code != 0
         assert "manifest" in r.output
 
-    def test_eval_missing_prediction_row(self, pipeline_dir, tmp_path):
+    @pytest.mark.parametrize("command", ["eval", "loss-decompose"])
+    def test_eval_missing_prediction_row(self, pipeline_dir, tmp_path, command):
+        _, rows = formats.read_csv(pipeline_dir / "solves.csv", SOLVES_VERSION)
         pred = tmp_path / "short.csv"
-        formats.write_csv(pred, SOLVES_VERSION, SOLVES_HEADER, [])
-        runner = CliRunner()
-        r = runner.invoke(main, [
-            "eval", "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pred),
+        formats.write_csv(pred, SOLVES_VERSION, SOLVES_HEADER, rows[:2] + rows[4:])
+        r = CliRunner().invoke(main, [
+            command, "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pred),
             "--out", str(tmp_path / "out.csv"),
         ])
-        assert r.exit_code != 0
+        assert r.exit_code == 1, r.output
+        assert formats.scene_name(2) in r.output and formats.scene_name(3) in r.output
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "loss-decompose"])
+    def test_duplicate_prediction_row_rejected(self, pipeline_dir, tmp_path, command):
+        # scene_00000's pose appended again under scene_00001's name.
+        _, rows = formats.read_csv(pipeline_dir / "solves.csv", SOLVES_VERSION)
+        pred = tmp_path / "dup.csv"
+        formats.write_csv(pred, SOLVES_VERSION, SOLVES_HEADER, rows + [[formats.scene_name(1)] + rows[0][1:]])
+        r = CliRunner().invoke(main, [
+            command, "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pred),
+            "--out", str(tmp_path / "out.csv"),
+        ])
+        assert r.exit_code == 1, r.output
+        assert "duplicate" in r.output and formats.scene_name(1) in r.output
+
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    @pytest.mark.parametrize("damage", ["pixels", "reference"])
+    def test_targets_from_another_encoding_rejected(self, pipeline_dir, tmp_path, command, damage):
+        enc = tmp_path / "enc"
+        shutil.copytree(pipeline_dir / "enc", enc)
+        scene = enc / formats.scene_name(0)
+        if damage == "pixels":  # another scene's targets: a different pixel set
+            shutil.copy(enc / formats.scene_name(1) / "targets.txt", scene / "targets.txt")
+        else:  # same pixels, encoded against another reference point
+            other = tmp_path / "other"
+            args = ["encode", "--dataset", str(pipeline_dir / "dataset"), "--out", str(other), "--strategy", "center-mean"]
+            assert run(CliRunner(), args).exit_code == 0
+            shutil.copy(other / scene.name / "encoding.txt", scene / "encoding.txt")
+        if command == "verify":
+            args = ["verify", "--dataset", str(pipeline_dir / "dataset"), "--encodings", str(enc)]
+        else:
+            args = ["solve", "--encodings", str(enc), "--out", str(tmp_path / "solves.csv")]
+        r = CliRunner().invoke(main, args)
+        assert r.exit_code == 1, r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert f"{scene}: targets.txt and encoding.txt differ" in r.output
+
+    def test_missing_targets_file_names_path(self, pipeline_dir, tmp_path):
+        enc = tmp_path / "enc"
+        shutil.copytree(pipeline_dir / "enc", enc)
+        targets = enc / formats.scene_name(4) / "targets.txt"
+        targets.unlink()
+        r = CliRunner().invoke(main, ["solve", "--encodings", str(enc), "--out", str(tmp_path / "solves.csv")])
+        assert r.exit_code == 1, r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert str(targets) in r.output
 
     @pytest.mark.parametrize("command", ["eval", "loss-decompose"])
     @pytest.mark.parametrize("damage", ["short", "text"])

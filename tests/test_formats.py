@@ -148,13 +148,6 @@ class TestKeyValueFiles:
         formats.write_intrinsics(path, k)
         assert formats.read_intrinsics(path) == k
 
-    def test_refpoint_round_trip_exact(self, tmp_path):
-        ref = o6.ReferencePoint(0.123456789012345678, -0.2, 1.1, o6.RefStrategy.CENTER_MEAN_DEPTH)
-        path = tmp_path / "ref.txt"
-        formats.write_refpoint(path, ref)
-        back = formats.read_refpoint(path)
-        assert (back.x0, back.y0, back.d0, back.strategy) == (ref.x0, ref.y0, ref.d0, ref.strategy)
-
     def test_unknown_key_rejected(self, tmp_path, rng):
         path = tmp_path / "pose.txt"
         formats.write_pose(path, random_pose(rng))
@@ -177,11 +170,11 @@ class TestKeyValueFiles:
             formats.read_keyvalue(path)
 
 
-def _example_encoding(rng, mode=InputMode.GEOMETRIC, uv=False):
+def _example_encoding(rng, mode=InputMode.GEOMETRIC, uv=False, strategy=o6.RefStrategy.MEAN_VISIBLE):
     spec = small_scene_spec(seed=63)
     scene = o6.render_scene(spec, 0)
     obs = scene.observation
-    ref = o6.ref_mean_visible(obs.depth, obs.mask, obs.intrinsics)
+    ref = o6.make_reference(obs.depth, obs.mask, obs.intrinsics, strategy)
     enc = o6.encode_input(obs, ref, mode, include_uv_offsets=uv)
     tgt = o6.encode_targets(obs, ref)
     return enc, tgt
@@ -190,7 +183,8 @@ def _example_encoding(rng, mode=InputMode.GEOMETRIC, uv=False):
 class TestEncodingFiles:
     @pytest.mark.parametrize("mode", list(InputMode))
     def test_encoding_round_trip_exact(self, tmp_path, rng, mode):
-        enc, _ = _example_encoding(rng, mode=mode)
+        # A non-default strategy, so a reader that assumed mean-visible would fail.
+        enc, _ = _example_encoding(rng, mode=mode, strategy=o6.RefStrategy.CENTER_MEAN_DEPTH)
         path = tmp_path / "encoding.txt"
         formats.write_encoding(path, enc, ConstraintForm.AS_PRINTED)
         back, form = formats.read_encoding(path)
@@ -205,6 +199,7 @@ class TestEncodingFiles:
             np.testing.assert_array_equal(back.dd0, enc.dd0)
             np.testing.assert_array_equal(back.t0_over_dd0, enc.t0_over_dd0)
         assert (back.ref.x0, back.ref.y0, back.ref.d0) == (enc.ref.x0, enc.ref.y0, enc.ref.d0)
+        assert back.ref.strategy is enc.ref.strategy is o6.RefStrategy.CENTER_MEAN_DEPTH
 
     def test_uv_channels_round_trip(self, tmp_path, rng):
         enc, _ = _example_encoding(rng, uv=True)
