@@ -12,13 +12,16 @@ Dataset layout (one directory per dataset)::
         intrinsics.txt
 
 ``synth-gen`` writes ``manifest.txt`` last, so a failed run leaves none.
-Encodings mirror the scene directories (encoding.txt + targets.txt each).
+Encodings mirror the scene directories (encoding.txt + targets.txt each):
+a ``key = value`` text header ending in ``data:``, then the rows as raw
+little-endian float64 (``<f8``), so ``head encoding.txt`` shows the header.
 Inputs are joined by scene name, never by position: a missing encoding or
 solves row, a duplicated row, or targets that do not match their encoding
 fail the command and name the scene; ``solve`` keys its noise by the parsed
 scene index.  All commands are deterministic for fixed inputs and seed; CSV
 outputs are byte-identical across reruns unless ``--stamp`` adds a timestamp
-comment.  Any toolkit or file error exits 1 with a one-line diagnostic.
+comment.  Any toolkit or file error exits 1 with a one-line diagnostic;
+``eval`` with no non-degenerate prediction writes no ``results.csv``.
 """
 
 from __future__ import annotations
@@ -349,9 +352,9 @@ def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fracti
                 "ok",
             ]
         )
-    formats.write_csv(out, RESULTS_VERSION, RESULTS_HEADER, rows, stamp=_stamp_value(stamp))
     if not selective_errors:
         raise click.ClickException("no non-degenerate predictions to summarize")
+    formats.write_csv(out, RESULTS_VERSION, RESULTS_HEADER, rows, stamp=_stamp_value(stamp))
     summary = [
         ("format", "summary/v1"),
         ("scene_count", str(len(rows))),

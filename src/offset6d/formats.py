@@ -8,8 +8,12 @@ Conventions:
   - Depth: 16-bit binary PGM (P5, maxval 65535, big-endian), value = depth
     in millimeters rounded half-even, 0 = invalid.
   - Mask: 8-bit binary PGM, 255 = foreground, anything else but 0 rejected.
-  - Poses, intrinsics, reference points, encodings: line-oriented
-    ``key = value`` text with repr-precision numbers (exact round trip).
+  - Poses, intrinsics, manifests: line-oriented ``key = value`` text with
+    repr-precision numbers (exact round trip).
+  - Encodings and targets: the same ``key = value`` text as a header, ending
+    in a ``data:`` line, then ``count x len(columns)`` little-endian float64
+    values (``<f8``, row-major), like a binary PGM.  ``head encoding.txt``
+    still shows the header.
   - Results: CSV with a ``# name/vN`` version line; readers reject unknown
     versions.
 
@@ -274,8 +278,13 @@ def write_keyvalue(path, pairs: list[tuple[str, str]]) -> None:
 
 
 def read_keyvalue(path) -> dict[str, str]:
+    return _parse_keyvalue(Path(path).read_text(), path)
+
+
+def _parse_keyvalue(text: str, path) -> dict[str, str]:
+    """``key = value`` lines; blank and ``#`` lines are skipped, a repeated
+    key is an error.  Offsets count from the start of ``text``."""
     out: dict[str, str] = {}
-    text = Path(path).read_text()
     offset = 0
     for line in text.split("\n"):
         stripped = line.strip()
@@ -365,7 +374,9 @@ def read_intrinsics(path) -> CameraIntrinsics:
 
 
 # ---------------------------------------------------------------------------
-# encodings and targets (key/value header + one row per pixel)
+# encodings and targets (key/value header + raw <f8 rows)
+
+_DATA_MARK = b"\ndata:\n"
 
 
 def _ref_pairs(ref: ReferencePoint) -> list[tuple[str, str]]:
@@ -377,66 +388,59 @@ def _ref_pairs(ref: ReferencePoint) -> list[tuple[str, str]]:
     ]
 
 
+def _float_key(kv: dict[str, str], key: str, path) -> float:
+    return float(_floats(_require(kv, key, path), 1, key, path)[0])
+
+
+def _enum_key(kv: dict[str, str], key: str, enum_type, path):
+    value = _require(kv, key, path)
+    try:
+        return enum_type(value)
+    except ValueError:
+        raise FormatError(f"{path}: key {key!r} has unknown value {value!r}") from None
+
+
 def _ref_from(kv: dict[str, str], path) -> ReferencePoint:
-    return ReferencePoint(
-        x0=float(_require(kv, "x0", path)),
-        y0=float(_require(kv, "y0", path)),
-        d0=float(_require(kv, "d0", path)),
-        strategy=RefStrategy(_require(kv, "strategy", path)),
-    )
+    x0, y0, d0 = (_float_key(kv, key, path) for key in ("x0", "y0", "d0"))
+    strategy = _enum_key(kv, "strategy", RefStrategy, path)
+    try:
+        return ReferencePoint(x0=x0, y0=y0, d0=d0, strategy=strategy)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _write_table(path, header_pairs: list[tuple[str, str]], columns: list[str], rows: np.ndarray) -> None:
-    buf = io.StringIO()
-    for k, v in header_pairs:
-        buf.write(f"{k} = {v}\n")
-    buf.write(f"count = {rows.shape[0]}\n")
-    buf.write(f"columns = {' '.join(columns)}\n")
-    buf.write("data:\n")
-    for row in rows:
-        fields = [
-            str(int(value)) if name in ("u", "v") else format_float(value)
-            for name, value in zip(columns, row)
-        ]
-        buf.write(" ".join(fields) + "\n")
-    _atomic_write_text(path, buf.getvalue())
+    pairs = [*header_pairs, ("count", str(rows.shape[0])), ("columns", " ".join(columns))]
+    header = "".join(f"{k} = {v}\n" for k, v in pairs) + "data:\n"
+    _atomic_write_bytes(path, header.encode() + np.ascontiguousarray(rows, dtype="<f8").tobytes())
 
 
-def _read_table(path) -> tuple[dict[str, str], list[str], np.ndarray]:
-    text = Path(path).read_text()
-    lines = text.split("\n")
-    kv: dict[str, str] = {}
-    data_rows: list[list[float]] = []
-    offset = 0
-    in_data = False
-    columns: list[str] = []
-    for line in lines:
-        stripped = line.strip()
-        if in_data:
-            if stripped:
-                try:
-                    data_rows.append([float(w) for w in stripped.split()])
-                except ValueError:
-                    raise FormatError(f"{path}: bad data row {line!r}", offset=offset) from None
-        elif stripped == "data:":
-            in_data = True
-        elif stripped and not stripped.startswith("#"):
-            if "=" not in stripped:
-                raise FormatError(f"{path}: expected 'key = value', got {line!r}", offset=offset)
-            key, _, value = stripped.partition("=")
-            kv[key.strip()] = value.strip()
-        offset += len(line.encode()) + 1
-    if not in_data:
-        raise FormatError(f"{path}: missing 'data:' section", offset=offset)
+def _read_table(path, expected_format: str, allowed: set[str]) -> tuple[dict[str, str], list[str], np.ndarray]:
+    """Header pairs, column names and a ``(count, len(columns))`` float64 array."""
+    raw = Path(path).read_bytes()
+    split = raw.find(_DATA_MARK)
+    if split < 0:
+        raise FormatError(f"{path}: missing 'data:' section", offset=len(raw))
+    try:
+        header = raw[:split].decode()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: header is not UTF-8 text", offset=exc.start) from None
+    kv = _parse_keyvalue(header, path)
+    _check_format(kv, expected_format, path)
+    _check_no_extra(kv, allowed, path)
     columns = _require(kv, "columns", path).split()
-    count = int(_require(kv, "count", path))
-    if len(data_rows) != count:
-        raise FormatError(f"{path}: declared {count} rows, found {len(data_rows)}")
-    for row in data_rows:
-        if len(row) != len(columns):
-            raise FormatError(f"{path}: row with {len(row)} fields, expected {len(columns)}")
-    data = np.array(data_rows, dtype=np.float64).reshape(len(data_rows), len(columns))
-    return kv, columns, data
+    count_text = _require(kv, "count", path)
+    if not count_text.isdecimal():
+        raise FormatError(f"{path}: key 'count' must be a non-negative integer, got {count_text!r}")
+    count = int(count_text)
+    pos = split + len(_DATA_MARK)
+    expected = count * len(columns) * 8
+    if len(raw) - pos < expected:
+        raise FormatError(f"{path}: expected {expected} data bytes, found {len(raw) - pos}", offset=len(raw))
+    if len(raw) - pos > expected:
+        raise FormatError(f"{path}: trailing bytes after row data", offset=pos + expected)
+    data = np.frombuffer(raw, dtype="<f8", count=count * len(columns), offset=pos)
+    return kv, columns, data.reshape(count, len(columns)).astype(np.float64)
 
 
 _ENCODING_KEYS = {
@@ -461,7 +465,7 @@ def write_encoding(path, enc: GeoEncoding, constraint_form: ConstraintForm = Con
         parts += [enc.delta_u, enc.delta_v]
     rows = np.stack(parts, axis=1)
     header = [
-        ("format", "encoding/v1"),
+        ("format", "encoding/v2"),
         ("mode", enc.mode.value),
         ("constraint_form", constraint_form.value),
         *_ref_pairs(enc.ref),
@@ -470,11 +474,9 @@ def write_encoding(path, enc: GeoEncoding, constraint_form: ConstraintForm = Con
 
 
 def read_encoding(path) -> tuple[GeoEncoding, ConstraintForm]:
-    kv, columns, data = _read_table(path)
-    _check_format(kv, "encoding/v1", path)
-    _check_no_extra(kv, _ENCODING_KEYS, path)
-    mode = InputMode(_require(kv, "mode", path))
-    form = ConstraintForm(_require(kv, "constraint_form", path))
+    kv, columns, data = _read_table(path, "encoding/v2", _ENCODING_KEYS)
+    mode = _enum_key(kv, "mode", InputMode, path)
+    form = _enum_key(kv, "constraint_form", ConstraintForm, path)
     ref = _ref_from(kv, path)
     col = {name: data[:, i] for i, name in enumerate(columns)}
     for needed in ("u", "v", "delta_x", "delta_y", "delta_d"):
@@ -487,21 +489,22 @@ def read_encoding(path) -> tuple[GeoEncoding, ConstraintForm]:
                 raise FormatError(f"{path}: geometric encoding missing column {needed!r}")
         dd0 = col["dd0"]
         t0_over_dd0 = np.stack([col["t0dd0_x"], col["t0dd0_y"], col["t0dd0_z"]], axis=1)
-    delta_u = col.get("delta_u")
-    delta_v = col.get("delta_v")
-    enc = GeoEncoding(
-        us=col["u"].astype(np.int64),
-        vs=col["v"].astype(np.int64),
-        delta_x=col["delta_x"],
-        delta_y=col["delta_y"],
-        delta_d=col["delta_d"],
-        dd0=dd0,
-        t0_over_dd0=t0_over_dd0,
-        ref=ref,
-        mode=mode,
-        delta_u=delta_u,
-        delta_v=delta_v,
-    )
+    try:
+        enc = GeoEncoding(
+            us=col["u"].astype(np.int64),
+            vs=col["v"].astype(np.int64),
+            delta_x=col["delta_x"],
+            delta_y=col["delta_y"],
+            delta_d=col["delta_d"],
+            dd0=dd0,
+            t0_over_dd0=t0_over_dd0,
+            ref=ref,
+            mode=mode,
+            delta_u=col.get("delta_u"),
+            delta_v=col.get("delta_v"),
+        )
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return enc, form
 
 
@@ -515,7 +518,7 @@ def write_targets(path, tgt: GeoTargets) -> None:
         axis=1,
     )
     header = [
-        ("format", "targets/v1"),
+        ("format", "targets/v2"),
         ("mode", tgt.mode.value),
         ("delta_t", format_floats(tgt.delta_t)),
         *_ref_pairs(tgt.ref),
@@ -524,10 +527,8 @@ def write_targets(path, tgt: GeoTargets) -> None:
 
 
 def read_targets(path) -> GeoTargets:
-    kv, columns, data = _read_table(path)
-    _check_format(kv, "targets/v1", path)
-    _check_no_extra(kv, _TARGET_KEYS, path)
-    mode = TargetMode(_require(kv, "mode", path))
+    kv, columns, data = _read_table(path, "targets/v2", _TARGET_KEYS)
+    mode = _enum_key(kv, "mode", TargetMode, path)
     ref = _ref_from(kv, path)
     delta_t = _floats(_require(kv, "delta_t", path), 3, "delta_t", path)
     col = {name: data[:, i] for i, name in enumerate(columns)}

@@ -430,6 +430,45 @@ class TestErrors:
         assert r.exception is None or isinstance(r.exception, SystemExit)
         assert str(pred) in r.output and formats.scene_name(2) in r.output
 
+    def test_all_degenerate_eval_writes_no_results(self, pipeline_dir, tmp_path):
+        _, rows = formats.read_csv(pipeline_dir / "solves.csv", SOLVES_VERSION)
+        pred = tmp_path / "degenerate.csv"
+        degenerate = [[row[0]] + [None] * 14 + ["degenerate"] for row in rows]
+        formats.write_csv(pred, SOLVES_VERSION, SOLVES_HEADER, degenerate)
+        out = tmp_path / "results.csv"
+        r = CliRunner().invoke(main, ["eval", "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pred),
+                                      "--out", str(out)])
+        assert r.exit_code == 1, r.output
+        assert "no non-degenerate predictions" in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("encoding.txt", "count", "many"),
+        ("encoding.txt", "mode", "bogus"),
+        ("encoding.txt", "constraint_form", "bogus"),
+        ("encoding.txt", "strategy", "bogus"),
+        ("encoding.txt", "d0", "oops"),
+        ("targets.txt", "mode", "bogus"),
+        ("targets.txt", "x0", "oops"),
+        ("targets.txt", "y0", "oops"),
+        ("targets.txt", "delta_t", "0.1 oops 0.3"),
+    ])
+    def test_malformed_header_value_names_file_and_key(self, pipeline_dir, tmp_path, name, key, value):
+        enc = tmp_path / "enc"
+        shutil.copytree(pipeline_dir / "enc", enc)
+        path = enc / formats.scene_name(3) / name
+        header, mark, payload = path.read_bytes().partition(b"\ndata:\n")
+        lines = header.decode().split("\n")
+        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
+        assert f"{key} = {value}" in lines
+        path.write_bytes("\n".join(lines).encode() + mark + payload)
+        r = CliRunner().invoke(main, ["solve", "--encodings", str(enc), "--out", str(tmp_path / "solves.csv")])
+        assert r.exit_code == 1, r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert "Traceback" not in r.output
+        [error] = [line for line in r.output.splitlines() if line.startswith("Error:")]
+        assert str(path) in error and repr(key) in error
+
     def test_nan_target_flags_scene_degenerate(self, pipeline_dir, tmp_path):
         enc = tmp_path / "enc"
         shutil.copytree(pipeline_dir / "enc", enc)

@@ -1,11 +1,16 @@
 """File format round trips and malformed-input diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import offset6d as o6
 from offset6d import formats
-from offset6d.encoding import ConstraintForm, InputMode, TargetMode
+from offset6d.encoding import ConstraintForm, GeoEncoding, GeoTargets, InputMode, TargetMode
 from offset6d.errors import ConfigError, FormatError
 
 from conftest import default_intrinsics, random_pose, small_scene_spec
@@ -223,10 +228,173 @@ class TestEncodingFiles:
         enc, _ = _example_encoding(rng)
         path = tmp_path / "encoding.txt"
         formats.write_encoding(path, enc)
-        text = path.read_text()
-        path.write_text(text + "1 2 3 4 5 6 7 8 9\n")
-        with pytest.raises(FormatError):
+        raw = path.read_bytes()
+        path.write_bytes(raw + np.arange(9, dtype="<f8").tobytes())  # one more geometric row
+        with pytest.raises(FormatError) as err:
             formats.read_encoding(path)
+        assert "trailing bytes" in str(err.value)
+        assert err.value.offset == len(raw)
+
+    def test_truncated_payload_rejected(self, tmp_path, rng):
+        _, tgt = _example_encoding(rng)
+        path = tmp_path / "targets.txt"
+        formats.write_targets(path, tgt)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8])
+        with pytest.raises(FormatError) as err:
+            formats.read_targets(path)
+        payload = len(tgt) * 5 * 8
+        assert f"expected {payload} data bytes, found {payload - 8}" in str(err.value)
+        assert err.value.offset == len(raw) - 8
+
+    def test_text_table_of_version_1_rejected_by_format(self, tmp_path):
+        path = tmp_path / "encoding.txt"
+        path.write_text(
+            "format = encoding/v1\nmode = offset\nconstraint_form = corrected\n"
+            "x0 = 0.0\ny0 = 0.0\nd0 = 1.0\nstrategy = mean-visible\n"
+            "count = 1\ncolumns = u v delta_x delta_y delta_d\ndata:\n3 4 0.5 0.25 0.125\n"
+        )
+        with pytest.raises(FormatError, match="expected format 'encoding/v2', found 'encoding/v1'"):
+            formats.read_encoding(path)
+
+    def test_zero_row_table_is_its_text_header(self, tmp_path):
+        empty = np.empty(0)
+        ref = o6.ReferencePoint(0.0, 0.0, 1.0, o6.RefStrategy.MEAN_VISIBLE)
+        enc = GeoEncoding(empty.astype(np.int64), empty.astype(np.int64), empty, empty, empty,
+                          dd0=empty, t0_over_dd0=np.empty((0, 3)), ref=ref, mode=InputMode.GEOMETRIC)
+        path = tmp_path / "encoding.txt"
+        formats.write_encoding(path, enc)
+        header = path.read_text()
+        assert header.startswith("format = encoding/v2\n")
+        assert header.endswith("count = 0\ncolumns = u v delta_x delta_y delta_d dd0 t0dd0_x t0dd0_y t0dd0_z\ndata:\n")
+        back, _ = formats.read_encoding(path)
+        assert len(back) == 0 and back.t0_over_dd0.shape == (0, 3)
+
+    def test_non_positive_dd0_rejected(self, tmp_path, rng):
+        enc, _ = _example_encoding(rng)
+        path = tmp_path / "encoding.txt"
+        formats.write_encoding(path, enc)
+        raw = bytearray(path.read_bytes())
+        dd0 = raw.index(b"\ndata:\n") + len(b"\ndata:\n") + 5 * 8  # row 0, column dd0
+        raw[dd0 : dd0 + 8] = np.array([-1.0], dtype="<f8").tobytes()
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match="dd0 must be positive"):
+            formats.read_encoding(path)
+
+    def test_header_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "targets.txt"
+        path.write_bytes(b"format = targets/v2\nmode = \xff\ncount = 0\ncolumns = u\ndata:\n")
+        with pytest.raises(FormatError, match="not UTF-8") as err:
+            formats.read_targets(path)
+        assert err.value.offset == len(b"format = targets/v2\nmode = ")
+
+    def test_duplicate_header_key_rejected(self, tmp_path, rng):
+        enc, _ = _example_encoding(rng)
+        path = tmp_path / "encoding.txt"
+        formats.write_encoding(path, enc)
+        raw = path.read_bytes()
+        first_line = raw.index(b"\n") + 1
+        path.write_bytes(raw[:first_line] + b"mode = offset\n" + raw[first_line:])
+        with pytest.raises(FormatError, match="duplicate key 'mode'") as err:
+            formats.read_encoding(path)
+        assert err.value.offset == raw.index(b"mode = ") + len(b"mode = offset\n")
+
+
+# Every float64 class: signed zeros, subnormals, infinities and NaN.
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf, -math.inf, math.nan]
+_VALUES = st.one_of(st.sampled_from(_SPECIAL), st.floats())
+# dd0 must not be <= 0 (GeoEncoding's own check); NaN passes it.
+_POSITIVE = st.one_of(st.sampled_from([5e-324, 1e-310, math.inf, math.nan]), st.floats(min_value=0.0, exclude_min=True))
+# Header scalars are repr text, so NaN payloads would not survive; table values are raw bits.
+_HEADER_FLOATS = st.floats(allow_nan=False)
+_ROWS = st.integers(0, 12)
+_PIXELS = st.integers(0, 2**53)
+
+_refs = st.builds(
+    o6.ReferencePoint,
+    x0=_HEADER_FLOATS,
+    y0=_HEADER_FLOATS,
+    d0=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    strategy=st.sampled_from(list(o6.RefStrategy)),
+)
+
+
+@st.composite
+def _encodings(draw):
+    n = draw(_ROWS)
+    mode = draw(st.sampled_from(list(InputMode)))
+    geometric = mode is InputMode.GEOMETRIC
+    uv = draw(st.booleans())
+
+    def column(elements=_VALUES, shape=n):
+        return draw(hnp.arrays(np.float64, shape, elements=elements))
+
+    return GeoEncoding(
+        us=draw(hnp.arrays(np.int64, n, elements=_PIXELS)),
+        vs=draw(hnp.arrays(np.int64, n, elements=_PIXELS)),
+        delta_x=column(),
+        delta_y=column(),
+        delta_d=column(),
+        dd0=column(_POSITIVE) if geometric else None,
+        t0_over_dd0=column(shape=(n, 3)) if geometric else None,
+        ref=draw(_refs),
+        mode=mode,
+        delta_u=column() if uv else None,
+        delta_v=column() if uv else None,
+    )
+
+
+@st.composite
+def _targets(draw):
+    n = draw(_ROWS)
+    return GeoTargets(
+        delta_t=draw(hnp.arrays(np.float64, 3, elements=_HEADER_FLOATS)),
+        delta_abc=draw(hnp.arrays(np.float64, (n, 3), elements=_VALUES)),
+        mode=draw(st.sampled_from(list(TargetMode))),
+        ref=draw(_refs),
+        us=draw(hnp.arrays(np.int64, n, elements=_PIXELS)),
+        vs=draw(hnp.arrays(np.int64, n, elements=_PIXELS)),
+    )
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        assert a is None and b is None
+        return
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def _same_ref(a, b):
+    assert a.strategy is b.strategy
+    _same_bits(np.array([a.x0, a.y0, a.d0]), np.array([b.x0, b.y0, b.d0]))
+
+
+_PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestTableRoundTripProperty:
+    @_PROPERTY
+    @given(enc=_encodings(), form=st.sampled_from(list(ConstraintForm)))
+    def test_encoding_round_trip_bit_exact(self, tmp_path, enc, form):
+        path = tmp_path / "encoding.txt"
+        formats.write_encoding(path, enc, form)
+        back, back_form = formats.read_encoding(path)
+        assert back_form is form and back.mode is enc.mode
+        for name in ("us", "vs", "delta_x", "delta_y", "delta_d", "dd0", "t0_over_dd0", "delta_u", "delta_v"):
+            _same_bits(getattr(back, name), getattr(enc, name))
+        _same_ref(back.ref, enc.ref)
+
+    @_PROPERTY
+    @given(tgt=_targets())
+    def test_targets_round_trip_bit_exact(self, tmp_path, tgt):
+        path = tmp_path / "targets.txt"
+        formats.write_targets(path, tgt)
+        back = formats.read_targets(path)
+        assert back.mode is tgt.mode
+        for name in ("us", "vs", "delta_abc", "delta_t"):
+            _same_bits(getattr(back, name), getattr(tgt, name))
+        _same_ref(back.ref, tgt.ref)
 
 
 class TestCsv:
