@@ -78,15 +78,17 @@ from .solver import (
     solve_from_constraints,
     solve_procrustes,
 )
-from .synth import (
+from .spec import (
     BoxModel,
     BoxVolume,
     CylinderModel,
-    DistributionReport,
     FileModel,
     GaussianVolume,
     SceneSpec,
     SphereModel,
+)
+from .synth import (
+    DistributionReport,
     SyntheticScene,
     distribution_report,
     make_model,

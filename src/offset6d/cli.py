@@ -166,7 +166,8 @@ def synth_gen(config_path: str, out: str | None, count: int | None, seed: int | 
     spec = formats.pairs_to_spec(kv, config_path)
     if seed is not None:
         spec = dataclasses.replace(spec, seed=seed)
-    n = count if count is not None else int(kv.get("scene_count", "0"))
+    config_count = formats.scene_count(kv, config_path, default="0")
+    n = count if count is not None else config_count
     if n <= 0:
         raise click.ClickException("scene count must be positive (set scene_count or --count)")
     out_dir = Path(out or kv.get("output_dir", ""))
@@ -268,7 +269,7 @@ def solve_cmd(encodings: str, out: str, perturb_sigma: float, seed: int, refine:
             rng = perturbation_rng(seed, index)
             delta_abc = delta_abc + rng.normal(0.0, perturb_sigma, delta_abc.shape)
         try:
-            report = solve_from_constraints(enc, delta_abc, enc.ref, refine_iterations=refine)
+            report = solve_from_constraints(enc, delta_abc, refine_iterations=refine)
         except DegenerateConfigurationError:
             rows.append([enc_dir.name] + [None] * 14 + [ConditionFlag.DEGENERATE.value])
             continue
@@ -376,7 +377,7 @@ def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fracti
 def dist_report_cmd(dataset: str, strategy: str, out: str, stamp: bool) -> None:
     """Translation-spread table: raw ground truth vs anchored offsets."""
     root, names = _scenes(dataset)
-    observations = [obs for _, obs in _observations(root, names, need_pose=True)]
+    observations = (obs for _, obs in _observations(root, names, need_pose=True))
     report = synth.distribution_report(observations, _STRATEGIES[strategy])
     rows = [
         [r["quantity"], r["component"], r["variance"], r["min"], r["max"], r["variance_ratio"]]

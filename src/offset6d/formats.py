@@ -9,7 +9,9 @@ Conventions:
     in millimeters rounded half-even, 0 = invalid.
   - Mask: 8-bit binary PGM, 255 = foreground, anything else but 0 rejected.
   - Poses, intrinsics, manifests: line-oriented ``key = value`` text with
-    repr-precision numbers (exact round trip).
+    repr-precision numbers (exact round trip).  :func:`spec_to_pairs` is the
+    scene spec's one text form: the manifest's spec lines, the experiment
+    config's keys, and the text that ``synth.scene_digest`` hashes.
   - Encodings and targets: the same ``key = value`` text as a header, ending
     in a ``data:`` line, then ``count x len(columns)`` little-endian float64
     values (``<f8``, row-major), like a binary PGM.  ``head encoding.txt``
@@ -19,15 +21,18 @@ Conventions:
 
 All writers go through a temp file plus atomic rename, so an interrupted
 run never leaves a truncated artifact behind.  Parse errors name the byte
-offset of the offending data where it is meaningful.
+offset of the offending data where it is meaningful.  A value that does not
+parse, or that the type it builds rejects, names the file and the key.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 import tempfile
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +42,16 @@ from .errors import ConfigError, FormatError
 from .geometry import CameraIntrinsics, RigidPose
 from .metrics import ObjectModel
 from .refpoint import DepthMap, InstanceMask, ReferencePoint, RefStrategy
+from .spec import (
+    RNG_ALGORITHM,
+    BoxModel,
+    BoxVolume,
+    CylinderModel,
+    FileModel,
+    GaussianVolume,
+    SceneSpec,
+    SphereModel,
+)
 
 DEPTH_UNIT = 0.001  # PGM depth LSB in meters
 MAX_DEPTH_MM = 65535
@@ -273,8 +288,12 @@ def format_floats(values) -> str:
     return " ".join(format_float(v) for v in np.asarray(values, dtype=np.float64).ravel())
 
 
+def format_keyvalue(pairs: list[tuple[str, str]]) -> str:
+    return "".join(f"{k} = {v}\n" for k, v in pairs)
+
+
 def write_keyvalue(path, pairs: list[tuple[str, str]]) -> None:
-    _atomic_write_text(path, "".join(f"{k} = {v}\n" for k, v in pairs))
+    _atomic_write_text(path, format_keyvalue(pairs))
 
 
 def read_keyvalue(path) -> dict[str, str]:
@@ -300,14 +319,55 @@ def _parse_keyvalue(text: str, path) -> dict[str, str]:
     return out
 
 
-def _require(kv: dict[str, str], key: str, path) -> str:
-    if key not in kv:
-        raise FormatError(f"{path}: missing key {key!r}")
-    return kv[key]
+def _value(kv: dict[str, str], path, key: str, parse=str, default: str | None = None, error=FormatError):
+    """``parse(kv[key])``, or ``parse(default)`` when the key is absent.  A
+    missing key, and a ``ValueError`` from ``parse`` (a value that does not
+    parse, or that the type it builds rejects), raise ``error`` naming the
+    file and the key."""
+    text = kv.get(key, default)
+    if text is None:
+        raise error(f"{path}: missing key {key!r}")
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise error(f"{path}: key {key!r}: {exc}") from None
+
+
+def _floats(n: int):
+    """Parser for exactly ``n`` whitespace-separated floats, as a tuple."""
+
+    def parse(text: str) -> tuple[float, ...]:
+        parts = text.split()
+        if len(parts) != n:
+            raise ValueError(f"needs {n} values, got {len(parts)}")
+        return tuple(float(p) for p in parts)
+
+    return parse
+
+
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise ValueError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"must be 'true' or 'false', got {text!r}")
+    return text == "true"
+
+
+def _built(path, make, *args, **kwargs):
+    """``make(...)``, with a ``ValueError`` from the checks of the type it
+    builds raised as a :class:`FormatError` naming the file."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _check_format(kv: dict[str, str], expected: str, path) -> None:
-    found = _require(kv, "format", path)
+    found = _value(kv, path, "format")
     if found != expected:
         raise FormatError(f"{path}: expected format {expected!r}, found {found!r}")
 
@@ -316,16 +376,6 @@ def _check_no_extra(kv: dict[str, str], allowed: set[str], path) -> None:
     extra = set(kv) - allowed
     if extra:
         raise FormatError(f"{path}: unknown keys {sorted(extra)}")
-
-
-def _floats(text: str, n: int, key: str, path) -> np.ndarray:
-    parts = text.split()
-    if len(parts) != n:
-        raise FormatError(f"{path}: key {key!r} needs {n} values, got {len(parts)}")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError:
-        raise FormatError(f"{path}: non-numeric value under key {key!r}") from None
 
 
 def write_pose(path, pose: RigidPose) -> None:
@@ -343,9 +393,9 @@ def read_pose(path) -> RigidPose:
     kv = read_keyvalue(path)
     _check_format(kv, "pose/v1", path)
     _check_no_extra(kv, {"format", "rotation", "translation"}, path)
-    rotation = _floats(_require(kv, "rotation", path), 9, "rotation", path).reshape(3, 3)
-    translation = _floats(_require(kv, "translation", path), 3, "translation", path)
-    return RigidPose(rotation, translation)
+    rotation = np.reshape(_value(kv, path, "rotation", _floats(9)), (3, 3))
+    translation = np.array(_value(kv, path, "translation", _floats(3)))
+    return _built(path, RigidPose, rotation, translation)
 
 
 def write_intrinsics(path, k: CameraIntrinsics) -> None:
@@ -365,12 +415,7 @@ def read_intrinsics(path) -> CameraIntrinsics:
     kv = read_keyvalue(path)
     _check_format(kv, "intrinsics/v1", path)
     _check_no_extra(kv, {"format", "fx", "fy", "cx", "cy"}, path)
-    return CameraIntrinsics(
-        fx=float(_require(kv, "fx", path)),
-        fy=float(_require(kv, "fy", path)),
-        cx=float(_require(kv, "cx", path)),
-        cy=float(_require(kv, "cy", path)),
-    )
+    return _built(path, CameraIntrinsics, *(_value(kv, path, key, float) for key in ("fx", "fy", "cx", "cy")))
 
 
 # ---------------------------------------------------------------------------
@@ -388,30 +433,14 @@ def _ref_pairs(ref: ReferencePoint) -> list[tuple[str, str]]:
     ]
 
 
-def _float_key(kv: dict[str, str], key: str, path) -> float:
-    return float(_floats(_require(kv, key, path), 1, key, path)[0])
-
-
-def _enum_key(kv: dict[str, str], key: str, enum_type, path):
-    value = _require(kv, key, path)
-    try:
-        return enum_type(value)
-    except ValueError:
-        raise FormatError(f"{path}: key {key!r} has unknown value {value!r}") from None
-
-
 def _ref_from(kv: dict[str, str], path) -> ReferencePoint:
-    x0, y0, d0 = (_float_key(kv, key, path) for key in ("x0", "y0", "d0"))
-    strategy = _enum_key(kv, "strategy", RefStrategy, path)
-    try:
-        return ReferencePoint(x0=x0, y0=y0, d0=d0, strategy=strategy)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    x0, y0, d0 = (_value(kv, path, key, float) for key in ("x0", "y0", "d0"))
+    return _built(path, ReferencePoint, x0=x0, y0=y0, d0=d0, strategy=_value(kv, path, "strategy", RefStrategy))
 
 
 def _write_table(path, header_pairs: list[tuple[str, str]], columns: list[str], rows: np.ndarray) -> None:
     pairs = [*header_pairs, ("count", str(rows.shape[0])), ("columns", " ".join(columns))]
-    header = "".join(f"{k} = {v}\n" for k, v in pairs) + "data:\n"
+    header = format_keyvalue(pairs) + "data:\n"
     _atomic_write_bytes(path, header.encode() + np.ascontiguousarray(rows, dtype="<f8").tobytes())
 
 
@@ -428,11 +457,8 @@ def _read_table(path, expected_format: str, allowed: set[str]) -> tuple[dict[str
     kv = _parse_keyvalue(header, path)
     _check_format(kv, expected_format, path)
     _check_no_extra(kv, allowed, path)
-    columns = _require(kv, "columns", path).split()
-    count_text = _require(kv, "count", path)
-    if not count_text.isdecimal():
-        raise FormatError(f"{path}: key 'count' must be a non-negative integer, got {count_text!r}")
-    count = int(count_text)
+    columns = _value(kv, path, "columns").split()
+    count = _value(kv, path, "count", _count)
     pos = split + len(_DATA_MARK)
     expected = count * len(columns) * 8
     if len(raw) - pos < expected:
@@ -475,8 +501,8 @@ def write_encoding(path, enc: GeoEncoding, constraint_form: ConstraintForm = Con
 
 def read_encoding(path) -> tuple[GeoEncoding, ConstraintForm]:
     kv, columns, data = _read_table(path, "encoding/v2", _ENCODING_KEYS)
-    mode = _enum_key(kv, "mode", InputMode, path)
-    form = _enum_key(kv, "constraint_form", ConstraintForm, path)
+    mode = _value(kv, path, "mode", InputMode)
+    form = _value(kv, path, "constraint_form", ConstraintForm)
     ref = _ref_from(kv, path)
     col = {name: data[:, i] for i, name in enumerate(columns)}
     for needed in ("u", "v", "delta_x", "delta_y", "delta_d"):
@@ -489,22 +515,21 @@ def read_encoding(path) -> tuple[GeoEncoding, ConstraintForm]:
                 raise FormatError(f"{path}: geometric encoding missing column {needed!r}")
         dd0 = col["dd0"]
         t0_over_dd0 = np.stack([col["t0dd0_x"], col["t0dd0_y"], col["t0dd0_z"]], axis=1)
-    try:
-        enc = GeoEncoding(
-            us=col["u"].astype(np.int64),
-            vs=col["v"].astype(np.int64),
-            delta_x=col["delta_x"],
-            delta_y=col["delta_y"],
-            delta_d=col["delta_d"],
-            dd0=dd0,
-            t0_over_dd0=t0_over_dd0,
-            ref=ref,
-            mode=mode,
-            delta_u=col.get("delta_u"),
-            delta_v=col.get("delta_v"),
-        )
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    enc = _built(
+        path,
+        GeoEncoding,
+        us=col["u"].astype(np.int64),
+        vs=col["v"].astype(np.int64),
+        delta_x=col["delta_x"],
+        delta_y=col["delta_y"],
+        delta_d=col["delta_d"],
+        dd0=dd0,
+        t0_over_dd0=t0_over_dd0,
+        ref=ref,
+        mode=mode,
+        delta_u=col.get("delta_u"),
+        delta_v=col.get("delta_v"),
+    )
     return enc, form
 
 
@@ -528,9 +553,9 @@ def write_targets(path, tgt: GeoTargets) -> None:
 
 def read_targets(path) -> GeoTargets:
     kv, columns, data = _read_table(path, "targets/v2", _TARGET_KEYS)
-    mode = _enum_key(kv, "mode", TargetMode, path)
+    mode = _value(kv, path, "mode", TargetMode)
     ref = _ref_from(kv, path)
-    delta_t = _floats(_require(kv, "delta_t", path), 3, "delta_t", path)
+    delta_t = np.array(_value(kv, path, "delta_t", _floats(3)))
     col = {name: data[:, i] for i, name in enumerate(columns)}
     for needed in ("u", "v", "da", "db", "dc"):
         if needed not in col:
@@ -597,7 +622,8 @@ def read_scene_dir(scene_dir) -> SceneObservation:
     intrinsics = read_intrinsics(scene_dir / "intrinsics.txt")
     pose_path = scene_dir / "pose.txt"
     gt_pose = read_pose(pose_path) if pose_path.exists() else None
-    return SceneObservation(depth=depth, mask=mask, intrinsics=intrinsics, gt_pose=gt_pose)
+    # The mask is checked against the depth map, so a size mismatch names it.
+    return _built(scene_dir / "mask.pgm", SceneObservation, depth=depth, mask=mask, intrinsics=intrinsics, gt_pose=gt_pose)
 
 
 def scene_name(index: int) -> str:
@@ -605,7 +631,7 @@ def scene_name(index: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# experiment configuration / dataset manifest
+# experiment configuration / dataset manifest: the scene spec's text form
 
 _SPEC_KEYS = {
     "seed", "image_width", "image_height", "fx", "fy", "cx", "cy",
@@ -620,11 +646,22 @@ _EXPERIMENT_KEYS = _SPEC_KEYS | {"format", "scene_count", "output_dir"}
 
 _MANIFEST_KEYS = _SPEC_KEYS | {"format", "scene_count", "rng_algorithm"}
 
+# ``model_params`` lists a primitive's fields in order; a volume's fields are
+# stored under ``translation_<field>``.
+_PRIMITIVES = {"box": BoxModel, "cylinder": CylinderModel, "sphere": SphereModel}
+_VOLUMES = {"box": BoxVolume, "gaussian": GaussianVolume}
 
-def spec_to_pairs(spec) -> list[tuple[str, str]]:
-    from .synth import BoxModel, BoxVolume, CylinderModel, FileModel, GaussianVolume, SphereModel
 
-    kind = spec.model_kind
+def _config_name(value, table: dict[str, type]) -> str:
+    for name, cls in table.items():
+        if isinstance(value, cls):
+            return name
+    raise ConfigError(f"unknown spec part {type(value).__name__}")
+
+
+def spec_to_pairs(spec: SceneSpec) -> list[tuple[str, str]]:
+    """The spec's one text form: the manifest's spec lines and the basis of
+    scene digests.  :func:`pairs_to_spec` reads it back exactly."""
     pairs: list[tuple[str, str]] = [
         ("seed", str(spec.seed)),
         ("image_width", str(spec.image_size[0])),
@@ -636,35 +673,18 @@ def spec_to_pairs(spec) -> list[tuple[str, str]]:
         ("surface_sample_count", str(spec.surface_sample_count)),
         ("rotation_dist", spec.rotation_dist),
     ]
-    if isinstance(kind, BoxModel):
-        pairs += [("model_kind", "box"), ("model_params", format_floats([kind.width, kind.height, kind.length]))]
-    elif isinstance(kind, CylinderModel):
-        pairs += [("model_kind", "cylinder"), ("model_params", format_floats([kind.radius, kind.height]))]
-    elif isinstance(kind, SphereModel):
-        pairs += [("model_kind", "sphere"), ("model_params", format_floats([kind.radius]))]
-    elif isinstance(kind, FileModel):
+    kind = spec.model_kind
+    if isinstance(kind, FileModel):
         pairs += [
             ("model_kind", "file"),
             ("model_path", kind.path),
             ("model_symmetric", "true" if kind.symmetric else "false"),
         ]
     else:
-        raise ConfigError(f"unknown model kind {type(kind).__name__}")
+        pairs += [("model_kind", _config_name(kind, _PRIMITIVES)), ("model_params", format_floats(astuple(kind)))]
     dist = spec.translation_dist
-    if isinstance(dist, BoxVolume):
-        pairs += [
-            ("translation_dist", "box"),
-            ("translation_center", format_floats(dist.center)),
-            ("translation_half_widths", format_floats(dist.half_widths)),
-        ]
-    elif isinstance(dist, GaussianVolume):
-        pairs += [
-            ("translation_dist", "gaussian"),
-            ("translation_mean", format_floats(dist.mean)),
-            ("translation_sigma", format_floats(dist.sigma)),
-        ]
-    else:
-        raise ConfigError(f"unknown translation distribution {type(dist).__name__}")
+    pairs.append(("translation_dist", _config_name(dist, _VOLUMES)))
+    pairs += [(f"translation_{f.name}", format_floats(getattr(dist, f.name))) for f in fields(dist)]
     pairs += [
         ("depth_noise_sigma", format_float(spec.depth_noise_sigma)),
         ("pixel_dropout", format_float(spec.pixel_dropout)),
@@ -674,91 +694,70 @@ def spec_to_pairs(spec) -> list[tuple[str, str]]:
     return pairs
 
 
-def _config_floats(kv: dict[str, str], key: str, n: int, path) -> tuple:
-    if key not in kv:
-        raise ConfigError(f"{path}: missing key {key!r}")
-    parts = kv[key].split()
-    if len(parts) != n:
-        raise ConfigError(f"{path}: key {key!r} needs {n} values, got {len(parts)}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"{path}: non-numeric value under {key!r}") from None
+def pairs_to_spec(kv: dict[str, str], path="<config>") -> SceneSpec:
+    """The spec of an experiment config or a manifest.  A missing key, a value
+    that does not parse and a value the spec types reject raise a
+    :class:`ConfigError` naming the file (and the key, where one value is at
+    fault)."""
+    value = functools.partial(_value, kv, path, error=ConfigError)
 
-
-def pairs_to_spec(kv: dict[str, str], path="<config>"):
-    from .synth import BoxModel, BoxVolume, CylinderModel, FileModel, GaussianVolume, SceneSpec, SphereModel
-
-    def need(key: str) -> str:
-        if key not in kv:
-            raise ConfigError(f"{path}: missing key {key!r}")
-        return kv[key]
-
-    model_kind_name = need("model_kind")
-    if model_kind_name == "box":
-        w, h, l = _config_floats(kv, "model_params", 3, path)
-        kind = BoxModel(w, h, l)
-    elif model_kind_name == "cylinder":
-        r, h = _config_floats(kv, "model_params", 2, path)
-        kind = CylinderModel(r, h)
-    elif model_kind_name == "sphere":
-        (r,) = _config_floats(kv, "model_params", 1, path)
-        kind = SphereModel(r)
-    elif model_kind_name == "file":
-        kind = FileModel(need("model_path"), kv.get("model_symmetric", "false") == "true")
+    kind_name = value("model_kind")
+    if kind_name == "file":
+        kind = FileModel(value("model_path"), value("model_symmetric", _flag, "false"))
+    elif kind_name in _PRIMITIVES:
+        primitive = _PRIMITIVES[kind_name]
+        params = _floats(len(fields(primitive)))
+        kind = value("model_params", lambda text: primitive(*params(text)))
     else:
-        raise ConfigError(f"{path}: unknown model_kind {model_kind_name!r}")
+        raise ConfigError(f"{path}: unknown model_kind {kind_name!r}")
 
-    dist_name = need("translation_dist")
-    if dist_name == "box":
-        dist = BoxVolume(
-            center=_config_floats(kv, "translation_center", 3, path),
-            half_widths=_config_floats(kv, "translation_half_widths", 3, path),
-        )
-    elif dist_name == "gaussian":
-        dist = GaussianVolume(
-            mean=_config_floats(kv, "translation_mean", 3, path),
-            sigma=_config_floats(kv, "translation_sigma", 3, path),
-        )
-    else:
+    dist_name = value("translation_dist")
+    if dist_name not in _VOLUMES:
         raise ConfigError(f"{path}: unknown translation_dist {dist_name!r}")
+    volume = _VOLUMES[dist_name]
+    location, spread = (f"translation_{f.name}" for f in fields(volume))
+    where = value(location, _floats(3))
+    dist = value(spread, lambda text: volume(where, _floats(3)(text)))
 
     try:
         return SceneSpec(
             model_kind=kind,
-            surface_sample_count=int(need("surface_sample_count")),
-            image_size=(int(need("image_width")), int(need("image_height"))),
-            intrinsics=CameraIntrinsics(
-                fx=float(need("fx")), fy=float(need("fy")), cx=float(need("cx")), cy=float(need("cy"))
-            ),
+            surface_sample_count=value("surface_sample_count", int),
+            image_size=(value("image_width", int), value("image_height", int)),
+            intrinsics=CameraIntrinsics(*(value(key, float) for key in ("fx", "fy", "cx", "cy"))),
             translation_dist=dist,
-            seed=int(need("seed")),
-            rotation_dist=kv.get("rotation_dist", "uniform-so3"),
-            depth_noise_sigma=float(kv.get("depth_noise_sigma", "0")),
-            pixel_dropout=float(kv.get("pixel_dropout", "0")),
-            occlusion_fraction=float(kv["occlusion_fraction"]) if "occlusion_fraction" in kv else None,
+            seed=value("seed", int),
+            rotation_dist=value("rotation_dist", default="uniform-so3"),
+            depth_noise_sigma=value("depth_noise_sigma", float, "0"),
+            pixel_dropout=value("pixel_dropout", float, "0"),
+            occlusion_fraction=value("occlusion_fraction", float) if "occlusion_fraction" in kv else None,
         )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a check across keys: focal lengths, image size, noise ranges
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-def write_manifest(path, spec, scene_count: int) -> None:
-    from .synth import RNG_ALGORITHM
+def scene_count(kv: dict[str, str], path, default: str | None = None) -> int:
+    """The ``scene_count`` of a manifest or an experiment config, a
+    non-negative integer; ``default`` stands in for an absent key."""
+    return _value(kv, path, "scene_count", _count, default, error=ConfigError)
 
+
+def write_manifest(path, spec: SceneSpec, scene_count: int) -> None:
     pairs = [("format", "dataset/v1"), ("scene_count", str(scene_count)), ("rng_algorithm", RNG_ALGORITHM)]
     pairs += spec_to_pairs(spec)
     write_keyvalue(path, pairs)
 
 
-def read_manifest(path):
+def read_manifest(path) -> tuple[SceneSpec, int]:
     """Returns (spec, scene_count)."""
     kv = read_keyvalue(path)
     _check_format(kv, "dataset/v1", path)
     extra = set(kv) - _MANIFEST_KEYS
     if extra:
         raise ConfigError(f"{path}: unknown keys {sorted(extra)}")
-    spec = pairs_to_spec(kv, path)
-    return spec, int(_require(kv, "scene_count", path))
+    return pairs_to_spec(kv, path), scene_count(kv, path)
 
 
 def read_experiment_config(path) -> dict[str, str]:

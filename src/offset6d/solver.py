@@ -25,7 +25,6 @@ import numpy as np
 from .encoding import GeoEncoding, InputMode, decode_translation
 from .errors import DegenerateConfigurationError, ModeMismatchError
 from .geometry import RigidPose, nearest_rotation
-from .refpoint import ReferencePoint
 
 # Relative singular-value floor below which a configuration is declared
 # degenerate (applied to the covariance / normal matrix of each solve).
@@ -134,13 +133,13 @@ def _constraint_rms(enc: GeoEncoding, delta_abc: np.ndarray, pose: RigidPose) ->
 def solve_from_constraints(
     enc: GeoEncoding,
     delta_abc: np.ndarray,
-    ref: ReferencePoint,
     refine_iterations: int = 0,
 ) -> SolveReport:
     """Recover (R, t) from geometric input channels plus object-frame targets.
 
     ``delta_abc`` must hold relative offsets (``a/d - a0/d0`` rows), e.g.
-    straight from target encoding or a regressor's output.  Each pixel gives
+    straight from target encoding or a regressor's output, anchored at the
+    encoding's own reference point ``enc.ref``.  Each pixel gives
     three equations linear in the nine R entries and ``dt = t - t0``; the
     three R rows decouple onto one shared (N, 4) design matrix
     ``[dABC | -dd/(d d0)]``.
@@ -176,6 +175,7 @@ def solve_from_constraints(
             f"need >= {MIN_CONSTRAINT_PIXELS} pixels, got {n}"
         )
 
+    ref = enc.ref
     w = enc.delta_d / enc.dd0
     # Row m of R and dt[m] satisfy, per pixel:
     #   dABC_i . R_row_m - w_i dt_m = lhs_im + w_i t0_m

@@ -1,9 +1,11 @@
 """Deterministic synthetic depth scenes.
 
-A scene is fully determined by a :class:`SceneSpec` plus a scene index: the
-per-scene RNG is a counter-based Philox stream keyed by the spec seed with
-the scene index in the counter, so datasets are reproducible point-for-point
-and scenes can be generated in any order or in parallel.
+A scene is fully determined by a :class:`~offset6d.spec.SceneSpec` plus a
+scene index: the per-scene RNG is a counter-based Philox stream keyed by the
+spec seed with the scene index in the counter, so datasets are reproducible
+point-for-point and scenes can be generated in any order or in parallel.  A
+scene's digest hashes the spec's manifest lines
+(:func:`offset6d.formats.spec_to_pairs`) with its index.
 
 Rendering: for the analytic primitives (box, cylinder, sphere) every pixel
 ray is intersected with the exact surface and the nearest hit wins, so each
@@ -21,129 +23,30 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from . import formats
 from .encoding import SceneObservation
 from .errors import EmptyObjectError
-from .geometry import CameraIntrinsics, RigidPose
+from .geometry import RigidPose
 from .metrics import ObjectModel
 from .refpoint import DepthMap, InstanceMask, RefStrategy, make_reference
-
-RNG_ALGORITHM = "numpy-philox4x64-10"
+from .spec import (
+    RNG_ALGORITHM,
+    BoxModel,
+    BoxVolume,
+    CylinderModel,
+    FileModel,
+    ModelKind,
+    SceneSpec,
+    SphereModel,
+)
 
 # Counter-space layout: scene i draws from counter i << 128, the model from
 # a reserved block that no scene index can reach.
 _MODEL_COUNTER = 1 << 192
 _PERTURB_COUNTER = 1 << 193
-
-
-@dataclass(frozen=True)
-class BoxModel:
-    width: float
-    height: float
-    length: float
-
-    symmetric = False  # class attribute, not a field
-
-    def __post_init__(self):
-        if min(self.width, self.height, self.length) <= 0:
-            raise ValueError("box extents must be positive")
-
-    @property
-    def half_extents(self) -> np.ndarray:
-        return np.array([self.width, self.height, self.length]) / 2.0
-
-
-@dataclass(frozen=True)
-class CylinderModel:
-    radius: float
-    height: float
-
-    symmetric = True
-
-    def __post_init__(self):
-        if self.radius <= 0 or self.height <= 0:
-            raise ValueError("cylinder dimensions must be positive")
-
-
-@dataclass(frozen=True)
-class SphereModel:
-    radius: float
-
-    symmetric = True
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("sphere radius must be positive")
-
-
-@dataclass(frozen=True)
-class FileModel:
-    """Point set loaded from an ASCII PLY file; rendered by point splatting."""
-
-    path: str
-    symmetric: bool = False
-
-
-ModelKind = Union[BoxModel, CylinderModel, SphereModel, FileModel]
-
-
-@dataclass(frozen=True)
-class BoxVolume:
-    """Uniform translation sampling inside center +- half_widths."""
-
-    center: tuple[float, float, float]
-    half_widths: tuple[float, float, float]
-
-    def __post_init__(self):
-        if min(self.half_widths) <= 0:
-            raise ValueError("half widths must be positive")
-
-
-@dataclass(frozen=True)
-class GaussianVolume:
-    mean: tuple[float, float, float]
-    sigma: tuple[float, float, float]
-
-    def __post_init__(self):
-        if min(self.sigma) <= 0:
-            raise ValueError("sigma must be positive")
-
-
-TranslationDist = Union[BoxVolume, GaussianVolume]
-
-
-@dataclass(frozen=True)
-class SceneSpec:
-    """Everything needed to generate a dataset deterministically."""
-
-    model_kind: ModelKind
-    surface_sample_count: int
-    image_size: tuple[int, int]  # (width, height)
-    intrinsics: CameraIntrinsics
-    translation_dist: TranslationDist
-    seed: int
-    rotation_dist: str = "uniform-so3"
-    depth_noise_sigma: float = 0.0
-    pixel_dropout: float = 0.0
-    occlusion_fraction: float | None = None
-
-    def __post_init__(self):
-        if self.surface_sample_count <= 0:
-            raise ValueError("surface_sample_count must be positive")
-        if self.image_size[0] <= 0 or self.image_size[1] <= 0:
-            raise ValueError("image size must be positive")
-        if self.rotation_dist != "uniform-so3":
-            raise ValueError(f"unsupported rotation distribution {self.rotation_dist!r}")
-        if self.depth_noise_sigma < 0:
-            raise ValueError("depth_noise_sigma must be >= 0")
-        if not 0.0 <= self.pixel_dropout < 1.0:
-            raise ValueError("pixel_dropout must be in [0, 1)")
-        if self.occlusion_fraction is not None and self.occlusion_fraction < 0:
-            raise ValueError("occlusion_fraction must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -505,43 +408,11 @@ def render_scene(spec: SceneSpec, index: int, model: ObjectModel | None = None) 
     return SyntheticScene(observation=observation, model=model, spec_digest=scene_digest(spec, index))
 
 
-def spec_canonical_string(spec: SceneSpec) -> str:
-    """Stable textual form of a spec, the basis of scene digests."""
-    kind = spec.model_kind
-    if isinstance(kind, BoxModel):
-        model = f"box({kind.width!r},{kind.height!r},{kind.length!r})"
-    elif isinstance(kind, CylinderModel):
-        model = f"cylinder({kind.radius!r},{kind.height!r})"
-    elif isinstance(kind, SphereModel):
-        model = f"sphere({kind.radius!r})"
-    else:
-        model = f"file({kind.path},{kind.symmetric})"
-    dist = spec.translation_dist
-    if isinstance(dist, BoxVolume):
-        tdist = f"box(center={tuple(dist.center)!r},half={tuple(dist.half_widths)!r})"
-    else:
-        tdist = f"gaussian(mean={tuple(dist.mean)!r},sigma={tuple(dist.sigma)!r})"
-    k = spec.intrinsics
-    return "|".join(
-        [
-            f"model={model}",
-            f"samples={spec.surface_sample_count}",
-            f"image={spec.image_size[0]}x{spec.image_size[1]}",
-            f"intrinsics=({k.fx!r},{k.fy!r},{k.cx!r},{k.cy!r})",
-            f"rotation={spec.rotation_dist}",
-            f"translation={tdist}",
-            f"noise={spec.depth_noise_sigma!r}",
-            f"dropout={spec.pixel_dropout!r}",
-            f"occlusion={spec.occlusion_fraction!r}",
-            f"seed={spec.seed}",
-            f"rng={RNG_ALGORITHM}",
-        ]
-    )
-
-
 def scene_digest(spec: SceneSpec, index: int) -> str:
-    payload = f"{spec_canonical_string(spec)}|index={index}"
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """SHA-256 of the manifest's spec lines (``rng_algorithm`` and
+    :func:`formats.spec_to_pairs`) followed by an ``index`` line."""
+    pairs = [("rng_algorithm", RNG_ALGORITHM), *formats.spec_to_pairs(spec), ("index", str(index))]
+    return hashlib.sha256(formats.format_keyvalue(pairs).encode()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,16 @@ output_dir = dataset
 def run(runner, args):
     result = runner.invoke(main, args, catch_exceptions=False)
     return result
+
+
+def assert_one_error_line(result, *names) -> None:
+    """Exit 1 with a single ``Error:`` line that names each of ``names``."""
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    [error] = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    for name in names:
+        assert name in error, error
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +352,22 @@ class TestReports:
             assert total == pytest.approx(parts, rel=1e-12, abs=1e-300)
             assert float(row[3]) == 0.0  # centered model: cross term exactly 0
 
+    def test_dist_report_streams_scenes(self, tmp_path):
+        # Peak traced memory stays near one scene's worth, not the dataset's.
+        runner = CliRunner()
+        (tmp_path / "config.txt").write_text(CONFIG.replace("scene_count = 6", "scene_count = 24"))
+        dataset = tmp_path / "dataset"
+        assert run(runner, ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(dataset)]).exit_code == 0
+        depth_bytes = 160 * 160 * 8
+        tracemalloc.start()
+        try:
+            r = run(runner, ["dist-report", "--dataset", str(dataset), "--out", str(tmp_path / "dist.csv")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.exit_code == 0, r.output
+        assert peak < 6 * depth_bytes, peak
+
     def test_stamp_changes_bytes(self, pipeline_dir, tmp_path):
         runner = CliRunner()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -463,11 +490,56 @@ class TestErrors:
         assert f"{key} = {value}" in lines
         path.write_bytes("\n".join(lines).encode() + mark + payload)
         r = CliRunner().invoke(main, ["solve", "--encodings", str(enc), "--out", str(tmp_path / "solves.csv")])
-        assert r.exit_code == 1, r.output
-        assert r.exception is None or isinstance(r.exception, SystemExit)
-        assert "Traceback" not in r.output
-        [error] = [line for line in r.output.splitlines() if line.startswith("Error:")]
-        assert str(path) in error and repr(key) in error
+        assert_one_error_line(r, str(path), repr(key))
+
+    @pytest.mark.parametrize("name, line, command, detail", [
+        ("intrinsics.txt", "fx = oops", "encode", "'fx'"),
+        ("intrinsics.txt", "fx = -5.0", "encode", "fx=-5.0"),
+        ("pose.txt", "rotation = 1.1 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0", "eval", "orthonormal"),
+        ("mask.pgm", None, "encode", "shapes differ"),
+    ])
+    def test_malformed_scene_file_names_file(self, pipeline_dir, tmp_path, name, line, command, detail):
+        dataset = tmp_path / "dataset"
+        shutil.copytree(pipeline_dir / "dataset", dataset)
+        path = dataset / formats.scene_name(2) / name
+        if line is None:  # a mask of another size than the depth map
+            formats.write_mask_pgm(path, np.zeros((12, 10), dtype=bool))
+        else:
+            field = line.split(" = ")[0]
+            lines = path.read_text().splitlines()
+            path.write_text("".join((line if old.startswith(f"{field} = ") else old) + "\n" for old in lines))
+        if command == "encode":
+            args = ["encode", "--dataset", str(dataset), "--out", str(tmp_path / "enc")]
+        else:
+            args = ["eval", "--dataset", str(dataset), "--pred", str(pipeline_dir / "solves.csv"),
+                    "--out", str(tmp_path / "results.csv")]
+        assert_one_error_line(CliRunner().invoke(main, args), str(path), detail)
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("synth-gen", "scene_count", "many"),
+        ("synth-gen", "model_params", "0.16 -0.12 0.2"),
+        ("synth-gen", "translation_half_widths", "0.1 0.0 0.15"),
+        ("eval", "scene_count", "two"),
+        ("encode", "model_params", "0.16 -0.12 0.2"),
+    ])
+    def test_bad_spec_value_names_file_and_key(self, pipeline_dir, tmp_path, command, key, value):
+        if command == "synth-gen":
+            path = tmp_path / "config.txt"
+            text = CONFIG
+        else:
+            shutil.copytree(pipeline_dir / "dataset", tmp_path / "dataset")
+            path = tmp_path / "dataset" / "manifest.txt"
+            text = path.read_text()
+        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in text.splitlines()]
+        assert f"{key} = {value}" in lines
+        path.write_text("\n".join(lines) + "\n")
+        args = {
+            "synth-gen": ["synth-gen", "-c", str(path), "--out", str(tmp_path / "out")],
+            "eval": ["eval", "--dataset", str(tmp_path / "dataset"), "--pred", str(pipeline_dir / "solves.csv"),
+                     "--out", str(tmp_path / "results.csv")],
+            "encode": ["encode", "--dataset", str(tmp_path / "dataset"), "--out", str(tmp_path / "enc")],
+        }[command]
+        assert_one_error_line(CliRunner().invoke(main, args), str(path), repr(key))
 
     def test_nan_target_flags_scene_degenerate(self, pipeline_dir, tmp_path):
         enc = tmp_path / "enc"

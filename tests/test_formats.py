@@ -478,6 +478,13 @@ class TestManifestAndConfig:
         with pytest.raises(ConfigError):
             formats.read_experiment_config(path)
 
+    def test_model_symmetric_must_be_true_or_false(self):
+        kv = dict(formats.spec_to_pairs(small_scene_spec(model_kind=o6.FileModel("part.ply", symmetric=True))))
+        assert formats.pairs_to_spec(kv, "config.txt").model_kind.symmetric
+        kv["model_symmetric"] = "yes"
+        with pytest.raises(ConfigError, match="config.txt: key 'model_symmetric'"):
+            formats.pairs_to_spec(kv, "config.txt")
+
     def test_config_missing_key_message(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text("format = experiment/v1\nmodel_kind = sphere\n")

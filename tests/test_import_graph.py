@@ -1,0 +1,85 @@
+"""Package structure, read from the source: the module-level import graph of
+``offset6d`` is acyclic, and no module hides an import of another package
+module inside a function."""
+
+import ast
+from pathlib import Path
+
+import offset6d
+
+PACKAGE = Path(offset6d.__file__).resolve().parent
+TREES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def package_imports(node: ast.AST) -> set[str]:
+    """The package modules an import statement names (``__init__`` for the
+    package itself)."""
+    if isinstance(node, ast.Import):
+        dotted = [alias.name for alias in node.names if alias.name.split(".")[0] == "offset6d"]
+        return {(name.split(".") + ["__init__"])[1] for name in dotted}
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    if node.level == 0:
+        if node.module is None or node.module.split(".")[0] != "offset6d":
+            return set()
+        parts = node.module.split(".")[1:]
+    else:
+        parts = node.module.split(".") if node.module else []
+    if parts:
+        return {parts[0]}
+    return {alias.name if alias.name in TREES else "__init__" for alias in node.names}
+
+
+def module_level_imports(tree: ast.Module) -> set[str]:
+    found: set[str] = set()
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            continue
+        found |= package_imports(node)
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_package_import_inside_a_function():
+    hidden = []
+    for name, tree in TREES.items():
+        for func in (node for node in ast.walk(tree) if isinstance(node, FUNCTIONS)):
+            for node in ast.walk(func):
+                if package_imports(node):
+                    hidden.append(f"{name}.py:{node.lineno}")
+    assert hidden == []
+
+
+def test_formats_imports_nothing_from_synth():
+    assert not any("synth" in package_imports(node) for node in ast.walk(TREES["formats"]))
+
+
+def test_spec_has_one_text_form():
+    names = {
+        getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+    }
+    assert "spec_to_pairs" in names
+    assert "spec_canonical_string" not in names
+
+
+def test_module_import_graph_is_acyclic():
+    graph = {name: module_level_imports(tree) - {name} for name, tree in TREES.items()}
+    done: set[str] = set()
+
+    def visit(name: str, path: list[str]) -> None:
+        assert name not in path, " -> ".join(path + [name])
+        if name in done:
+            return
+        for target in sorted(graph.get(name, ())):
+            visit(target, path + [name])
+        done.add(name)
+
+    for name in graph:
+        visit(name, [])
+    assert graph["spec"] == {"geometry"}
+    assert "spec" in graph["formats"] and "formats" in graph["synth"]

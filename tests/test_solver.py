@@ -92,7 +92,7 @@ class TestConstraintSolve:
         for i in range(20):
             scene, enc, tgt, ref = encoded_scene(i)
             assert len(enc) >= 20
-            report = o6.solve_from_constraints(enc, tgt.delta_abc, ref)
+            report = o6.solve_from_constraints(enc, tgt.delta_abc)
             gt = scene.observation.gt_pose
             assert o6.rotation_geodesic_error(report.pose, gt) < 1e-6
             assert np.linalg.norm(report.pose.translation - gt.translation) < 1e-8
@@ -102,7 +102,7 @@ class TestConstraintSolve:
         for i in range(10):
             scene, enc, tgt, ref = encoded_scene(i, seed=13)
             obs = scene.observation
-            report = o6.solve_from_constraints(enc, tgt.delta_abc, ref)
+            report = o6.solve_from_constraints(enc, tgt.delta_abc)
             cam = o6.backproject_pixels(enc.us, enc.vs, obs.depth.values[enc.vs, enc.us], obs.intrinsics)
             obj = o6.inverse_transform_points(obs.gt_pose, cam)
             baseline = o6.solve_procrustes(cam, obj)
@@ -124,7 +124,7 @@ class TestConstraintSolve:
         enc = o6.encode_input(obs, ref)
         tgt = o6.encode_targets(obs, ref)
         with pytest.raises(DegenerateConfigurationError):
-            o6.solve_from_constraints(enc, tgt.delta_abc, ref)
+            o6.solve_from_constraints(enc, tgt.delta_abc)
 
     def test_too_few_pixels(self):
         scene, enc, tgt, ref = encoded_scene(0)
@@ -137,7 +137,7 @@ class TestConstraintSolve:
             dd0=enc.dd0[:4], t0_over_dd0=enc.t0_over_dd0[:4],
         )
         with pytest.raises(DegenerateConfigurationError):
-            o6.solve_from_constraints(small, tgt.delta_abc[:4], ref)
+            o6.solve_from_constraints(small, tgt.delta_abc[:4])
 
     def test_non_finite_targets_are_degenerate(self):
         scene, enc, tgt, ref = encoded_scene(0)
@@ -145,14 +145,14 @@ class TestConstraintSolve:
             delta_abc = tgt.delta_abc.copy()
             delta_abc[3, 1] = bad
             with pytest.raises(DegenerateConfigurationError):
-                o6.solve_from_constraints(enc, delta_abc, ref)
+                o6.solve_from_constraints(enc, delta_abc)
 
     def test_requires_geometric_channels(self):
         scene, enc, tgt, ref = encoded_scene(0)
         obs = scene.observation
         plain = o6.encode_input(obs, ref, o6.InputMode.OFFSET_XYD)
         with pytest.raises(ModeMismatchError):
-            o6.solve_from_constraints(plain, tgt.delta_abc, ref)
+            o6.solve_from_constraints(plain, tgt.delta_abc)
 
     def test_noisy_targets_median_add(self, rng):
         # Monte-Carlo bound from the solver contract: sigma = 1e-4 target
@@ -168,7 +168,7 @@ class TestConstraintSolve:
             enc = o6.encode_input(obs, ref)
             tgt = o6.encode_targets(obs, ref)
             noisy = tgt.delta_abc + rng.normal(0, 1e-4, tgt.delta_abc.shape)
-            report = o6.solve_from_constraints(enc, noisy, ref)
+            report = o6.solve_from_constraints(enc, noisy)
             adds.append(o6.add(report.pose, obs.gt_pose, model))
             assert rotation_defect(report.pose.rotation) <= 1e-9
         assert np.median(adds) < 2e-3
@@ -177,21 +177,21 @@ class TestConstraintSolve:
         clean, noisy = [], []
         for i in range(100):
             scene, enc, tgt, ref = encoded_scene(i, seed=23)
-            clean.append(o6.solve_from_constraints(enc, tgt.delta_abc, ref).residual_rms)
+            clean.append(o6.solve_from_constraints(enc, tgt.delta_abc).residual_rms)
             bumped = tgt.delta_abc + rng.normal(0, 1e-3, tgt.delta_abc.shape)
-            noisy.append(o6.solve_from_constraints(enc, bumped, ref).residual_rms)
+            noisy.append(o6.solve_from_constraints(enc, bumped).residual_rms)
         assert np.mean(clean) < np.mean(noisy)
 
     def test_refinement_does_not_hurt(self, rng):
         scene, enc, tgt, ref = encoded_scene(3, seed=29)
         noisy = tgt.delta_abc + rng.normal(0, 1e-3, tgt.delta_abc.shape)
-        raw = o6.solve_from_constraints(enc, noisy, ref)
-        refined = o6.solve_from_constraints(enc, noisy, ref, refine_iterations=3)
+        raw = o6.solve_from_constraints(enc, noisy)
+        refined = o6.solve_from_constraints(enc, noisy, refine_iterations=3)
         assert refined.residual_rms <= raw.residual_rms * 1.01
 
     def test_report_fields(self):
         scene, enc, tgt, ref = encoded_scene(1)
-        report = o6.solve_from_constraints(enc, tgt.delta_abc, ref)
+        report = o6.solve_from_constraints(enc, tgt.delta_abc)
         assert report.point_count == len(enc)
         assert report.condition_flag is ConditionFlag.WELL_POSED
         # raw block should already be close to the final rotation on clean data

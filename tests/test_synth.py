@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import offset6d as o6
+from offset6d import formats
 from offset6d.errors import EmptyObjectError
 from offset6d.geometry import rotation_defect
 from offset6d.synth import model_rng, scene_digest, scene_rng
@@ -170,6 +171,26 @@ class TestRenderScene:
         rotation = o6.sample_rotation_uniform(rng)
         np.testing.assert_array_equal(scene.observation.gt_pose.rotation, rotation)
 
+    def test_gaussian_translations_match_spec(self):
+        mean, sigma = np.array([0.05, -0.05, 1.0]), np.array([0.1, 0.08, 0.1])
+        spec = small_scene_spec(
+            seed=71,
+            model_kind=o6.SphereModel(0.15),
+            surface_sample_count=50,
+            image_size=(32, 32),
+            intrinsics=o6.CameraIntrinsics(fx=16.0, fy=16.0, cx=16.0, cy=16.0),
+            translation_dist=o6.GaussianVolume(mean=tuple(mean), sigma=tuple(sigma)),
+        )
+        model = o6.model_for_spec(spec)
+        n = 400
+        draws = np.array([o6.render_scene(spec, i, model=model).observation.gt_pose.translation for i in range(n)])
+        # Within 4.5 standard errors: sigma/sqrt(n) for the mean, about
+        # sigma/sqrt(2n) for the sample standard deviation.
+        assert np.all(np.abs(draws.mean(axis=0) - mean) < 4.5 * sigma / np.sqrt(n))
+        assert np.all(np.abs(draws.std(axis=0, ddof=1) - sigma) < 4.5 * sigma / np.sqrt(2 * n))
+        again = [o6.render_scene(spec, i, model=model).observation.gt_pose.translation for i in range(20)]
+        assert np.array_equal(np.array(again), draws[:20])
+
     def test_object_behind_camera(self):
         spec = small_scene_spec(
             seed=47,
@@ -273,6 +294,24 @@ class TestDistributionReport:
         spec = small_scene_spec(seed=61)
         with pytest.raises(ValueError):
             o6.distribution_report([o6.render_scene(spec, 0)], o6.RefStrategy.MEAN_VISIBLE)
+
+
+class TestSpecText:
+    KINDS = [o6.BoxModel(0.08, 0.06, 0.1), o6.CylinderModel(0.04, 0.1), o6.SphereModel(0.05),
+             o6.FileModel("models/part.ply", symmetric=True)]
+    VOLUMES = [o6.BoxVolume((0.0, 0.0, 1.0), (0.25, 0.25, 0.25)),
+               o6.GaussianVolume((0.0, 0.1, 1.2), (0.05, 0.05, 0.1))]
+
+    def test_pairs_round_trip_and_digests_differ(self):
+        specs = [
+            small_scene_spec(seed=73, model_kind=kind, translation_dist=volume)
+            for kind in self.KINDS for volume in self.VOLUMES
+        ]
+        digests = set()
+        for spec in specs:
+            assert formats.pairs_to_spec(dict(formats.spec_to_pairs(spec))) == spec
+            digests |= {scene_digest(spec, 0), scene_digest(spec, 1)}
+        assert len(digests) == 2 * len(specs)
 
 
 class TestSpecValidation:
