@@ -4,7 +4,8 @@ Conventions:
 
   - Model points: ASCII PLY, ``property double`` coordinates in meters,
     written with shortest round-trip decimals so read-back is exact.  A
-    ``comment symmetric true|false`` line carries the symmetry flag.
+    ``comment symmetric true|false`` line carries the symmetry flag; any
+    other value is an error.
   - Depth: 16-bit binary PGM (P5, maxval 65535, big-endian), value = depth
     in millimeters rounded half-even, 0 = invalid.
   - Mask: 8-bit binary PGM, 255 = foreground, anything else but 0 rejected.
@@ -103,7 +104,11 @@ def write_ply(path, points: np.ndarray, symmetric: bool | None = None) -> None:
 
 
 def read_ply(path) -> tuple[np.ndarray, bool | None]:
-    """Returns (points, symmetric-flag-or-None)."""
+    """Returns (points, symmetric-flag-or-None).
+
+    A ``comment symmetric`` line must read ``true`` or ``false``.  Every
+    error names the file.
+    """
     raw = Path(path).read_bytes()
     offset = 0
     lines = []
@@ -114,7 +119,7 @@ def read_ply(path) -> tuple[np.ndarray, bool | None]:
     it = iter(lines)
     off, magic = next(it, (0, ""))
     if magic.strip() != "ply":
-        raise FormatError(f"not a PLY file: first line {magic!r}", offset=off)
+        raise FormatError(f"{path}: not a PLY file: first line {magic!r}", offset=off)
     vertex_count = None
     symmetric = None
     properties = []
@@ -124,30 +129,34 @@ def read_ply(path) -> tuple[np.ndarray, bool | None]:
         if not words:
             continue
         if words[0] == "comment":
-            if len(words) == 3 and words[1] == "symmetric":
+            if words[1:2] == ["symmetric"]:
+                if words[2:] not in (["true"], ["false"]):
+                    raise FormatError(f"{path}: symmetric flag must be true or false, got {line!r}", offset=off)
                 symmetric = words[2] == "true"
             continue
         if words[0] == "format":
             if words[1:] != ["ascii", "1.0"]:
-                raise FormatError(f"unsupported PLY format {line!r}", offset=off)
+                raise FormatError(f"{path}: unsupported PLY format {line!r}", offset=off)
         elif words[0] == "element":
-            if words[1] != "vertex":
-                raise FormatError(f"unsupported PLY element {words[1]!r}", offset=off)
+            if words[1:2] != ["vertex"]:
+                raise FormatError(f"{path}: unsupported PLY element {line!r}", offset=off)
             try:
                 vertex_count = int(words[2])
             except (IndexError, ValueError):
-                raise FormatError(f"bad element line {line!r}", offset=off) from None
+                vertex_count = -1
+            if vertex_count < 0:
+                raise FormatError(f"{path}: bad element line {line!r}", offset=off)
         elif words[0] == "property":
             properties.append(words[-1])
         elif words[0] == "end_header":
             data_start = it
             break
         else:
-            raise FormatError(f"unexpected header line {line!r}", offset=off)
+            raise FormatError(f"{path}: unexpected header line {line!r}", offset=off)
     if data_start is None or vertex_count is None:
-        raise FormatError("PLY header ended without end_header/element vertex", offset=len(raw))
+        raise FormatError(f"{path}: PLY header ended without end_header/element vertex", offset=len(raw))
     if properties[:3] != ["x", "y", "z"]:
-        raise FormatError(f"expected x y z properties, got {properties}", offset=0)
+        raise FormatError(f"{path}: expected x y z properties, got {properties}", offset=0)
 
     points = np.empty((vertex_count, 3))
     filled = 0
@@ -155,18 +164,18 @@ def read_ply(path) -> tuple[np.ndarray, bool | None]:
         if not line.strip():
             continue
         if filled >= vertex_count:
-            raise FormatError("more vertex rows than declared", offset=off)
+            raise FormatError(f"{path}: more vertex rows than declared", offset=off)
         words = line.split()
         if len(words) < 3:
-            raise FormatError(f"vertex row needs 3 values, got {line!r}", offset=off)
+            raise FormatError(f"{path}: vertex row needs 3 values, got {line!r}", offset=off)
         try:
             points[filled] = [float(words[0]), float(words[1]), float(words[2])]
         except ValueError:
-            raise FormatError(f"bad vertex row {line!r}", offset=off) from None
+            raise FormatError(f"{path}: bad vertex row {line!r}", offset=off) from None
         filled += 1
     if filled != vertex_count:
         raise FormatError(
-            f"declared {vertex_count} vertices but found {filled}", offset=len(raw)
+            f"{path}: declared {vertex_count} vertices but found {filled}", offset=len(raw)
         )
     return points, symmetric
 
@@ -177,7 +186,7 @@ def write_model(path, model: ObjectModel) -> None:
 
 def read_model(path) -> ObjectModel:
     points, symmetric = read_ply(path)
-    return ObjectModel.from_points(points, bool(symmetric))
+    return _built(path, ObjectModel.from_points, points, bool(symmetric))
 
 
 # ---------------------------------------------------------------------------

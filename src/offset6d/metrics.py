@@ -4,15 +4,18 @@ Distance metrics (meters, unsquared):
 
   - ADD:   mean distance between matched model points under the two poses.
   - ADD-S: mean closest-point distance, for objects whose symmetry makes the
-    matched pairing ambiguous.  Exhaustive O(m^2) nearest neighbor.
+    matched pairing ambiguous.  Exact nearest neighbor by a windowed search:
+    only the points whose x lies within the matched pair's distance are
+    scanned (see :func:`_nearest_squared_distances`).
   - ADD(S): picks ADD-S when the model is flagged symmetric, ADD otherwise.
 
-ADD-S and the model diameter are exhaustive over point pairs and exact: each
-pair's squared distance is ``dx*dx + dy*dy + dz*dz``, the same operations in
-the same order as a per-pair Python loop, and ``sqrt`` is taken only of the
-reduced squared values.  ``sqrt`` is correctly rounded and monotone, so
-``sqrt(min(sq)) == min(sqrt(sq))`` bit for bit and the results equal the
-per-pair loop's exactly.
+ADD-S and the model diameter are exact: each pair's squared distance is
+``dx*dx + dy*dy + dz*dz``, the same operations in the same order as a
+per-pair Python loop, and ``sqrt`` is taken only of the reduced squared
+values.  ``sqrt`` is correctly rounded and monotone, so ``sqrt(min(sq)) ==
+min(sqrt(sq))`` bit for bit and the results equal the per-pair loop's
+exactly.  The diameter scans every pair; ADD-S scans every pair only when
+the window would hold more than a quarter of them.
 
 Threshold accuracy counts errors strictly below ``threshold_fraction *
 diameter``.  AUC is the exact area under the accuracy-vs-threshold curve up
@@ -42,6 +45,10 @@ DIAMETER_TOLERANCE = 1e-9
 # float64 buffers, small enough to stay in cache at m ~ 1000.
 _CHUNK = 64
 
+# Absolute widening of the ADD-S window: any pair whose rounded x-difference
+# squares below the smallest normal double (|dx| < 2**-511) lies within it.
+_WINDOW_FLOOR = 2.0**-510
+
 
 def _reduce_squared_distances(a: np.ndarray, b: np.ndarray, reduce: np.ufunc) -> np.ndarray:
     """``reduce`` (np.minimum or np.maximum) over j of ``|a_i - b_j|^2``, per i.
@@ -64,6 +71,56 @@ def _reduce_squared_distances(a: np.ndarray, b: np.ndarray, reduce: np.ufunc) ->
             np.add(acc, tmp, out=acc)
         reduce.reduce(acc, axis=1, out=out[start:stop])
     return out
+
+
+def _nearest_squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``min_j |a_i - b_j|^2`` per i, bit-identical to
+    ``_reduce_squared_distances(a, b, np.minimum)`` for equal-length ``a``, ``b``.
+
+    The matched pair's squared distance ``ub_i = |a_i - b_i|^2`` bounds query
+    i's minimum, so only the ``b_j`` with ``|a_ix - b_jx| <= r_i`` can attain
+    it, where ``r_i = sqrt(ub_i)*(1 + 1e-9) + 2**-510``.  With ``b`` sorted by
+    x, that window is one ``searchsorted`` range per query; every candidate
+    pair is gathered into one flat array and each window reduced with
+    ``np.minimum.reduceat``.  When the windows hold more than m^2/4 pairs
+    (poses far apart) the all-pairs scan runs instead.
+
+    Why the result equals the scan's, bit for bit (``fl`` is the rounded
+    result of an operation):
+
+      - Every term of ``(dx*dx + dy*dy) + dz*dz`` is >= 0 and rounding is
+        monotone, so a pair with rounded squared distance <= ub_i has
+        ``fl(dx*dx) <= ub_i``.  Then ``|fl(a_x - b_x)| <= sqrt(ub_i)(1 + 2u)``
+        if ``dx*dx`` is normal (u = 2**-53), and ``|fl(a_x - b_x)| < 2**-511``
+        if it is subnormal or underflows to 0 -- which covers ``ub_i`` 0 or
+        subnormal.  Subtraction loses at most a factor (1 + 2u) more, so
+        every pair attaining the minimum has ``|a_x - b_x| <= r_i`` exactly;
+        the computed ``r_i`` errs by a few u against a margin of 1e-9.
+      - ``a_x - r_i <= b_x`` implies ``fl(a_x - r_i) <= b_x`` because ``b_x``
+        is a double and rounding is monotone (likewise for ``+``), so the
+        rounded window bounds still hold that pair.  Pair i itself always
+        qualifies, so no window is empty.
+      - Each candidate's value comes from the same float operations in the
+        same order as the scan's, and only the minimum value is returned,
+        so ties and the order of the candidates do not matter.
+    """
+    m = a.shape[0]
+    (ax, ay, az), (bx, by, bz) = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    dx, dy, dz = ax - bx, ay - by, az - bz
+    bound = (dx * dx + dy * dy) + dz * dz
+    radius = np.sqrt(bound) * (1.0 + 1e-9) + _WINDOW_FLOOR
+    order = np.argsort(bx, kind="stable")
+    sorted_x = bx[order]
+    lo = np.searchsorted(sorted_x, ax - radius, side="left")
+    counts = np.searchsorted(sorted_x, ax + radius, side="right") - lo
+    total = int(counts.sum())
+    if total > m * m / 4:
+        return _reduce_squared_distances(a, b, np.minimum)
+    starts = np.cumsum(counts) - counts
+    query = np.repeat(np.arange(m), counts)
+    cand = order[np.arange(total) + np.repeat(lo - starts, counts)]
+    dx, dy, dz = ax[query] - bx[cand], ay[query] - by[cand], az[query] - bz[cand]
+    return np.minimum.reduceat((dx * dx + dy * dy) + dz * dz, starts)
 
 
 def max_pairwise_distance(points: np.ndarray) -> float:
@@ -145,15 +202,21 @@ def add(pred: RigidPose, gt: RigidPose, model: ObjectModel) -> float:
 
 
 def add_s(pred: RigidPose, gt: RigidPose, model: ObjectModel) -> float:
-    """Mean closest-point distance (exhaustive nearest neighbor).
+    """Mean closest-point distance (exact nearest neighbor).
 
-    The minimum is taken over squared distances and ``sqrt`` only of the m
-    minima; the result is bit-identical to a per-pair loop taking the
-    minimum of ``sqrt(dx*dx + dy*dy + dz*dz)``.
+    The minimum is taken over squared distances by the windowed search of
+    :func:`_nearest_squared_distances` and ``sqrt`` only of the m minima; the
+    result is bit-identical to the all-pairs scan and to a per-pair loop
+    taking the minimum of ``sqrt(dx*dx + dy*dy + dz*dz)``.  It equals the
+    scan because each window always holds a point that attains the minimum,
+    also under rounding of its bounds and when the matched pair's squared
+    distance is 0 or subnormal; each candidate's value comes from the scan's
+    float operations in the scan's order; and only the minimum value is
+    returned, so ties do not matter.
     """
     a = transform_points(pred, model.points)
     b = transform_points(gt, model.points)
-    return float(np.mean(np.sqrt(_reduce_squared_distances(a, b, np.minimum))))
+    return float(np.mean(np.sqrt(_nearest_squared_distances(a, b))))
 
 
 def add_selective(pred: RigidPose, gt: RigidPose, model: ObjectModel) -> float:

@@ -5,10 +5,19 @@ Acceptance tests live in test_acceptance.py and are named
 printed as one line per criterion in the terminal summary.
 """
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import offset6d as o6
+
+# ``HYPOTHESIS_PROFILE=ci`` makes every property test draw the same examples
+# on each run, with no per-example deadline: timings on shared runners vary
+# too much for one.  Local runs keep hypothesis's default random exploration.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _acceptance_results: dict[str, str] = {}
 

@@ -541,6 +541,24 @@ class TestErrors:
         }[command]
         assert_one_error_line(CliRunner().invoke(main, args), str(path), repr(key))
 
+    @pytest.mark.parametrize("old, new, detail", [
+        ("comment symmetric false", "comment symmetric yes", "symmetric flag must be true or false"),
+        ("end_header", "end_header\noops 0.0 0.075", "bad vertex row 'oops 0.0 0.075'"),
+        ("end_header", "end_header\nnan 0.0 0.075", "finite"),
+    ], ids=["symmetric-yes", "bad-vertex-row", "nan-vertex"])
+    def test_malformed_model_names_file(self, pipeline_dir, tmp_path, old, new, detail):
+        dataset = tmp_path / "dataset"
+        shutil.copytree(pipeline_dir / "dataset", dataset)
+        path = dataset / "model.ply"
+        lines = path.read_text().split("\n")
+        if old == "end_header":  # the new row replaces the first vertex row
+            del lines[lines.index(old) + 1]
+        path.write_text("\n".join(new if line == old else line for line in lines))
+        args = ["eval", "--dataset", str(dataset), "--pred", str(pipeline_dir / "solves.csv"),
+                "--out", str(tmp_path / "results.csv")]
+        assert_one_error_line(CliRunner().invoke(main, args), str(path), detail)
+        assert not (tmp_path / "results.csv").exists()
+
     def test_nan_target_flags_scene_degenerate(self, pipeline_dir, tmp_path):
         enc = tmp_path / "enc"
         shutil.copytree(pipeline_dir / "enc", enc)

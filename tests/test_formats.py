@@ -72,6 +72,38 @@ class TestPly:
             formats.read_ply(path)
         assert err.value.offset == text.index("0 zero")
 
+    @pytest.mark.parametrize("flag", ["yes", "True", "", "true false"])
+    def test_symmetric_flag_must_be_true_or_false(self, tmp_path, rng, flag):
+        path = tmp_path / "pts.ply"
+        formats.write_ply(path, rng.uniform(-1, 1, (3, 3)), symmetric=True)
+        text = path.read_text().replace("comment symmetric true", f"comment symmetric {flag}")
+        path.write_text(text)
+        with pytest.raises(FormatError, match="symmetric flag must be true or false") as err:
+            formats.read_ply(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert err.value.offset == text.index("comment symmetric")
+
+    @pytest.mark.parametrize("line", ["element", "element vertex", "element vertex -3", "element face 2"])
+    def test_malformed_element_line_names_file(self, tmp_path, line):
+        path = tmp_path / "bad.ply"
+        path.write_text(f"ply\nformat ascii 1.0\n{line}\nproperty double x\nend_header\n")
+        with pytest.raises(FormatError, match="element") as err:
+            formats.read_ply(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        points=hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(3)),
+                          elements=st.floats(allow_nan=False, allow_infinity=False)),
+        symmetric=st.sampled_from([True, False, None]),
+    )
+    def test_round_trip_property(self, tmp_path, points, symmetric):
+        path = tmp_path / "pts.ply"
+        formats.write_ply(path, points, symmetric=symmetric)
+        back, back_symmetric = formats.read_ply(path)
+        assert back.shape == points.shape and back.tobytes() == points.tobytes()
+        assert back_symmetric is symmetric
+
 
 class TestDepthPgm:
     def test_quantization_round_trip(self, tmp_path, rng):

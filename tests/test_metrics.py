@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import offset6d as o6
 from offset6d import metrics
 from offset6d.errors import EmptyInputError
+from offset6d.geometry import transform_points
 
-from conftest import random_pose
+from conftest import random_pose, random_rotation
 
 
 def ball_model(rng, n=40, radius=0.1, symmetric=False) -> o6.ObjectModel:
@@ -34,7 +37,12 @@ def brute_force_add(pred, gt, points):
 def brute_force_add_s(pred, gt, points):
     a_pts = [pred.rotation @ p + pred.translation for p in points]
     b_pts = [gt.rotation @ p + gt.translation for p in points]
-    mins = np.empty(len(points))
+    return per_pair_add_s(a_pts, b_pts)
+
+
+def per_pair_add_s(a_pts, b_pts):
+    """Mean over ``a_pts`` of the closest ``b_pts`` distance, pair by pair."""
+    mins = np.empty(len(a_pts))
     for i, a in enumerate(a_pts):
         best = np.inf
         for b in b_pts:
@@ -129,6 +137,115 @@ class TestAddS:
         for _ in range(2):
             pred, gt = random_pose(rng), random_pose(rng)
             assert o6.add_s(pred, gt, model) == brute_force_add_s(pred, gt, model.points)
+
+
+# Point scales from squared separations that underflow to 0 (2**-540) or are
+# subnormal (1e-160) up to 1e3 m; offsets from the origin from 0 and 1e-12 m
+# up to 1e3 m.
+_SCALES = [2.0**-540, 1e-160, 1e-12, 1e-6, 1e-3, 0.05, 1.0, 1e3]
+_OFFSETS = [0.0, 1e-12, 1e-6, 1e-3, 1.0, 1e3]
+
+
+def _cloud(rng, m, scale, offset, ties):
+    """m points: small integers (exact ties, duplicates) or normals, scaled."""
+    base = rng.integers(-3, 4, (m, 3)).astype(np.float64) if ties else rng.normal(size=(m, 3))
+    return offset * rng.choice([-1.0, 1.0], 3) + scale * base
+
+
+@st.composite
+def _query_sets(draw):
+    """(a, b): equal-length point sets, ``a`` derived from ``b`` as a pose
+    pair's transformed models would be, or drawn on its own."""
+    m = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale, offset = draw(st.sampled_from(_SCALES)), draw(st.sampled_from(_OFFSETS))
+    b = _cloud(rng, m, scale, offset, draw(st.booleans()))
+    if draw(st.booleans()):
+        b = b[rng.integers(0, m, m)]  # duplicated points
+    kind = draw(st.sampled_from(["equal", "permuted", "perturbed", "independent"]))
+    if kind == "equal":  # every matched pair at distance 0
+        a = b.copy()
+    elif kind == "permuted":  # a symmetry of the point set: loose matched bound
+        a = b[rng.permutation(m)]
+    elif kind == "perturbed":
+        a = b + draw(st.sampled_from(_SCALES)) * rng.normal(size=(m, 3))
+    else:
+        a = _cloud(rng, m, scale, offset, draw(st.booleans()))
+    return a, b
+
+
+@st.composite
+def _symmetric_poses(draw):
+    """(pred, gt, model): a synth sphere or cylinder with ``pred`` rotated
+    from ``gt`` by a symmetry of its surface, plus optional noise."""
+    m = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.sampled_from([1e-3, 0.05, 1.0]))
+    sphere = draw(st.booleans())
+    kind = o6.SphereModel(size) if sphere else o6.CylinderModel(size, 2 * size)
+    model = o6.ObjectModel.from_points(o6.make_model(kind, m, rng).points[:m], symmetric=True)
+    gt = o6.RigidPose(random_rotation(rng), draw(st.sampled_from(_OFFSETS)) * rng.uniform(-1, 1, 3))
+    if sphere:
+        symmetry = random_rotation(rng)
+    else:  # a turn about the axis, possibly with a half turn about x
+        flip = o6.RigidPose.from_axis_angle([1.0, 0.0, 0.0], np.pi if draw(st.booleans()) else 0.0)
+        symmetry = o6.RigidPose.from_axis_angle([0.0, 0.0, 1.0], rng.uniform(0, 2 * np.pi)).rotation @ flip.rotation
+    sigma = draw(st.sampled_from([0.0, 1e-12, 1e-4, 1e-2])) * size
+    noise = o6.RigidPose.from_axis_angle(rng.normal(size=3), sigma / size * rng.normal())
+    pred = o6.RigidPose(noise.rotation @ gt.rotation @ symmetry, gt.translation + sigma * rng.normal(size=3))
+    return (gt if draw(st.booleans()) and sigma == 0 else pred), gt, model
+
+
+def _per_pair_on_transformed(pred, gt, model):
+    # ``brute_force_add_s`` transforms one point at a time (``R @ p + t``),
+    # which may round differently from ``transform_points``'s matrix product
+    # in the last bit; the loop here takes the very points ``add_s`` sees, so
+    # equality tests the nearest-neighbour search alone.
+    return per_pair_add_s(transform_points(pred, model.points), transform_points(gt, model.points))
+
+
+class TestWindowedAddS:
+    """The windowed nearest-neighbour search against the all-pairs scan."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_query_sets())
+    def test_minima_equal_scan_bit_for_bit(self, pair):
+        a, b = pair
+        windowed = metrics._nearest_squared_distances(a, b)
+        assert windowed.tobytes() == metrics._reduce_squared_distances(a, b, np.minimum).tobytes()
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_symmetric_poses())
+    def test_add_s_equals_per_pair_loop_under_symmetries(self, case):
+        pred, gt, model = case
+        assert o6.add_s(pred, gt, model) == _per_pair_on_transformed(pred, gt, model)
+
+    def test_window_holds_pair_lost_to_rounding(self):
+        # Query 0's only pair within reach is b_0: fl(1 - (-1e-17)) = 1 is
+        # shorter than the true x-difference, so a window of exactly
+        # sqrt(ub) = 1 would start at 0 > b_0x and hold no point at all.
+        b = np.array([[-1e-17, 0.0, 0.0]] + [[10.0 * k, 0.0, 0.0] for k in range(1, 8)])
+        a = b.copy()
+        a[0, 0] = 1.0
+        windowed = metrics._nearest_squared_distances(a, b)
+        assert windowed.tobytes() == metrics._reduce_squared_distances(a, b, np.minimum).tobytes()
+        assert windowed[0] == 1.0
+
+    @pytest.mark.parametrize("rotated, scans", [(False, 0), (True, 1)])
+    def test_each_branch(self, rng, monkeypatch, rotated, scans):
+        # Near poses take the window; a random rotation of the whole sphere
+        # leaves windows of more than m^2/4 pairs and takes the scan.
+        model = o6.ObjectModel.from_points(o6.make_model(o6.SphereModel(0.05), 300, rng).points, True)
+        gt = random_pose(rng)
+        if rotated:
+            pred = o6.RigidPose(random_rotation(rng), gt.translation)
+        else:
+            pred = o6.RigidPose(gt.rotation, gt.translation + [1e-4, -2e-4, 5e-5])
+        calls = []
+        scan = metrics._reduce_squared_distances
+        monkeypatch.setattr(metrics, "_reduce_squared_distances", lambda *args: calls.append(1) or scan(*args))
+        assert o6.add_s(pred, gt, model) == _per_pair_on_transformed(pred, gt, model)
+        assert len(calls) == scans
 
 
 class TestDiameter:
