@@ -620,7 +620,9 @@ def write_scene_dir(scene_dir, obs: SceneObservation) -> None:
     write_depth_pgm(scene_dir / "depth.pgm", obs.depth.values)
     write_mask_pgm(scene_dir / "mask.pgm", obs.mask.values)
     write_intrinsics(scene_dir / "intrinsics.txt", obs.intrinsics)
-    if obs.gt_pose is not None:
+    if obs.gt_pose is None:
+        (scene_dir / "pose.txt").unlink(missing_ok=True)
+    else:
         write_pose(scene_dir / "pose.txt", obs.gt_pose)
 
 

@@ -218,22 +218,40 @@ def _intersect_sphere(origin: np.ndarray, dirs: np.ndarray, r: float) -> np.ndar
 
 
 def _intersect_box(origin: np.ndarray, dirs: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Ray parameter of the first hit on the box ``|x| <= half``, else inf.
+
+    The slab method (Kay & Kajiya 1986) in one pass per axis: each axis's
+    entry and exit parameters fold into a running ``tmin``/``tmax``, and no
+    ``(n, 3)`` table is built.
+
+    Every depth is bit-identical to a per-axis ``(n, 3)`` table reduced by
+    ``max(axis=1)``/``min(axis=1)``. A ray with ``dj != 0`` gets the same
+    division and the same exact min/max. A ray with ``dj == 0`` (±inf, or
+    NaN from an origin on a face) is overwritten before the fold, with
+    (-inf, inf) inside the slab and (inf, -inf) outside, so no NaN is
+    folded. Folding from -inf/inf over axes 0, 1, 2 takes the maxima and
+    minima in the table's order, and on non-NaN floats they are exact in any
+    order but for the sign of a zero, which no depth shows: a depth is a
+    ``tmin > 0``, and ``tmax >= tmin`` reads alike for either zero.
+    """
     n = dirs.shape[0]
-    near = np.full((n, 3), -np.inf)
-    far = np.full((n, 3), np.inf)
-    for j in range(3):
-        dj = dirs[:, j]
-        moving = np.abs(dj) > 0
-        t1 = np.where(moving, (-half[j] - origin[j]) / np.where(moving, dj, 1.0), 0.0)
-        t2 = np.where(moving, (half[j] - origin[j]) / np.where(moving, dj, 1.0), 0.0)
-        near[:, j] = np.where(moving, np.minimum(t1, t2), near[:, j])
-        far[:, j] = np.where(moving, np.maximum(t1, t2), far[:, j])
-        # Ray parallel to this slab: inside keeps (-inf, inf), outside misses.
-        parallel_out = ~moving & (np.abs(origin[j]) > half[j])
-        near[parallel_out, j] = np.inf
-        far[parallel_out, j] = -np.inf
-    tmin = near.max(axis=1)
-    tmax = far.min(axis=1)
+    tmin = np.full(n, -np.inf)
+    tmax = np.full(n, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(3):
+            dj = dirs[:, j]
+            t1 = (-half[j] - origin[j]) / dj
+            t2 = (half[j] - origin[j]) / dj
+            near = np.minimum(t1, t2)
+            far = np.maximum(t1, t2, out=t2)
+            # Ray parallel to this slab: inside is unbounded, outside misses.
+            parallel = dj == 0
+            if parallel.any():
+                inside = abs(origin[j]) <= half[j]
+                near[parallel] = -np.inf if inside else np.inf
+                far[parallel] = np.inf if inside else -np.inf
+            np.maximum(tmin, near, out=tmin)
+            np.minimum(tmax, far, out=tmax)
     s = np.full(n, np.inf)
     hit = (tmax >= tmin) & (tmin > 0)
     s[hit] = tmin[hit]

@@ -1,5 +1,6 @@
 """File format round trips and malformed-input diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -470,6 +471,13 @@ class TestSceneDir:
         np.testing.assert_array_equal(back.gt_pose.rotation, obs.gt_pose.rotation)
         np.testing.assert_array_equal(back.gt_pose.translation, obs.gt_pose.translation)
         assert back.intrinsics == obs.intrinsics
+
+    def test_rewrite_without_pose_removes_old_pose(self, tmp_path):
+        obs = o6.render_scene(small_scene_spec(seed=66), 0).observation
+        formats.write_scene_dir(tmp_path / "scene_00000", obs)
+        formats.write_scene_dir(tmp_path / "scene_00000", dataclasses.replace(obs, gt_pose=None))
+        assert not (tmp_path / "scene_00000" / "pose.txt").exists()
+        assert formats.read_scene_dir(tmp_path / "scene_00000").gt_pose is None
 
 
 class TestManifestAndConfig:

@@ -35,9 +35,9 @@ def brute_force_add(pred, gt, points):
 
 
 def brute_force_add_s(pred, gt, points):
-    a_pts = [pred.rotation @ p + pred.translation for p in points]
-    b_pts = [gt.rotation @ p + gt.translation for p in points]
-    return per_pair_add_s(a_pts, b_pts)
+    # Transform as ``add_s`` does: ``R @ p + t`` per point can round
+    # differently in the last bit, so the per-pair loop alone is the oracle.
+    return per_pair_add_s(transform_points(pred, points), transform_points(gt, points))
 
 
 def per_pair_add_s(a_pts, b_pts):
@@ -196,14 +196,6 @@ def _symmetric_poses(draw):
     return (gt if draw(st.booleans()) and sigma == 0 else pred), gt, model
 
 
-def _per_pair_on_transformed(pred, gt, model):
-    # ``brute_force_add_s`` transforms one point at a time (``R @ p + t``),
-    # which may round differently from ``transform_points``'s matrix product
-    # in the last bit; the loop here takes the very points ``add_s`` sees, so
-    # equality tests the nearest-neighbour search alone.
-    return per_pair_add_s(transform_points(pred, model.points), transform_points(gt, model.points))
-
-
 class TestWindowedAddS:
     """The windowed nearest-neighbour search against the all-pairs scan."""
 
@@ -218,7 +210,7 @@ class TestWindowedAddS:
     @given(_symmetric_poses())
     def test_add_s_equals_per_pair_loop_under_symmetries(self, case):
         pred, gt, model = case
-        assert o6.add_s(pred, gt, model) == _per_pair_on_transformed(pred, gt, model)
+        assert o6.add_s(pred, gt, model) == brute_force_add_s(pred, gt, model.points)
 
     def test_window_holds_pair_lost_to_rounding(self):
         # Query 0's only pair within reach is b_0: fl(1 - (-1e-17)) = 1 is
@@ -244,7 +236,7 @@ class TestWindowedAddS:
         calls = []
         scan = metrics._reduce_squared_distances
         monkeypatch.setattr(metrics, "_reduce_squared_distances", lambda *args: calls.append(1) or scan(*args))
-        assert o6.add_s(pred, gt, model) == _per_pair_on_transformed(pred, gt, model)
+        assert o6.add_s(pred, gt, model) == brute_force_add_s(pred, gt, model.points)
         assert len(calls) == scans
 
 

@@ -1,17 +1,20 @@
 """Synthetic scenes: models, sampling, rendering, distribution report."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import offset6d as o6
-from offset6d import formats
+from offset6d import formats, synth
 from offset6d.errors import EmptyObjectError
 from offset6d.geometry import rotation_defect
 from offset6d.synth import model_rng, scene_digest, scene_rng
 
-from conftest import default_intrinsics, small_scene_spec
+from conftest import default_intrinsics, random_rotation, small_scene_spec
 
 K = default_intrinsics()
 
@@ -43,6 +46,122 @@ def lifted_object_points(scene):
     rows, cols = np.nonzero(valid)
     cam = o6.backproject_pixels(cols, rows, obs.depth.values[rows, cols], obs.intrinsics)
     return o6.inverse_transform_points(obs.gt_pose, cam)
+
+
+def intersect_box_table(origin: np.ndarray, dirs: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """The slab method over per-axis ``(n, 3)`` tables: the oracle for ``_intersect_box``."""
+    n = dirs.shape[0]
+    near = np.full((n, 3), -np.inf)
+    far = np.full((n, 3), np.inf)
+    for j in range(3):
+        dj = dirs[:, j]
+        moving = np.abs(dj) > 0
+        t1 = np.where(moving, (-half[j] - origin[j]) / np.where(moving, dj, 1.0), 0.0)
+        t2 = np.where(moving, (half[j] - origin[j]) / np.where(moving, dj, 1.0), 0.0)
+        near[:, j] = np.where(moving, np.minimum(t1, t2), near[:, j])
+        far[:, j] = np.where(moving, np.maximum(t1, t2), far[:, j])
+        # Ray parallel to this slab: inside keeps (-inf, inf), outside misses.
+        parallel_out = ~moving & (np.abs(origin[j]) > half[j])
+        near[parallel_out, j] = np.inf
+        far[parallel_out, j] = -np.inf
+    tmin = near.max(axis=1)
+    tmax = far.min(axis=1)
+    s = np.full(n, np.inf)
+    hit = (tmax >= tmin) & (tmin > 0)
+    s[hit] = tmin[hit]
+    return s
+
+
+# The 24 rotations that map each axis onto an axis: their ray directions keep
+# the exact zeros of the rays through the principal point.
+_AXIS_ROTATIONS = [
+    m
+    for perm in itertools.permutations(np.eye(3))
+    for signs in itertools.product((1.0, -1.0), repeat=3)
+    if np.linalg.det(m := np.array(perm) * np.array(signs)[:, None]) > 0
+]
+
+
+@st.composite
+def _box_rays(draw):
+    """``(origin, dirs, half)`` as ``_render_depth`` casts them at a box.
+
+    The principal point lies on a pixel centre, so under the identity or an
+    axis rotation some direction components are exactly zero; each origin
+    component may be put exactly on a face, or inside or outside its slab.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = draw(st.sampled_from([1e-3, 0.05, 0.1, 1.0])) * rng.uniform(0.2, 1.0, 3)
+    rotation = draw(st.sampled_from(["random", "identity", "axes"]))
+    if rotation == "random":
+        r = random_rotation(rng)
+    else:
+        r = np.eye(3) if rotation == "identity" else _AXIS_ROTATIONS[rng.integers(24)]
+    width, height = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    f = draw(st.sampled_from([0.5, 1.0, 4.0])) * max(width, height)
+    us, vs = np.meshgrid(np.arange(width), np.arange(height))
+    dirs_cam = np.stack(
+        [(us.ravel() - width // 2) / f, (vs.ravel() - height // 2) / f, np.ones(us.size)], axis=1
+    )
+    # From the camera inside the box, through just in front of it, to far.
+    t = half.max() * np.array([*rng.uniform(-1, 1, 2), 0.0])
+    t[:2] *= draw(st.sampled_from([0.0, 1.0, 3.0]))
+    t[2] = draw(st.sampled_from([1e-6, 0.5, 1.1, 1.5, 3.0, 10.0])) * half.max()
+    origin = -(r.T @ t)
+    for j in range(3):
+        where = draw(st.sampled_from(["posed", "posed", "face", "inside", "outside"]))
+        sign = rng.choice([-1.0, 1.0])
+        if where == "face":
+            origin[j] = sign * half[j]
+        elif where == "inside":
+            origin[j] = half[j] * rng.uniform(-1, 1)
+        elif where == "outside":
+            origin[j] = sign * half[j] * rng.uniform(1.001, 3.0)
+    return origin, dirs_cam @ r, half
+
+
+def dense_pixels_spec(seed: int) -> o6.SceneSpec:
+    """The benchmark's dense-pixels scenes: a box over about 5,400 pixels."""
+    return small_scene_spec(
+        seed=seed,
+        model_kind=o6.BoxModel(0.16, 0.12, 0.2),
+        surface_sample_count=200,
+        image_size=(320, 240),
+        intrinsics=o6.CameraIntrinsics(fx=300.0, fy=300.0, cx=160.0, cy=120.0),
+        translation_dist=o6.BoxVolume(center=(0.0, 0.0, 0.8), half_widths=(0.1, 0.1, 0.15)),
+    )
+
+
+class TestBoxRayCastExactness:
+    """The one-pass box intersector against the per-axis table, by bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_box_rays())
+    def test_equals_table_bit_for_bit(self, rays):
+        origin, dirs, half = rays
+        assert synth._intersect_box(origin, dirs, half).tobytes() == intersect_box_table(origin, dirs, half).tobytes()
+
+    def test_parallel_rays_on_and_off_each_face(self):
+        # Identity pose, principal point on a pixel centre: the middle row
+        # and column have zero direction components.  Each origin component
+        # sits inside, on a face of, or outside its slab.
+        half = np.array([0.04, 0.03, 0.05])
+        us, vs = np.meshgrid(np.arange(-4, 5), np.arange(-4, 5))
+        dirs = np.stack([us.ravel() / 100.0, vs.ravel() / 100.0, np.ones(us.size)], axis=1)
+        assert np.count_nonzero(dirs == 0) == 18
+        for ox, oy in itertools.product([0.0, 0.04, -0.04, 0.05, 0.01], [0.0, 0.03, -0.03, -0.07, 0.02]):
+            for oz in (-1.0, -0.05, 0.05):
+                origin = np.array([ox, oy, oz])
+                assert synth._intersect_box(origin, dirs, half).tobytes() == intersect_box_table(origin, dirs, half).tobytes()
+
+    def test_box_scenes_render_as_with_the_table(self, monkeypatch):
+        spec = dense_pixels_spec(seed=57)
+        model = o6.model_for_spec(spec)
+        depths = [o6.render_scene(spec, i, model=model).observation.depth.values for i in range(24)]
+        assert all(np.count_nonzero(d) > 1000 for d in depths)
+        monkeypatch.setattr(synth, "_intersect_box", intersect_box_table)
+        for i, depth in enumerate(depths):
+            assert o6.render_scene(spec, i, model=model).observation.depth.values.tobytes() == depth.tobytes()
 
 
 class TestRotationSampling:
@@ -217,6 +336,44 @@ class TestRenderScene:
             assert disc >= 0
             s = (-b - math.sqrt(disc)) / (2 * a)
             assert obs.depth.values[r, c] == pytest.approx(s, abs=1e-12)
+
+    def test_ray_depth_matches_independent_box_intersection(self):
+        # Scalar slab test in plain Python, in the box's own frame.
+        spec = dense_pixels_spec(seed=59)
+        kind = spec.model_kind
+        k = spec.intrinsics
+        obs = o6.render_scene(spec, 3).observation
+        rot = obs.gt_pose.rotation.tolist()
+        t = obs.gt_pose.translation.tolist()
+        half = [kind.width / 2, kind.height / 2, kind.length / 2]
+        origin = [-sum(rot[i][j] * t[i] for i in range(3)) for j in range(3)]
+
+        def slab(r, c):
+            ray = [(c - k.cx) / k.fx, (r - k.cy) / k.fy, 1.0]
+            d = [sum(rot[i][j] * ray[i] for i in range(3)) for j in range(3)]
+            lo, hi = -math.inf, math.inf
+            for o, dj, h in zip(origin, d, half):
+                if dj == 0:
+                    if abs(o) > h:
+                        return None
+                    continue
+                a, b = (-h - o) / dj, (h - o) / dj
+                lo, hi = max(lo, min(a, b)), min(hi, max(a, b))
+            return lo, hi
+
+        height, width = obs.depth.values.shape
+        checked = 0
+        for r in range(0, height, 3):
+            for c in range(0, width, 3):
+                span = slab(r, c)
+                if obs.mask.values[r, c]:
+                    lo, hi = span
+                    assert 0 < lo <= hi
+                    assert obs.depth.values[r, c] == pytest.approx(lo, abs=1e-12)
+                    checked += 1
+                else:  # a miss, or at most a graze along an edge
+                    assert span is None or span[1] - span[0] < 1e-9
+        assert checked > 300
 
 
 class TestFileModelSplatting:
