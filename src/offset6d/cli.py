@@ -15,6 +15,9 @@ Dataset layout (one directory per dataset)::
 Encodings mirror the scene directories (encoding.txt + targets.txt each):
 a ``key = value`` text header ending in ``data:``, then the rows as raw
 little-endian float64 (``<f8``), so ``head encoding.txt`` shows the header.
+Every ``encoding.txt`` holds the columns ``u v delta_x delta_y delta_d``
+whatever ``--input-mode`` is; the geometric ``d*d0`` and ``t0/(d*d0)`` are
+derived from ``delta_d`` when the file is read.
 Inputs are joined by scene name, never by position: a missing encoding or
 solves row, a duplicated row, or targets that do not match their encoding
 fail the command and name the scene; ``solve`` keys its noise by the parsed
@@ -92,9 +95,7 @@ class _Main(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except Offset6DError as exc:
-            raise click.ClickException(str(exc)) from exc
-        except OSError as exc:
+        except (Offset6DError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -191,18 +192,14 @@ def synth_gen(config_path: str, out: str | None, count: int | None, seed: int | 
 @click.option("--strategy", type=click.Choice(sorted(_STRATEGIES)), default=RefStrategy.MEAN_VISIBLE.value)
 @click.option("--input-mode", type=click.Choice(sorted(_INPUT_MODES)), default=InputMode.GEOMETRIC.value)
 @click.option("--target-mode", type=click.Choice(sorted(_TARGET_MODES)), default=TargetMode.RELATIVE_OFFSET.value)
-@click.option("--form", type=click.Choice(sorted(_FORMS)), default=ConstraintForm.CORRECTED.value,
-              help="Constraint form recorded in the encoding header.")
-@click.option("--include-uv-offsets", is_flag=True, default=False)
-def encode_cmd(dataset: str, out: str, strategy: str, input_mode: str, target_mode: str,
-               form: str, include_uv_offsets: bool) -> None:
+def encode_cmd(dataset: str, out: str, strategy: str, input_mode: str, target_mode: str) -> None:
     """Encode every scene of a dataset into input channels and targets."""
     root, names = _scenes(dataset)
     out_dir = Path(out)
     for name, obs in _observations(root, names, need_pose=False):
         ref = make_reference(obs.depth, obs.mask, obs.intrinsics, _STRATEGIES[strategy])
-        enc = encode_input(obs, ref, _INPUT_MODES[input_mode], include_uv_offsets=include_uv_offsets)
-        formats.write_encoding(out_dir / name / "encoding.txt", enc, _FORMS[form])
+        enc = encode_input(obs, ref, _INPUT_MODES[input_mode])
+        formats.write_encoding(out_dir / name / "encoding.txt", enc)
         if obs.gt_pose is not None:
             tgt = encode_targets(obs, ref, _TARGET_MODES[target_mode])
             formats.write_targets(out_dir / name / "targets.txt", tgt)

@@ -22,7 +22,10 @@ the discrepancy between the two can be measured.
 
 Per-pixel channels are stored sparsely (valid masked pixels only, row-major)
 with explicit (u, v) indices.  Pixels with depth <= ``depth_epsilon`` are
-dropped before encoding because the scaled form divides by d_i.
+dropped before encoding because the scaled form divides by d_i.  The
+geometric products ``d_i d0`` and ``t0 / (d_i d0)`` follow from ``dd`` and
+the reference point; :func:`geometric_products` is the one place they are
+computed.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptyObjectError, MissingPoseError, ModeMismatchError
-from .geometry import CameraIntrinsics, RigidPose, backproject_pixels, project
+from .geometry import CameraIntrinsics, RigidPose, backproject_pixels
 from .refpoint import DepthMap, InstanceMask, ReferencePoint
 
 DEPTH_EPSILON = 1e-6
@@ -64,15 +67,12 @@ class ConstraintForm(Enum):
 class SceneObservation:
     """One observed object instance: depth + mask + intrinsics.
 
-    ``rgb`` is an opaque (H, W, 3) payload carried through untouched; nothing
-    in this package interprets it.  ``gt_pose`` is required only by target
-    encoding.
+    ``gt_pose`` is required only by target encoding.
     """
 
     depth: DepthMap
     mask: InstanceMask
     intrinsics: CameraIntrinsics
-    rgb: np.ndarray | None = None
     gt_pose: RigidPose | None = None
 
     def __post_init__(self):
@@ -81,10 +81,6 @@ class SceneObservation:
                 f"depth {self.depth.values.shape} and mask "
                 f"{self.mask.values.shape} shapes differ"
             )
-        if self.rgb is not None:
-            rgb = np.asarray(self.rgb)
-            if rgb.shape[:2] != self.depth.values.shape or rgb.shape[2:] != (3,):
-                raise ValueError(f"rgb shape {rgb.shape} does not match depth map")
 
 
 def valid_pixels(obs: SceneObservation, depth_epsilon: float = DEPTH_EPSILON):
@@ -101,8 +97,10 @@ class GeoEncoding:
     ``delta_x/delta_y/delta_d`` hold whatever the mode dictates: raw lifted
     coordinates (ABSOLUTE_XYD), plain offsets (OFFSET_XYD), or depth-scaled
     offsets with ``delta_d = d - d0`` (GEOMETRIC).  ``dd0`` (= d_i * d0) and
-    ``t0_over_dd0`` are populated only in GEOMETRIC mode.  ``delta_u/delta_v``
-    are optional pixel offsets against the projected reference point.
+    ``t0_over_dd0`` are populated only in GEOMETRIC mode, where
+    :func:`encode_input` takes them from :func:`geometric_products`; an
+    encoding file stores only ``u v delta_x delta_y delta_d`` and its reader
+    derives them the same way.
     """
 
     us: np.ndarray
@@ -114,9 +112,6 @@ class GeoEncoding:
     t0_over_dd0: np.ndarray | None
     ref: ReferencePoint
     mode: InputMode
-    delta_u: np.ndarray | None = None
-    delta_v: np.ndarray | None = None
-    rgb: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.us.shape[0]
@@ -152,14 +147,31 @@ class GeoTargets:
         return self.delta_abc.shape[0]
 
 
+def geometric_products(delta_d: np.ndarray, ref: ReferencePoint) -> tuple[np.ndarray, np.ndarray]:
+    """The GEOMETRIC channels ``dd0 = d_i d0`` and ``t0 / (d_i d0)``, (N,) and
+    (N, 3), from ``delta_d = d_i - d0`` and the reference point.
+
+    ``dd0`` is computed as ``(delta_d + d0) * d0``, not from d_i, because an
+    encoding file stores ``delta_d`` and not d_i: ``(d_i - d0) + d0`` need
+    not round back to d_i.  With this one function behind both
+    :func:`encode_input` and the file reader, a written encoding reads back
+    with the same bits.
+    """
+    dd0 = (delta_d + ref.d0) * ref.d0
+    return dd0, ref.as_array()[None, :] / dd0[:, None]
+
+
 def encode_input(
     obs: SceneObservation,
     ref: ReferencePoint,
     mode: InputMode = InputMode.GEOMETRIC,
-    include_uv_offsets: bool = False,
     depth_epsilon: float = DEPTH_EPSILON,
 ) -> GeoEncoding:
-    """Build the per-pixel input channels for one observation."""
+    """Build the per-pixel input channels for one observation.
+
+    GEOMETRIC mode takes ``dd0`` and ``t0_over_dd0`` from
+    :func:`geometric_products` of its ``delta_d``.
+    """
     rows, cols, depths = valid_pixels(obs, depth_epsilon)
     if rows.size == 0:
         raise EmptyObjectError("no masked pixel with valid depth")
@@ -176,18 +188,10 @@ def encode_input(
         cx = x / d - ref.x0 / ref.d0
         cy = y / d - ref.y0 / ref.d0
         cd = d - ref.d0
-        dd0 = d * ref.d0
-        t0_over_dd0 = ref.as_array()[None, :] / dd0[:, None]
+        dd0, t0_over_dd0 = geometric_products(cd, ref)
     else:
         raise ValueError(f"unknown input mode {mode!r}")
 
-    delta_u = delta_v = None
-    if include_uv_offsets:
-        u0, v0 = project(ref.as_array(), obs.intrinsics)
-        delta_u = cols.astype(np.float64) - u0
-        delta_v = rows.astype(np.float64) - v0
-
-    rgb = obs.rgb[rows, cols] if obs.rgb is not None else None
     return GeoEncoding(
         us=cols.copy(),
         vs=rows.copy(),
@@ -198,9 +202,6 @@ def encode_input(
         t0_over_dd0=t0_over_dd0,
         ref=ref,
         mode=mode,
-        delta_u=delta_u,
-        delta_v=delta_v,
-        rgb=rgb,
     )
 
 

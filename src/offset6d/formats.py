@@ -16,7 +16,11 @@ Conventions:
   - Encodings and targets: the same ``key = value`` text as a header, ending
     in a ``data:`` line, then ``count x len(columns)`` little-endian float64
     values (``<f8``, row-major), like a binary PGM.  ``head encoding.txt``
-    still shows the header.
+    still shows the header.  Each table has one fixed column list:
+    ``u v delta_x delta_y delta_d`` for an encoding in every input mode
+    (``encoding/v3``; a geometric reader derives ``dd0`` and ``t0/dd0``
+    with ``encoding.geometric_products``), ``u v da db dc`` for targets
+    (``targets/v2``).
   - Results: CSV with a ``# name/vN`` version line; readers reject unknown
     versions.
 
@@ -38,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import ConstraintForm, GeoEncoding, GeoTargets, InputMode, SceneObservation, TargetMode
+from .encoding import ConstraintForm, GeoEncoding, GeoTargets, InputMode, SceneObservation, TargetMode, geometric_products
 from .errors import ConfigError, FormatError
 from .geometry import CameraIntrinsics, RigidPose
 from .metrics import ObjectModel
@@ -237,21 +241,29 @@ def write_depth_pgm(path, depth_m: np.ndarray) -> None:
     _atomic_write_bytes(path, header + mm.astype(">u2").tobytes())
 
 
-def read_depth_pgm(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    width, height, maxval, pos = _parse_pgm_header(raw, path)
-    if maxval != MAX_DEPTH_MM:
-        raise FormatError(f"{path}: depth PGM must have maxval {MAX_DEPTH_MM}, got {maxval}", offset=2)
-    expected = width * height * 2
+def _pgm_samples(raw: bytes, path, maxval: int, dtype: str) -> tuple[np.ndarray, int]:
+    """The ``(height, width)`` samples of a binary PGM whose maxval must be
+    ``maxval``, and the payload's byte offset."""
+    width, height, found, pos = _parse_pgm_header(raw, path)
+    if found != maxval:
+        kind = "depth" if maxval == MAX_DEPTH_MM else "mask"
+        raise FormatError(f"{path}: {kind} PGM must have maxval {maxval}, got {found}", offset=2)
+    _check_payload(raw, pos, width * height * np.dtype(dtype).itemsize, path, "pixel")
+    samples = np.frombuffer(raw, dtype=dtype, count=width * height, offset=pos)
+    return samples.reshape(height, width), pos
+
+
+def _check_payload(raw: bytes, pos: int, expected: int, path, what: str) -> None:
+    """Exactly ``expected`` bytes must follow offset ``pos``."""
     if len(raw) - pos < expected:
-        raise FormatError(
-            f"{path}: expected {expected} data bytes, found {len(raw) - pos}",
-            offset=len(raw),
-        )
+        raise FormatError(f"{path}: expected {expected} data bytes, found {len(raw) - pos}", offset=len(raw))
     if len(raw) - pos > expected:
-        raise FormatError(f"{path}: trailing bytes after pixel data", offset=pos + expected)
-    mm = np.frombuffer(raw, dtype=">u2", count=width * height, offset=pos)
-    return mm.reshape(height, width).astype(np.float64) * DEPTH_UNIT
+        raise FormatError(f"{path}: trailing bytes after {what} data", offset=pos + expected)
+
+
+def read_depth_pgm(path) -> np.ndarray:
+    mm, _ = _pgm_samples(Path(path).read_bytes(), path, MAX_DEPTH_MM, ">u2")
+    return mm.astype(np.float64) * DEPTH_UNIT
 
 
 def write_mask_pgm(path, mask: np.ndarray) -> None:
@@ -263,26 +275,14 @@ def write_mask_pgm(path, mask: np.ndarray) -> None:
 
 
 def read_mask_pgm(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    width, height, maxval, pos = _parse_pgm_header(raw, path)
-    if maxval != 255:
-        raise FormatError(f"{path}: mask PGM must have maxval 255, got {maxval}", offset=2)
-    expected = width * height
-    if len(raw) - pos < expected:
-        raise FormatError(
-            f"{path}: expected {expected} data bytes, found {len(raw) - pos}",
-            offset=len(raw),
-        )
-    if len(raw) - pos > expected:
-        raise FormatError(f"{path}: trailing bytes after pixel data", offset=pos + expected)
-    values = np.frombuffer(raw, dtype=np.uint8, count=expected, offset=pos)
-    bad = np.nonzero((values != 0) & (values != 255))[0]
+    values, pos = _pgm_samples(Path(path).read_bytes(), path, 255, "u1")
+    bad = np.flatnonzero((values != 0) & (values != 255))
     if bad.size:
         raise FormatError(
-            f"{path}: mask value {values[bad[0]]} is neither 0 nor 255",
+            f"{path}: mask value {values.flat[bad[0]]} is neither 0 nor 255",
             offset=pos + int(bad[0]),
         )
-    return (values == 255).reshape(height, width)
+    return values == 255
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +381,10 @@ def _check_format(kv: dict[str, str], expected: str, path) -> None:
         raise FormatError(f"{path}: expected format {expected!r}, found {found!r}")
 
 
-def _check_no_extra(kv: dict[str, str], allowed: set[str], path) -> None:
+def _check_no_extra(kv: dict[str, str], allowed: set[str], path, error=FormatError) -> None:
     extra = set(kv) - allowed
     if extra:
-        raise FormatError(f"{path}: unknown keys {sorted(extra)}")
+        raise error(f"{path}: unknown keys {sorted(extra)}")
 
 
 def write_pose(path, pose: RigidPose) -> None:
@@ -447,14 +447,15 @@ def _ref_from(kv: dict[str, str], path) -> ReferencePoint:
     return _built(path, ReferencePoint, x0=x0, y0=y0, d0=d0, strategy=_value(kv, path, "strategy", RefStrategy))
 
 
-def _write_table(path, header_pairs: list[tuple[str, str]], columns: list[str], rows: np.ndarray) -> None:
+def _write_table(path, header_pairs: list[tuple[str, str]], columns: tuple[str, ...], rows: np.ndarray) -> None:
     pairs = [*header_pairs, ("count", str(rows.shape[0])), ("columns", " ".join(columns))]
     header = format_keyvalue(pairs) + "data:\n"
     _atomic_write_bytes(path, header.encode() + np.ascontiguousarray(rows, dtype="<f8").tobytes())
 
 
-def _read_table(path, expected_format: str, allowed: set[str]) -> tuple[dict[str, str], list[str], np.ndarray]:
-    """Header pairs, column names and a ``(count, len(columns))`` float64 array."""
+def _read_table(path, expected_format: str, allowed: set[str], columns: tuple[str, ...]) -> tuple[dict[str, str], np.ndarray]:
+    """Header pairs and a ``(count, len(columns))`` float64 array; the
+    header must list exactly ``columns``."""
     raw = Path(path).read_bytes()
     split = raw.find(_DATA_MARK)
     if split < 0:
@@ -466,116 +467,98 @@ def _read_table(path, expected_format: str, allowed: set[str]) -> tuple[dict[str
     kv = _parse_keyvalue(header, path)
     _check_format(kv, expected_format, path)
     _check_no_extra(kv, allowed, path)
-    columns = _value(kv, path, "columns").split()
+    found = _value(kv, path, "columns")
+    if found.split() != list(columns):
+        raise FormatError(f"{path}: expected columns {' '.join(columns)!r}, found {found!r}")
     count = _value(kv, path, "count", _count)
     pos = split + len(_DATA_MARK)
-    expected = count * len(columns) * 8
-    if len(raw) - pos < expected:
-        raise FormatError(f"{path}: expected {expected} data bytes, found {len(raw) - pos}", offset=len(raw))
-    if len(raw) - pos > expected:
-        raise FormatError(f"{path}: trailing bytes after row data", offset=pos + expected)
+    _check_payload(raw, pos, count * len(columns) * 8, path, "row")
     data = np.frombuffer(raw, dtype="<f8", count=count * len(columns), offset=pos)
-    return kv, columns, data.reshape(count, len(columns)).astype(np.float64)
+    return kv, data.reshape(count, len(columns)).astype(np.float64)
 
 
 _ENCODING_KEYS = {
     "format", "mode", "constraint_form", "x0", "y0", "d0", "strategy", "count", "columns",
 }
+_ENCODING_COLUMNS = ("u", "v", "delta_x", "delta_y", "delta_d")
 
 
-def write_encoding(path, enc: GeoEncoding, constraint_form: ConstraintForm = ConstraintForm.CORRECTED) -> None:
-    columns = ["u", "v", "delta_x", "delta_y", "delta_d"]
-    parts = [
-        enc.us.astype(np.float64),
-        enc.vs.astype(np.float64),
-        enc.delta_x,
-        enc.delta_y,
-        enc.delta_d,
-    ]
+def _same_bits(stored: np.ndarray, derived: np.ndarray) -> bool:
+    return (stored.dtype, stored.shape) == (derived.dtype, derived.shape) and stored.tobytes() == derived.tobytes()
+
+
+def write_encoding(path, enc: GeoEncoding) -> None:
+    """Write ``u v delta_x delta_y delta_d``.  A GEOMETRIC encoding's ``dd0``
+    and ``t0_over_dd0`` are not stored: they must equal, bit for bit,
+    :func:`~offset6d.encoding.geometric_products` of its ``delta_d``, which
+    :func:`read_encoding` derives, or this raises ``ValueError``."""
     if enc.mode is InputMode.GEOMETRIC:
-        columns += ["dd0", "t0dd0_x", "t0dd0_y", "t0dd0_z"]
-        parts += [enc.dd0, enc.t0_over_dd0[:, 0], enc.t0_over_dd0[:, 1], enc.t0_over_dd0[:, 2]]
-    if enc.delta_u is not None:
-        columns += ["delta_u", "delta_v"]
-        parts += [enc.delta_u, enc.delta_v]
-    rows = np.stack(parts, axis=1)
+        dd0, t0_over_dd0 = geometric_products(enc.delta_d, enc.ref)
+        if not (_same_bits(enc.dd0, dd0) and _same_bits(enc.t0_over_dd0, t0_over_dd0)):
+            raise ValueError(
+                f"{path}: dd0 and t0_over_dd0 differ from the products of delta_d and the "
+                "reference point; the file keeps only those"
+            )
+    rows = np.stack([enc.us.astype(np.float64), enc.vs.astype(np.float64), enc.delta_x, enc.delta_y, enc.delta_d], axis=1)
     header = [
-        ("format", "encoding/v2"),
+        ("format", "encoding/v3"),
         ("mode", enc.mode.value),
-        ("constraint_form", constraint_form.value),
+        ("constraint_form", ConstraintForm.CORRECTED.value),
         *_ref_pairs(enc.ref),
     ]
-    _write_table(path, header, columns, rows)
+    _write_table(path, header, _ENCODING_COLUMNS, rows)
 
 
 def read_encoding(path) -> tuple[GeoEncoding, ConstraintForm]:
-    kv, columns, data = _read_table(path, "encoding/v2", _ENCODING_KEYS)
+    kv, data = _read_table(path, "encoding/v3", _ENCODING_KEYS, _ENCODING_COLUMNS)
     mode = _value(kv, path, "mode", InputMode)
     form = _value(kv, path, "constraint_form", ConstraintForm)
     ref = _ref_from(kv, path)
-    col = {name: data[:, i] for i, name in enumerate(columns)}
-    for needed in ("u", "v", "delta_x", "delta_y", "delta_d"):
-        if needed not in col:
-            raise FormatError(f"{path}: missing column {needed!r}")
-    dd0 = t0_over_dd0 = None
-    if mode is InputMode.GEOMETRIC:
-        for needed in ("dd0", "t0dd0_x", "t0dd0_y", "t0dd0_z"):
-            if needed not in col:
-                raise FormatError(f"{path}: geometric encoding missing column {needed!r}")
-        dd0 = col["dd0"]
-        t0_over_dd0 = np.stack([col["t0dd0_x"], col["t0dd0_y"], col["t0dd0_z"]], axis=1)
+    us, vs, delta_x, delta_y, delta_d = data.T
+    dd0, t0_over_dd0 = geometric_products(delta_d, ref) if mode is InputMode.GEOMETRIC else (None, None)
     enc = _built(
         path,
         GeoEncoding,
-        us=col["u"].astype(np.int64),
-        vs=col["v"].astype(np.int64),
-        delta_x=col["delta_x"],
-        delta_y=col["delta_y"],
-        delta_d=col["delta_d"],
+        us=us.astype(np.int64),
+        vs=vs.astype(np.int64),
+        delta_x=delta_x,
+        delta_y=delta_y,
+        delta_d=delta_d,
         dd0=dd0,
         t0_over_dd0=t0_over_dd0,
         ref=ref,
         mode=mode,
-        delta_u=col.get("delta_u"),
-        delta_v=col.get("delta_v"),
     )
     return enc, form
 
 
 _TARGET_KEYS = {"format", "mode", "delta_t", "x0", "y0", "d0", "strategy", "count", "columns"}
+_TARGET_COLUMNS = ("u", "v", "da", "db", "dc")
 
 
 def write_targets(path, tgt: GeoTargets) -> None:
-    columns = ["u", "v", "da", "db", "dc"]
-    rows = np.stack(
-        [tgt.us.astype(np.float64), tgt.vs.astype(np.float64), tgt.delta_abc[:, 0], tgt.delta_abc[:, 1], tgt.delta_abc[:, 2]],
-        axis=1,
-    )
+    rows = np.column_stack([tgt.us.astype(np.float64), tgt.vs.astype(np.float64), tgt.delta_abc])
     header = [
         ("format", "targets/v2"),
         ("mode", tgt.mode.value),
         ("delta_t", format_floats(tgt.delta_t)),
         *_ref_pairs(tgt.ref),
     ]
-    _write_table(path, header, columns, rows)
+    _write_table(path, header, _TARGET_COLUMNS, rows)
 
 
 def read_targets(path) -> GeoTargets:
-    kv, columns, data = _read_table(path, "targets/v2", _TARGET_KEYS)
+    kv, data = _read_table(path, "targets/v2", _TARGET_KEYS, _TARGET_COLUMNS)
     mode = _value(kv, path, "mode", TargetMode)
     ref = _ref_from(kv, path)
     delta_t = np.array(_value(kv, path, "delta_t", _floats(3)))
-    col = {name: data[:, i] for i, name in enumerate(columns)}
-    for needed in ("u", "v", "da", "db", "dc"):
-        if needed not in col:
-            raise FormatError(f"{path}: missing column {needed!r}")
     return GeoTargets(
         delta_t=delta_t,
-        delta_abc=np.stack([col["da"], col["db"], col["dc"]], axis=1),
+        delta_abc=data[:, 2:].copy(),
         mode=mode,
         ref=ref,
-        us=col["u"].astype(np.int64),
-        vs=col["v"].astype(np.int64),
+        us=data[:, 0].astype(np.int64),
+        vs=data[:, 1].astype(np.int64),
     )
 
 
@@ -765,9 +748,7 @@ def read_manifest(path) -> tuple[SceneSpec, int]:
     """Returns (spec, scene_count)."""
     kv = read_keyvalue(path)
     _check_format(kv, "dataset/v1", path)
-    extra = set(kv) - _MANIFEST_KEYS
-    if extra:
-        raise ConfigError(f"{path}: unknown keys {sorted(extra)}")
+    _check_no_extra(kv, _MANIFEST_KEYS, path, error=ConfigError)
     return pairs_to_spec(kv, path), scene_count(kv, path)
 
 
@@ -775,7 +756,5 @@ def read_experiment_config(path) -> dict[str, str]:
     """Schema-checked raw experiment configuration (unknown keys rejected)."""
     kv = read_keyvalue(path)
     _check_format(kv, "experiment/v1", path)
-    extra = set(kv) - _EXPERIMENT_KEYS
-    if extra:
-        raise ConfigError(f"{path}: unknown keys {sorted(extra)}")
+    _check_no_extra(kv, _EXPERIMENT_KEYS, path, error=ConfigError)
     return kv

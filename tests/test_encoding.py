@@ -103,22 +103,6 @@ class TestEncodeInput:
         with pytest.raises(EmptyObjectError):
             o6.encode_input(obs, manual_ref(0.0, 0.0, 1.0))
 
-    def test_uv_offset_channels(self, rng):
-        obs = random_obs(rng)
-        ref = o6.ref_mean_visible(obs.depth, obs.mask, K)
-        enc = o6.encode_input(obs, ref, include_uv_offsets=True)
-        u0, v0 = o6.project(ref.as_array(), K)
-        np.testing.assert_array_equal(enc.delta_u, enc.us - u0)
-        np.testing.assert_array_equal(enc.delta_v, enc.vs - v0)
-        assert o6.encode_input(obs, ref).delta_u is None  # off by default
-
-    def test_rgb_passthrough(self, rng):
-        obs = random_obs(rng)
-        rgb = rng.integers(0, 255, size=(*obs.depth.values.shape, 3)).astype(np.float64)
-        obs2 = o6.SceneObservation(obs.depth, obs.mask, K, rgb=rgb)
-        enc = o6.encode_input(obs2, manual_ref(0.0, 0.0, 1.0))
-        np.testing.assert_array_equal(enc.rgb, rgb[enc.vs, enc.us])
-
 
 class TestEncodeTargets:
     def test_identity_pose_hand_case(self):

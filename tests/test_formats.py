@@ -11,10 +11,10 @@ from hypothesis.extra import numpy as hnp
 
 import offset6d as o6
 from offset6d import formats
-from offset6d.encoding import ConstraintForm, GeoEncoding, GeoTargets, InputMode, TargetMode
+from offset6d.encoding import ConstraintForm, GeoEncoding, GeoTargets, InputMode, TargetMode, geometric_products
 from offset6d.errors import ConfigError, FormatError
 
-from conftest import default_intrinsics, random_pose, small_scene_spec
+from conftest import default_intrinsics, random_pose, random_rotation, small_scene_spec
 
 K = default_intrinsics()
 
@@ -180,6 +180,19 @@ class TestKeyValueFiles:
         np.testing.assert_array_equal(back.rotation, pose.rotation)
         np.testing.assert_array_equal(back.translation, pose.translation)
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        translation=hnp.arrays(np.float64, 3, elements=st.floats(allow_nan=False, allow_infinity=False)),
+    )
+    def test_pose_round_trip_property(self, tmp_path, seed, translation):
+        pose = o6.RigidPose(random_rotation(np.random.default_rng(seed)), translation)
+        path = tmp_path / "pose.txt"
+        formats.write_pose(path, pose)
+        back = formats.read_pose(path)
+        assert back.rotation.tobytes() == pose.rotation.tobytes()
+        assert back.translation.tobytes() == pose.translation.tobytes()
+
     def test_intrinsics_round_trip_exact(self, tmp_path):
         k = o6.CameraIntrinsics(fx=321.125, fy=240.5, cx=160.25, cy=120.75)
         path = tmp_path / "k.txt"
@@ -208,12 +221,12 @@ class TestKeyValueFiles:
             formats.read_keyvalue(path)
 
 
-def _example_encoding(rng, mode=InputMode.GEOMETRIC, uv=False, strategy=o6.RefStrategy.MEAN_VISIBLE):
+def _example_encoding(rng, mode=InputMode.GEOMETRIC, strategy=o6.RefStrategy.MEAN_VISIBLE):
     spec = small_scene_spec(seed=63)
     scene = o6.render_scene(spec, 0)
     obs = scene.observation
     ref = o6.make_reference(obs.depth, obs.mask, obs.intrinsics, strategy)
-    enc = o6.encode_input(obs, ref, mode, include_uv_offsets=uv)
+    enc = o6.encode_input(obs, ref, mode)
     tgt = o6.encode_targets(obs, ref)
     return enc, tgt
 
@@ -224,9 +237,9 @@ class TestEncodingFiles:
         # A non-default strategy, so a reader that assumed mean-visible would fail.
         enc, _ = _example_encoding(rng, mode=mode, strategy=o6.RefStrategy.CENTER_MEAN_DEPTH)
         path = tmp_path / "encoding.txt"
-        formats.write_encoding(path, enc, ConstraintForm.AS_PRINTED)
+        formats.write_encoding(path, enc)
         back, form = formats.read_encoding(path)
-        assert form is ConstraintForm.AS_PRINTED
+        assert form is ConstraintForm.CORRECTED
         assert back.mode is mode
         np.testing.assert_array_equal(back.us, enc.us)
         np.testing.assert_array_equal(back.vs, enc.vs)
@@ -239,13 +252,40 @@ class TestEncodingFiles:
         assert (back.ref.x0, back.ref.y0, back.ref.d0) == (enc.ref.x0, enc.ref.y0, enc.ref.d0)
         assert back.ref.strategy is enc.ref.strategy is o6.RefStrategy.CENTER_MEAN_DEPTH
 
-    def test_uv_channels_round_trip(self, tmp_path, rng):
-        enc, _ = _example_encoding(rng, uv=True)
+    @pytest.mark.parametrize("mode", list(InputMode))
+    def test_one_column_layout_for_every_mode(self, tmp_path, rng, mode):
+        enc, _ = _example_encoding(rng, mode=mode)
         path = tmp_path / "encoding.txt"
         formats.write_encoding(path, enc)
-        back, _ = formats.read_encoding(path)
-        np.testing.assert_array_equal(back.delta_u, enc.delta_u)
-        np.testing.assert_array_equal(back.delta_v, enc.delta_v)
+        header = path.read_bytes().partition(b"\ndata:\n")[0].decode()
+        assert header.startswith("format = encoding/v3\n")
+        assert header.endswith(f"count = {len(enc)}\ncolumns = u v delta_x delta_y delta_d")
+        assert path.stat().st_size == len(header) + len(b"\ndata:\n") + len(enc) * 5 * 8
+
+    @pytest.mark.parametrize("field", ["dd0", "t0_over_dd0"])
+    def test_inconsistent_geometric_products_refused(self, tmp_path, rng, field):
+        enc, _ = _example_encoding(rng)
+        channel = getattr(enc, field).copy()
+        channel.flat[0] = np.nextafter(channel.flat[0], np.inf)  # one ulp off
+        path = tmp_path / "encoding.txt"
+        with pytest.raises(ValueError, match="differ from the products of delta_d"):
+            formats.write_encoding(path, dataclasses.replace(enc, **{field: channel}))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("columns", [
+        "u v delta_x delta_y delta_d dd0 t0dd0_x t0dd0_y t0dd0_z",
+        "u v delta_x delta_y",
+        "v u delta_x delta_y delta_d",
+    ])
+    def test_other_column_list_rejected(self, tmp_path, columns):
+        path = tmp_path / "encoding.txt"
+        path.write_text(
+            "format = encoding/v3\nmode = offset\nconstraint_form = corrected\n"
+            "x0 = 0.0\ny0 = 0.0\nd0 = 1.0\nstrategy = mean-visible\n"
+            f"count = 0\ncolumns = {columns}\ndata:\n"
+        )
+        with pytest.raises(FormatError, match=f"expected columns 'u v delta_x delta_y delta_d', found '{columns}'"):
+            formats.read_encoding(path)
 
     def test_targets_round_trip_exact(self, tmp_path, rng):
         _, tgt = _example_encoding(rng)
@@ -262,7 +302,7 @@ class TestEncodingFiles:
         path = tmp_path / "encoding.txt"
         formats.write_encoding(path, enc)
         raw = path.read_bytes()
-        path.write_bytes(raw + np.arange(9, dtype="<f8").tobytes())  # one more geometric row
+        path.write_bytes(raw + np.arange(5, dtype="<f8").tobytes())  # one more row
         with pytest.raises(FormatError) as err:
             formats.read_encoding(path)
         assert "trailing bytes" in str(err.value)
@@ -287,7 +327,19 @@ class TestEncodingFiles:
             "x0 = 0.0\ny0 = 0.0\nd0 = 1.0\nstrategy = mean-visible\n"
             "count = 1\ncolumns = u v delta_x delta_y delta_d\ndata:\n3 4 0.5 0.25 0.125\n"
         )
-        with pytest.raises(FormatError, match="expected format 'encoding/v2', found 'encoding/v1'"):
+        with pytest.raises(FormatError, match="expected format 'encoding/v3', found 'encoding/v1'"):
+            formats.read_encoding(path)
+
+    def test_table_of_version_2_rejected_by_format(self, tmp_path):
+        # Re-encoding is the migration path; there is no v2 reader.
+        path = tmp_path / "encoding.txt"
+        path.write_bytes(
+            b"format = encoding/v2\nmode = geometric\nconstraint_form = corrected\n"
+            b"x0 = 0.0\ny0 = 0.0\nd0 = 1.0\nstrategy = mean-visible\n"
+            b"count = 1\ncolumns = u v delta_x delta_y delta_d dd0 t0dd0_x t0dd0_y t0dd0_z\ndata:\n"
+            + np.array([3, 4, 0.5, 0.25, 1.0, 2.0, 0.0, 0.0, 0.5], dtype="<f8").tobytes()
+        )
+        with pytest.raises(FormatError, match="expected format 'encoding/v3', found 'encoding/v2'"):
             formats.read_encoding(path)
 
     def test_zero_row_table_is_its_text_header(self, tmp_path):
@@ -298,8 +350,8 @@ class TestEncodingFiles:
         path = tmp_path / "encoding.txt"
         formats.write_encoding(path, enc)
         header = path.read_text()
-        assert header.startswith("format = encoding/v2\n")
-        assert header.endswith("count = 0\ncolumns = u v delta_x delta_y delta_d dd0 t0dd0_x t0dd0_y t0dd0_z\ndata:\n")
+        assert header.startswith("format = encoding/v3\n")
+        assert header.endswith("count = 0\ncolumns = u v delta_x delta_y delta_d\ndata:\n")
         back, _ = formats.read_encoding(path)
         assert len(back) == 0 and back.t0_over_dd0.shape == (0, 3)
 
@@ -308,8 +360,8 @@ class TestEncodingFiles:
         path = tmp_path / "encoding.txt"
         formats.write_encoding(path, enc)
         raw = bytearray(path.read_bytes())
-        dd0 = raw.index(b"\ndata:\n") + len(b"\ndata:\n") + 5 * 8  # row 0, column dd0
-        raw[dd0 : dd0 + 8] = np.array([-1.0], dtype="<f8").tobytes()
+        delta_d = raw.index(b"\ndata:\n") + len(b"\ndata:\n") + 4 * 8  # row 0, column delta_d
+        raw[delta_d : delta_d + 8] = np.array([-2 * enc.ref.d0], dtype="<f8").tobytes()  # d = -d0
         path.write_bytes(raw)
         with pytest.raises(FormatError, match="dd0 must be positive"):
             formats.read_encoding(path)
@@ -336,44 +388,52 @@ class TestEncodingFiles:
 # Every float64 class: signed zeros, subnormals, infinities and NaN.
 _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf, -math.inf, math.nan]
 _VALUES = st.one_of(st.sampled_from(_SPECIAL), st.floats())
-# dd0 must not be <= 0 (GeoEncoding's own check); NaN passes it.
-_POSITIVE = st.one_of(st.sampled_from([5e-324, 1e-310, math.inf, math.nan]), st.floats(min_value=0.0, exclude_min=True))
 # Header scalars are repr text, so NaN payloads would not survive; table values are raw bits.
 _HEADER_FLOATS = st.floats(allow_nan=False)
 _ROWS = st.integers(0, 12)
 _PIXELS = st.integers(0, 2**53)
+# From d0 >= 2**-500 and delta_d > -d0, dd0 = (delta_d + d0) * d0 >= d0**2 * 2**-53
+# cannot round to 0, so GeoEncoding's "dd0 must be positive" check holds.
+_GEOMETRIC_D0 = st.floats(min_value=2.0**-500, allow_infinity=False)
 
-_refs = st.builds(
-    o6.ReferencePoint,
-    x0=_HEADER_FLOATS,
-    y0=_HEADER_FLOATS,
-    d0=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-    strategy=st.sampled_from(list(o6.RefStrategy)),
-)
+
+def _refs(d0=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)):
+    return st.builds(
+        o6.ReferencePoint,
+        x0=_HEADER_FLOATS,
+        y0=_HEADER_FLOATS,
+        d0=d0,
+        strategy=st.sampled_from(list(o6.RefStrategy)),
+    )
 
 
 @st.composite
 def _encodings(draw):
+    """Encodings with arbitrary channel bits; a GEOMETRIC one takes its
+    products from ``geometric_products``, as ``encode_input`` does."""
     n = draw(_ROWS)
     mode = draw(st.sampled_from(list(InputMode)))
     geometric = mode is InputMode.GEOMETRIC
-    uv = draw(st.booleans())
+    ref = draw(_refs(_GEOMETRIC_D0) if geometric else _refs())
 
-    def column(elements=_VALUES, shape=n):
-        return draw(hnp.arrays(np.float64, shape, elements=elements))
+    def column(elements=_VALUES):
+        return draw(hnp.arrays(np.float64, n, elements=elements))
 
+    above_minus_d0 = st.floats(min_value=-ref.d0, exclude_min=True)
+    delta_d = column(st.one_of(st.sampled_from([v for v in _SPECIAL if not v <= -ref.d0]), above_minus_d0)
+                     if geometric else _VALUES)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN products are stored bits too
+        dd0, t0_over_dd0 = geometric_products(delta_d, ref) if geometric else (None, None)
     return GeoEncoding(
         us=draw(hnp.arrays(np.int64, n, elements=_PIXELS)),
         vs=draw(hnp.arrays(np.int64, n, elements=_PIXELS)),
         delta_x=column(),
         delta_y=column(),
-        delta_d=column(),
-        dd0=column(_POSITIVE) if geometric else None,
-        t0_over_dd0=column(shape=(n, 3)) if geometric else None,
-        ref=draw(_refs),
+        delta_d=delta_d,
+        dd0=dd0,
+        t0_over_dd0=t0_over_dd0,
+        ref=ref,
         mode=mode,
-        delta_u=column() if uv else None,
-        delta_v=column() if uv else None,
     )
 
 
@@ -384,7 +444,7 @@ def _targets(draw):
         delta_t=draw(hnp.arrays(np.float64, 3, elements=_HEADER_FLOATS)),
         delta_abc=draw(hnp.arrays(np.float64, (n, 3), elements=_VALUES)),
         mode=draw(st.sampled_from(list(TargetMode))),
-        ref=draw(_refs),
+        ref=draw(_refs()),
         us=draw(hnp.arrays(np.int64, n, elements=_PIXELS)),
         vs=draw(hnp.arrays(np.int64, n, elements=_PIXELS)),
     )
@@ -408,15 +468,38 @@ _PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[Heal
 
 class TestTableRoundTripProperty:
     @_PROPERTY
-    @given(enc=_encodings(), form=st.sampled_from(list(ConstraintForm)))
-    def test_encoding_round_trip_bit_exact(self, tmp_path, enc, form):
+    @given(enc=_encodings())
+    def test_encoding_round_trip_bit_exact(self, tmp_path, enc):
         path = tmp_path / "encoding.txt"
-        formats.write_encoding(path, enc, form)
-        back, back_form = formats.read_encoding(path)
-        assert back_form is form and back.mode is enc.mode
-        for name in ("us", "vs", "delta_x", "delta_y", "delta_d", "dd0", "t0_over_dd0", "delta_u", "delta_v"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            formats.write_encoding(path, enc)
+            back, back_form = formats.read_encoding(path)
+        assert back_form is ConstraintForm.CORRECTED and back.mode is enc.mode
+        for name in ("us", "vs", "delta_x", "delta_y", "delta_d", "dd0", "t0_over_dd0"):
             _same_bits(getattr(back, name), getattr(enc, name))
         _same_ref(back.ref, enc.ref)
+
+    @_PROPERTY
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 8)),
+        data=st.data(),
+        d0=st.floats(min_value=1e-4, max_value=1e4),
+        x0=st.floats(-1e3, 1e3),
+        y0=st.floats(-1e3, 1e3),
+    )
+    def test_encode_input_products_read_back_bit_exact(self, tmp_path, shape, data, d0, x0, y0):
+        # Depths over eight decades, most far outside [d0/2, 2 d0]: d*d0
+        # computed from d differs in bits from (delta_d + d0)*d0 on some of
+        # them, so the encoder and the reader must derive the products alike.
+        depth = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(min_value=1e-4, max_value=1e4)))
+        mask = data.draw(hnp.arrays(np.bool_, shape)) | (np.arange(depth.size) == 0).reshape(shape)
+        obs = o6.SceneObservation(o6.DepthMap(depth), o6.InstanceMask(mask), o6.CameraIntrinsics(500.0, 450.0, 3.5, 2.5))
+        enc = o6.encode_input(obs, o6.ReferencePoint(x0, y0, d0, o6.RefStrategy.MEAN_VISIBLE))
+        path = tmp_path / "encoding.txt"
+        formats.write_encoding(path, enc)
+        back, _ = formats.read_encoding(path)
+        _same_bits(back.dd0, enc.dd0)
+        _same_bits(back.t0_over_dd0, enc.t0_over_dd0)
 
     @_PROPERTY
     @given(tgt=_targets())
@@ -437,6 +520,34 @@ class TestCsv:
         header, rows = formats.read_csv(path, "results/v1")
         assert header == ["a", "b"]
         assert rows == [["x", "1.5"], ["y", ""]]
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.lists(
+        st.one_of(
+            st.none(),
+            st.integers(),
+            st.floats(),
+            # No line breaks, and no '#', which starts a comment line.
+            st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters="#")),
+        ),
+        min_size=3, max_size=3,
+    ), max_size=8))
+    def test_round_trip_property(self, tmp_path, rows):
+        path = tmp_path / "rows.csv"
+        formats.write_csv(path, "results/v1", ["a", "b", "c"], rows)
+        header, back = formats.read_csv(path, "results/v1")
+        assert header == ["a", "b", "c"] and len(back) == len(rows)
+        for row, cells in zip(rows, back):
+            assert len(cells) == len(row)
+            for value, cell in zip(row, cells):
+                if value is None:
+                    assert cell == ""
+                elif isinstance(value, float):
+                    assert math.isnan(value) and math.isnan(float(cell)) or (
+                        np.float64(float(cell)).tobytes() == np.float64(value).tobytes()
+                    )
+                else:
+                    assert cell == str(value)
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "rows.csv"
