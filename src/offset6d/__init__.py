@@ -32,18 +32,11 @@ from .errors import (
 )
 from .geometry import (
     CameraIntrinsics,
-    CamPoint,
-    ObjPoint,
     RigidPose,
-    backproject,
     backproject_pixels,
     compose,
-    inverse_transform,
     inverse_transform_points,
-    invert,
     nearest_rotation,
-    project,
-    transform,
     transform_points,
 )
 from .metrics import (

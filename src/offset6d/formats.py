@@ -11,8 +11,8 @@ Conventions:
   - Mask: 8-bit binary PGM, 255 = foreground, anything else but 0 rejected.
   - Poses, intrinsics, manifests: line-oriented ``key = value`` text with
     repr-precision numbers (exact round trip).  :func:`spec_to_pairs` is the
-    scene spec's one text form: the manifest's spec lines, the experiment
-    config's keys, and the text that ``synth.scene_digest`` hashes.
+    scene spec's one text form: the manifest's spec lines and the experiment
+    config's keys.
   - Encodings and targets: the same ``key = value`` text as a header, ending
     in a ``data:`` line, then ``count x len(columns)`` little-endian float64
     values (``<f8``, row-major), like a binary PGM.  ``head encoding.txt``
@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import os
 import tempfile
 from dataclasses import astuple, fields
@@ -571,23 +572,32 @@ def write_csv(path, version: str, header: list[str], rows: list[list], stamp: st
     buf.write(f"# {version}\n")
     if stamp:
         buf.write(f"# generated {stamp}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else (format_float(v) if isinstance(v, float) else v) for v in row])
+    minimal = csv.writer(buf, lineterminator="\n")
+    # Quote every cell of a row that would otherwise read back wrong: a line
+    # starting with '#' reads as a comment if it follows the comment lines,
+    # and csv quotes a lone "\r" only when it is in the line terminator.
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in [header, *rows]:
+        cells = ["" if v is None else (format_float(v) if isinstance(v, float) else v) for v in row]
+        misread = any(isinstance(c, str) and "\r" in c for c in cells) or (
+            cells and str(cells[0]).startswith("#")
+        )
+        (quoted if misread else minimal).writerow(cells)
     _atomic_write_text(path, buf.getvalue())
 
 
 def read_csv(path, version: str) -> tuple[list[str], list[list[str]]]:
-    text = Path(path).read_text()
-    lines = text.split("\n")
-    if not lines or not lines[0].startswith("# "):
-        raise FormatError(f"{path}: missing version line", offset=0)
-    found = lines[0][2:].strip()
-    if found != version:
-        raise FormatError(f"{path}: expected version {version!r}, found {found!r}", offset=0)
-    body = [ln for ln in lines[1:] if ln and not ln.startswith("#")]
-    rows = list(csv.reader(body))
+    """Header row and data rows of a :func:`write_csv` file.  Only the leading
+    ``#`` lines (the version line and an optional stamp) are comments; the
+    rest is CSV, so a cell may start with ``#`` or hold line breaks."""
+    with open(path, newline="", encoding="utf-8") as f:
+        first = f.readline()
+        if not first.startswith("# "):
+            raise FormatError(f"{path}: missing version line", offset=0)
+        found = first[2:].strip()
+        if found != version:
+            raise FormatError(f"{path}: expected version {version!r}, found {found!r}", offset=0)
+        rows = list(csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), f)))
     if not rows:
         raise FormatError(f"{path}: missing CSV header row")
     return rows[0], rows[1:]
@@ -654,8 +664,8 @@ def _config_name(value, table: dict[str, type]) -> str:
 
 
 def spec_to_pairs(spec: SceneSpec) -> list[tuple[str, str]]:
-    """The spec's one text form: the manifest's spec lines and the basis of
-    scene digests.  :func:`pairs_to_spec` reads it back exactly."""
+    """The spec's one text form: the manifest's spec lines and the experiment
+    config's keys.  :func:`pairs_to_spec` reads it back exactly."""
     pairs: list[tuple[str, str]] = [
         ("seed", str(spec.seed)),
         ("image_width", str(spec.image_size[0])),

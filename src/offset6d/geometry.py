@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,28 +29,6 @@ from .errors import InvalidDepthError
 # Orthonormality drift accepted silently / repaired by SVD projection / rejected.
 ROTATION_TOLERANCE = 1e-9
 ROTATION_REPAIR_LIMIT = 1e-6
-
-
-class CamPoint(NamedTuple):
-    """Camera-frame point; ``d`` is depth along the optical axis (meters)."""
-
-    x: float
-    y: float
-    d: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.d], dtype=np.float64)
-
-
-class ObjPoint(NamedTuple):
-    """Object-frame point (meters)."""
-
-    a: float
-    b: float
-    c: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -70,12 +47,6 @@ class CameraIntrinsics:
                 raise ValueError(f"intrinsics.{name} must be finite, got {value!r}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]],
-            dtype=np.float64,
-        )
 
 
 def rotation_defect(matrix: np.ndarray) -> float:
@@ -172,18 +143,10 @@ class RigidPose:
         return RigidPose.from_quaternion(w, *xyz, translation=translation)
 
 
-def backproject(u: float, v: float, d: float, k: CameraIntrinsics) -> CamPoint:
-    """Lift pixel (u, v) with depth d to the camera frame.
-
-    x = (u - cx) / fx * d,  y = (v - cy) / fy * d,  z = d.
-    """
-    if not (math.isfinite(d) and d > 0):
-        raise InvalidDepthError(f"depth must be positive and finite, got {d!r}")
-    return CamPoint((u - k.cx) / k.fx * d, (v - k.cy) / k.fy * d, d)
-
-
 def backproject_pixels(us, vs, ds, k: CameraIntrinsics) -> np.ndarray:
-    """Vectorized :func:`backproject`; returns an (N, 3) array."""
+    """Lift pixels ``(u, v)`` with depths ``d`` to the camera frame: an (N, 3)
+    array of ``x = (u - cx) / fx * d``, ``y = (v - cy) / fy * d``, ``z = d``.
+    """
     us = np.asarray(us, dtype=np.float64)
     vs = np.asarray(vs, dtype=np.float64)
     ds = np.asarray(ds, dtype=np.float64)
@@ -192,32 +155,14 @@ def backproject_pixels(us, vs, ds, k: CameraIntrinsics) -> np.ndarray:
     return np.stack([(us - k.cx) / k.fx * ds, (vs - k.cy) / k.fy * ds, ds], axis=-1)
 
 
-def project(p, k: CameraIntrinsics) -> tuple[float, float]:
-    """Project a camera-frame point to continuous pixel coordinates (u, v)."""
-    x, y, d = (p.x, p.y, p.d) if isinstance(p, CamPoint) else tuple(np.asarray(p, dtype=np.float64))
-    if not (math.isfinite(d) and d > 0):
-        raise InvalidDepthError(f"depth must be positive and finite, got {d!r}")
-    return (k.fx * x / d + k.cx, k.fy * y / d + k.cy)
-
-
-def transform(pose: RigidPose, p: ObjPoint) -> CamPoint:
-    """Map an object-frame point into the camera frame: R p + t."""
-    v = pose.rotation @ p.as_array() + pose.translation
-    return CamPoint(v[0], v[1], v[2])
-
-
 def transform_points(pose: RigidPose, points: np.ndarray) -> np.ndarray:
+    """Map (N, 3) object-frame points into the camera frame: ``R p + t``."""
     pts = np.asarray(points, dtype=np.float64)
     return pts @ pose.rotation.T + pose.translation
 
 
-def inverse_transform(pose: RigidPose, q: CamPoint) -> ObjPoint:
-    """Map a camera-frame point back to the object frame: R^T (q - t)."""
-    v = pose.rotation.T @ (q.as_array() - pose.translation)
-    return ObjPoint(v[0], v[1], v[2])
-
-
 def inverse_transform_points(pose: RigidPose, points: np.ndarray) -> np.ndarray:
+    """Map (N, 3) camera-frame points back to the object frame: ``R^T (q - t)``."""
     pts = np.asarray(points, dtype=np.float64)
     return (pts - pose.translation) @ pose.rotation
 
@@ -228,7 +173,3 @@ def compose(a: RigidPose, b: RigidPose) -> RigidPose:
     The constructor re-orthonormalizes when accumulated drift exceeds 1e-9.
     """
     return RigidPose(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
-
-
-def invert(a: RigidPose) -> RigidPose:
-    return RigidPose(a.rotation.T, -(a.rotation.T @ a.translation))

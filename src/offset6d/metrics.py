@@ -32,14 +32,12 @@ cross term vanishes and the split is rotation part + translation part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyInputError
 from .geometry import RigidPose, transform_points
-
-DIAMETER_TOLERANCE = 1e-9
 
 # Rows of ``a`` per block of pairwise squared distances: two (rows, m)
 # float64 buffers, small enough to stay in cache at m ~ 1000.
@@ -132,17 +130,14 @@ def max_pairwise_distance(points: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ObjectModel:
-    """Object-frame point set with its diameter and symmetry flag.
-
-    A declared ``diameter`` must equal the true maximum pairwise distance of
-    ``points`` (within 1e-9); ``None`` takes the computed one, which is what
-    :meth:`from_points` passes.  Either way the O(m^2) diameter is computed
-    once.
+    """Object-frame point set with its symmetry flag.  The ``diameter`` is
+    the maximum pairwise distance of ``points``, computed once (O(m^2)) at
+    construction; it cannot be passed in.
     """
 
     points: np.ndarray
-    diameter: float | None
     symmetric: bool
+    diameter: float = field(init=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=np.float64)
@@ -150,21 +145,16 @@ class ObjectModel:
             raise ValueError(f"model needs >= 2 points of dim 3, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("model points must be finite")
-        true_diameter = max_pairwise_distance(pts)
-        if true_diameter <= 0:
+        diameter = max_pairwise_distance(pts)
+        if diameter <= 0:
             raise ValueError("model diameter must be positive (all points coincide?)")
-        if self.diameter is None:
-            object.__setattr__(self, "diameter", true_diameter)
-        elif not abs(self.diameter - true_diameter) <= DIAMETER_TOLERANCE:
-            raise ValueError(
-                f"declared diameter {self.diameter} != max pairwise distance {true_diameter}"
-            )
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "diameter", diameter)
 
     @staticmethod
     def from_points(points, symmetric: bool) -> "ObjectModel":
-        return ObjectModel(points, None, symmetric)
+        return ObjectModel(points, symmetric)
 
     @property
     def point_count(self) -> int:

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptyObjectError
-from .geometry import CameraIntrinsics, backproject, backproject_pixels
+from .geometry import CameraIntrinsics, backproject_pixels
 
 
 class RefStrategy(Enum):
@@ -52,14 +52,6 @@ class DepthMap:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class InstanceMask:
@@ -73,14 +65,6 @@ class InstanceMask:
             raise ValueError(f"mask must be 2-D, got shape {v.shape}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -146,37 +130,33 @@ def fsum_mean(values: np.ndarray) -> float:
     return math.fsum(values.tolist()) / values.size
 
 
-def _check_roi(roi: Roi, depth: DepthMap) -> None:
-    if not roi.intersects(depth.width, depth.height):
-        raise ValueError(
-            f"roi {roi} does not intersect a {depth.width}x{depth.height} image"
-        )
+def _ref_center(
+    depth: DepthMap, mask: InstanceMask, roi: Roi, k: CameraIntrinsics, statistic, strategy: RefStrategy
+) -> ReferencePoint:
+    """ROI-center pixel lifted at ``statistic`` of the valid masked depths."""
+    height, width = depth.values.shape
+    if not roi.intersects(width, height):
+        raise ValueError(f"roi {roi} does not intersect a {width}x{height} image")
+    depths = _valid_masked_depths(depth, mask)
+    if depths.size == 0:
+        raise EmptyObjectError("no masked pixel with valid depth")
+    d0 = float(statistic(depths))
+    x0, y0, _ = backproject_pixels(roi.c_col, roi.c_row, d0, k).tolist()
+    return ReferencePoint(x0, y0, d0, strategy)
 
 
 def ref_center_nearest(
     depth: DepthMap, mask: InstanceMask, roi: Roi, k: CameraIntrinsics
 ) -> ReferencePoint:
     """ROI-center pixel, depth of the closest valid masked point."""
-    _check_roi(roi, depth)
-    depths = _valid_masked_depths(depth, mask)
-    if depths.size == 0:
-        raise EmptyObjectError("no masked pixel with valid depth")
-    d0 = float(depths.min())
-    p = backproject(roi.c_col, roi.c_row, d0, k)
-    return ReferencePoint(p.x, p.y, d0, RefStrategy.CENTER_NEAREST_DEPTH)
+    return _ref_center(depth, mask, roi, k, np.min, RefStrategy.CENTER_NEAREST_DEPTH)
 
 
 def ref_center_meandepth(
     depth: DepthMap, mask: InstanceMask, roi: Roi, k: CameraIntrinsics
 ) -> ReferencePoint:
     """ROI-center pixel, arithmetic mean of valid masked depths."""
-    _check_roi(roi, depth)
-    depths = _valid_masked_depths(depth, mask)
-    if depths.size == 0:
-        raise EmptyObjectError("no masked pixel with valid depth")
-    d0 = fsum_mean(depths)
-    p = backproject(roi.c_col, roi.c_row, d0, k)
-    return ReferencePoint(p.x, p.y, d0, RefStrategy.CENTER_MEAN_DEPTH)
+    return _ref_center(depth, mask, roi, k, fsum_mean, RefStrategy.CENTER_MEAN_DEPTH)
 
 
 def ref_mean_visible(depth: DepthMap, mask: InstanceMask, k: CameraIntrinsics) -> ReferencePoint:
@@ -194,17 +174,12 @@ def ref_mean_visible(depth: DepthMap, mask: InstanceMask, k: CameraIntrinsics) -
 
 
 def make_reference(
-    depth: DepthMap,
-    mask: InstanceMask,
-    k: CameraIntrinsics,
-    strategy: RefStrategy,
-    roi: Roi | None = None,
+    depth: DepthMap, mask: InstanceMask, k: CameraIntrinsics, strategy: RefStrategy
 ) -> ReferencePoint:
-    """Dispatch on strategy; ROI defaults to the mask bounding-box center."""
+    """Dispatch on strategy; the ROI is the mask's bounding box."""
     if strategy is RefStrategy.MEAN_VISIBLE:
         return ref_mean_visible(depth, mask, k)
-    if roi is None:
-        roi = roi_from_mask(mask)
+    roi = roi_from_mask(mask)
     if strategy is RefStrategy.CENTER_NEAREST_DEPTH:
         return ref_center_nearest(depth, mask, roi, k)
     if strategy is RefStrategy.CENTER_MEAN_DEPTH:

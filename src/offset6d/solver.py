@@ -25,6 +25,7 @@ import numpy as np
 from .encoding import GeoEncoding, InputMode, decode_translation
 from .errors import DegenerateConfigurationError, ModeMismatchError
 from .geometry import RigidPose, nearest_rotation
+from .refpoint import ReferencePoint
 
 # Relative singular-value floor below which a configuration is declared
 # degenerate (applied to the covariance / normal matrix of each solve).
@@ -120,12 +121,21 @@ def _reconstruct_camera_points(enc: GeoEncoding) -> np.ndarray:
     return np.stack([x, y, d], axis=1)
 
 
-def _constraint_rms(enc: GeoEncoding, delta_abc: np.ndarray, pose: RigidPose) -> float:
+def _object_points(
+    cam: np.ndarray, delta_abc: np.ndarray, ref: ReferencePoint, pose: RigidPose
+) -> np.ndarray:
+    """Surface points in the object frame: the targets anchored at the
+    reference point's object-frame image under ``pose``, scaled by depth."""
+    obj0 = pose.rotation.T @ (ref.as_array() - pose.translation)
+    return (delta_abc + obj0[None, :] / ref.d0) * cam[:, 2:3]
+
+
+def _constraint_rms(
+    cam: np.ndarray, delta_abc: np.ndarray, ref: ReferencePoint, pose: RigidPose
+) -> float:
     """Meters-level RMS: reconstruct each surface point in both frames under
     the recovered pose and measure the 3D mismatch."""
-    cam = _reconstruct_camera_points(enc)
-    obj0 = pose.rotation.T @ (enc.ref.as_array() - pose.translation)
-    obj = (delta_abc + obj0[None, :] / enc.ref.d0) * cam[:, 2:3]
+    obj = _object_points(cam, delta_abc, ref, pose)
     residual = obj @ pose.rotation.T + pose.translation - cam
     return float(np.sqrt(np.mean(np.sum(residual**2, axis=1))))
 
@@ -203,6 +213,7 @@ def solve_from_constraints(
     rows_star = solution[:3, :].T
     dt_star = solution[3, :]
 
+    cam = _reconstruct_camera_points(enc)
     best = None
     e3 = np.array([0.0, 0.0, 1.0])
     for sign in (1.0, -1.0):
@@ -211,17 +222,14 @@ def solve_from_constraints(
         raw_rotation = rows_star + lam[:, None] * null_r[None, :]
         delta_t = dt_star + lam * null_vec[3]
         pose = RigidPose(nearest_rotation(raw_rotation), decode_translation(delta_t, ref))
-        rms = _constraint_rms(enc, delta_abc, pose)
+        rms = _constraint_rms(cam, delta_abc, ref, pose)
         if best is None or rms < best[0]:
             best = (rms, pose, raw_rotation)
     rms, pose, raw_rotation = best
 
     for _ in range(refine_iterations):
-        cam = _reconstruct_camera_points(enc)
-        obj0 = pose.rotation.T @ (ref.as_array() - pose.translation)
-        obj = (delta_abc + obj0[None, :] / ref.d0) * cam[:, 2:3]
-        pose = solve_procrustes(cam, obj).pose
-        rms = _constraint_rms(enc, delta_abc, pose)
+        pose = solve_procrustes(cam, _object_points(cam, delta_abc, ref, pose)).pose
+        rms = _constraint_rms(cam, delta_abc, ref, pose)
 
     return SolveReport(
         pose=pose,

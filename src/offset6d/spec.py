@@ -4,8 +4,8 @@ A :class:`SceneSpec` names the object model (an analytic primitive or a
 point-set file), the camera, the translation distribution, the nuisance
 settings and the seed.  With a scene index it fixes one scene exactly; see
 :mod:`offset6d.synth` for the generator and :func:`offset6d.formats.spec_to_pairs`
-for the spec's one text form (the manifest lines, also the basis of scene
-digests).
+for the spec's one text form (the manifest's spec lines and the experiment
+config's keys).
 """
 
 from __future__ import annotations

@@ -3,9 +3,7 @@
 A scene is fully determined by a :class:`~offset6d.spec.SceneSpec` plus a
 scene index: the per-scene RNG is a counter-based Philox stream keyed by the
 spec seed with the scene index in the counter, so datasets are reproducible
-point-for-point and scenes can be generated in any order or in parallel.  A
-scene's digest hashes the spec's manifest lines
-(:func:`offset6d.formats.spec_to_pairs`) with its index.
+point-for-point and scenes can be generated in any order or in parallel.
 
 Rendering: for the analytic primitives (box, cylinder, sphere) every pixel
 ray is intersected with the exact surface and the nearest hit wins, so each
@@ -20,7 +18,6 @@ a masked pixel (the mask keeps claiming the object, mimicking a sensor hole).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -33,7 +30,6 @@ from .geometry import RigidPose
 from .metrics import ObjectModel
 from .refpoint import DepthMap, InstanceMask, RefStrategy, make_reference
 from .spec import (
-    RNG_ALGORITHM,
     BoxModel,
     BoxVolume,
     CylinderModel,
@@ -53,7 +49,6 @@ _PERTURB_COUNTER = 1 << 193
 class SyntheticScene:
     observation: SceneObservation
     model: ObjectModel
-    spec_digest: str
 
 
 def _stream(seed: int, counter: int) -> np.random.Generator:
@@ -423,14 +418,7 @@ def render_scene(spec: SceneSpec, index: int, model: ObjectModel | None = None) 
         intrinsics=spec.intrinsics,
         gt_pose=pose,
     )
-    return SyntheticScene(observation=observation, model=model, spec_digest=scene_digest(spec, index))
-
-
-def scene_digest(spec: SceneSpec, index: int) -> str:
-    """SHA-256 of the manifest's spec lines (``rng_algorithm`` and
-    :func:`formats.spec_to_pairs`) followed by an ``index`` line."""
-    pairs = [("rng_algorithm", RNG_ALGORITHM), *formats.spec_to_pairs(spec), ("index", str(index))]
-    return hashlib.sha256(formats.format_keyvalue(pairs).encode()).hexdigest()
+    return SyntheticScene(observation=observation, model=model)
 
 
 @dataclass(frozen=True)
@@ -470,17 +458,16 @@ class DistributionReport:
         return out
 
 
-def distribution_report(scenes, strategy: RefStrategy) -> DistributionReport:
+def distribution_report(observations, strategy: RefStrategy) -> DistributionReport:
     """Compare ground-truth translation spread against the anchored offsets.
 
-    For each scene the reference point of the given strategy is computed and
-    ``delta_t = t - t0`` recorded; variances are sample variances (ddof=1).
-    Accepts :class:`SyntheticScene` items or bare observations.
+    For each observation the reference point of the given strategy is
+    computed and ``delta_t = t - t0`` recorded; variances are sample
+    variances (ddof=1).
     """
     raw = []
     delta = []
-    for scene in scenes:
-        obs = scene.observation if isinstance(scene, SyntheticScene) else scene
+    for obs in observations:
         if obs.gt_pose is None:
             raise ValueError("distribution report needs ground-truth poses")
         ref = make_reference(obs.depth, obs.mask, obs.intrinsics, strategy)

@@ -44,8 +44,8 @@ class TestEncodeInput:
         # Reference equal to the pixel's own lifted point: all offsets vanish.
         k = o6.CameraIntrinsics(fx=100.0, fy=100.0, cx=10.0, cy=10.0)
         obs = obs_from_pixels({(10, 15): 2.0}, k=k)
-        lifted = o6.backproject(15, 10, 2.0, k)
-        ref = manual_ref(lifted.x, lifted.y, lifted.d)
+        # Pixel (u, v) = (15, 10) at depth 2 lifts to ((15 - cx) / fx * 2, (10 - cy) / fy * 2, 2).
+        ref = manual_ref((15 - k.cx) / k.fx * 2.0, (10 - k.cy) / k.fy * 2.0, 2.0)
         enc = o6.encode_input(obs, ref, InputMode.GEOMETRIC)
         assert enc.delta_x[0] == 0.0 and enc.delta_y[0] == 0.0 and enc.delta_d[0] == 0.0
 

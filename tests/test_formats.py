@@ -156,6 +156,34 @@ class TestDepthPgm:
             formats.read_depth_pgm(path)
 
 
+class TestPgmRoundTripProperty:
+    SHAPES = st.tuples(st.integers(1, 12), st.integers(1, 12))
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), shape=SHAPES)
+    def test_depth_within_half_millimetre(self, tmp_path, data, shape):
+        # Depths anywhere in the 16-bit millimetre range, with holes (0).
+        depth = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+            st.just(0.0), st.floats(0.0, formats.MAX_DEPTH_MM * formats.DEPTH_UNIT),
+        )))
+        path = tmp_path / "depth.pgm"
+        formats.write_depth_pgm(path, depth)
+        back = formats.read_depth_pgm(path)
+        assert back.shape == depth.shape
+        assert np.abs(back - depth).max() <= 0.0005 + 1e-12
+        assert np.all(back[depth == 0] == 0)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), shape=SHAPES)
+    def test_mask_exact(self, tmp_path, data, shape):
+        mask = data.draw(hnp.arrays(bool, shape))
+        path = tmp_path / "mask.pgm"
+        formats.write_mask_pgm(path, mask)
+        back = formats.read_mask_pgm(path)
+        assert back.dtype == bool and back.shape == mask.shape
+        np.testing.assert_array_equal(back, mask)
+
+
 class TestMaskPgm:
     def test_round_trip(self, tmp_path, rng):
         mask = rng.random((6, 7)) < 0.5
@@ -527,8 +555,10 @@ class TestCsv:
             st.none(),
             st.integers(),
             st.floats(),
-            # No line breaks, and no '#', which starts a comment line.
-            st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters="#")),
+            # Any text but NUL, which the csv reader of Python 3.10 rejects;
+            # the second strategy draws often from '#', quotes and line breaks.
+            st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),
+            st.text(alphabet="#\r\n\",x "),
         ),
         min_size=3, max_size=3,
     ), max_size=8))
@@ -548,6 +578,19 @@ class TestCsv:
                     )
                 else:
                     assert cell == str(value)
+
+    def test_comment_like_cells_and_line_breaks_survive(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        rows = [["#x", 1.0], ["y", "two\nlines"], ["cr\r", "crlf\r\n"]]
+        formats.write_csv(path, "results/v1", ["#a", "b"], rows, stamp="2026-08-09T00:00:00")
+        header, back = formats.read_csv(path, "results/v1")
+        assert header == ["#a", "b"]
+        assert back == [["#x", "1.0"], ["y", "two\nlines"], ["cr\r", "crlf\r\n"]]
+
+    def test_plain_rows_are_not_quoted(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        formats.write_csv(path, "results/v1", ["n", "v"], [["x#", 1.5], ["y", None]])
+        assert path.read_bytes() == b"# results/v1\nn,v\nx#,1.5\ny,\n"
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "rows.csv"

@@ -1,8 +1,10 @@
 """Package structure, read from the source: the module-level import graph of
-``offset6d`` is acyclic, and no module hides an import of another package
-module inside a function."""
+``offset6d`` is acyclic, no module hides an import of another package module
+inside a function, and every function the benchmark traces exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import offset6d
@@ -83,3 +85,19 @@ def test_module_import_graph_is_acyclic():
         visit(name, [])
     assert graph["spec"] == {"geometry"}
     assert "spec" in graph["formats"] and "formats" in graph["synth"]
+
+
+def test_every_traced_layer_function_exists():
+    # bench/layers.py names the functions a traced benchmark run wraps; a
+    # deleted or renamed one would break the benchmark, so it fails here.
+    path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in layers.LAYER_FUNCTIONS.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"offset6d.{layer}"), name, None))
+    ]
+    assert missing == []

@@ -56,11 +56,11 @@ def per_pair_add_s(a_pts, b_pts):
 
 class TestObjectModel:
     def test_diameter_must_match(self, rng):
+        # The diameter is computed from the points; it cannot be declared.
         pts = rng.uniform(-1, 1, (10, 3))
-        with pytest.raises(ValueError):
-            o6.ObjectModel(pts, diameter=1e9, symmetric=False)
-        with pytest.raises(ValueError):
-            o6.ObjectModel(pts, diameter=math.nan, symmetric=False)
+        assert o6.ObjectModel(pts, False).diameter == metrics.max_pairwise_distance(pts)
+        with pytest.raises(TypeError):
+            o6.ObjectModel(pts, False, diameter=1e9)
 
     def test_diameter_computed_once(self, rng, monkeypatch):
         calls = []
@@ -260,7 +260,7 @@ class TestAddSelective:
     def test_branches(self, rng):
         pred, gt = random_pose(rng), random_pose(rng)
         sym = ball_model(rng, symmetric=True)
-        asym = o6.ObjectModel(sym.points, sym.diameter, symmetric=False)
+        asym = o6.ObjectModel(sym.points, symmetric=False)
         assert o6.add_selective(pred, gt, sym) == o6.add_s(pred, gt, sym)
         assert o6.add_selective(pred, gt, asym) == o6.add(pred, gt, asym)
 

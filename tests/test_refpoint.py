@@ -23,13 +23,18 @@ def make_maps(depths: dict[tuple[int, int], float], shape=(20, 20)):
     return o6.DepthMap(depth), o6.InstanceMask(mask)
 
 
+def lift(u, v, d, k=K):
+    """The pin-hole formula in Python floats: (x, y, d) of pixel (u, v)."""
+    return ((u - k.cx) / k.fx * d, (v - k.cy) / k.fy * d, d)
+
+
 class TestCenterNearest:
     def test_singleton_equals_backprojection(self):
         depth, mask = make_maps({(7, 5): 0.8})
         roi = o6.Roi(c_col=5, c_row=7, w=3, h=3)
         ref = o6.ref_center_nearest(depth, mask, roi, K)
-        expected = o6.backproject(5, 7, 0.8, K)
-        assert (ref.x0, ref.y0, ref.d0) == (expected.x, expected.y, expected.d)
+        assert (ref.x0, ref.y0, ref.d0) == lift(5, 7, 0.8)
+        assert all(type(c) is float for c in (ref.x0, ref.y0, ref.d0))
         assert ref.strategy is o6.RefStrategy.CENTER_NEAREST_DEPTH
 
     def test_min_over_masked_depths(self):
@@ -38,8 +43,7 @@ class TestCenterNearest:
         ref = o6.ref_center_nearest(depth, mask, roi, K)
         assert ref.d0 == 0.8
         # (x0, y0) from the ROI center, not from the nearest pixel.
-        expected = o6.backproject(6, 6, 0.8, K)
-        assert (ref.x0, ref.y0) == (expected.x, expected.y)
+        assert (ref.x0, ref.y0) == lift(6, 6, 0.8)[:2]
 
     def test_all_invalid_depths(self):
         depth, mask = make_maps({})
@@ -54,8 +58,7 @@ class TestCenterNearest:
         depth, mask = make_maps({(2, 2): 1.0})
         roi = o6.Roi(c_col=15, c_row=15, w=30, h=30)
         ref = o6.ref_center_nearest(depth, mask, roi, K)
-        expected = o6.backproject(15, 15, 1.0, K)
-        assert (ref.x0, ref.y0) == (expected.x, expected.y)
+        assert (ref.x0, ref.y0) == lift(15, 15, 1.0)[:2]
 
     def test_roi_outside_image(self):
         depth, mask = make_maps({(2, 2): 1.0})
@@ -86,8 +89,7 @@ class TestMeanVisible:
     def test_singleton(self):
         depth, mask = make_maps({(7, 5): 0.8})
         ref = o6.ref_mean_visible(depth, mask, K)
-        expected = o6.backproject(5, 7, 0.8, K)
-        assert (ref.x0, ref.y0, ref.d0) == (expected.x, expected.y, expected.d)
+        assert (ref.x0, ref.y0, ref.d0) == lift(5, 7, 0.8)
 
     def test_midpoint_of_two(self):
         # Two pixels lifting to (0, 0, 1) and (2, 0, 1): u = cx and u = cx + 2 fx.

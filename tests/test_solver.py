@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import offset6d as o6
 from offset6d.errors import DegenerateConfigurationError, ModeMismatchError
@@ -108,6 +110,35 @@ class TestConstraintSolve:
             baseline = o6.solve_procrustes(cam, obj)
             assert o6.rotation_geodesic_error(report.pose, baseline.pose) < 1e-8
             assert np.linalg.norm(report.pose.translation - baseline.pose.translation) < 1e-8
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.one_of(
+            st.builds(o6.SphereModel, st.floats(0.03, 0.12)),
+            st.builds(o6.CylinderModel, st.floats(0.02, 0.08), st.floats(0.05, 0.2)),
+            st.builds(o6.BoxModel, st.floats(0.04, 0.2), st.floats(0.04, 0.2), st.floats(0.04, 0.2)),
+        ),
+        z=st.floats(0.6, 1.6),
+        seed=st.integers(0, 2**32 - 1),
+        index=st.integers(0, 1000),
+        strategy=st.sampled_from(list(o6.RefStrategy)),
+    )
+    def test_agrees_with_procrustes_on_rendered_scenes(self, kind, z, seed, index, strategy):
+        # Well-conditioned: at least 50 pixels spread over >= 1 cm of depth.
+        spec = small_scene_spec(
+            seed=seed, model_kind=kind, surface_sample_count=50,
+            translation_dist=o6.BoxVolume((0.0, 0.0, z), (0.1, 0.1, 0.1)),
+        )
+        obs = o6.render_scene(spec, index).observation
+        ref = o6.make_reference(obs.depth, obs.mask, obs.intrinsics, strategy)
+        enc = o6.encode_input(obs, ref)
+        depths = obs.depth.values[enc.vs, enc.us]
+        assume(len(enc) >= 50 and np.ptp(depths) >= 0.01)
+        report = o6.solve_from_constraints(enc, o6.encode_targets(obs, ref).delta_abc)
+        cam = o6.backproject_pixels(enc.us, enc.vs, depths, obs.intrinsics)
+        baseline = o6.solve_procrustes(cam, o6.inverse_transform_points(obs.gt_pose, cam))
+        assert o6.rotation_geodesic_error(report.pose, baseline.pose) < 1e-8
+        assert np.linalg.norm(report.pose.translation - baseline.pose.translation) < 1e-8
 
     def test_uniform_depth_is_degenerate(self):
         # Fronto-parallel plane: dd = 0 kills the translation column and

@@ -12,7 +12,7 @@ import offset6d as o6
 from offset6d import formats, synth
 from offset6d.errors import EmptyObjectError
 from offset6d.geometry import rotation_defect
-from offset6d.synth import model_rng, scene_digest, scene_rng
+from offset6d.synth import model_rng, scene_rng
 
 from conftest import default_intrinsics, random_rotation, small_scene_spec
 
@@ -273,15 +273,8 @@ class TestRenderScene:
         b = o6.render_scene(spec, 2)
         assert a.observation.depth.values.tobytes() == b.observation.depth.values.tobytes()
         assert a.observation.mask.values.tobytes() == b.observation.mask.values.tobytes()
-        assert a.spec_digest == b.spec_digest
         c = o6.render_scene(spec, 3)
         assert c.observation.depth.values.tobytes() != a.observation.depth.values.tobytes()
-
-    def test_digest_tracks_spec_and_index(self):
-        spec = small_scene_spec(seed=43)
-        other = small_scene_spec(seed=44)
-        assert scene_digest(spec, 0) != scene_digest(spec, 1)
-        assert scene_digest(spec, 0) != scene_digest(other, 0)
 
     def test_gt_pose_draw_matches_stream(self):
         spec = small_scene_spec(seed=45)
@@ -416,14 +409,14 @@ class TestDistributionReport:
     def test_identical_poses_zero_variance(self):
         spec = small_scene_spec(seed=53)
         scene = o6.render_scene(spec, 0)
-        report = o6.distribution_report([scene, scene, scene], o6.RefStrategy.MEAN_VISIBLE)
+        report = o6.distribution_report([scene.observation] * 3, o6.RefStrategy.MEAN_VISIBLE)
         np.testing.assert_array_equal(report.raw_variance, np.zeros(3))
         np.testing.assert_array_equal(report.delta_variance, np.zeros(3))
 
     def test_compaction_on_small_sweep(self):
         spec = small_scene_spec(seed=55, translation_dist=o6.BoxVolume((0, 0, 1.0), (0.3, 0.3, 0.3)))
         model = o6.model_for_spec(spec)
-        scenes = [o6.render_scene(spec, i, model=model) for i in range(60)]
+        scenes = [o6.render_scene(spec, i, model=model).observation for i in range(60)]
         report = o6.distribution_report(scenes, o6.RefStrategy.MEAN_VISIBLE)
         assert report.scene_count == 60
         assert np.all(report.variance_ratio > 10)
@@ -432,7 +425,7 @@ class TestDistributionReport:
         sigma = 5e-4
         spec = small_scene_spec(seed=57, depth_noise_sigma=sigma)
         model = o6.model_for_spec(spec)
-        scenes = [o6.render_scene(spec, i, model=model) for i in range(40)]
+        scenes = [o6.render_scene(spec, i, model=model).observation for i in range(40)]
         report = o6.distribution_report(scenes, o6.RefStrategy.MEAN_VISIBLE)
         bound = model.diameter / 2 + 3 * sigma
         assert np.all(report.delta_min >= -bound - 1e-9)
@@ -440,7 +433,7 @@ class TestDistributionReport:
 
     def test_rows_structure(self):
         spec = small_scene_spec(seed=59)
-        scenes = [o6.render_scene(spec, i) for i in range(3)]
+        scenes = [o6.render_scene(spec, i).observation for i in range(3)]
         report = o6.distribution_report(scenes, o6.RefStrategy.CENTER_MEAN_DEPTH)
         rows = report.rows()
         assert len(rows) == 6
@@ -450,7 +443,7 @@ class TestDistributionReport:
     def test_needs_two_scenes(self):
         spec = small_scene_spec(seed=61)
         with pytest.raises(ValueError):
-            o6.distribution_report([o6.render_scene(spec, 0)], o6.RefStrategy.MEAN_VISIBLE)
+            o6.distribution_report([o6.render_scene(spec, 0).observation], o6.RefStrategy.MEAN_VISIBLE)
 
 
 class TestSpecText:
@@ -459,16 +452,17 @@ class TestSpecText:
     VOLUMES = [o6.BoxVolume((0.0, 0.0, 1.0), (0.25, 0.25, 0.25)),
                o6.GaussianVolume((0.0, 0.1, 1.2), (0.05, 0.05, 0.1))]
 
-    def test_pairs_round_trip_and_digests_differ(self):
+    def test_pairs_round_trip_and_texts_differ(self):
         specs = [
             small_scene_spec(seed=73, model_kind=kind, translation_dist=volume)
             for kind in self.KINDS for volume in self.VOLUMES
         ]
-        digests = set()
+        texts = set()
         for spec in specs:
             assert formats.pairs_to_spec(dict(formats.spec_to_pairs(spec))) == spec
-            digests |= {scene_digest(spec, 0), scene_digest(spec, 1)}
-        assert len(digests) == 2 * len(specs)
+            texts.add(formats.format_keyvalue(formats.spec_to_pairs(spec)))
+        texts.add(formats.format_keyvalue(formats.spec_to_pairs(small_scene_spec(seed=74))))
+        assert len(texts) == len(specs) + 1
 
 
 class TestSpecValidation:
