@@ -29,8 +29,8 @@ comment.  Any toolkit or file error exits 1 with a one-line diagnostic;
 
 from __future__ import annotations
 
-import dataclasses
 import datetime
+import math
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -62,6 +62,7 @@ from .metrics import (
     decompose_add_loss,
     weighted_add_loss,
 )
+from .record import replace
 from .refpoint import RefStrategy, make_reference
 from .solver import ConditionFlag, rotation_geodesic_error, solve_from_constraints
 from .synth import perturbation_rng
@@ -97,6 +98,13 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except (Offset6DError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
+
+
+def _finite(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    """Option callback: NaN and infinity pass a ``FloatRange`` but no gate."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number.")
+    return value
 
 
 def _stamp_value(enabled: bool) -> str | None:
@@ -166,7 +174,7 @@ def synth_gen(config_path: str, out: str | None, count: int | None, seed: int | 
     kv = formats.read_experiment_config(config_path)
     spec = formats.pairs_to_spec(kv, config_path)
     if seed is not None:
-        spec = dataclasses.replace(spec, seed=seed)
+        spec = replace(spec, seed=seed)
     config_count = formats.scene_count(kv, config_path, default="0")
     n = count if count is not None else config_count
     if n <= 0:
@@ -210,7 +218,7 @@ def encode_cmd(dataset: str, out: str, strategy: str, input_mode: str, target_mo
 @click.option("--dataset", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--encodings", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--form", type=click.Choice(sorted(_FORMS) + ["both"]), default="both")
-@click.option("--tolerance", type=float, default=1e-9, show_default=True,
+@click.option("--tolerance", type=click.FloatRange(min=0.0), callback=_finite, default=1e-9, show_default=True,
               help="Exit nonzero when the corrected-form max residual exceeds this.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def verify_cmd(dataset: str, encodings: str, form: str, tolerance: float, out: str | None) -> None:
@@ -224,14 +232,20 @@ def verify_cmd(dataset: str, encodings: str, form: str, tolerance: float, out: s
     gate_form = ConstraintForm.CORRECTED
     forms = set(requested) | {gate_form}
     stats = {f: {"max": 0.0, "sq_sum": 0.0, "n": 0} for f in forms}
+    nonfinite = []
     for name, obs in _observations(root, names, need_pose=True):
         enc, tgt = _read_encoded(enc_root / name)
         for f in forms:
             residual = constraint_residual(enc, tgt, obs.gt_pose, f)
             norms = np.linalg.norm(residual, axis=1)
+            if not np.all(np.isfinite(norms)):  # max() would skip a NaN
+                nonfinite.append(name)
+                break
             stats[f]["max"] = max(stats[f]["max"], float(norms.max()))
             stats[f]["sq_sum"] += float(np.sum(norms**2))
             stats[f]["n"] += norms.size
+    if nonfinite:
+        raise click.ClickException(f"non-finite constraint residuals in {', '.join(nonfinite)}")
     pairs: list[tuple[str, str]] = [("format", "verify/v1")]
     for f in requested:
         rms = (stats[f]["sq_sum"] / stats[f]["n"]) ** 0.5
@@ -251,10 +265,10 @@ def verify_cmd(dataset: str, encodings: str, form: str, tolerance: float, out: s
 @main.command("solve")
 @click.option("--encodings", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--perturb-sigma", type=float, default=0.0, show_default=True,
+@click.option("--perturb-sigma", type=click.FloatRange(min=0.0), callback=_finite, default=0.0, show_default=True,
               help="Gaussian noise added to the object-frame targets before solving.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for the perturbation stream.")
-@click.option("--refine", type=int, default=0, show_default=True, help="Refinement iterations.")
+@click.option("--refine", type=click.IntRange(min=0), default=0, show_default=True, help="Refinement iterations.")
 @click.option("--stamp", is_flag=True, default=False, help="Add a timestamp comment (breaks byte-identity).")
 def solve_cmd(encodings: str, out: str, perturb_sigma: float, seed: int, refine: int, stamp: bool) -> None:
     """Recover poses from encodings (optionally with perturbed targets)."""
@@ -318,8 +332,10 @@ def _predicted(dataset: str, pred: str) -> tuple[ObjectModel, Iterator[tuple]]:
 @click.option("--dataset", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--pred", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--auc-max", type=float, default=0.1, show_default=True)
-@click.option("--threshold-fraction", type=float, default=0.1, show_default=True)
+@click.option("--auc-max", type=click.FloatRange(min=0.0, min_open=True), callback=_finite, default=0.1,
+              show_default=True)
+@click.option("--threshold-fraction", type=click.FloatRange(min=0.0, min_open=True), callback=_finite, default=0.1,
+              show_default=True)
 @click.option("--summary-out", type=click.Path(dir_okay=False), default=None)
 @click.option("--stamp", is_flag=True, default=False)
 def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fraction: float,
@@ -393,8 +409,8 @@ def dist_report_cmd(dataset: str, strategy: str, out: str, stamp: bool) -> None:
 @click.option("--dataset", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--pred", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--w-rot", type=float, default=1.0, show_default=True)
-@click.option("--w-trans", type=float, default=1.0, show_default=True)
+@click.option("--w-rot", type=click.FloatRange(min=0.0), callback=_finite, default=1.0, show_default=True)
+@click.option("--w-trans", type=click.FloatRange(min=0.0), callback=_finite, default=1.0, show_default=True)
 @click.option("--stamp", is_flag=True, default=False)
 def loss_decompose_cmd(dataset: str, pred: str, out: str, w_rot: float, w_trans: float, stamp: bool) -> None:
     """Split the squared pose loss into rotation/cross/translation parts."""

@@ -30,7 +30,7 @@ computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import record
 from enum import Enum
 
 import numpy as np
@@ -63,7 +63,7 @@ class ConstraintForm(Enum):
     AS_PRINTED = "as-printed"         # anchor term 1/(d_i d0), no dd factor
 
 
-@dataclass(frozen=True)
+@record
 class SceneObservation:
     """One observed object instance: depth + mask + intrinsics.
 
@@ -90,7 +90,7 @@ def valid_pixels(obs: SceneObservation, depth_epsilon: float = DEPTH_EPSILON):
     return rows, cols, obs.depth.values[rows, cols]
 
 
-@dataclass(frozen=True)
+@record
 class GeoEncoding:
     """Per-pixel camera-frame input channels around a reference point.
 
@@ -128,7 +128,7 @@ class GeoEncoding:
         return self.us.shape[0]
 
 
-@dataclass(frozen=True)
+@record
 class GeoTargets:
     """Object-frame regression targets for the same pixel set.
 

@@ -38,7 +38,6 @@ import io
 import itertools
 import os
 import tempfile
-from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +46,7 @@ from .encoding import ConstraintForm, GeoEncoding, GeoTargets, InputMode, SceneO
 from .errors import ConfigError, FormatError
 from .geometry import CameraIntrinsics, RigidPose
 from .metrics import ObjectModel
+from .record import astuple, fields
 from .refpoint import DepthMap, InstanceMask, ReferencePoint, RefStrategy
 from .spec import (
     RNG_ALGORITHM,
@@ -688,7 +688,7 @@ def spec_to_pairs(spec: SceneSpec) -> list[tuple[str, str]]:
         pairs += [("model_kind", _config_name(kind, _PRIMITIVES)), ("model_params", format_floats(astuple(kind)))]
     dist = spec.translation_dist
     pairs.append(("translation_dist", _config_name(dist, _VOLUMES)))
-    pairs += [(f"translation_{f.name}", format_floats(getattr(dist, f.name))) for f in fields(dist)]
+    pairs += [(f"translation_{name}", format_floats(getattr(dist, name))) for name in fields(dist)]
     pairs += [
         ("depth_noise_sigma", format_float(spec.depth_noise_sigma)),
         ("pixel_dropout", format_float(spec.pixel_dropout)),
@@ -719,7 +719,7 @@ def pairs_to_spec(kv: dict[str, str], path="<config>") -> SceneSpec:
     if dist_name not in _VOLUMES:
         raise ConfigError(f"{path}: unknown translation_dist {dist_name!r}")
     volume = _VOLUMES[dist_name]
-    location, spread = (f"translation_{f.name}" for f in fields(volume))
+    location, spread = (f"translation_{name}" for name in fields(volume))
     where = value(location, _floats(3))
     dist = value(spread, lambda text: volume(where, _floats(3)(text)))
 

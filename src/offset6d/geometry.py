@@ -20,7 +20,7 @@ A pose ``(R, t)`` maps object-frame points to camera-frame points:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from .record import record
 
 import numpy as np
 
@@ -31,7 +31,7 @@ ROTATION_TOLERANCE = 1e-9
 ROTATION_REPAIR_LIMIT = 1e-6
 
 
-@dataclass(frozen=True)
+@record
 class CameraIntrinsics:
     """Pin-hole parameters in pixels: focal lengths and principal point."""
 
@@ -79,7 +79,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@record
 class RigidPose:
     """Rotation matrix and translation vector, object frame -> camera frame.
 

@@ -32,7 +32,7 @@ cross term vanishes and the split is rotation part + translation part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from .record import record
 
 import numpy as np
 
@@ -128,16 +128,15 @@ def max_pairwise_distance(points: np.ndarray) -> float:
     return math.sqrt(float(_reduce_squared_distances(pts, pts, np.maximum).max(initial=0.0)))
 
 
-@dataclass(frozen=True)
+@record
 class ObjectModel:
-    """Object-frame point set with its symmetry flag.  The ``diameter`` is
-    the maximum pairwise distance of ``points``, computed once (O(m^2)) at
-    construction; it cannot be passed in.
+    """Object-frame point set with its symmetry flag.  The ``diameter``
+    attribute is the maximum pairwise distance of ``points``, computed once
+    (O(m^2)) at construction; it is not a field and cannot be passed in.
     """
 
     points: np.ndarray
     symmetric: bool
-    diameter: float = field(init=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=np.float64)
@@ -161,7 +160,7 @@ class ObjectModel:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
+@record
 class MetricConfig:
     """Evaluation knobs: AUC threshold cap (meters) and the diameter fraction
     used for threshold accuracy."""
@@ -170,11 +169,11 @@ class MetricConfig:
     threshold_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.auc_max_threshold <= 0 or self.threshold_fraction <= 0:
+        if not (self.auc_max_threshold > 0 and self.threshold_fraction > 0):
             raise ValueError("metric config values must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class LossDecomposition:
     """Split of the squared loss; ``total`` is the exact sum of the parts."""
 
@@ -273,7 +272,7 @@ def weighted_add_loss(
     w_trans: float,
 ) -> float:
     """Reweighted split: ``w_rot * rotation + cross + w_trans * translation``."""
-    if w_rot < 0 or w_trans < 0:
+    if not (w_rot >= 0 and w_trans >= 0):
         raise ValueError("weights must be >= 0")
     parts = decompose_add_loss(pred, gt, model)
     return w_rot * parts.rotation_part + parts.cross_term + w_trans * parts.translation_part

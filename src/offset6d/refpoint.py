@@ -20,7 +20,7 @@ mask was produced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from .record import record
 from enum import Enum
 
 import numpy as np
@@ -35,7 +35,7 @@ class RefStrategy(Enum):
     MEAN_VISIBLE = "mean-visible"
 
 
-@dataclass(frozen=True)
+@record
 class DepthMap:
     """Row-major depth image in meters; 0 marks invalid/missing pixels."""
 
@@ -53,7 +53,7 @@ class DepthMap:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
+@record
 class InstanceMask:
     """Row-major boolean foreground mask, same shape as its depth map."""
 
@@ -67,7 +67,7 @@ class InstanceMask:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
+@record
 class Roi:
     """Box on the image plane: center pixel plus extent in pixels."""
 
@@ -91,7 +91,7 @@ class Roi:
         )
 
 
-@dataclass(frozen=True)
+@record
 class ReferencePoint:
     """Camera-frame anchor (x0, y0, d0) plus the strategy that produced it."""
 

@@ -17,7 +17,7 @@ report the pre-projection block alongside the final pose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import record
 from enum import Enum
 
 import numpy as np
@@ -40,7 +40,7 @@ class ConditionFlag(Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
+@record
 class SolveReport:
     """Solver output: pose, the raw least-squares rotation block before the
     SO(3) projection, the post-projection RMS residual in meters, the number

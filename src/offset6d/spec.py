@@ -10,7 +10,7 @@ config's keys).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import record
 from typing import Union
 
 import numpy as np
@@ -20,7 +20,7 @@ from .geometry import CameraIntrinsics
 RNG_ALGORITHM = "numpy-philox4x64-10"
 
 
-@dataclass(frozen=True)
+@record
 class BoxModel:
     width: float
     height: float
@@ -37,7 +37,7 @@ class BoxModel:
         return np.array([self.width, self.height, self.length]) / 2.0
 
 
-@dataclass(frozen=True)
+@record
 class CylinderModel:
     radius: float
     height: float
@@ -49,7 +49,7 @@ class CylinderModel:
             raise ValueError("cylinder dimensions must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class SphereModel:
     radius: float
 
@@ -60,7 +60,7 @@ class SphereModel:
             raise ValueError("sphere radius must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class FileModel:
     """Point set loaded from an ASCII PLY file; rendered by point splatting."""
 
@@ -71,7 +71,7 @@ class FileModel:
 ModelKind = Union[BoxModel, CylinderModel, SphereModel, FileModel]
 
 
-@dataclass(frozen=True)
+@record
 class BoxVolume:
     """Uniform translation sampling inside center +- half_widths."""
 
@@ -83,7 +83,7 @@ class BoxVolume:
             raise ValueError("half widths must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class GaussianVolume:
     mean: tuple[float, float, float]
     sigma: tuple[float, float, float]
@@ -96,7 +96,7 @@ class GaussianVolume:
 TranslationDist = Union[BoxVolume, GaussianVolume]
 
 
-@dataclass(frozen=True)
+@record
 class SceneSpec:
     """Everything needed to generate a dataset deterministically."""
 

@@ -19,7 +19,7 @@ a masked pixel (the mask keeps claiming the object, mimicking a sensor hole).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from .record import record
 
 import numpy as np
 
@@ -45,7 +45,7 @@ _MODEL_COUNTER = 1 << 192
 _PERTURB_COUNTER = 1 << 193
 
 
-@dataclass(frozen=True)
+@record
 class SyntheticScene:
     observation: SceneObservation
     model: ObjectModel
@@ -421,7 +421,7 @@ def render_scene(spec: SceneSpec, index: int, model: ObjectModel | None = None) 
     return SyntheticScene(observation=observation, model=model)
 
 
-@dataclass(frozen=True)
+@record
 class DistributionReport:
     """Per-component spread of raw translations vs anchored offsets."""
 

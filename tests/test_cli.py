@@ -1,7 +1,6 @@
 """Command-line pipeline: generation, encoding, verification, solving,
 evaluation, distribution and loss reports."""
 
-import dataclasses
 import os
 import shutil
 import subprocess
@@ -14,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import offset6d as o6
-from offset6d import formats
+from offset6d import formats, record
 from offset6d.cli import SOLVES_HEADER, SOLVES_VERSION, main
 
 from conftest import default_intrinsics
@@ -182,6 +181,31 @@ class TestVerify:
             assert formats.scene_name(i) in r.output
         for i in (2, 3):
             assert formats.scene_name(i) not in r.output
+
+    def test_nan_channel_fails_naming_scene(self, pipeline_dir, tmp_path):
+        # max() skips a NaN, so only a finite check fails it at 1e-9.
+        enc = tmp_path / "enc"
+        shutil.copytree(pipeline_dir / "enc", enc)
+        path = enc / formats.scene_name(2) / "encoding.txt"
+        geo, _ = formats.read_encoding(path)
+        delta_x = geo.delta_x.copy()
+        delta_x[0] = np.nan
+        formats.write_encoding(path, record.replace(geo, delta_x=delta_x))
+        r = CliRunner().invoke(main, [
+            "verify", "--dataset", str(pipeline_dir / "dataset"), "--encodings", str(enc), "--tolerance", "1e-9",
+        ])
+        assert_one_error_line(r, formats.scene_name(2), "non-finite")
+        assert "max residual" not in r.output
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-9"])
+    def test_bad_tolerance_rejected(self, pipeline_dir, tolerance):
+        r = CliRunner().invoke(main, [
+            "verify", "--dataset", str(pipeline_dir / "dataset"),
+            "--encodings", str(pipeline_dir / "enc"), "--tolerance", tolerance,
+        ])
+        assert r.exit_code == 2, r.output
+        assert "--tolerance" in r.output and "Traceback" not in r.output
+        assert "max residual" not in r.output
 
 
 class TestSolveEval:
@@ -559,6 +583,31 @@ class TestErrors:
         assert_one_error_line(CliRunner().invoke(main, args), str(path), detail)
         assert not (tmp_path / "results.csv").exists()
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("eval", "--auc-max", "-1"),
+        ("eval", "--auc-max", "0"),
+        ("eval", "--auc-max", "nan"),
+        ("eval", "--threshold-fraction", "inf"),
+        ("loss-decompose", "--w-rot", "-1"),
+        ("loss-decompose", "--w-trans", "nan"),
+        ("solve", "--perturb-sigma", "-1"),
+        ("solve", "--perturb-sigma", "nan"),
+        ("solve", "--refine", "-2"),
+    ])
+    def test_bad_option_value_rejected(self, pipeline_dir, tmp_path, command, option, value):
+        # Click refuses each (exit 2) before any file is read: none may reach
+        # a ValueError traceback, a NaN summary or a silent no-op.
+        out = tmp_path / "out.csv"
+        if command == "solve":
+            args = ["solve", "--encodings", str(pipeline_dir / "enc")]
+        else:
+            args = [command, "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pipeline_dir / "solves.csv")]
+        r = CliRunner().invoke(main, args + ["--out", str(out), option, value])
+        assert r.exit_code == 2, r.output
+        assert isinstance(r.exception, SystemExit)
+        assert option in r.output and "Traceback" not in r.output
+        assert not out.exists()
+
     def test_nan_target_flags_scene_degenerate(self, pipeline_dir, tmp_path):
         enc = tmp_path / "enc"
         shutil.copytree(pipeline_dir / "enc", enc)
@@ -566,7 +615,7 @@ class TestErrors:
         tgt = formats.read_targets(targets)
         delta_abc = tgt.delta_abc.copy()
         delta_abc[0, 0] = np.nan
-        formats.write_targets(targets, dataclasses.replace(tgt, delta_abc=delta_abc))
+        formats.write_targets(targets, record.replace(tgt, delta_abc=delta_abc))
         r = run(CliRunner(), ["solve", "--encodings", str(enc), "--out", str(tmp_path / "solves.csv")])
         assert r.exit_code == 0, r.output
         _, rows = formats.read_csv(tmp_path / "solves.csv", SOLVES_VERSION)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import offset6d as o6
 from offset6d.encoding import ConstraintForm, InputMode, TargetMode
@@ -247,6 +249,38 @@ class TestConstraintResidual:
         depths = rng.uniform(0.3, 3.0, 10_000)
         d0 = rng.uniform(0.3, 3.0)
         assert np.all(depths / depths - d0 / d0 == 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.one_of(
+            st.builds(o6.SphereModel, st.floats(0.03, 0.12)),
+            st.builds(o6.CylinderModel, st.floats(0.02, 0.08), st.floats(0.05, 0.2)),
+            st.builds(o6.BoxModel, st.floats(0.04, 0.2), st.floats(0.04, 0.2), st.floats(0.04, 0.2)),
+        ),
+        z=st.floats(0.3, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+        index=st.integers(0, 1000),
+        strategy=st.sampled_from(list(o6.RefStrategy)),
+    )
+    def test_corrected_form_identity_on_rendered_scenes(self, kind, z, seed, index, strategy):
+        # The paper's printed anchor term t0/(d d0) lacks the dd factor: on
+        # exact data CORRECTED vanishes and AS_PRINTED is off by exactly
+        # (dd - 1) t0 / (d d0), from 0.3 m to 5 m and for every anchor.
+        spec = small_scene_spec(
+            seed=seed, model_kind=kind, surface_sample_count=50,
+            translation_dist=o6.BoxVolume((0.0, 0.0, z), (0.05, 0.05, 0.05)),
+        )
+        obs = o6.render_scene(spec, index).observation
+        ref = o6.make_reference(obs.depth, obs.mask, obs.intrinsics, strategy)
+        enc = o6.encode_input(obs, ref)
+        tgt = o6.encode_targets(obs, ref)
+        corrected = o6.constraint_residual(enc, tgt, obs.gt_pose, ConstraintForm.CORRECTED)
+        printed = o6.constraint_residual(enc, tgt, obs.gt_pose, ConstraintForm.AS_PRINTED)
+        t0 = ref.as_array()
+        tol = 1e-12 * max(1.0, np.linalg.norm(t0) / enc.dd0.min())
+        assert np.abs(corrected).max() < tol
+        gap = (enc.delta_d - 1.0)[:, None] * t0[None, :] / enc.dd0[:, None]
+        np.testing.assert_allclose(printed - corrected, gap, rtol=0, atol=tol)
 
 
 class TestNaiveOffsetResidual:

@@ -1,6 +1,5 @@
 """File format round trips and malformed-input diagnostics."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import offset6d as o6
-from offset6d import formats
+from offset6d import formats, record
 from offset6d.encoding import ConstraintForm, GeoEncoding, GeoTargets, InputMode, TargetMode, geometric_products
 from offset6d.errors import ConfigError, FormatError
 
@@ -297,7 +296,7 @@ class TestEncodingFiles:
         channel.flat[0] = np.nextafter(channel.flat[0], np.inf)  # one ulp off
         path = tmp_path / "encoding.txt"
         with pytest.raises(ValueError, match="differ from the products of delta_d"):
-            formats.write_encoding(path, dataclasses.replace(enc, **{field: channel}))
+            formats.write_encoding(path, record.replace(enc, **{field: channel}))
         assert not path.exists()
 
     @pytest.mark.parametrize("columns", [
@@ -629,7 +628,7 @@ class TestSceneDir:
     def test_rewrite_without_pose_removes_old_pose(self, tmp_path):
         obs = o6.render_scene(small_scene_spec(seed=66), 0).observation
         formats.write_scene_dir(tmp_path / "scene_00000", obs)
-        formats.write_scene_dir(tmp_path / "scene_00000", dataclasses.replace(obs, gt_pose=None))
+        formats.write_scene_dir(tmp_path / "scene_00000", record.replace(obs, gt_pose=None))
         assert not (tmp_path / "scene_00000" / "pose.txt").exists()
         assert formats.read_scene_dir(tmp_path / "scene_00000").gt_pose is None
 

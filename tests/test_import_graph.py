@@ -1,6 +1,7 @@
 """Package structure, read from the source: the module-level import graph of
 ``offset6d`` is acyclic, no module hides an import of another package module
-inside a function, and every function the benchmark traces exists."""
+inside a function, no module generates code at import (``dataclasses``,
+``exec``, ``eval``), and every function the benchmark traces exists."""
 
 import ast
 import importlib
@@ -83,8 +84,28 @@ def test_module_import_graph_is_acyclic():
 
     for name in graph:
         visit(name, [])
-    assert graph["spec"] == {"geometry"}
+    assert graph["spec"] == {"geometry", "record"}
+    assert graph["record"] == set()
     assert "spec" in graph["formats"] and "formats" in graph["synth"]
+
+
+def test_no_module_generates_code():
+    # Records are built by ``offset6d.record`` without compiling source text;
+    # ``dataclasses`` would exec six methods per class on every launch.
+    found = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(module.split(".")[0] == "dataclasses" for module in modules):
+                found.append(f"{name}.py:{node.lineno} imports dataclasses")
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("exec", "eval"):
+                found.append(f"{name}.py:{node.lineno} calls {node.func.id}")
+    assert found == []
 
 
 def test_every_traced_layer_function_exists():

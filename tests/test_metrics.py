@@ -293,6 +293,13 @@ class TestAuc:
     def test_all_zero(self):
         assert o6.auc([0.0, 0.0]) == 1.0
 
+    @pytest.mark.parametrize("kwargs", [
+        {"auc_max_threshold": 0.0}, {"auc_max_threshold": float("nan")}, {"threshold_fraction": -0.1},
+    ])
+    def test_config_rejects_non_positive_and_nan(self, kwargs):
+        with pytest.raises(ValueError):
+            o6.MetricConfig(**kwargs)
+
     def test_single_midpoint_error(self):
         # Step accuracy curve: 0 for thresholds below 0.05, 1 above -> area
         # over [0, 0.1] is half.
@@ -444,5 +451,6 @@ class TestWeightedLoss:
     def test_rejects_negative_weights(self, rng):
         model = ball_model(rng)
         pose = random_pose(rng)
-        with pytest.raises(ValueError):
-            o6.weighted_add_loss(pose, pose, model, -1.0, 1.0)
+        for w_rot, w_trans in ((-1.0, 1.0), (1.0, float("nan")), (float("nan"), 1.0)):
+            with pytest.raises(ValueError):
+                o6.weighted_add_loss(pose, pose, model, w_rot, w_trans)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import offset6d as o6
+from offset6d import record
 from offset6d.errors import DegenerateConfigurationError, ModeMismatchError
 from offset6d.geometry import rotation_defect
 from offset6d.solver import ConditionFlag
@@ -159,9 +160,7 @@ class TestConstraintSolve:
 
     def test_too_few_pixels(self):
         scene, enc, tgt, ref = encoded_scene(0)
-        import dataclasses
-
-        small = dataclasses.replace(
+        small = record.replace(
             enc,
             us=enc.us[:4], vs=enc.vs[:4],
             delta_x=enc.delta_x[:4], delta_y=enc.delta_y[:4], delta_d=enc.delta_d[:4],
