@@ -3,15 +3,16 @@ evaluation, and the distribution experiment.
 
 Dataset layout (one directory per dataset)::
 
-    manifest.txt                 # dataset/v1 key-value: spec echo + count
+    manifest.txt                 # dataset/v2 key-value: spec echo (camera included) + count
     model.ply                    # sampled object model (meters)
     scene_00000/
         depth.pgm                # 16-bit, millimeters, 0 = invalid
         mask.pgm                 # 8-bit, 255 = foreground
         pose.txt                 # ground truth, object -> camera
-        intrinsics.txt
 
 ``synth-gen`` writes ``manifest.txt`` last, so a failed run leaves none.
+``verify``, ``eval`` and ``loss-decompose`` read only each scene's
+``pose.txt``; ``encode`` and ``dist-report`` read the whole scene.
 Encodings mirror the scene directories (encoding.txt + targets.txt each):
 a ``key = value`` text header ending in ``data:``, then the rows as raw
 little-endian float64 (``<f8``), so ``head encoding.txt`` shows the header.
@@ -51,7 +52,7 @@ from .encoding import (
     encode_targets,
 )
 from .errors import DegenerateConfigurationError, Offset6DError
-from .geometry import RigidPose
+from .geometry import CameraIntrinsics, RigidPose
 from .metrics import (
     MetricConfig,
     ObjectModel,
@@ -65,12 +66,14 @@ from .metrics import (
 from .record import replace
 from .refpoint import RefStrategy, make_reference
 from .solver import ConditionFlag, rotation_geodesic_error, solve_from_constraints
+from .spec import SEED_LIMIT, SceneSpec
 from .synth import perturbation_rng
 
 _STRATEGIES = {s.value: s for s in RefStrategy}
 _INPUT_MODES = {m.value: m for m in InputMode}
 _TARGET_MODES = {m.value: m for m in TargetMode}
 _FORMS = {f.value: f for f in ConstraintForm}
+_SEED = click.IntRange(0, SEED_LIMIT - 1)  # the Philox key range
 
 SOLVES_VERSION = "solves/v1"
 RESULTS_VERSION = "results/v1"
@@ -111,26 +114,31 @@ def _stamp_value(enabled: bool) -> str | None:
     return datetime.datetime.now(datetime.timezone.utc).isoformat() if enabled else None
 
 
-def _scenes(dataset: str) -> tuple[Path, list[str]]:
-    """The dataset root and the names of the scenes its manifest claims."""
+def _scenes(dataset: str) -> tuple[Path, SceneSpec, list[str]]:
+    """The dataset root, its manifest's spec and the names of the scenes the
+    manifest claims."""
     root = Path(dataset)
     manifest = root / "manifest.txt"
     if not manifest.exists():
         raise click.ClickException(f"{manifest} not found; is {dataset} a dataset directory?")
-    _, count = formats.read_manifest(manifest)
+    spec, count = formats.read_manifest(manifest)
     names = [formats.scene_name(i) for i in range(count)]
     missing = [name for name in names if not (root / name).is_dir()]
     if missing:
         raise click.ClickException(f"dataset {root} is missing scene directories: {missing[:5]}")
-    return root, names
+    return root, spec, names
 
 
-def _observations(root: Path, names: list[str], need_pose: bool) -> Iterator[tuple[str, SceneObservation]]:
+def _observations(root: Path, intrinsics: CameraIntrinsics, names: list[str]) -> Iterator[tuple[str, SceneObservation]]:
     for name in names:
-        obs = formats.read_scene_dir(root / name)
-        if need_pose and obs.gt_pose is None:
-            raise click.ClickException(f"{root / name} has no ground-truth pose")
-        yield name, obs
+        yield name, formats.read_scene_dir(root / name, intrinsics)
+
+
+def _poses(root: Path, names: list[str]) -> Iterator[tuple[str, RigidPose]]:
+    """Each scene's ground-truth pose, the one scene fact ``verify``, ``eval``
+    and ``loss-decompose`` use; a missing ``pose.txt`` fails naming it."""
+    for name in names:
+        yield name, formats.read_pose(root / name / "pose.txt")
 
 
 def _scene_index(name: str) -> int:
@@ -168,7 +176,7 @@ def main() -> None:
 @click.option("--config", "-c", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(file_okay=False), default=None, help="Overrides output_dir from the config.")
 @click.option("--count", type=int, default=None, help="Overrides scene_count from the config.")
-@click.option("--seed", type=int, default=None, help="Overrides the config seed.")
+@click.option("--seed", type=_SEED, default=None, help="Overrides the config seed.")
 def synth_gen(config_path: str, out: str | None, count: int | None, seed: int | None) -> None:
     """Generate a synthetic dataset directory."""
     kv = formats.read_experiment_config(config_path)
@@ -202,9 +210,9 @@ def synth_gen(config_path: str, out: str | None, count: int | None, seed: int | 
 @click.option("--target-mode", type=click.Choice(sorted(_TARGET_MODES)), default=TargetMode.RELATIVE_OFFSET.value)
 def encode_cmd(dataset: str, out: str, strategy: str, input_mode: str, target_mode: str) -> None:
     """Encode every scene of a dataset into input channels and targets."""
-    root, names = _scenes(dataset)
+    root, spec, names = _scenes(dataset)
     out_dir = Path(out)
-    for name, obs in _observations(root, names, need_pose=False):
+    for name, obs in _observations(root, spec.intrinsics, names):
         ref = make_reference(obs.depth, obs.mask, obs.intrinsics, _STRATEGIES[strategy])
         enc = encode_input(obs, ref, _INPUT_MODES[input_mode])
         formats.write_encoding(out_dir / name / "encoding.txt", enc)
@@ -223,7 +231,7 @@ def encode_cmd(dataset: str, out: str, strategy: str, input_mode: str, target_mo
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def verify_cmd(dataset: str, encodings: str, form: str, tolerance: float, out: str | None) -> None:
     """Check constraint residuals of encodings against ground-truth poses."""
-    root, names = _scenes(dataset)
+    root, _, names = _scenes(dataset)
     enc_root = Path(encodings)
     missing = [name for name in names if not (enc_root / name).is_dir()]
     if missing:
@@ -233,10 +241,10 @@ def verify_cmd(dataset: str, encodings: str, form: str, tolerance: float, out: s
     forms = set(requested) | {gate_form}
     stats = {f: {"max": 0.0, "sq_sum": 0.0, "n": 0} for f in forms}
     nonfinite = []
-    for name, obs in _observations(root, names, need_pose=True):
+    for name, gt_pose in _poses(root, names):
         enc, tgt = _read_encoded(enc_root / name)
         for f in forms:
-            residual = constraint_residual(enc, tgt, obs.gt_pose, f)
+            residual = constraint_residual(enc, tgt, gt_pose, f)
             norms = np.linalg.norm(residual, axis=1)
             if not np.all(np.isfinite(norms)):  # max() would skip a NaN
                 nonfinite.append(name)
@@ -267,7 +275,7 @@ def verify_cmd(dataset: str, encodings: str, form: str, tolerance: float, out: s
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--perturb-sigma", type=click.FloatRange(min=0.0), callback=_finite, default=0.0, show_default=True,
               help="Gaussian noise added to the object-frame targets before solving.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for the perturbation stream.")
+@click.option("--seed", type=_SEED, default=0, show_default=True, help="Seed for the perturbation stream.")
 @click.option("--refine", type=click.IntRange(min=0), default=0, show_default=True, help="Refinement iterations.")
 @click.option("--stamp", is_flag=True, default=False, help="Add a timestamp comment (breaks byte-identity).")
 def solve_cmd(encodings: str, out: str, perturb_sigma: float, seed: int, refine: int, stamp: bool) -> None:
@@ -297,10 +305,10 @@ def solve_cmd(encodings: str, out: str, perturb_sigma: float, seed: int, refine:
 
 def _predicted(dataset: str, pred: str) -> tuple[ObjectModel, Iterator[tuple]]:
     """The dataset's model, and every dataset scene joined by name to its one
-    solves row as ``(name, obs, pose, residual)``; pose and residual are None
-    for a degenerate row.  A missing or duplicated row fails before any scene
-    is read."""
-    root, names = _scenes(dataset)
+    solves row as ``(name, gt_pose, pose, residual)``; pose and residual are
+    None for a degenerate row.  A missing or duplicated row fails before any
+    scene is read."""
+    root, _, names = _scenes(dataset)
     model = formats.read_model(root / "model.ply")
     header, rows = formats.read_csv(pred, SOLVES_VERSION)
     if header != SOLVES_HEADER:
@@ -324,7 +332,7 @@ def _predicted(dataset: str, pred: str) -> tuple[ObjectModel, Iterator[tuple]]:
     missing = [name for name in names if name not in predictions]
     if missing:
         raise click.ClickException(f"{pred} has no row for {', '.join(missing)}")
-    joined = ((name, obs, *predictions[name]) for name, obs in _observations(root, names, need_pose=True))
+    joined = ((name, gt, *predictions[name]) for name, gt in _poses(root, names))
     return model, joined
 
 
@@ -345,11 +353,10 @@ def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fracti
     model, predicted = _predicted(dataset, pred)
     rows = []
     selective_errors = []
-    for name, obs, pose, residual in predicted:
+    for name, gt, pose, residual in predicted:
         if pose is None:
             rows.append([name] + [None] * 6 + [ConditionFlag.DEGENERATE.value])
             continue
-        gt = obs.gt_pose
         err_add = add(pose, gt, model)
         err_add_s = add_s(pose, gt, model)
         err_sel = err_add_s if model.symmetric else err_add  # add_selective, without a second ADD-S
@@ -389,8 +396,8 @@ def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fracti
 @click.option("--stamp", is_flag=True, default=False)
 def dist_report_cmd(dataset: str, strategy: str, out: str, stamp: bool) -> None:
     """Translation-spread table: raw ground truth vs anchored offsets."""
-    root, names = _scenes(dataset)
-    observations = (obs for _, obs in _observations(root, names, need_pose=True))
+    root, spec, names = _scenes(dataset)
+    observations = (obs for _, obs in _observations(root, spec.intrinsics, names))
     report = synth.distribution_report(observations, _STRATEGIES[strategy])
     rows = [
         [r["quantity"], r["component"], r["variance"], r["min"], r["max"], r["variance_ratio"]]
@@ -416,11 +423,11 @@ def loss_decompose_cmd(dataset: str, pred: str, out: str, w_rot: float, w_trans:
     """Split the squared pose loss into rotation/cross/translation parts."""
     model, predicted = _predicted(dataset, pred)
     rows = []
-    for name, obs, pose, _ in predicted:
+    for name, gt, pose, _ in predicted:
         if pose is None:
             rows.append([name] + [None] * 5)
             continue
-        parts = decompose_add_loss(pose, obs.gt_pose, model)
+        parts = decompose_add_loss(pose, gt, model)
         rows.append(
             [
                 name,
@@ -428,7 +435,7 @@ def loss_decompose_cmd(dataset: str, pred: str, out: str, w_rot: float, w_trans:
                 parts.rotation_part,
                 parts.cross_term,
                 parts.translation_part,
-                weighted_add_loss(pose, obs.gt_pose, model, w_rot, w_trans),
+                weighted_add_loss(pose, gt, model, w_rot, w_trans),
             ]
         )
     formats.write_csv(out, LOSS_VERSION, LOSS_HEADER, rows, stamp=_stamp_value(stamp))

@@ -9,10 +9,11 @@ Conventions:
   - Depth: 16-bit binary PGM (P5, maxval 65535, big-endian), value = depth
     in millimeters rounded half-even, 0 = invalid.
   - Mask: 8-bit binary PGM, 255 = foreground, anything else but 0 rejected.
-  - Poses, intrinsics, manifests: line-oriented ``key = value`` text with
+  - Poses and manifests: line-oriented ``key = value`` text with
     repr-precision numbers (exact round trip).  :func:`spec_to_pairs` is the
     scene spec's one text form: the manifest's spec lines and the experiment
-    config's keys.
+    config's keys.  The camera intrinsics are stored there only, once per
+    dataset (``dataset/v2``); a scene directory holds no copy.
   - Encodings and targets: the same ``key = value`` text as a header, ending
     in a ``data:`` line, then ``count x len(columns)`` little-endian float64
     values (``<f8``, row-major), like a binary PGM.  ``head encoding.txt``
@@ -25,7 +26,8 @@ Conventions:
     versions.
 
 All writers go through a temp file plus atomic rename, so an interrupted
-run never leaves a truncated artifact behind.  Parse errors name the byte
+run never leaves a truncated artifact behind; the file gets the mode a plain
+``open`` would give it (``0o666`` less the umask).  Parse errors name the byte
 offset of the offending data where it is meaningful.  A value that does not
 parse, or that the type it builds rejects, names the file and the key.
 """
@@ -74,6 +76,9 @@ def _atomic_write_bytes(path, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
+        umask = os.umask(0)  # mkstemp makes the file 0o600; the umask is only readable by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -408,26 +413,6 @@ def read_pose(path) -> RigidPose:
     return _built(path, RigidPose, rotation, translation)
 
 
-def write_intrinsics(path, k: CameraIntrinsics) -> None:
-    write_keyvalue(
-        path,
-        [
-            ("format", "intrinsics/v1"),
-            ("fx", format_float(k.fx)),
-            ("fy", format_float(k.fy)),
-            ("cx", format_float(k.cx)),
-            ("cy", format_float(k.cy)),
-        ],
-    )
-
-
-def read_intrinsics(path) -> CameraIntrinsics:
-    kv = read_keyvalue(path)
-    _check_format(kv, "intrinsics/v1", path)
-    _check_no_extra(kv, {"format", "fx", "fy", "cx", "cy"}, path)
-    return _built(path, CameraIntrinsics, *(_value(kv, path, key, float) for key in ("fx", "fy", "cx", "cy")))
-
-
 # ---------------------------------------------------------------------------
 # encodings and targets (key/value header + raw <f8 rows)
 
@@ -608,22 +593,23 @@ def read_csv(path, version: str) -> tuple[list[str], list[list[str]]]:
 
 
 def write_scene_dir(scene_dir, obs: SceneObservation) -> None:
+    """``depth.pgm``, ``mask.pgm`` and ``pose.txt``; the camera is the manifest's."""
     scene_dir = Path(scene_dir)
     scene_dir.mkdir(parents=True, exist_ok=True)
     write_depth_pgm(scene_dir / "depth.pgm", obs.depth.values)
     write_mask_pgm(scene_dir / "mask.pgm", obs.mask.values)
-    write_intrinsics(scene_dir / "intrinsics.txt", obs.intrinsics)
     if obs.gt_pose is None:
         (scene_dir / "pose.txt").unlink(missing_ok=True)
     else:
         write_pose(scene_dir / "pose.txt", obs.gt_pose)
 
 
-def read_scene_dir(scene_dir) -> SceneObservation:
+def read_scene_dir(scene_dir, intrinsics: CameraIntrinsics) -> SceneObservation:
+    """The observation in ``scene_dir``, seen through ``intrinsics`` (the
+    manifest's camera); ``gt_pose`` is None when there is no ``pose.txt``."""
     scene_dir = Path(scene_dir)
     depth = DepthMap(read_depth_pgm(scene_dir / "depth.pgm"))
     mask = InstanceMask(read_mask_pgm(scene_dir / "mask.pgm"))
-    intrinsics = read_intrinsics(scene_dir / "intrinsics.txt")
     pose_path = scene_dir / "pose.txt"
     gt_pose = read_pose(pose_path) if pose_path.exists() else None
     # The mask is checked against the depth map, so a size mismatch names it.
@@ -749,7 +735,7 @@ def scene_count(kv: dict[str, str], path, default: str | None = None) -> int:
 
 
 def write_manifest(path, spec: SceneSpec, scene_count: int) -> None:
-    pairs = [("format", "dataset/v1"), ("scene_count", str(scene_count)), ("rng_algorithm", RNG_ALGORITHM)]
+    pairs = [("format", "dataset/v2"), ("scene_count", str(scene_count)), ("rng_algorithm", RNG_ALGORITHM)]
     pairs += spec_to_pairs(spec)
     write_keyvalue(path, pairs)
 
@@ -757,7 +743,7 @@ def write_manifest(path, spec: SceneSpec, scene_count: int) -> None:
 def read_manifest(path) -> tuple[SceneSpec, int]:
     """Returns (spec, scene_count)."""
     kv = read_keyvalue(path)
-    _check_format(kv, "dataset/v1", path)
+    _check_format(kv, "dataset/v2", path)
     _check_no_extra(kv, _MANIFEST_KEYS, path, error=ConfigError)
     return pairs_to_spec(kv, path), scene_count(kv, path)
 

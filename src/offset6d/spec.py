@@ -18,6 +18,7 @@ import numpy as np
 from .geometry import CameraIntrinsics
 
 RNG_ALGORITHM = "numpy-philox4x64-10"
+SEED_LIMIT = 2**128  # a seed is the 128-bit Philox key: 0 <= seed < SEED_LIMIT
 
 
 @record
@@ -112,6 +113,8 @@ class SceneSpec:
     occlusion_fraction: float | None = None
 
     def __post_init__(self):
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
         if self.surface_sample_count <= 0:
             raise ValueError("surface_sample_count must be positive")
         if self.image_size[0] <= 0 or self.image_size[1] <= 0:

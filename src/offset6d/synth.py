@@ -25,7 +25,7 @@ import numpy as np
 
 from . import formats
 from .encoding import SceneObservation
-from .errors import EmptyObjectError
+from .errors import EmptyInputError, EmptyObjectError, MissingPoseError
 from .geometry import RigidPose
 from .metrics import ObjectModel
 from .refpoint import DepthMap, InstanceMask, RefStrategy, make_reference
@@ -463,18 +463,20 @@ def distribution_report(observations, strategy: RefStrategy) -> DistributionRepo
 
     For each observation the reference point of the given strategy is
     computed and ``delta_t = t - t0`` recorded; variances are sample
-    variances (ddof=1).
+    variances (ddof=1).  An observation without a pose raises
+    :class:`MissingPoseError` naming its position (scene ``i`` of the
+    sequence), fewer than two raise :class:`EmptyInputError`.
     """
     raw = []
     delta = []
-    for obs in observations:
+    for i, obs in enumerate(observations):
         if obs.gt_pose is None:
-            raise ValueError("distribution report needs ground-truth poses")
+            raise MissingPoseError(f"scene {i} has no ground-truth pose; the distribution report needs one")
         ref = make_reference(obs.depth, obs.mask, obs.intrinsics, strategy)
         raw.append(obs.gt_pose.translation)
         delta.append(obs.gt_pose.translation - ref.as_array())
     if len(raw) < 2:
-        raise ValueError("need at least two scenes")
+        raise EmptyInputError(f"the distribution report needs at least two scenes, got {len(raw)}")
     raw = np.asarray(raw)
     delta = np.asarray(delta)
     return DistributionReport(

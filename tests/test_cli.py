@@ -77,10 +77,10 @@ class TestSynthGen:
         dataset = pipeline_dir / "dataset"
         assert (dataset / "manifest.txt").exists()
         assert (dataset / "model.ply").exists()
+        assert formats.read_keyvalue(dataset / "manifest.txt")["format"] == "dataset/v2"
         for i in range(6):
             scene = dataset / formats.scene_name(i)
-            for name in ("depth.pgm", "mask.pgm", "pose.txt", "intrinsics.txt"):
-                assert (scene / name).exists()
+            assert sorted(p.name for p in scene.iterdir()) == ["depth.pgm", "mask.pgm", "pose.txt"]
 
     def test_seed_override_changes_scenes(self, tmp_path):
         runner = CliRunner()
@@ -93,6 +93,35 @@ class TestSynthGen:
         depth = lambda d: (tmp_path / d / "scene_00000" / "depth.pgm").read_bytes()
         assert depth("a") == depth("b")  # same seed: byte identical
         assert depth("a") != depth("c")  # overridden seed: different
+
+    def test_rerun_writes_identical_tree(self, tmp_path):
+        # Every file of the dataset, not only the depth maps: manifest,
+        # model and poses must repeat byte for byte too.
+        (tmp_path / "config.txt").write_text(CONFIG)
+        trees = []
+        for out in ("a", "b"):
+            args = ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(tmp_path / out), "--count", "3"]
+            assert run(CliRunner(), args).exit_code == 0
+            root = tmp_path / out
+            trees.append({str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()})
+        assert trees[0] == trees[1]
+        assert {"manifest.txt", "model.ply", "scene_00002/pose.txt", "scene_00002/mask.pgm"} <= set(trees[0])
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_out_of_range_seed_option_rejected(self, tmp_path, seed):
+        (tmp_path / "config.txt").write_text(CONFIG)
+        args = ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(tmp_path / "x"), "--seed", seed]
+        r = CliRunner().invoke(main, args)
+        assert r.exit_code == 2, r.output
+        assert "--seed" in r.output and "Traceback" not in r.output
+        assert not (tmp_path / "x").exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        (tmp_path / "config.txt").write_text(CONFIG)
+        args = ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(tmp_path / "x"), "--count", "1",
+                "--seed", str(2**128 - 1)]
+        assert run(CliRunner(), args).exit_code == 0
+        assert formats.read_manifest(tmp_path / "x" / "manifest.txt")[0].seed == 2**128 - 1
 
     # input_mode was once accepted and then ignored by every command.
     @pytest.mark.parametrize("key", ["mystery_knob", "input_mode"])
@@ -347,6 +376,30 @@ class TestSolveEval:
         assert rows[0][1] == ""
 
 
+class TestPoseOnlyStages:
+    def test_outputs_do_not_depend_on_depth_or_mask(self, pipeline_dir, tmp_path):
+        # verify, eval and loss-decompose use each scene's pose alone: with
+        # every depth.pgm and mask.pgm deleted they write the same bytes.
+        dataset = tmp_path / "dataset"
+        shutil.copytree(pipeline_dir / "dataset", dataset)
+        for image in [*dataset.glob("scene_*/depth.pgm"), *dataset.glob("scene_*/mask.pgm")]:
+            image.unlink()
+        outputs = {}
+        for label, root in (("intact", pipeline_dir / "dataset"), ("poses-only", dataset)):
+            out = tmp_path / label
+            pred = ["--pred", str(pipeline_dir / "solves.csv")]
+            for args in (
+                ["verify", "--encodings", str(pipeline_dir / "enc"), "--out", str(out / "verify.txt")],
+                ["eval", *pred, "--out", str(out / "results.csv"), "--summary-out", str(out / "summary.txt")],
+                ["loss-decompose", *pred, "--out", str(out / "loss.csv")],
+            ):
+                r = run(CliRunner(), [args[0], "--dataset", str(root), *args[1:]])
+                assert r.exit_code == 0, r.output
+            outputs[label] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(outputs["intact"]) == {"verify.txt", "results.csv", "summary.txt", "loss.csv"}
+        assert outputs["poses-only"] == outputs["intact"]
+
+
 class TestReports:
     def test_dist_report(self, pipeline_dir, tmp_path):
         runner = CliRunner()
@@ -517,8 +570,6 @@ class TestErrors:
         assert_one_error_line(r, str(path), repr(key))
 
     @pytest.mark.parametrize("name, line, command, detail", [
-        ("intrinsics.txt", "fx = oops", "encode", "'fx'"),
-        ("intrinsics.txt", "fx = -5.0", "encode", "fx=-5.0"),
         ("pose.txt", "rotation = 1.1 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0", "eval", "orthonormal"),
         ("mask.pgm", None, "encode", "shapes differ"),
     ])
@@ -539,14 +590,11 @@ class TestErrors:
                     "--out", str(tmp_path / "results.csv")]
         assert_one_error_line(CliRunner().invoke(main, args), str(path), detail)
 
-    @pytest.mark.parametrize("command, key, value", [
-        ("synth-gen", "scene_count", "many"),
-        ("synth-gen", "model_params", "0.16 -0.12 0.2"),
-        ("synth-gen", "translation_half_widths", "0.1 0.0 0.15"),
-        ("eval", "scene_count", "two"),
-        ("encode", "model_params", "0.16 -0.12 0.2"),
-    ])
-    def test_bad_spec_value_names_file_and_key(self, pipeline_dir, tmp_path, command, key, value):
+    @staticmethod
+    def _run_with_spec_value(pipeline_dir, tmp_path, command, key, value):
+        """Run ``command`` on a copy of the config (synth-gen) or of the
+        dataset's manifest with ``key`` set to ``value``; returns the file
+        and the result."""
         if command == "synth-gen":
             path = tmp_path / "config.txt"
             text = CONFIG
@@ -563,7 +611,63 @@ class TestErrors:
                      "--out", str(tmp_path / "results.csv")],
             "encode": ["encode", "--dataset", str(tmp_path / "dataset"), "--out", str(tmp_path / "enc")],
         }[command]
-        assert_one_error_line(CliRunner().invoke(main, args), str(path), repr(key))
+        return path, CliRunner().invoke(main, args)
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("synth-gen", "scene_count", "many"),
+        ("synth-gen", "model_params", "0.16 -0.12 0.2"),
+        ("synth-gen", "translation_half_widths", "0.1 0.0 0.15"),
+        ("eval", "scene_count", "two"),
+        ("encode", "model_params", "0.16 -0.12 0.2"),
+    ])
+    def test_bad_spec_value_names_file_and_key(self, pipeline_dir, tmp_path, command, key, value):
+        path, result = self._run_with_spec_value(pipeline_dir, tmp_path, command, key, value)
+        assert_one_error_line(result, str(path), repr(key))
+
+    # The camera is stored once, in the manifest; a check across keys names
+    # the key in its own words.
+    @pytest.mark.parametrize("command, key, value, detail", [
+        ("encode", "fx", "oops", "'fx'"),
+        ("encode", "fx", "-5.0", "fx=-5.0"),
+        ("synth-gen", "seed", "-1", "seed must be in [0, 2**128)"),
+        ("synth-gen", "seed", str(2**128), "seed must be in [0, 2**128)"),
+    ])
+    def test_bad_spec_value_names_file_and_detail(self, pipeline_dir, tmp_path, command, key, value, detail):
+        path, result = self._run_with_spec_value(pipeline_dir, tmp_path, command, key, value)
+        assert_one_error_line(result, str(path), detail)
+
+    def test_manifest_of_version_1_refused(self, pipeline_dir, tmp_path):
+        # dataset/v1 kept a copy of the camera in every scene; there is no v1 reader.
+        shutil.copytree(pipeline_dir / "dataset", tmp_path / "dataset")
+        path = tmp_path / "dataset" / "manifest.txt"
+        path.write_text(path.read_text().replace("format = dataset/v2\n", "format = dataset/v1\n"))
+        r = CliRunner().invoke(main, ["encode", "--dataset", str(tmp_path / "dataset"), "--out", str(tmp_path / "enc")])
+        assert_one_error_line(r, str(path), "expected format 'dataset/v2', found 'dataset/v1'")
+        assert not (tmp_path / "enc").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "eval", "loss-decompose", "dist-report"])
+    def test_missing_pose_names_scene(self, pipeline_dir, tmp_path, command):
+        dataset = tmp_path / "dataset"
+        shutil.copytree(pipeline_dir / "dataset", dataset)
+        pose = dataset / formats.scene_name(2) / "pose.txt"
+        pose.unlink()
+        args = [command, "--dataset", str(dataset), "--out", str(tmp_path / "out.csv")]
+        if command == "verify":
+            args += ["--encodings", str(pipeline_dir / "enc")]
+        elif command != "dist-report":
+            args += ["--pred", str(pipeline_dir / "solves.csv")]
+        # verify, eval and loss-decompose read pose.txt alone and name it;
+        # dist-report reads whole scenes and names the scene's index.
+        assert_one_error_line(CliRunner().invoke(main, args), "scene 2" if command == "dist-report" else str(pose))
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_dist_report_of_one_scene_fails(self, tmp_path):
+        (tmp_path / "config.txt").write_text(CONFIG.replace("scene_count = 6", "scene_count = 1"))
+        dataset = tmp_path / "dataset"
+        assert run(CliRunner(), ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(dataset)]).exit_code == 0
+        r = CliRunner().invoke(main, ["dist-report", "--dataset", str(dataset), "--out", str(tmp_path / "dist.csv")])
+        assert_one_error_line(r, "at least two scenes, got 1")
+        assert not (tmp_path / "dist.csv").exists()
 
     @pytest.mark.parametrize("old, new, detail", [
         ("comment symmetric false", "comment symmetric yes", "symmetric flag must be true or false"),
@@ -593,6 +697,8 @@ class TestErrors:
         ("solve", "--perturb-sigma", "-1"),
         ("solve", "--perturb-sigma", "nan"),
         ("solve", "--refine", "-2"),
+        ("solve", "--seed", "-1"),
+        ("solve", "--seed", str(2**128)),
     ])
     def test_bad_option_value_rejected(self, pipeline_dir, tmp_path, command, option, value):
         # Click refuses each (exit 2) before any file is read: none may reach

@@ -1,6 +1,8 @@
 """File format round trips and malformed-input diagnostics."""
 
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -16,6 +18,22 @@ from offset6d.errors import ConfigError, FormatError
 from conftest import default_intrinsics, random_pose, random_rotation, small_scene_spec
 
 K = default_intrinsics()
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_is_what_a_plain_open_gives(self, tmp_path, umask):
+        # The temp file behind each atomic write is created 0o600; the
+        # artifact must not keep that mode.
+        old = os.umask(umask)
+        try:
+            (tmp_path / "plain.txt").write_text("a = 1\n")
+            formats.write_keyvalue(tmp_path / "kv.txt", [("a", "1")])
+            formats.write_depth_pgm(tmp_path / "depth.pgm", np.ones((2, 3)))
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == {"plain.txt": 0o666 & ~umask, "kv.txt": 0o666 & ~umask, "depth.pgm": 0o666 & ~umask}
 
 
 class TestPly:
@@ -220,12 +238,6 @@ class TestKeyValueFiles:
         assert back.rotation.tobytes() == pose.rotation.tobytes()
         assert back.translation.tobytes() == pose.translation.tobytes()
 
-    def test_intrinsics_round_trip_exact(self, tmp_path):
-        k = o6.CameraIntrinsics(fx=321.125, fy=240.5, cx=160.25, cy=120.75)
-        path = tmp_path / "k.txt"
-        formats.write_intrinsics(path, k)
-        assert formats.read_intrinsics(path) == k
-
     def test_unknown_key_rejected(self, tmp_path, rng):
         path = tmp_path / "pose.txt"
         formats.write_pose(path, random_pose(rng))
@@ -233,12 +245,10 @@ class TestKeyValueFiles:
         with pytest.raises(FormatError):
             formats.read_pose(path)
 
-    def test_wrong_format_rejected(self, tmp_path, rng):
-        path = tmp_path / "pose.txt"
-        formats.write_pose(path, random_pose(rng))
-        other = tmp_path / "k.txt"
-        formats.write_intrinsics(other, K)
-        with pytest.raises(FormatError):
+    def test_wrong_format_rejected(self, tmp_path):
+        other = tmp_path / "verify.txt"
+        formats.write_keyvalue(other, [("format", "verify/v1"), ("rotation", "1 0 0 0 1 0 0 0 1")])
+        with pytest.raises(FormatError, match="expected format 'pose/v1', found 'verify/v1'"):
             formats.read_pose(other)
 
     def test_duplicate_key_rejected(self, tmp_path):
@@ -618,7 +628,7 @@ class TestSceneDir:
         spec = small_scene_spec(seed=65)
         obs = o6.render_scene(spec, 0).observation
         formats.write_scene_dir(tmp_path / "scene_00000", obs)
-        back = formats.read_scene_dir(tmp_path / "scene_00000")
+        back = formats.read_scene_dir(tmp_path / "scene_00000", spec.intrinsics)
         np.testing.assert_array_equal(back.mask.values, obs.mask.values)
         assert np.abs(back.depth.values - obs.depth.values).max() <= 0.0005 + 1e-12
         np.testing.assert_array_equal(back.gt_pose.rotation, obs.gt_pose.rotation)
@@ -630,7 +640,7 @@ class TestSceneDir:
         formats.write_scene_dir(tmp_path / "scene_00000", obs)
         formats.write_scene_dir(tmp_path / "scene_00000", record.replace(obs, gt_pose=None))
         assert not (tmp_path / "scene_00000" / "pose.txt").exists()
-        assert formats.read_scene_dir(tmp_path / "scene_00000").gt_pose is None
+        assert formats.read_scene_dir(tmp_path / "scene_00000", K).gt_pose is None
 
 
 class TestManifestAndConfig:

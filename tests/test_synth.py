@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import offset6d as o6
-from offset6d import formats, synth
+from offset6d import formats, record, synth
 from offset6d.errors import EmptyObjectError
 from offset6d.geometry import rotation_defect
 from offset6d.synth import model_rng, scene_rng
@@ -442,8 +442,14 @@ class TestDistributionReport:
 
     def test_needs_two_scenes(self):
         spec = small_scene_spec(seed=61)
-        with pytest.raises(ValueError):
+        with pytest.raises(o6.EmptyInputError, match="at least two scenes, got 1"):
             o6.distribution_report([o6.render_scene(spec, 0).observation], o6.RefStrategy.MEAN_VISIBLE)
+
+    def test_missing_pose_names_its_position(self):
+        obs = o6.render_scene(small_scene_spec(seed=62), 0).observation
+        observations = [obs, obs, record.replace(obs, gt_pose=None)]
+        with pytest.raises(o6.MissingPoseError, match="scene 2 has no ground-truth pose"):
+            o6.distribution_report(observations, o6.RefStrategy.MEAN_VISIBLE)
 
 
 class TestSpecText:
