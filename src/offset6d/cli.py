@@ -122,6 +122,8 @@ def _scenes(dataset: str) -> tuple[Path, SceneSpec, list[str]]:
     if not manifest.exists():
         raise click.ClickException(f"{manifest} not found; is {dataset} a dataset directory?")
     spec, count = formats.read_manifest(manifest)
+    if count == 0:
+        raise click.ClickException(f"{manifest} claims no scenes (scene_count = 0)")
     names = [formats.scene_name(i) for i in range(count)]
     missing = [name for name in names if not (root / name).is_dir()]
     if missing:
@@ -216,7 +218,9 @@ def encode_cmd(dataset: str, out: str, strategy: str, input_mode: str, target_mo
         ref = make_reference(obs.depth, obs.mask, obs.intrinsics, _STRATEGIES[strategy])
         enc = encode_input(obs, ref, _INPUT_MODES[input_mode])
         formats.write_encoding(out_dir / name / "encoding.txt", enc)
-        if obs.gt_pose is not None:
+        if obs.gt_pose is None:  # as write_scene_dir does for pose.txt
+            (out_dir / name / "targets.txt").unlink(missing_ok=True)
+        else:
             tgt = encode_targets(obs, ref, _TARGET_MODES[target_mode])
             formats.write_targets(out_dir / name / "targets.txt", tgt)
     click.echo(f"encoded {len(names)} scenes to {out_dir}")

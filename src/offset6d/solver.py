@@ -4,15 +4,13 @@ Two independent routes are provided so each can check the other:
 
   - :func:`solve_procrustes`: classical SVD least-squares rigid alignment of
     paired camera/object point sets.
-  - :func:`solve_from_constraints`: direct linear solve of the depth-scaled
-    offset constraints.  Each pixel contributes three equations that are
-    linear in the nine rotation entries and the three components of
-    ``dt = t - t0``; the equations for the three rows of R decouple, so the
-    stacked 12-unknown system reduces to one (N, 4) design matrix shared by
-    three right-hand sides.
+  - :func:`solve_from_constraints`: the depth-scaled offset constraints
+    solved in closed form.  Projecting the depth column ``w`` out of both
+    sides leaves a pure rotation problem, one 3x3 Procrustes fit; the
+    translation then follows by least squares given R.
 
-Both project the raw rotation block to SO(3) (SVD, determinant sign fix) and
-report the pre-projection block alongside the final pose.
+Both take their rotation from :func:`offset6d.geometry.nearest_rotation` of
+a 3x3 cross-covariance (SVD with the determinant sign fix).
 """
 
 from __future__ import annotations
@@ -22,13 +20,13 @@ from enum import Enum
 
 import numpy as np
 
-from .encoding import GeoEncoding, InputMode, decode_translation
+from .encoding import GeoEncoding, InputMode
 from .errors import DegenerateConfigurationError, ModeMismatchError
 from .geometry import RigidPose, nearest_rotation
 from .refpoint import ReferencePoint
 
 # Relative singular-value floor below which a configuration is declared
-# degenerate (applied to the covariance / normal matrix of each solve).
+# degenerate (s2 / s1 of the cross-covariance of each rotation fit).
 RANK_RATIO_THRESHOLD = 1e-10
 
 MIN_PROCRUSTES_POINTS = 3
@@ -42,12 +40,10 @@ class ConditionFlag(Enum):
 
 @record
 class SolveReport:
-    """Solver output: pose, the raw least-squares rotation block before the
-    SO(3) projection, the post-projection RMS residual in meters, the number
-    of points used, and the conditioning verdict."""
+    """Solver output: pose, the RMS residual in meters, the number of points
+    used, and the conditioning verdict."""
 
     pose: RigidPose
-    pre_projection_rotation: np.ndarray
     residual_rms: float
     point_count: int
     condition_flag: ConditionFlag
@@ -62,6 +58,15 @@ def _as_points(arr, name: str) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"{name} must be (N, 3), got shape {pts.shape}")
     return pts
+
+
+def _fit_rotation(h: np.ndarray, degenerate: str) -> np.ndarray:
+    """The rotation R maximizing ``trace(R^T h)`` for a 3x3 cross-covariance
+    ``h``; it is determined iff ``h`` has rank >= 2."""
+    s = np.linalg.svd(h, compute_uv=False)
+    if s[0] <= 0 or s[1] / s[0] < RANK_RATIO_THRESHOLD:
+        raise DegenerateConfigurationError(degenerate)
+    return nearest_rotation(h)
 
 
 def solve_procrustes(cam_points, obj_points) -> SolveReport:
@@ -86,26 +91,15 @@ def solve_procrustes(cam_points, obj_points) -> SolveReport:
     cam_c = cam - cam_centroid
     obj_c = obj - obj_centroid
 
-    h = cam_c.T @ obj_c
-    u, s, vt = np.linalg.svd(h)
-    # Rotation is determined iff the covariance has rank >= 2.
-    if s[0] <= 0 or s[1] / s[0] < RANK_RATIO_THRESHOLD:
-        raise DegenerateConfigurationError(
-            "points are collinear or coincident; rotation is not determined"
-        )
-    d = np.sign(np.linalg.det(u @ vt))
-    rotation = u @ np.diag([1.0, 1.0, d]) @ vt
+    rotation = _fit_rotation(
+        cam_c.T @ obj_c, "points are collinear or coincident; rotation is not determined"
+    )
     translation = cam_centroid - rotation @ obj_centroid
-
-    # Unconstrained linear fit (before any orthogonality), for the report.
-    gram = obj_c.T @ obj_c
-    raw = h @ np.linalg.pinv(gram)
 
     residual = obj @ rotation.T + translation - cam
     rms = float(np.sqrt(np.mean(np.sum(residual**2, axis=1))))
     return SolveReport(
         pose=RigidPose(rotation, translation),
-        pre_projection_rotation=raw,
         residual_rms=rms,
         point_count=n,
         condition_flag=ConditionFlag.WELL_POSED,
@@ -149,27 +143,21 @@ def solve_from_constraints(
 
     ``delta_abc`` must hold relative offsets (``a/d - a0/d0`` rows), e.g.
     straight from target encoding or a regressor's output, anchored at the
-    encoding's own reference point ``enc.ref``.  Each pixel gives
-    three equations linear in the nine R entries and ``dt = t - t0``; the
-    three R rows decouple onto one shared (N, 4) design matrix
-    ``[dABC | -dd/(d d0)]``.
+    encoding's own reference point ``enc.ref``.  Each pixel satisfies
+    ``R dABC_i = l_i + w_i t`` with the exact camera-side values
+    ``l_i = [dx_i, dy_i, 0]`` and ``w_i = dd_i / (d_i d0)``.  In the object
+    frame the rows read ``P = L R + w s^T`` with ``s = R^T t``, so removing
+    the ``w`` direction from both sides leaves ``P' = L' R``: R is the
+    orthogonal Procrustes fit of ``L'^T P'`` (Schönemann 1966), and ``s``
+    the least-squares fit of ``P - L R`` along ``w``.  The noise of a
+    regressor's ``dABC`` stays on one side of every fit.
 
-    That matrix is *structurally* rank 3 on consistent data: dividing the
-    third row of the pose transform by depth yields the identity
-    ``R_row3 . dABC_i = (dd_i/(d_i d0)) t_z``, so ``[R_row3; t_z]`` spans
-    its null space.  The pose is still unique because only one member of the
-    least-squares solution family is a proper rotation.  The solver uses
-    exactly that: the smallest right singular vector recovers
-    ``[R_row3; t_z]`` up to scale and sign, scale comes from ``|R_row3| = 1``,
-    the per-row family parameters from ``R_row_m . R_row3 = delta_{m3}``, and
-    the sign ambiguity is settled by comparing the reconstruction residuals
-    of the two candidates.  The raw R block is then projected to SO(3).
-
-    Degeneracy is judged on the three informative directions: when the
-    third-largest singular value collapses (all pixels at one depth kill the
-    dt column and flatten dABC into a plane), the pose is not recoverable
-    and :class:`DegenerateConfigurationError` is raised.  Non-finite input
-    (a NaN regressor output, say) has no solution and raises the same error.
+    When every pixel sits at the reference depth (``w = 0``) translation is
+    not observable.  When ``L'^T P'`` has rank below 2 rotation is not: one
+    planar face whose plane holds the reference point makes ``dx``, ``dy``
+    and ``w`` linearly dependent.  Both raise
+    :class:`DegenerateConfigurationError`, as does non-finite input (a NaN
+    regressor output, say).
 
     ``refine_iterations`` optionally polishes the result by alternating
     point reconstruction with a rigid re-fit; off by default.
@@ -181,59 +169,31 @@ def solve_from_constraints(
     if delta_abc.shape[0] != n:
         raise ValueError(f"delta_abc rows ({delta_abc.shape[0]}) != pixel count ({n})")
     if n < MIN_CONSTRAINT_PIXELS:
-        raise DegenerateConfigurationError(
-            f"need >= {MIN_CONSTRAINT_PIXELS} pixels, got {n}"
-        )
+        raise DegenerateConfigurationError(f"need >= {MIN_CONSTRAINT_PIXELS} pixels, got {n}")
 
-    ref = enc.ref
     w = enc.delta_d / enc.dd0
-    # Row m of R and dt[m] satisfy, per pixel:
-    #   dABC_i . R_row_m - w_i dt_m = lhs_im + w_i t0_m
-    design = np.hstack([delta_abc, -w[:, None]])
-    t0 = ref.as_array()
     lhs = np.stack([enc.delta_x, enc.delta_y, np.zeros(n)], axis=1)
-    rhs = lhs + w[:, None] * t0[None, :]
-    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(rhs))):
+    if not all(np.all(np.isfinite(a)) for a in (delta_abc, lhs, w)):
         raise DegenerateConfigurationError("constraint system has non-finite entries (NaN or inf input)")
-
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    if s[0] <= 0 or (s[2] / s[0]) ** 2 < RANK_RATIO_THRESHOLD:
+    ww = float(w @ w)
+    if not ww > 0:
         raise DegenerateConfigurationError(
-            "constraint system is rank deficient (e.g. no depth variation)"
-        )
-    null_vec = vt[3]
-    null_r = null_vec[:3]
-    if np.linalg.norm(null_r) < 1e-9:
-        raise DegenerateConfigurationError(
-            "null direction carries no rotation content; system is degenerate"
+            "every pixel is at the reference depth; translation is not observable"
         )
 
-    # Rank-3 minimum-norm solution; columns are (R_row_m, dt_m).
-    solution = vt[:3].T @ ((u[:, :3].T @ rhs) / s[:3, None])
-    rows_star = solution[:3, :].T
-    dt_star = solution[3, :]
-
+    lhs_w, abc_w = (x - np.outer(w, w @ x) / ww for x in (lhs, delta_abc))  # w projected out
+    rotation = _fit_rotation(lhs_w.T @ abc_w, "constraint system is rank deficient; rotation is not determined")
+    translation = rotation @ ((delta_abc - lhs @ rotation).T @ w / ww)
+    pose = RigidPose(rotation, translation)
     cam = _reconstruct_camera_points(enc)
-    best = None
-    e3 = np.array([0.0, 0.0, 1.0])
-    for sign in (1.0, -1.0):
-        row3 = sign * null_r / np.linalg.norm(null_r)
-        lam = (e3 - rows_star @ row3) / (null_r @ row3)
-        raw_rotation = rows_star + lam[:, None] * null_r[None, :]
-        delta_t = dt_star + lam * null_vec[3]
-        pose = RigidPose(nearest_rotation(raw_rotation), decode_translation(delta_t, ref))
-        rms = _constraint_rms(cam, delta_abc, ref, pose)
-        if best is None or rms < best[0]:
-            best = (rms, pose, raw_rotation)
-    rms, pose, raw_rotation = best
+    rms = _constraint_rms(cam, delta_abc, enc.ref, pose)
 
     for _ in range(refine_iterations):
-        pose = solve_procrustes(cam, _object_points(cam, delta_abc, ref, pose)).pose
-        rms = _constraint_rms(cam, delta_abc, ref, pose)
+        pose = solve_procrustes(cam, _object_points(cam, delta_abc, enc.ref, pose)).pose
+        rms = _constraint_rms(cam, delta_abc, enc.ref, pose)
 
     return SolveReport(
         pose=pose,
-        pre_projection_rotation=raw_rotation,
         residual_rms=rms,
         point_count=n,
         condition_flag=ConditionFlag.WELL_POSED,

@@ -324,6 +324,23 @@ class TestSolveEval:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != (pipeline_dir / "solves.csv").read_bytes()
 
+    def test_refined_solve_reproducible_and_distinct(self, pipeline_dir, tmp_path):
+        # The noisy-sweep path: perturbed targets polished by --refine.
+        outs = {}
+        for name, refine in (("a", "2"), ("b", "2"), ("plain", "0")):
+            outs[name] = tmp_path / f"{name}.csv"
+            r = run(CliRunner(), [
+                "solve", "--encodings", str(pipeline_dir / "enc"), "--out", str(outs[name]),
+                "--perturb-sigma", "1e-3", "--refine", refine,
+            ])
+            assert r.exit_code == 0, r.output
+        assert outs["a"].read_bytes() == outs["b"].read_bytes()
+        _, refined = formats.read_csv(outs["a"], SOLVES_VERSION)
+        _, plain = formats.read_csv(outs["plain"], SOLVES_VERSION)
+        assert [row[-1] for row in refined] == ["well-posed"] * 6
+        assert [row[0] for row in refined] == [row[0] for row in plain]
+        assert all(a[1:13] != b[1:13] for a, b in zip(refined, plain))
+
     def test_perturbed_solve_of_subset_matches_full_run(self, pipeline_dir, tmp_path):
         # The noise stream is keyed by scene index, not by list position.
         enc = tmp_path / "enc"
@@ -644,6 +661,36 @@ class TestErrors:
         r = CliRunner().invoke(main, ["encode", "--dataset", str(tmp_path / "dataset"), "--out", str(tmp_path / "enc")])
         assert_one_error_line(r, str(path), "expected format 'dataset/v2', found 'dataset/v1'")
         assert not (tmp_path / "enc").exists()
+
+    @pytest.mark.parametrize("command", ["encode", "verify", "eval", "dist-report", "loss-decompose"])
+    def test_manifest_of_no_scenes_refused(self, pipeline_dir, tmp_path, command):
+        # synth-gen never writes one; a hand-edited count of 0 must not pass
+        # as an empty success or divide by zero.
+        dataset = tmp_path / "dataset"
+        shutil.copytree(pipeline_dir / "dataset", dataset)
+        path = dataset / "manifest.txt"
+        path.write_text(path.read_text().replace("scene_count = 6\n", "scene_count = 0\n"))
+        out = tmp_path / "out"
+        args = [command, "--dataset", str(dataset), "--out", str(out)]
+        if command == "verify":
+            args += ["--encodings", str(pipeline_dir / "enc")]
+        elif command in ("eval", "loss-decompose"):
+            args += ["--pred", str(pipeline_dir / "solves.csv")]
+        assert_one_error_line(CliRunner().invoke(main, args), str(path), "scene_count = 0")
+        assert not out.exists()
+
+    def test_reencode_without_pose_drops_stale_targets(self, pipeline_dir, tmp_path):
+        dataset, enc = tmp_path / "dataset", tmp_path / "enc"
+        shutil.copytree(pipeline_dir / "dataset", dataset)
+        encode = ["encode", "--dataset", str(dataset), "--out", str(enc)]
+        assert run(CliRunner(), encode).exit_code == 0
+        (dataset / formats.scene_name(1) / "pose.txt").unlink()
+        assert run(CliRunner(), encode).exit_code == 0
+        targets = enc / formats.scene_name(1) / "targets.txt"
+        assert not targets.exists()
+        r = CliRunner().invoke(main, ["solve", "--encodings", str(enc), "--out", str(tmp_path / "solves.csv")])
+        assert_one_error_line(r, str(targets))
+        assert not (tmp_path / "solves.csv").exists()
 
     @pytest.mark.parametrize("command", ["verify", "eval", "loss-decompose", "dist-report"])
     def test_missing_pose_names_scene(self, pipeline_dir, tmp_path, command):

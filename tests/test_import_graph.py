@@ -109,8 +109,9 @@ def test_no_module_generates_code():
 
 
 def test_every_traced_layer_function_exists():
-    # bench/layers.py names the functions a traced benchmark run wraps; a
-    # deleted or renamed one would break the benchmark, so it fails here.
+    # bench/layers.py names the functions a traced benchmark run wraps and
+    # the CLI stages every run launches; a deleted or renamed one would
+    # break the benchmark, so it fails here.
     path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
     spec = importlib.util.spec_from_file_location("bench_layers", path)
     layers = importlib.util.module_from_spec(spec)
@@ -122,3 +123,7 @@ def test_every_traced_layer_function_exists():
         if not callable(getattr(importlib.import_module(f"offset6d.{layer}"), name, None))
     ]
     assert missing == []
+    traced = {f"{layer}.{name}" for layer, names in layers.LAYER_FUNCTIONS.items() for name in names}
+    assert set(layers.PERCENTILE_SPANS) <= traced
+    commands = importlib.import_module("offset6d.cli").main.commands
+    assert [stage for stage, _ in layers.STAGES if stage not in commands] == []

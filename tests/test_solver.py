@@ -1,4 +1,4 @@
-"""Pose recovery: Procrustes alignment and the direct constraint solve."""
+"""Pose recovery: Procrustes alignment and the closed-form constraint solve."""
 
 import numpy as np
 import pytest
@@ -83,12 +83,6 @@ class TestProcrustes:
         report = o6.solve_procrustes(cam, obj)
         assert rotation_defect(report.pose.rotation) <= 1e-9
 
-    def test_pre_projection_block_close_on_clean_data(self, rng):
-        pose = random_pose(rng)
-        obj = rng.uniform(-0.2, 0.2, (40, 3))
-        report = o6.solve_procrustes(o6.transform_points(pose, obj), obj)
-        np.testing.assert_allclose(report.pre_projection_rotation, pose.rotation, atol=1e-9)
-
 
 class TestConstraintSolve:
     def test_noiseless_recovery(self):
@@ -135,11 +129,21 @@ class TestConstraintSolve:
         enc = o6.encode_input(obs, ref)
         depths = obs.depth.values[enc.vs, enc.us]
         assume(len(enc) >= 50 and np.ptp(depths) >= 0.01)
-        report = o6.solve_from_constraints(enc, o6.encode_targets(obs, ref).delta_abc)
+        # s3/s1 of the constraint columns [dx, dy, w]: near 0 when one planar
+        # face is seen, exactly 0 when its plane holds the reference point.
+        s = np.linalg.svd(np.stack([enc.delta_x, enc.delta_y, enc.delta_d / enc.dd0], axis=1), compute_uv=False)
+        try:
+            report = o6.solve_from_constraints(enc, o6.encode_targets(obs, ref).delta_abc)
+        except DegenerateConfigurationError:
+            assert s[2] / s[0] < 1e-4
+            return
         cam = o6.backproject_pixels(enc.us, enc.vs, depths, obs.intrinsics)
         baseline = o6.solve_procrustes(cam, o6.inverse_transform_points(obs.gt_pose, cam))
-        assert o6.rotation_geodesic_error(report.pose, baseline.pose) < 1e-8
-        assert np.linalg.norm(report.pose.translation - baseline.pose.translation) < 1e-8
+        # A near-planar view costs both solvers digits; 1e-12 holds once the
+        # columns are conditioned, as every uniformly drawn scene is (s3/s1 >= 0.015).
+        tolerance = 1e-12 if s[2] / s[0] > 1e-2 else 1e-8
+        assert o6.rotation_geodesic_error(report.pose, baseline.pose) < tolerance
+        assert np.linalg.norm(report.pose.translation - baseline.pose.translation) < tolerance
 
     def test_uniform_depth_is_degenerate(self):
         # Fronto-parallel plane: dd = 0 kills the translation column and
@@ -157,6 +161,27 @@ class TestConstraintSolve:
         tgt = o6.encode_targets(obs, ref)
         with pytest.raises(DegenerateConfigurationError):
             o6.solve_from_constraints(enc, tgt.delta_abc)
+
+    def test_planar_face_through_reference_is_degenerate(self):
+        # One face of the box is seen.  Anchored at the mean visible point,
+        # which lies on that face, dx, dy and w are linearly dependent and the
+        # rotation about the face normal is free; anchored off the plane, the
+        # same view solves.
+        spec = small_scene_spec(
+            seed=157, model_kind=o6.BoxModel(0.125, 0.125, 0.1875), surface_sample_count=50,
+            translation_dist=o6.BoxVolume((0.0, 0.0, 1.0), (0.1, 0.1, 0.1)),
+        )
+        obs = o6.render_scene(spec, 157).observation
+        for strategy in (o6.RefStrategy.MEAN_VISIBLE, o6.RefStrategy.CENTER_MEAN_DEPTH):
+            ref = o6.make_reference(obs.depth, obs.mask, obs.intrinsics, strategy)
+            enc = o6.encode_input(obs, ref)
+            delta_abc = o6.encode_targets(obs, ref).delta_abc
+            if strategy is o6.RefStrategy.MEAN_VISIBLE:
+                with pytest.raises(DegenerateConfigurationError):
+                    o6.solve_from_constraints(enc, delta_abc)
+            else:
+                report = o6.solve_from_constraints(enc, delta_abc)
+                assert o6.rotation_geodesic_error(report.pose, obs.gt_pose) < 1e-8
 
     def test_too_few_pixels(self):
         scene, enc, tgt, ref = encoded_scene(0)
@@ -203,6 +228,28 @@ class TestConstraintSolve:
             assert rotation_defect(report.pose.rotation) <= 1e-9
         assert np.median(adds) < 2e-3
 
+    def test_translation_error_scales_with_target_noise(self, rng):
+        # The noisy targets stay out of every design matrix, so the
+        # translation error grows in line with sigma; a solve that regressed
+        # on them would grow about 40x from 1e-3 to 1e-2 with a 0.1 m median.
+        spec = small_scene_spec(seed=17, model_kind=o6.SphereModel(0.1), surface_sample_count=1000)
+        model = o6.model_for_spec(spec)
+        scenes = []
+        for i in range(100):
+            obs = o6.render_scene(spec, i, model=model).observation
+            ref = o6.ref_mean_visible(obs.depth, obs.mask, obs.intrinsics)
+            scenes.append((obs.gt_pose, o6.encode_input(obs, ref), o6.encode_targets(obs, ref).delta_abc))
+        medians = {}
+        for sigma in (1e-3, 1e-2):
+            errors = []
+            for gt, enc, delta_abc in scenes:
+                noisy = delta_abc + rng.normal(0, sigma, delta_abc.shape)
+                report = o6.solve_from_constraints(enc, noisy)
+                errors.append(np.linalg.norm(report.pose.translation - gt.translation))
+            medians[sigma] = np.median(errors)
+        assert medians[1e-2] < 0.05
+        assert medians[1e-2] / medians[1e-3] < 15
+
     def test_residual_monotone_under_noise(self, rng):
         clean, noisy = [], []
         for i in range(100):
@@ -224,8 +271,6 @@ class TestConstraintSolve:
         report = o6.solve_from_constraints(enc, tgt.delta_abc)
         assert report.point_count == len(enc)
         assert report.condition_flag is ConditionFlag.WELL_POSED
-        # raw block should already be close to the final rotation on clean data
-        np.testing.assert_allclose(report.pre_projection_rotation, report.pose.rotation, atol=1e-6)
 
 
 class TestGeodesicError:
