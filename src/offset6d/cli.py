@@ -16,21 +16,21 @@ Dataset layout (one directory per dataset)::
 Encodings mirror the scene directories (encoding.txt + targets.txt each):
 a ``key = value`` text header ending in ``data:``, then the rows as raw
 little-endian float64 (``<f8``), so ``head encoding.txt`` shows the header.
-Every ``encoding.txt`` holds the columns ``u v delta_x delta_y delta_d``
-whatever ``--input-mode`` is; the geometric ``d*d0`` and ``t0/(d*d0)`` are
-derived from ``delta_d`` when the file is read.
+``encode`` writes the geometric channels and relative-offset targets, the
+one encoding ``verify`` and ``solve`` accept.  Every ``encoding.txt`` holds
+the columns ``u v delta_x delta_y delta_d``; the geometric ``d*d0`` and
+``t0/(d*d0)`` are derived from ``delta_d`` when the file is read.
 Inputs are joined by scene name, never by position: a missing encoding or
 solves row, a duplicated row, or targets that do not match their encoding
 fail the command and name the scene; ``solve`` keys its noise by the parsed
-scene index.  All commands are deterministic for fixed inputs and seed; CSV
-outputs are byte-identical across reruns unless ``--stamp`` adds a timestamp
-comment.  Any toolkit or file error exits 1 with a one-line diagnostic;
-``eval`` with no non-degenerate prediction writes no ``results.csv``.
+scene index.  All commands are deterministic for fixed inputs and seed, and
+their outputs are byte-identical across reruns.  Any toolkit or file error
+exits 1 with a one-line diagnostic; ``eval`` with no non-degenerate
+prediction writes no ``results.csv``.
 """
 
 from __future__ import annotations
 
-import datetime
 import math
 import sys
 from pathlib import Path
@@ -70,8 +70,6 @@ from .spec import SEED_LIMIT, SceneSpec
 from .synth import perturbation_rng
 
 _STRATEGIES = {s.value: s for s in RefStrategy}
-_INPUT_MODES = {m.value: m for m in InputMode}
-_TARGET_MODES = {m.value: m for m in TargetMode}
 _FORMS = {f.value: f for f in ConstraintForm}
 _SEED = click.IntRange(0, SEED_LIMIT - 1)  # the Philox key range
 
@@ -108,10 +106,6 @@ def _finite(ctx: click.Context, param: click.Parameter, value: float) -> float:
     if not math.isfinite(value):
         raise click.BadParameter(f"{value} is not a finite number.")
     return value
-
-
-def _stamp_value(enabled: bool) -> str | None:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat() if enabled else None
 
 
 def _scenes(dataset: str) -> tuple[Path, SceneSpec, list[str]]:
@@ -161,9 +155,15 @@ def _encoding_dirs(encodings: Path) -> list[tuple[int, Path]]:
 
 
 def _read_encoded(enc_dir: Path) -> tuple[GeoEncoding, GeoTargets]:
-    """One scene's encoding and targets, which must share pixels and reference."""
+    """One scene's encoding and targets: the geometric channels and
+    relative-offset targets ``encode`` writes, sharing pixels and reference."""
     enc, _ = formats.read_encoding(enc_dir / "encoding.txt")
     tgt = formats.read_targets(enc_dir / "targets.txt")
+    if enc.mode is not InputMode.GEOMETRIC or tgt.mode is not TargetMode.RELATIVE_OFFSET:
+        raise click.ClickException(
+            f"{enc_dir}: expected {InputMode.GEOMETRIC.value} channels and {TargetMode.RELATIVE_OFFSET.value} "
+            f"targets, found {enc.mode.value} and {tgt.mode.value}"
+        )
     if tgt.ref != enc.ref or not (np.array_equal(tgt.us, enc.us) and np.array_equal(tgt.vs, enc.vs)):
         raise click.ClickException(f"{enc_dir}: targets.txt and encoding.txt differ in pixels or reference point")
     return enc, tgt
@@ -177,7 +177,7 @@ def main() -> None:
 @main.command("synth-gen")
 @click.option("--config", "-c", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(file_okay=False), default=None, help="Overrides output_dir from the config.")
-@click.option("--count", type=int, default=None, help="Overrides scene_count from the config.")
+@click.option("--count", type=click.IntRange(min=1), default=None, help="Overrides scene_count from the config.")
 @click.option("--seed", type=_SEED, default=None, help="Overrides the config seed.")
 def synth_gen(config_path: str, out: str | None, count: int | None, seed: int | None) -> None:
     """Generate a synthetic dataset directory."""
@@ -208,20 +208,18 @@ def synth_gen(config_path: str, out: str | None, count: int | None, seed: int | 
 @click.option("--dataset", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @click.option("--strategy", type=click.Choice(sorted(_STRATEGIES)), default=RefStrategy.MEAN_VISIBLE.value)
-@click.option("--input-mode", type=click.Choice(sorted(_INPUT_MODES)), default=InputMode.GEOMETRIC.value)
-@click.option("--target-mode", type=click.Choice(sorted(_TARGET_MODES)), default=TargetMode.RELATIVE_OFFSET.value)
-def encode_cmd(dataset: str, out: str, strategy: str, input_mode: str, target_mode: str) -> None:
+def encode_cmd(dataset: str, out: str, strategy: str) -> None:
     """Encode every scene of a dataset into input channels and targets."""
     root, spec, names = _scenes(dataset)
     out_dir = Path(out)
     for name, obs in _observations(root, spec.intrinsics, names):
         ref = make_reference(obs.depth, obs.mask, obs.intrinsics, _STRATEGIES[strategy])
-        enc = encode_input(obs, ref, _INPUT_MODES[input_mode])
+        enc = encode_input(obs, ref)
         formats.write_encoding(out_dir / name / "encoding.txt", enc)
         if obs.gt_pose is None:  # as write_scene_dir does for pose.txt
             (out_dir / name / "targets.txt").unlink(missing_ok=True)
         else:
-            tgt = encode_targets(obs, ref, _TARGET_MODES[target_mode])
+            tgt = encode_targets(obs, ref)
             formats.write_targets(out_dir / name / "targets.txt", tgt)
     click.echo(f"encoded {len(names)} scenes to {out_dir}")
 
@@ -281,8 +279,7 @@ def verify_cmd(dataset: str, encodings: str, form: str, tolerance: float, out: s
               help="Gaussian noise added to the object-frame targets before solving.")
 @click.option("--seed", type=_SEED, default=0, show_default=True, help="Seed for the perturbation stream.")
 @click.option("--refine", type=click.IntRange(min=0), default=0, show_default=True, help="Refinement iterations.")
-@click.option("--stamp", is_flag=True, default=False, help="Add a timestamp comment (breaks byte-identity).")
-def solve_cmd(encodings: str, out: str, perturb_sigma: float, seed: int, refine: int, stamp: bool) -> None:
+def solve_cmd(encodings: str, out: str, perturb_sigma: float, seed: int, refine: int) -> None:
     """Recover poses from encodings (optionally with perturbed targets)."""
     rows = []
     for index, enc_dir in _encoding_dirs(Path(encodings)):
@@ -303,7 +300,7 @@ def solve_cmd(encodings: str, out: str, perturb_sigma: float, seed: int, refine:
             + [float(v) for v in pose.translation]
             + [report.residual_rms, report.point_count, report.condition_flag.value]
         )
-    formats.write_csv(out, SOLVES_VERSION, SOLVES_HEADER, rows, stamp=_stamp_value(stamp))
+    formats.write_csv(out, SOLVES_VERSION, SOLVES_HEADER, rows)
     click.echo(f"solved {len(rows)} scenes -> {out}")
 
 
@@ -349,9 +346,8 @@ def _predicted(dataset: str, pred: str) -> tuple[ObjectModel, Iterator[tuple]]:
 @click.option("--threshold-fraction", type=click.FloatRange(min=0.0, min_open=True), callback=_finite, default=0.1,
               show_default=True)
 @click.option("--summary-out", type=click.Path(dir_okay=False), default=None)
-@click.option("--stamp", is_flag=True, default=False)
 def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fraction: float,
-             summary_out: str | None, stamp: bool) -> None:
+             summary_out: str | None) -> None:
     """Score predicted poses against ground truth."""
     cfg = MetricConfig(auc_max_threshold=auc_max, threshold_fraction=threshold_fraction)
     model, predicted = _predicted(dataset, pred)
@@ -379,7 +375,7 @@ def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fracti
         )
     if not selective_errors:
         raise click.ClickException("no non-degenerate predictions to summarize")
-    formats.write_csv(out, RESULTS_VERSION, RESULTS_HEADER, rows, stamp=_stamp_value(stamp))
+    formats.write_csv(out, RESULTS_VERSION, RESULTS_HEADER, rows)
     summary = [
         ("format", "summary/v1"),
         ("scene_count", str(len(rows))),
@@ -397,8 +393,7 @@ def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fracti
 @click.option("--dataset", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--strategy", type=click.Choice(sorted(_STRATEGIES)), default=RefStrategy.MEAN_VISIBLE.value)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--stamp", is_flag=True, default=False)
-def dist_report_cmd(dataset: str, strategy: str, out: str, stamp: bool) -> None:
+def dist_report_cmd(dataset: str, strategy: str, out: str) -> None:
     """Translation-spread table: raw ground truth vs anchored offsets."""
     root, spec, names = _scenes(dataset)
     observations = (obs for _, obs in _observations(root, spec.intrinsics, names))
@@ -407,7 +402,7 @@ def dist_report_cmd(dataset: str, strategy: str, out: str, stamp: bool) -> None:
         [r["quantity"], r["component"], r["variance"], r["min"], r["max"], r["variance_ratio"]]
         for r in report.rows()
     ]
-    formats.write_csv(out, DIST_VERSION, DIST_HEADER, rows, stamp=_stamp_value(stamp))
+    formats.write_csv(out, DIST_VERSION, DIST_HEADER, rows)
     for r in report.rows():
         ratio = "" if r["variance_ratio"] is None else f"  ratio {r['variance_ratio']:.1f}"
         click.echo(
@@ -422,8 +417,7 @@ def dist_report_cmd(dataset: str, strategy: str, out: str, stamp: bool) -> None:
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--w-rot", type=click.FloatRange(min=0.0), callback=_finite, default=1.0, show_default=True)
 @click.option("--w-trans", type=click.FloatRange(min=0.0), callback=_finite, default=1.0, show_default=True)
-@click.option("--stamp", is_flag=True, default=False)
-def loss_decompose_cmd(dataset: str, pred: str, out: str, w_rot: float, w_trans: float, stamp: bool) -> None:
+def loss_decompose_cmd(dataset: str, pred: str, out: str, w_rot: float, w_trans: float) -> None:
     """Split the squared pose loss into rotation/cross/translation parts."""
     model, predicted = _predicted(dataset, pred)
     rows = []
@@ -442,7 +436,7 @@ def loss_decompose_cmd(dataset: str, pred: str, out: str, w_rot: float, w_trans:
                 weighted_add_loss(pose, gt, model, w_rot, w_trans),
             ]
         )
-    formats.write_csv(out, LOSS_VERSION, LOSS_HEADER, rows, stamp=_stamp_value(stamp))
+    formats.write_csv(out, LOSS_VERSION, LOSS_HEADER, rows)
     click.echo(f"decomposed {len(rows)} scenes -> {out}")
 
 

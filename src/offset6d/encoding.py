@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptyObjectError, MissingPoseError, ModeMismatchError
-from .geometry import CameraIntrinsics, RigidPose, backproject_pixels
+from .geometry import CameraIntrinsics, RigidPose, backproject_pixels, inverse_transform_points
 from .refpoint import DepthMap, InstanceMask, ReferencePoint
 
 DEPTH_EPSILON = 1e-6
@@ -224,7 +224,7 @@ def encode_targets(
         raise EmptyObjectError("no masked pixel with valid depth")
     pose = obs.gt_pose
     cam = backproject_pixels(cols, rows, depths, obs.intrinsics)
-    obj = (cam - pose.translation) @ pose.rotation
+    obj = inverse_transform_points(pose, cam)
     obj0 = pose.rotation.T @ (ref.as_array() - pose.translation)
 
     if mode is TargetMode.ABSOLUTE:

@@ -37,7 +37,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import os
 import tempfile
 from pathlib import Path
@@ -552,29 +551,24 @@ def read_targets(path) -> GeoTargets:
 # versioned CSV
 
 
-def write_csv(path, version: str, header: list[str], rows: list[list], stamp: str | None = None) -> None:
+def write_csv(path, version: str, header: list[str], rows: list[list]) -> None:
     buf = io.StringIO()
     buf.write(f"# {version}\n")
-    if stamp:
-        buf.write(f"# generated {stamp}\n")
     minimal = csv.writer(buf, lineterminator="\n")
-    # Quote every cell of a row that would otherwise read back wrong: a line
-    # starting with '#' reads as a comment if it follows the comment lines,
-    # and csv quotes a lone "\r" only when it is in the line terminator.
+    # csv quotes a lone "\r" only when it is in the line terminator, so a row
+    # holding one is quoted throughout or it would read back wrong.
     quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     for row in [header, *rows]:
         cells = ["" if v is None else (format_float(v) if isinstance(v, float) else v) for v in row]
-        misread = any(isinstance(c, str) and "\r" in c for c in cells) or (
-            cells and str(cells[0]).startswith("#")
-        )
+        misread = any(isinstance(c, str) and "\r" in c for c in cells)
         (quoted if misread else minimal).writerow(cells)
     _atomic_write_text(path, buf.getvalue())
 
 
 def read_csv(path, version: str) -> tuple[list[str], list[list[str]]]:
-    """Header row and data rows of a :func:`write_csv` file.  Only the leading
-    ``#`` lines (the version line and an optional stamp) are comments; the
-    rest is CSV, so a cell may start with ``#`` or hold line breaks."""
+    """Header row and data rows of a :func:`write_csv` file.  Only the first
+    line, the version, is a comment; the rest is CSV, so a cell may start
+    with ``#`` or hold line breaks."""
     with open(path, newline="", encoding="utf-8") as f:
         first = f.readline()
         if not first.startswith("# "):
@@ -582,7 +576,7 @@ def read_csv(path, version: str) -> tuple[list[str], list[list[str]]]:
         found = first[2:].strip()
         if found != version:
             raise FormatError(f"{path}: expected version {version!r}, found {found!r}", offset=0)
-        rows = list(csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), f)))
+        rows = list(csv.reader(f))
     if not rows:
         raise FormatError(f"{path}: missing CSV header row")
     return rows[0], rows[1:]

@@ -462,13 +462,6 @@ class TestReports:
         assert r.exit_code == 0, r.output
         assert peak < 6 * depth_bytes, peak
 
-    def test_stamp_changes_bytes(self, pipeline_dir, tmp_path):
-        runner = CliRunner()
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(runner, ["dist-report", "--dataset", str(pipeline_dir / "dataset"), "--out", str(a)])
-        run(runner, ["dist-report", "--dataset", str(pipeline_dir / "dataset"), "--out", str(b), "--stamp"])
-        assert a.read_bytes() != b.read_bytes()
-
 
 class TestErrors:
     def test_missing_manifest(self, tmp_path):
@@ -525,6 +518,28 @@ class TestErrors:
         assert r.exit_code == 1, r.output
         assert r.exception is None or isinstance(r.exception, SystemExit)
         assert f"{scene}: targets.txt and encoding.txt differ" in r.output
+
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    @pytest.mark.parametrize("name, mode", [("targets.txt", "absolute"), ("encoding.txt", "offset")])
+    def test_other_encoding_mode_refused(self, pipeline_dir, tmp_path, command, name, mode):
+        # Only geometric channels with relative-offset targets constrain the
+        # pose: absolute targets solve to poses centimeters off, yet well-posed.
+        enc = tmp_path / "enc"
+        shutil.copytree(pipeline_dir / "enc", enc)
+        scene = enc / formats.scene_name(2)
+        obs = formats.read_scene_dir(pipeline_dir / "dataset" / scene.name, K)
+        ref = formats.read_targets(scene / "targets.txt").ref
+        if name == "targets.txt":
+            formats.write_targets(scene / name, o6.encode_targets(obs, ref, o6.TargetMode(mode)))
+        else:
+            formats.write_encoding(scene / name, o6.encode_input(obs, ref, o6.InputMode(mode)))
+        out = tmp_path / "out.txt"
+        if command == "verify":
+            args = ["verify", "--dataset", str(pipeline_dir / "dataset"), "--encodings", str(enc), "--out", str(out)]
+        else:
+            args = ["solve", "--encodings", str(enc), "--out", str(out)]
+        assert_one_error_line(CliRunner().invoke(main, args), str(scene), mode)
+        assert not out.exists()
 
     def test_missing_targets_file_names_path(self, pipeline_dir, tmp_path):
         enc = tmp_path / "enc"
@@ -746,6 +761,8 @@ class TestErrors:
         ("solve", "--refine", "-2"),
         ("solve", "--seed", "-1"),
         ("solve", "--seed", str(2**128)),
+        ("synth-gen", "--count", "-5"),
+        ("synth-gen", "--count", "0"),
     ])
     def test_bad_option_value_rejected(self, pipeline_dir, tmp_path, command, option, value):
         # Click refuses each (exit 2) before any file is read: none may reach
@@ -753,6 +770,8 @@ class TestErrors:
         out = tmp_path / "out.csv"
         if command == "solve":
             args = ["solve", "--encodings", str(pipeline_dir / "enc")]
+        elif command == "synth-gen":
+            args = ["synth-gen", "-c", str(pipeline_dir / "config.txt")]
         else:
             args = [command, "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pipeline_dir / "solves.csv")]
         r = CliRunner().invoke(main, args + ["--out", str(out), option, value])

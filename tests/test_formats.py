@@ -591,7 +591,7 @@ class TestCsv:
     def test_comment_like_cells_and_line_breaks_survive(self, tmp_path):
         path = tmp_path / "rows.csv"
         rows = [["#x", 1.0], ["y", "two\nlines"], ["cr\r", "crlf\r\n"]]
-        formats.write_csv(path, "results/v1", ["#a", "b"], rows, stamp="2026-08-09T00:00:00")
+        formats.write_csv(path, "results/v1", ["#a", "b"], rows)
         header, back = formats.read_csv(path, "results/v1")
         assert header == ["#a", "b"]
         assert back == [["#x", "1.0"], ["y", "two\nlines"], ["cr\r", "crlf\r\n"]]
@@ -614,13 +614,6 @@ class TestCsv:
         formats.write_csv(a, "results/v1", ["n", "v"], rows)
         formats.write_csv(b, "results/v1", ["n", "v"], rows)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_stamp_breaks_identity_but_parses(self, tmp_path):
-        a = tmp_path / "a.csv"
-        formats.write_csv(a, "results/v1", ["n"], [["x"]], stamp="2026-08-09T00:00:00")
-        header, rows = formats.read_csv(a, "results/v1")
-        assert rows == [["x"]]
-        assert b"2026-08-09" in a.read_bytes()
 
 
 class TestSceneDir:
