@@ -70,7 +70,6 @@ from .spec import SEED_LIMIT, SceneSpec
 from .synth import perturbation_rng
 
 _STRATEGIES = {s.value: s for s in RefStrategy}
-_FORMS = {f.value: f for f in ConstraintForm}
 _SEED = click.IntRange(0, SEED_LIMIT - 1)  # the Philox key range
 
 SOLVES_VERSION = "solves/v1"
@@ -227,25 +226,22 @@ def encode_cmd(dataset: str, out: str, strategy: str) -> None:
 @main.command("verify")
 @click.option("--dataset", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--encodings", required=True, type=click.Path(exists=True, file_okay=False))
-@click.option("--form", type=click.Choice(sorted(_FORMS) + ["both"]), default="both")
 @click.option("--tolerance", type=click.FloatRange(min=0.0), callback=_finite, default=1e-9, show_default=True,
               help="Exit nonzero when the corrected-form max residual exceeds this.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def verify_cmd(dataset: str, encodings: str, form: str, tolerance: float, out: str | None) -> None:
-    """Check constraint residuals of encodings against ground-truth poses."""
+def verify_cmd(dataset: str, encodings: str, tolerance: float, out: str | None) -> None:
+    """Check constraint residuals of encodings against ground-truth poses,
+    in both constraint forms; the corrected form is the gate."""
     root, _, names = _scenes(dataset)
     enc_root = Path(encodings)
     missing = [name for name in names if not (enc_root / name).is_dir()]
     if missing:
         raise click.ClickException(f"{enc_root} has no encoding for {', '.join(missing)}")
-    requested = list(_FORMS.values()) if form == "both" else [_FORMS[form]]
-    gate_form = ConstraintForm.CORRECTED
-    forms = set(requested) | {gate_form}
-    stats = {f: {"max": 0.0, "sq_sum": 0.0, "n": 0} for f in forms}
+    stats = {f: {"max": 0.0, "sq_sum": 0.0, "n": 0} for f in ConstraintForm}
     nonfinite = []
     for name, gt_pose in _poses(root, names):
         enc, tgt = _read_encoded(enc_root / name)
-        for f in forms:
+        for f in ConstraintForm:
             residual = constraint_residual(enc, tgt, gt_pose, f)
             norms = np.linalg.norm(residual, axis=1)
             if not np.all(np.isfinite(norms)):  # max() would skip a NaN
@@ -257,16 +253,17 @@ def verify_cmd(dataset: str, encodings: str, form: str, tolerance: float, out: s
     if nonfinite:
         raise click.ClickException(f"non-finite constraint residuals in {', '.join(nonfinite)}")
     pairs: list[tuple[str, str]] = [("format", "verify/v1")]
-    for f in requested:
+    for f in ConstraintForm:
         rms = (stats[f]["sq_sum"] / stats[f]["n"]) ** 0.5
         click.echo(f"{f.value}: max residual {stats[f]['max']:.3e}, rms {rms:.3e}")
         pairs.append((f"{f.value.replace('-', '_')}_max", formats.format_float(stats[f]["max"])))
         pairs.append((f"{f.value.replace('-', '_')}_rms", formats.format_float(rms)))
     if out:
         formats.write_keyvalue(out, pairs)
-    if stats[gate_form]["max"] > tolerance:
+    gate = stats[ConstraintForm.CORRECTED]["max"]
+    if gate > tolerance:
         click.echo(
-            f"corrected-form max residual {stats[gate_form]['max']:.3e} exceeds tolerance {tolerance:.3e}",
+            f"corrected-form max residual {gate:.3e} exceeds tolerance {tolerance:.3e}",
             err=True,
         )
         sys.exit(1)

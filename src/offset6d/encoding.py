@@ -20,11 +20,12 @@ CORRECTED here.  The AS_PRINTED variant keeps the widely circulated form whose
 last term is ``t0/(d_i d0)`` without the dd factor, and is retained only so
 the discrepancy between the two can be measured.
 
-Per-pixel channels are stored sparsely (valid masked pixels only, row-major)
-with explicit (u, v) indices.  Pixels with depth <= ``depth_epsilon`` are
-dropped before encoding because the scaled form divides by d_i.  The
-geometric products ``d_i d0`` and ``t0 / (d_i d0)`` follow from ``dd`` and
-the reference point; :func:`geometric_products` is the one place they are
+Per-pixel channels are stored sparsely (row-major) with explicit (u, v)
+indices, over the pixels :func:`offset6d.refpoint.visible_points` selects
+for the reference point too: masked pixels with depth above
+``DEPTH_EPSILON``, since the scaled form divides by d_i.  The geometric
+products ``d_i d0`` and ``t0 / (d_i d0)`` follow from ``dd`` and the
+reference point; :func:`geometric_products` is the one place they are
 computed.
 """
 
@@ -35,11 +36,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyObjectError, MissingPoseError, ModeMismatchError
-from .geometry import CameraIntrinsics, RigidPose, backproject_pixels, inverse_transform_points
-from .refpoint import DepthMap, InstanceMask, ReferencePoint
-
-DEPTH_EPSILON = 1e-6
+from .errors import MissingPoseError, ModeMismatchError
+from .geometry import CameraIntrinsics, RigidPose, inverse_transform_points
+from .refpoint import DepthMap, InstanceMask, ReferencePoint, visible_points
 
 
 class InputMode(Enum):
@@ -81,13 +80,6 @@ class SceneObservation:
                 f"depth {self.depth.values.shape} and mask "
                 f"{self.mask.values.shape} shapes differ"
             )
-
-
-def valid_pixels(obs: SceneObservation, depth_epsilon: float = DEPTH_EPSILON):
-    """Row-major (rows, cols, depths) of masked pixels with usable depth."""
-    valid = obs.mask.values & (obs.depth.values > depth_epsilon)
-    rows, cols = np.nonzero(valid)
-    return rows, cols, obs.depth.values[rows, cols]
 
 
 @record
@@ -165,17 +157,13 @@ def encode_input(
     obs: SceneObservation,
     ref: ReferencePoint,
     mode: InputMode = InputMode.GEOMETRIC,
-    depth_epsilon: float = DEPTH_EPSILON,
 ) -> GeoEncoding:
     """Build the per-pixel input channels for one observation.
 
     GEOMETRIC mode takes ``dd0`` and ``t0_over_dd0`` from
     :func:`geometric_products` of its ``delta_d``.
     """
-    rows, cols, depths = valid_pixels(obs, depth_epsilon)
-    if rows.size == 0:
-        raise EmptyObjectError("no masked pixel with valid depth")
-    pts = backproject_pixels(cols, rows, depths, obs.intrinsics)
+    rows, cols, pts = visible_points(obs.depth, obs.mask, obs.intrinsics)
     x, y, d = pts[:, 0], pts[:, 1], pts[:, 2]
 
     dd0 = None
@@ -209,7 +197,6 @@ def encode_targets(
     obs: SceneObservation,
     ref: ReferencePoint,
     mode: TargetMode = TargetMode.RELATIVE_OFFSET,
-    depth_epsilon: float = DEPTH_EPSILON,
 ) -> GeoTargets:
     """Build object-frame targets from the ground-truth pose.
 
@@ -219,11 +206,8 @@ def encode_targets(
     """
     if obs.gt_pose is None:
         raise MissingPoseError("target encoding requires a ground-truth pose")
-    rows, cols, depths = valid_pixels(obs, depth_epsilon)
-    if rows.size == 0:
-        raise EmptyObjectError("no masked pixel with valid depth")
+    rows, cols, cam = visible_points(obs.depth, obs.mask, obs.intrinsics)
     pose = obs.gt_pose
-    cam = backproject_pixels(cols, rows, depths, obs.intrinsics)
     obj = inverse_transform_points(pose, cam)
     obj0 = pose.rotation.T @ (ref.as_array() - pose.translation)
 
@@ -245,6 +229,15 @@ def encode_targets(
         us=cols.copy(),
         vs=rows.copy(),
     )
+
+
+def camera_side(enc: GeoEncoding) -> tuple[np.ndarray, np.ndarray]:
+    """The camera side of the depth-scaled constraint: the rows
+    ``[dx, dy, 0]`` (N, 3) and the depth column ``w = dd / (d_i d0)`` (N,)."""
+    if enc.mode is not InputMode.GEOMETRIC:
+        raise ModeMismatchError(f"depth-scaled constraint requires GEOMETRIC input channels, got {enc.mode}")
+    lhs = np.stack([enc.delta_x, enc.delta_y, np.zeros_like(enc.delta_x)], axis=1)
+    return lhs, enc.delta_d / enc.dd0
 
 
 def decode_translation(delta_t: np.ndarray, ref: ReferencePoint) -> np.ndarray:
@@ -273,13 +266,9 @@ def constraint_residual(
         raise ModeMismatchError(
             f"constraint residual requires RELATIVE_OFFSET targets, got {tgt.mode}"
         )
-    if enc.mode is not InputMode.GEOMETRIC:
-        raise ModeMismatchError(
-            f"constraint residual requires GEOMETRIC input channels, got {enc.mode}"
-        )
+    lhs, w = camera_side(enc)
     t0 = enc.ref.as_array()
     delta_t = pose.translation - t0
-    w = enc.delta_d / enc.dd0
     rhs = tgt.delta_abc @ pose.rotation.T - w[:, None] * delta_t[None, :]
     if form is ConstraintForm.CORRECTED:
         rhs = rhs - w[:, None] * t0[None, :]
@@ -287,7 +276,6 @@ def constraint_residual(
         rhs = rhs - enc.t0_over_dd0
     else:
         raise ValueError(f"unknown constraint form {form!r}")
-    lhs = np.stack([enc.delta_x, enc.delta_y, np.zeros_like(enc.delta_x)], axis=1)
     return rhs - lhs
 
 

@@ -235,12 +235,12 @@ def _parse_pgm_header(raw: bytes, path) -> tuple[int, int, int, int]:
 
 def write_depth_pgm(path, depth_m: np.ndarray) -> None:
     """Quantize meters to whole millimeters (round half-even) and store as
-    16-bit PGM.  0 stays 0 (invalid)."""
+    16-bit PGM.  0 stays 0 (missing); NaN and infinity are refused."""
     depth = np.asarray(depth_m, dtype=np.float64)
     if depth.ndim != 2:
         raise ValueError("depth must be 2-D")
     mm = np.rint(depth / DEPTH_UNIT)
-    if np.any(mm < 0) or np.any(mm > MAX_DEPTH_MM):
+    if not np.all((mm >= 0) & (mm <= MAX_DEPTH_MM)):  # NaN fails both
         raise ValueError(f"depth out of the PGM range [0, {MAX_DEPTH_MM}] mm")
     header = f"P5\n{depth.shape[1]} {depth.shape[0]}\n{MAX_DEPTH_MM}\n".encode()
     _atomic_write_bytes(path, header + mm.astype(">u2").tobytes())

@@ -3,14 +3,17 @@
 The reference point ``(x0, y0, d0)`` anchors all relative-offset encodings.
 Three strategies are provided:
 
-  - CENTER_NEAREST_DEPTH: ROI-center pixel for (u0, v0), minimum valid
-    masked depth for d0, then (x0, y0) from the pin-hole equations.
-  - CENTER_MEAN_DEPTH:    same (u0, v0), d0 = mean of valid masked depths.
+  - CENTER_NEAREST_DEPTH: ROI-center pixel for (u0, v0), minimum visible
+    depth for d0, then (x0, y0) from the pin-hole equations.
+  - CENTER_MEAN_DEPTH:    same (u0, v0), d0 = mean of the visible depths.
   - MEAN_VISIBLE:         componentwise mean of all lifted visible points.
 
-A depth value of 0 encodes missing data and never enters a statistic.  The
-ROI center is used as given even when it falls on background; occlusion can
-push the box center off the object and that case is deliberately preserved.
+A visible pixel is a masked pixel with depth above ``DEPTH_EPSILON``; any
+smaller depth (0 included) is missing data.  :func:`visible_points` is the
+one place that selects and lifts them, for the reference point here and for
+the channels and targets in :mod:`offset6d.encoding`.  The ROI center is
+used as given even when it falls on background; occlusion can push the box
+center off the object and that case is deliberately preserved.
 
 Means are accumulated with exact compensated summation (``math.fsum``) in
 row-major pixel order, so results are bit-stable and independent of how the
@@ -28,6 +31,10 @@ import numpy as np
 from .errors import EmptyObjectError
 from .geometry import CameraIntrinsics, backproject_pixels
 
+# Depths at or below this (meters) are missing.  The depth-scaled channels
+# divide by d, and ``(d - d0) + d0`` could round a tinier d to 0.
+DEPTH_EPSILON = 1e-6
+
 
 class RefStrategy(Enum):
     CENTER_NEAREST_DEPTH = "center-nearest"
@@ -37,7 +44,8 @@ class RefStrategy(Enum):
 
 @record
 class DepthMap:
-    """Row-major depth image in meters; 0 marks invalid/missing pixels."""
+    """Row-major depth image in meters; a depth <= DEPTH_EPSILON (0, say)
+    marks a missing pixel."""
 
     values: np.ndarray
 
@@ -108,39 +116,37 @@ class ReferencePoint:
         return np.array([self.x0, self.y0, self.d0], dtype=np.float64)
 
 
-def _check_pair(depth: DepthMap, mask: InstanceMask) -> None:
+def visible_points(
+    depth: DepthMap, mask: InstanceMask, k: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major ``(rows, cols, points)`` of the masked pixels with depth
+    above ``DEPTH_EPSILON``, lifted to the camera frame: the one pixel set
+    that the reference point, the channels and the targets are built from."""
     if depth.values.shape != mask.values.shape:
         raise ValueError(
             f"depth {depth.values.shape} and mask {mask.values.shape} shapes differ"
         )
-
-
-def _valid_masked_depths(depth: DepthMap, mask: InstanceMask) -> np.ndarray:
-    """Valid masked depth values in row-major order."""
-    _check_pair(depth, mask)
-    valid = mask.values & (depth.values > 0)
-    return depth.values[valid]
+    rows, cols = np.nonzero(mask.values & (depth.values > DEPTH_EPSILON))
+    if rows.size == 0:
+        raise EmptyObjectError("no masked pixel with valid depth")
+    return rows, cols, backproject_pixels(cols, rows, depth.values[rows, cols], k)
 
 
 def fsum_mean(values: np.ndarray) -> float:
     """Mean via exact (compensated) summation; order-independent result."""
     values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise EmptyObjectError("mean of empty value set")
     return math.fsum(values.tolist()) / values.size
 
 
 def _ref_center(
     depth: DepthMap, mask: InstanceMask, roi: Roi, k: CameraIntrinsics, statistic, strategy: RefStrategy
 ) -> ReferencePoint:
-    """ROI-center pixel lifted at ``statistic`` of the valid masked depths."""
+    """ROI-center pixel lifted at ``statistic`` of the visible depths."""
     height, width = depth.values.shape
     if not roi.intersects(width, height):
         raise ValueError(f"roi {roi} does not intersect a {width}x{height} image")
-    depths = _valid_masked_depths(depth, mask)
-    if depths.size == 0:
-        raise EmptyObjectError("no masked pixel with valid depth")
-    d0 = float(statistic(depths))
+    _, _, points = visible_points(depth, mask, k)
+    d0 = float(statistic(points[:, 2]))
     x0, y0, _ = backproject_pixels(roi.c_col, roi.c_row, d0, k).tolist()
     return ReferencePoint(x0, y0, d0, strategy)
 
@@ -148,25 +154,20 @@ def _ref_center(
 def ref_center_nearest(
     depth: DepthMap, mask: InstanceMask, roi: Roi, k: CameraIntrinsics
 ) -> ReferencePoint:
-    """ROI-center pixel, depth of the closest valid masked point."""
+    """ROI-center pixel, depth of the closest visible point."""
     return _ref_center(depth, mask, roi, k, np.min, RefStrategy.CENTER_NEAREST_DEPTH)
 
 
 def ref_center_meandepth(
     depth: DepthMap, mask: InstanceMask, roi: Roi, k: CameraIntrinsics
 ) -> ReferencePoint:
-    """ROI-center pixel, arithmetic mean of valid masked depths."""
+    """ROI-center pixel, arithmetic mean of the visible depths."""
     return _ref_center(depth, mask, roi, k, fsum_mean, RefStrategy.CENTER_MEAN_DEPTH)
 
 
 def ref_mean_visible(depth: DepthMap, mask: InstanceMask, k: CameraIntrinsics) -> ReferencePoint:
     """Componentwise mean of every lifted visible point."""
-    _check_pair(depth, mask)
-    valid = mask.values & (depth.values > 0)
-    rows, cols = np.nonzero(valid)
-    if rows.size == 0:
-        raise EmptyObjectError("no masked pixel with valid depth")
-    pts = backproject_pixels(cols, rows, depth.values[rows, cols], k)
+    _, _, pts = visible_points(depth, mask, k)
     x0 = fsum_mean(pts[:, 0])
     y0 = fsum_mean(pts[:, 1])
     d0 = fsum_mean(pts[:, 2])

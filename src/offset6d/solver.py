@@ -20,8 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .encoding import GeoEncoding, InputMode
-from .errors import DegenerateConfigurationError, ModeMismatchError
+from .encoding import GeoEncoding, camera_side
+from .errors import DegenerateConfigurationError
 from .geometry import RigidPose, nearest_rotation
 from .refpoint import ReferencePoint
 
@@ -162,8 +162,7 @@ def solve_from_constraints(
     ``refine_iterations`` optionally polishes the result by alternating
     point reconstruction with a rigid re-fit; off by default.
     """
-    if enc.mode is not InputMode.GEOMETRIC:
-        raise ModeMismatchError(f"solver requires GEOMETRIC input channels, got {enc.mode}")
+    lhs, w = camera_side(enc)
     delta_abc = _as_points(delta_abc, "delta_abc")
     n = len(enc)
     if delta_abc.shape[0] != n:
@@ -171,8 +170,6 @@ def solve_from_constraints(
     if n < MIN_CONSTRAINT_PIXELS:
         raise DegenerateConfigurationError(f"need >= {MIN_CONSTRAINT_PIXELS} pixels, got {n}")
 
-    w = enc.delta_d / enc.dd0
-    lhs = np.stack([enc.delta_x, enc.delta_y, np.zeros(n)], axis=1)
     if not all(np.all(np.isfinite(a)) for a in (delta_abc, lhs, w)):
         raise DegenerateConfigurationError("constraint system has non-finite entries (NaN or inf input)")
     ww = float(w @ w)

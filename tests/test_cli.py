@@ -162,7 +162,7 @@ class TestVerify:
         runner = CliRunner()
         r = run(runner, [
             "verify", "--dataset", str(pipeline_dir / "dataset"),
-            "--encodings", str(pipeline_dir / "enc"), "--form", "corrected",
+            "--encodings", str(pipeline_dir / "enc"),
             "--tolerance", "1e-9",
         ])
         assert r.exit_code == 0, r.output
@@ -172,7 +172,7 @@ class TestVerify:
         runner = CliRunner()
         r = run(runner, [
             "verify", "--dataset", str(pipeline_dir / "dataset"),
-            "--encodings", str(pipeline_dir / "enc"), "--form", "as-printed",
+            "--encodings", str(pipeline_dir / "enc"),
         ])
         assert r.exit_code == 0
         printed_max = float(r.output.split("as-printed: max residual")[1].split(",")[0])

@@ -166,6 +166,13 @@ class TestDepthPgm:
         with pytest.raises(ValueError):
             formats.write_depth_pgm(tmp_path / "d.pgm", np.array([[70.0]]))  # 70 m > 16 bit mm
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_write_refused(self, tmp_path, bad):
+        # NaN would otherwise cast to 0 and read back as a missing pixel.
+        with pytest.raises(ValueError):
+            formats.write_depth_pgm(tmp_path / "d.pgm", np.array([[bad, 1.0]]))
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_wrong_maxval(self, tmp_path):
         path = tmp_path / "d.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes(4))

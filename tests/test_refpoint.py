@@ -1,12 +1,17 @@
 """Reference-point strategies over depth + mask."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import offset6d as o6
 from offset6d.errors import EmptyObjectError
+from offset6d.refpoint import DEPTH_EPSILON
 
 from conftest import default_intrinsics
 
@@ -205,3 +210,47 @@ class TestTypes:
         mask[2:5, 3:9] = True  # rows 2..4, cols 3..8
         roi = o6.roi_from_mask(o6.InstanceMask(mask))
         assert (roi.c_col, roi.c_row, roi.w, roi.h) == ((3 + 8) // 2, (2 + 4) // 2, 6, 3)
+
+
+@st.composite
+def masked_depth_maps(draw):
+    """A small depth map mixing missing (0), tiny (0, DEPTH_EPSILON] and
+    ordinary depths, under a random mask of the same shape."""
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=5))
+    depth = draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.just(0.0),
+        st.floats(0.0, DEPTH_EPSILON, exclude_min=True),
+        st.floats(0.3, 3.0),
+    )))
+    return o6.DepthMap(depth), o6.InstanceMask(draw(hnp.arrays(bool, shape)))
+
+
+class TestOnePixelSet:
+    """The reference point, the channels and the targets are all built from
+    the masked pixels with depth above DEPTH_EPSILON."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(maps=masked_depth_maps())
+    def test_reference_channels_and_targets_agree(self, maps):
+        depth, mask = maps
+        obs = o6.SceneObservation(depth=depth, mask=mask, intrinsics=K, gt_pose=o6.RigidPose.identity())
+        rows, cols = np.nonzero(mask.values & (depth.values > DEPTH_EPSILON))
+        if rows.size == 0:
+            ref = o6.ReferencePoint(0.0, 0.0, 1.0, o6.RefStrategy.MEAN_VISIBLE)
+            for build in (
+                lambda: o6.ref_mean_visible(depth, mask, K),
+                lambda: o6.make_reference(depth, mask, K, o6.RefStrategy.CENTER_NEAREST_DEPTH),
+                lambda: o6.encode_input(obs, ref),
+                lambda: o6.encode_targets(obs, ref),
+            ):
+                with pytest.raises(EmptyObjectError):
+                    build()
+            return
+        depths = depth.values[rows, cols]
+        points = [lift(int(u), int(v), float(d)) for u, v, d in zip(cols, rows, depths)]
+        ref = o6.ref_mean_visible(depth, mask, K)
+        assert (ref.x0, ref.y0, ref.d0) == tuple(math.fsum(c) / len(points) for c in zip(*points))
+        nearest = o6.make_reference(depth, mask, K, o6.RefStrategy.CENTER_NEAREST_DEPTH)
+        assert nearest.d0 == depths.min()
+        for selected in (o6.encode_input(obs, ref), o6.encode_targets(obs, ref)):
+            assert np.array_equal(selected.us, cols) and np.array_equal(selected.vs, rows)
