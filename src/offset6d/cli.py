@@ -31,8 +31,10 @@ prediction writes no ``results.csv``.
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
@@ -124,9 +126,29 @@ def _scenes(dataset: str) -> tuple[Path, SceneSpec, list[str]]:
     return root, spec, names
 
 
-def _observations(root: Path, intrinsics: CameraIntrinsics, names: list[str]) -> Iterator[tuple[str, SceneObservation]]:
-    for name in names:
-        yield name, formats.read_scene_dir(root / name, intrinsics)
+class _SceneReader:
+    """A dataset's scenes in manifest order, each read whole; within
+    ``naming()``, a toolkit error raised while a scene is read or handled
+    names that scene, so ``_Main.invoke`` stays the one error boundary."""
+
+    def __init__(self, root: Path, intrinsics: CameraIntrinsics, names: list[str]):
+        self.root, self.intrinsics, self.names = root, intrinsics, names
+        self.current: str | None = None
+
+    def __iter__(self) -> Iterator[tuple[str, SceneObservation]]:
+        for name in self.names:
+            self.current = name
+            yield name, formats.read_scene_dir(self.root / name, self.intrinsics)
+        self.current = None  # an error after the last scene belongs to none
+
+    @contextmanager
+    def naming(self) -> Iterator[None]:
+        try:
+            yield
+        except Offset6DError as exc:
+            if self.current is None or self.current in str(exc):  # a file error names its path
+                raise
+            raise Offset6DError(f"{self.current}: {exc}") from exc
 
 
 def _poses(root: Path, names: list[str]) -> Iterator[tuple[str, RigidPose]]:
@@ -211,15 +233,17 @@ def encode_cmd(dataset: str, out: str, strategy: str) -> None:
     """Encode every scene of a dataset into input channels and targets."""
     root, spec, names = _scenes(dataset)
     out_dir = Path(out)
-    for name, obs in _observations(root, spec.intrinsics, names):
-        ref = make_reference(obs.depth, obs.mask, obs.intrinsics, _STRATEGIES[strategy])
-        enc = encode_input(obs, ref)
-        formats.write_encoding(out_dir / name / "encoding.txt", enc)
-        if obs.gt_pose is None:  # as write_scene_dir does for pose.txt
-            (out_dir / name / "targets.txt").unlink(missing_ok=True)
-        else:
-            tgt = encode_targets(obs, ref)
-            formats.write_targets(out_dir / name / "targets.txt", tgt)
+    scenes = _SceneReader(root, spec.intrinsics, names)
+    with scenes.naming():
+        for name, obs in scenes:
+            ref = make_reference(obs.depth, obs.mask, obs.intrinsics, _STRATEGIES[strategy])
+            enc = encode_input(obs, ref)
+            formats.write_encoding(out_dir / name / "encoding.txt", enc)
+            if obs.gt_pose is None:  # as write_scene_dir does for pose.txt
+                (out_dir / name / "targets.txt").unlink(missing_ok=True)
+            else:
+                tgt = encode_targets(obs, ref)
+                formats.write_targets(out_dir / name / "targets.txt", tgt)
     click.echo(f"encoded {len(names)} scenes to {out_dir}")
 
 
@@ -393,8 +417,9 @@ def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fracti
 def dist_report_cmd(dataset: str, strategy: str, out: str) -> None:
     """Translation-spread table: raw ground truth vs anchored offsets."""
     root, spec, names = _scenes(dataset)
-    observations = (obs for _, obs in _observations(root, spec.intrinsics, names))
-    report = synth.distribution_report(observations, _STRATEGIES[strategy])
+    scenes = _SceneReader(root, spec.intrinsics, names)
+    with scenes.naming():
+        report = synth.distribution_report((obs for _, obs in scenes), _STRATEGIES[strategy])
     rows = [
         [r["quantity"], r["component"], r["variance"], r["min"], r["max"], r["variance_ratio"]]
         for r in report.rows()
@@ -436,6 +461,9 @@ def loss_decompose_cmd(dataset: str, pred: str, out: str, w_rot: float, w_trans:
     formats.write_csv(out, LOSS_VERSION, LOSS_HEADER, rows)
     click.echo(f"decomposed {len(rows)} scenes -> {out}")
 
+
+# Everything made above lives until exit: frozen, no collection rescans it, the ones at exit included.
+gc.freeze()
 
 if __name__ == "__main__":
     main()
