@@ -13,7 +13,10 @@ Dataset layout (one directory per dataset)::
 ``synth-gen`` writes ``manifest.txt`` last, so a failed run leaves none.
 ``verify``, ``eval`` and ``loss-decompose`` read only each scene's
 ``pose.txt``; ``encode`` and ``dist-report`` read the whole scene.
-Encodings mirror the scene directories (encoding.txt + targets.txt each):
+Encodings mirror the scene directories (encoding.txt + targets.txt each),
+and ``encode`` writes ``enc/manifest.txt``, a copy of the dataset's
+manifest, last, so a failed or interrupted encode leaves none; every batch
+command takes its scenes from a manifest (``_Scenes``).  Each table is
 a ``key = value`` text header ending in ``data:``, then the rows as raw
 little-endian float64 (``<f8``), so ``head encoding.txt`` shows the header.
 ``encode`` writes the geometric channels and relative-offset targets, the
@@ -21,8 +24,10 @@ one encoding ``verify`` and ``solve`` accept.  Every ``encoding.txt`` holds
 the columns ``u v delta_x delta_y delta_d``; the geometric ``d*d0`` and
 ``t0/(d*d0)`` are derived from ``delta_d`` when the file is read.
 Inputs are joined by scene name, never by position: a missing encoding or
-solves row, a duplicated row, or targets that do not match their encoding
-fail the command and name the scene; ``solve`` keys its noise by the parsed
+solves row, a solves row for a scene the dataset does not claim, a
+duplicated row, or targets that do not match their encoding fail the
+command and name the scene; ``verify`` refuses encodings whose manifest
+differs from the dataset's, and ``solve`` keys its noise by the manifest's
 scene index.  All commands are deterministic for fixed inputs and seed, and
 their outputs are byte-identical across reruns.  Any toolkit or file error
 exits 1 with a one-line diagnostic; ``eval`` with no non-degenerate
@@ -47,14 +52,13 @@ from .encoding import (
     GeoEncoding,
     GeoTargets,
     InputMode,
-    SceneObservation,
     TargetMode,
     constraint_residual,
     encode_input,
     encode_targets,
 )
 from .errors import DegenerateConfigurationError, Offset6DError
-from .geometry import CameraIntrinsics, RigidPose
+from .geometry import RigidPose
 from .metrics import (
     MetricConfig,
     ObjectModel,
@@ -68,7 +72,7 @@ from .metrics import (
 from .record import replace
 from .refpoint import RefStrategy, make_reference
 from .solver import ConditionFlag, rotation_geodesic_error, solve_from_constraints
-from .spec import SEED_LIMIT, SceneSpec
+from .spec import SEED_LIMIT
 from .synth import perturbation_rng
 
 _STRATEGIES = {s.value: s for s in RefStrategy}
@@ -109,36 +113,31 @@ def _finite(ctx: click.Context, param: click.Parameter, value: float) -> float:
     return value
 
 
-def _scenes(dataset: str) -> tuple[Path, SceneSpec, list[str]]:
-    """The dataset root, its manifest's spec and the names of the scenes the
-    manifest claims."""
-    root = Path(dataset)
-    manifest = root / "manifest.txt"
-    if not manifest.exists():
-        raise click.ClickException(f"{manifest} not found; is {dataset} a dataset directory?")
-    spec, count = formats.read_manifest(manifest)
-    if count == 0:
-        raise click.ClickException(f"{manifest} claims no scenes (scene_count = 0)")
-    names = [formats.scene_name(i) for i in range(count)]
-    missing = [name for name in names if not (root / name).is_dir()]
-    if missing:
-        raise click.ClickException(f"dataset {root} is missing scene directories: {missing[:5]}")
-    return root, spec, names
+class _Scenes:
+    """The scenes a directory's ``manifest.txt`` claims: a dataset's, or the
+    copy ``encode`` writes into its encodings.  Iterating yields
+    ``(index, scene_dir)`` in manifest order; within ``naming()``, a toolkit
+    error raised while a scene is read or handled names that scene, so
+    ``_Main.invoke`` stays the one error boundary."""
 
-
-class _SceneReader:
-    """A dataset's scenes in manifest order, each read whole; within
-    ``naming()``, a toolkit error raised while a scene is read or handled
-    names that scene, so ``_Main.invoke`` stays the one error boundary."""
-
-    def __init__(self, root: Path, intrinsics: CameraIntrinsics, names: list[str]):
-        self.root, self.intrinsics, self.names = root, intrinsics, names
+    def __init__(self, directory: str):
+        self.root = Path(directory)
+        manifest = self.root / "manifest.txt"
+        if not manifest.exists():
+            raise click.ClickException(f"{manifest} not found; is {directory} a dataset or encodings directory?")
+        self.spec, count = formats.read_manifest(manifest)
+        if count == 0:
+            raise click.ClickException(f"{manifest} claims no scenes (scene_count = 0)")
+        self.names = [formats.scene_name(i) for i in range(count)]
+        missing = [name for name in self.names if not (self.root / name).is_dir()]
+        if missing:
+            raise click.ClickException(f"{self.root} is missing scene directories: {', '.join(missing)}")
         self.current: str | None = None
 
-    def __iter__(self) -> Iterator[tuple[str, SceneObservation]]:
-        for name in self.names:
+    def __iter__(self) -> Iterator[tuple[int, Path]]:
+        for index, name in enumerate(self.names):
             self.current = name
-            yield name, formats.read_scene_dir(self.root / name, self.intrinsics)
+            yield index, self.root / name
         self.current = None  # an error after the last scene belongs to none
 
     @contextmanager
@@ -149,30 +148,6 @@ class _SceneReader:
             if self.current is None or self.current in str(exc):  # a file error names its path
                 raise
             raise Offset6DError(f"{self.current}: {exc}") from exc
-
-
-def _poses(root: Path, names: list[str]) -> Iterator[tuple[str, RigidPose]]:
-    """Each scene's ground-truth pose, the one scene fact ``verify``, ``eval``
-    and ``loss-decompose`` use; a missing ``pose.txt`` fails naming it."""
-    for name in names:
-        yield name, formats.read_pose(root / name / "pose.txt")
-
-
-def _scene_index(name: str) -> int:
-    suffix = name.removeprefix("scene_")
-    if not suffix.isdecimal() or formats.scene_name(int(suffix)) != name:
-        raise click.ClickException(f"{name} is not a scene name (scene_NNNNN)")
-    return int(suffix)
-
-
-def _encoding_dirs(encodings: Path) -> list[tuple[int, Path]]:
-    """Scene encoding directories with their parsed scene index, in index order."""
-    dirs = sorted(
-        (_scene_index(p.name), p) for p in encodings.iterdir() if p.is_dir() and p.name.startswith("scene_")
-    )
-    if not dirs:
-        raise click.ClickException(f"no scene encodings under {encodings}")
-    return dirs
 
 
 def _read_encoded(enc_dir: Path) -> tuple[GeoEncoding, GeoTargets]:
@@ -231,20 +206,23 @@ def synth_gen(config_path: str, out: str | None, count: int | None, seed: int | 
 @click.option("--strategy", type=click.Choice(sorted(_STRATEGIES)), default=RefStrategy.MEAN_VISIBLE.value)
 def encode_cmd(dataset: str, out: str, strategy: str) -> None:
     """Encode every scene of a dataset into input channels and targets."""
-    root, spec, names = _scenes(dataset)
+    scenes = _Scenes(dataset)
     out_dir = Path(out)
-    scenes = _SceneReader(root, spec.intrinsics, names)
+    (out_dir / "manifest.txt").unlink(missing_ok=True)
     with scenes.naming():
-        for name, obs in scenes:
+        for _, scene_dir in scenes:
+            obs = formats.read_scene_dir(scene_dir, scenes.spec.intrinsics)
             ref = make_reference(obs.depth, obs.mask, obs.intrinsics, _STRATEGIES[strategy])
+            enc_dir = out_dir / scene_dir.name
             enc = encode_input(obs, ref)
-            formats.write_encoding(out_dir / name / "encoding.txt", enc)
+            formats.write_encoding(enc_dir / "encoding.txt", enc)
             if obs.gt_pose is None:  # as write_scene_dir does for pose.txt
-                (out_dir / name / "targets.txt").unlink(missing_ok=True)
+                (enc_dir / "targets.txt").unlink(missing_ok=True)
             else:
                 tgt = encode_targets(obs, ref)
-                formats.write_targets(out_dir / name / "targets.txt", tgt)
-    click.echo(f"encoded {len(names)} scenes to {out_dir}")
+                formats.write_targets(enc_dir / "targets.txt", tgt)
+    formats.write_manifest(out_dir / "manifest.txt", scenes.spec, len(scenes.names))  # last: marks enc/ complete
+    click.echo(f"encoded {len(scenes.names)} scenes to {out_dir}")
 
 
 @main.command("verify")
@@ -256,20 +234,22 @@ def encode_cmd(dataset: str, out: str, strategy: str) -> None:
 def verify_cmd(dataset: str, encodings: str, tolerance: float, out: str | None) -> None:
     """Check constraint residuals of encodings against ground-truth poses,
     in both constraint forms; the corrected form is the gate."""
-    root, _, names = _scenes(dataset)
-    enc_root = Path(encodings)
-    missing = [name for name in names if not (enc_root / name).is_dir()]
-    if missing:
-        raise click.ClickException(f"{enc_root} has no encoding for {', '.join(missing)}")
+    scenes, encoded = _Scenes(dataset), _Scenes(encodings)
+    if encoded.names != scenes.names or formats.spec_to_pairs(encoded.spec) != formats.spec_to_pairs(scenes.spec):
+        raise click.ClickException(
+            f"{encoded.root} holds {len(encoded.names)} scenes encoded from another dataset than {scenes.root} "
+            f"({len(scenes.names)} scenes); re-encode it"
+        )
     stats = {f: {"max": 0.0, "sq_sum": 0.0, "n": 0} for f in ConstraintForm}
     nonfinite = []
-    for name, gt_pose in _poses(root, names):
-        enc, tgt = _read_encoded(enc_root / name)
+    for _, scene_dir in scenes:
+        gt_pose = formats.read_pose(scene_dir / "pose.txt")
+        enc, tgt = _read_encoded(encoded.root / scene_dir.name)
         for f in ConstraintForm:
             residual = constraint_residual(enc, tgt, gt_pose, f)
             norms = np.linalg.norm(residual, axis=1)
             if not np.all(np.isfinite(norms)):  # max() would skip a NaN
-                nonfinite.append(name)
+                nonfinite.append(scene_dir.name)
                 break
             stats[f]["max"] = max(stats[f]["max"], float(norms.max()))
             stats[f]["sq_sum"] += float(np.sum(norms**2))
@@ -303,7 +283,7 @@ def verify_cmd(dataset: str, encodings: str, tolerance: float, out: str | None) 
 def solve_cmd(encodings: str, out: str, perturb_sigma: float, seed: int, refine: int) -> None:
     """Recover poses from encodings (optionally with perturbed targets)."""
     rows = []
-    for index, enc_dir in _encoding_dirs(Path(encodings)):
+    for index, enc_dir in _Scenes(encodings):
         enc, tgt = _read_encoded(enc_dir)
         delta_abc = tgt.delta_abc
         if perturb_sigma > 0:
@@ -330,16 +310,17 @@ def _predicted(dataset: str, pred: str) -> tuple[ObjectModel, Iterator[tuple]]:
     solves row as ``(name, gt_pose, pose, residual)``; pose and residual are
     None for a degenerate row.  A missing or duplicated row fails before any
     scene is read."""
-    root, _, names = _scenes(dataset)
-    model = formats.read_model(root / "model.ply")
+    scenes = _Scenes(dataset)
+    model = formats.read_model(scenes.root / "model.ply")
     header, rows = formats.read_csv(pred, SOLVES_VERSION)
     if header != SOLVES_HEADER:
         raise click.ClickException(f"{pred}: unexpected solves header {header}")
     predictions: dict[str, tuple[RigidPose | None, float | None]] = {}
     for row in rows:
-        name = row[0]
         if len(row) != len(SOLVES_HEADER):
-            raise click.ClickException(f"{pred}: row for {name} has {len(row)} fields, expected {len(SOLVES_HEADER)}")
+            what = f"row for {row[0]}" if row else "a blank row"
+            raise click.ClickException(f"{pred}: {what} has {len(row)} fields, expected {len(SOLVES_HEADER)}")
+        name = row[0]
         if name in predictions:
             raise click.ClickException(f"{pred}: duplicate row for {name}")
         if row[-1] == ConditionFlag.DEGENERATE.value:
@@ -351,10 +332,16 @@ def _predicted(dataset: str, pred: str) -> tuple[ObjectModel, Iterator[tuple]]:
         except ValueError as exc:
             raise click.ClickException(f"{pred}: bad row for {name}: {exc}") from exc
         predictions[name] = (pose, values[12])
-    missing = [name for name in names if name not in predictions]
+    missing = [name for name in scenes.names if name not in predictions]
     if missing:
         raise click.ClickException(f"{pred} has no row for {', '.join(missing)}")
-    joined = ((name, gt, *predictions[name]) for name, gt in _poses(root, names))
+    extra = predictions.keys() - set(scenes.names)
+    if extra:
+        raise click.ClickException(f"{pred} has rows for scenes {scenes.root} does not claim: {', '.join(sorted(extra))}")
+    joined = (
+        (scene_dir.name, formats.read_pose(scene_dir / "pose.txt"), *predictions[scene_dir.name])
+        for _, scene_dir in scenes
+    )
     return model, joined
 
 
@@ -416,10 +403,10 @@ def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fracti
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def dist_report_cmd(dataset: str, strategy: str, out: str) -> None:
     """Translation-spread table: raw ground truth vs anchored offsets."""
-    root, spec, names = _scenes(dataset)
-    scenes = _SceneReader(root, spec.intrinsics, names)
+    scenes = _Scenes(dataset)
     with scenes.naming():
-        report = synth.distribution_report((obs for _, obs in scenes), _STRATEGIES[strategy])
+        observations = (formats.read_scene_dir(scene_dir, scenes.spec.intrinsics) for _, scene_dir in scenes)
+        report = synth.distribution_report(observations, _STRATEGIES[strategy])
     rows = [
         [r["quantity"], r["component"], r["variance"], r["min"], r["max"], r["variance_ratio"]]
         for r in report.rows()

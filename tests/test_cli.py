@@ -16,7 +16,7 @@ import offset6d as o6
 from offset6d import formats, record
 from offset6d.cli import SOLVES_HEADER, SOLVES_VERSION, main
 
-from conftest import default_intrinsics
+from conftest import default_intrinsics, small_scene_spec
 
 K = default_intrinsics()
 
@@ -68,6 +68,20 @@ def pipeline_dir(tmp_path_factory):
     r = run(runner, ["encode", "--dataset", str(root / "dataset"), "--out", str(root / "enc")])
     assert r.exit_code == 0, r.output
     r = run(runner, ["solve", "--encodings", str(root / "enc"), "--out", str(root / "solves.csv")])
+    assert r.exit_code == 0, r.output
+    return root
+
+
+@pytest.fixture(scope="module")
+def three_scene_dir(pipeline_dir, tmp_path_factory):
+    """The first three scenes of ``pipeline_dir``'s dataset, generated and
+    encoded on their own."""
+    root = tmp_path_factory.mktemp("cli3")
+    runner = CliRunner()
+    r = run(runner, ["synth-gen", "-c", str(pipeline_dir / "config.txt"), "--out", str(root / "dataset"),
+                     "--count", "3"])
+    assert r.exit_code == 0, r.output
+    r = run(runner, ["encode", "--dataset", str(root / "dataset"), "--out", str(root / "enc")])
     assert r.exit_code == 0, r.output
     return root
 
@@ -202,6 +216,7 @@ class TestVerify:
         enc = tmp_path / "enc"
         for i in (2, 3):
             shutil.copytree(pipeline_dir / "enc" / formats.scene_name(i), enc / formats.scene_name(i))
+        shutil.copy(pipeline_dir / "enc" / "manifest.txt", enc / "manifest.txt")
         r = CliRunner().invoke(main, ["verify", "--dataset", str(pipeline_dir / "dataset"), "--encodings", str(enc)])
         assert r.exit_code == 1, r.output
         assert r.exception is None or isinstance(r.exception, SystemExit)
@@ -210,6 +225,17 @@ class TestVerify:
             assert formats.scene_name(i) in r.output
         for i in (2, 3):
             assert formats.scene_name(i) not in r.output
+
+    @pytest.mark.parametrize("dataset, encodings", [("six", "three"), ("three", "six")])
+    def test_encodings_of_another_scene_count_refused(self, pipeline_dir, three_scene_dir, dataset, encodings):
+        # Every scene directory the dataset names is there either way; only
+        # the manifests tell the two datasets apart.
+        roots = {"six": pipeline_dir, "three": three_scene_dir}
+        r = CliRunner().invoke(main, [
+            "verify", "--dataset", str(roots[dataset] / "dataset"), "--encodings", str(roots[encodings] / "enc"),
+        ])
+        assert_one_error_line(r, str(roots[encodings] / "enc"), "another dataset")
+        assert "residual" not in r.output
 
     def test_nan_channel_fails_naming_scene(self, pipeline_dir, tmp_path):
         # max() skips a NaN, so only a finite check fails it at 1e-9.
@@ -341,33 +367,30 @@ class TestSolveEval:
         assert [row[0] for row in refined] == [row[0] for row in plain]
         assert all(a[1:13] != b[1:13] for a, b in zip(refined, plain))
 
-    def test_perturbed_solve_of_subset_matches_full_run(self, pipeline_dir, tmp_path):
+    def test_perturbed_solve_of_subset_matches_full_run(self, pipeline_dir, three_scene_dir, tmp_path):
         # The noise stream is keyed by scene index, not by list position.
-        enc = tmp_path / "enc"
-        shutil.copytree(pipeline_dir / "enc" / formats.scene_name(2), enc / formats.scene_name(2))
         runs = {}
-        for name, encodings in (("full", pipeline_dir / "enc"), ("subset", enc)):
+        for name, encodings in (("full", pipeline_dir / "enc"), ("subset", three_scene_dir / "enc")):
             out = tmp_path / f"{name}.csv"
             r = run(CliRunner(), [
                 "solve", "--encodings", str(encodings), "--out", str(out), "--perturb-sigma", "1e-3", "--seed", "3",
             ])
             assert r.exit_code == 0, r.output
             runs[name] = {row[0]: row for row in formats.read_csv(out, SOLVES_VERSION)[1]}
-        assert list(runs["subset"]) == [formats.scene_name(2)]
+        assert list(runs["subset"]) == [formats.scene_name(i) for i in range(3)]
         assert runs["subset"][formats.scene_name(2)] == runs["full"][formats.scene_name(2)]
 
-    def test_solve_orders_encodings_by_index(self, pipeline_dir, tmp_path):
-        enc = tmp_path / "enc"
-        for source, index in ((0, 100000), (1, 10001)):
-            shutil.copytree(pipeline_dir / "enc" / formats.scene_name(source), enc / formats.scene_name(index))
-        out = tmp_path / "solves.csv"
-        assert run(CliRunner(), ["solve", "--encodings", str(enc), "--out", str(out)]).exit_code == 0
+    def test_solve_follows_the_manifest_of_a_reencoded_directory(self, pipeline_dir, three_scene_dir, tmp_path):
+        # Re-encoding three scenes over six leaves scene_00003..5 on disk;
+        # solve handles only the scenes enc/manifest.txt claims.
+        enc, out = tmp_path / "enc", tmp_path / "solves.csv"
+        for dataset in (pipeline_dir / "dataset", three_scene_dir / "dataset"):
+            assert run(CliRunner(), ["encode", "--dataset", str(dataset), "--out", str(enc)]).exit_code == 0
+        assert (enc / formats.scene_name(5)).is_dir()
+        r = run(CliRunner(), ["solve", "--encodings", str(enc), "--out", str(out)])
+        assert r.exit_code == 0, r.output
         _, rows = formats.read_csv(out, SOLVES_VERSION)
-        assert [row[0] for row in rows] == ["scene_10001", "scene_100000"]
-        # scene_1 would parse to index 1 but is not the name scene 1 is written under.
-        shutil.copytree(enc / "scene_10001", enc / "scene_1")
-        r = CliRunner().invoke(main, ["solve", "--encodings", str(enc), "--out", str(out)])
-        assert r.exit_code == 1 and "scene_1 is not a scene name" in r.output
+        assert [row[0] for row in rows] == [formats.scene_name(i) for i in range(3)]
 
     def test_degenerate_scene_is_flagged(self, tmp_path):
         # Hand-built fronto-parallel plane: constant depth, unobservable dt.
@@ -384,6 +407,7 @@ class TestSolveEval:
         enc_dir = tmp_path / "enc" / "scene_00000"
         formats.write_encoding(enc_dir / "encoding.txt", enc)
         formats.write_targets(enc_dir / "targets.txt", tgt)
+        formats.write_manifest(tmp_path / "enc" / "manifest.txt", small_scene_spec(), 1)
         runner = CliRunner()
         out = tmp_path / "solves.csv"
         r = run(runner, ["solve", "--encodings", str(tmp_path / "enc"), "--out", str(out)])
@@ -565,6 +589,42 @@ class TestErrors:
         assert r.exit_code == 1, r.output
         assert r.exception is None or isinstance(r.exception, SystemExit)
         assert str(pred) in r.output and formats.scene_name(2) in r.output
+
+    @pytest.mark.parametrize("command", ["eval", "loss-decompose"])
+    def test_blank_solves_row_names_file(self, pipeline_dir, tmp_path, command):
+        pred = tmp_path / "blank.csv"
+        pred.write_bytes((pipeline_dir / "solves.csv").read_bytes() + b"\n")
+        out = tmp_path / "out.csv"
+        r = CliRunner().invoke(main, [command, "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pred),
+                                      "--out", str(out)])
+        assert_one_error_line(r, str(pred), "blank row")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "loss-decompose"])
+    def test_solves_row_of_unclaimed_scene_rejected(self, pipeline_dir, three_scene_dir, tmp_path, command):
+        # Six rows against a three-scene dataset: the join fails both ways.
+        out = tmp_path / "out.csv"
+        r = CliRunner().invoke(main, [command, "--dataset", str(three_scene_dir / "dataset"),
+                                      "--pred", str(pipeline_dir / "solves.csv"), "--out", str(out)])
+        assert_one_error_line(r, *(formats.scene_name(i) for i in (3, 4, 5)))
+        assert formats.scene_name(2) not in r.output
+        assert not out.exists()
+
+    def test_failed_encode_leaves_no_manifest(self, pipeline_dir, tmp_path):
+        # The manifest of an earlier complete encode goes too, so neither
+        # solve nor verify can take the scenes encoded before the failure.
+        dataset, enc = tmp_path / "dataset", tmp_path / "enc"
+        shutil.copytree(pipeline_dir / "dataset", dataset)
+        shutil.copytree(pipeline_dir / "enc", enc)
+        mask = dataset / formats.scene_name(1) / "mask.pgm"
+        formats.write_mask_pgm(mask, np.zeros_like(formats.read_mask_pgm(mask)))
+        r = CliRunner().invoke(main, ["encode", "--dataset", str(dataset), "--out", str(enc)])
+        assert_one_error_line(r, formats.scene_name(1))
+        assert not (enc / "manifest.txt").exists()
+        for args in (["solve", "--encodings", str(enc), "--out", str(tmp_path / "solves.csv")],
+                     ["verify", "--dataset", str(pipeline_dir / "dataset"), "--encodings", str(enc)]):
+            assert_one_error_line(CliRunner().invoke(main, args), str(enc / "manifest.txt"))
+        assert not (tmp_path / "solves.csv").exists()
 
     def test_all_degenerate_eval_writes_no_results(self, pipeline_dir, tmp_path):
         _, rows = formats.read_csv(pipeline_dir / "solves.csv", SOLVES_VERSION)

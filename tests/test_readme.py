@@ -1,9 +1,14 @@
-"""The README's library tour runs as written."""
+"""The README's library tour and CLI recipe run as written."""
 
+import os
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_library_tour_runs(capsys):
@@ -12,3 +17,18 @@ def test_library_tour_runs(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 3
     assert float(printed[0]) < 1e-9  # the rotation error on clean data
+
+
+def test_cli_recipe_runs(tmp_path):
+    # The recipe as printed, on 4 scenes instead of 500; `set -e` makes every
+    # command's exit status count.
+    [block] = [b for b in re.findall(r"^```sh\n(.*?)^```$", README.read_text(), flags=re.S | re.M)
+               if "offset6d synth-gen" in b]
+    script = block.replace("offset6d synth-gen -c config.txt", "offset6d synth-gen -c config.txt --count 4")
+    assert script != block
+    prelude = f"set -e\noffset6d() {{ {shlex.quote(sys.executable)} -m offset6d.cli \"$@\"; }}\n"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(["bash", "-c", prelude + script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "wrote 4 scenes" in result.stdout
+    assert (tmp_path / "loss.csv").is_file()
