@@ -11,7 +11,6 @@ from .encoding import (
     GeoEncoding,
     GeoTargets,
     InputMode,
-    SceneObservation,
     TargetMode,
     constraint_residual,
     decode_translation,
@@ -57,12 +56,9 @@ from .refpoint import (
     InstanceMask,
     ReferencePoint,
     RefStrategy,
-    Roi,
+    SceneObservation,
     make_reference,
-    ref_center_meandepth,
-    ref_center_nearest,
     ref_mean_visible,
-    roi_from_mask,
 )
 from .solver import (
     ConditionFlag,

@@ -212,7 +212,7 @@ def encode_cmd(dataset: str, out: str, strategy: str) -> None:
     with scenes.naming():
         for _, scene_dir in scenes:
             obs = formats.read_scene_dir(scene_dir, scenes.spec.intrinsics)
-            ref = make_reference(obs.depth, obs.mask, obs.intrinsics, _STRATEGIES[strategy])
+            ref = make_reference(obs, _STRATEGIES[strategy])
             enc_dir = out_dir / scene_dir.name
             enc = encode_input(obs, ref)
             formats.write_encoding(enc_dir / "encoding.txt", enc)

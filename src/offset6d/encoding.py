@@ -37,8 +37,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import MissingPoseError, ModeMismatchError
-from .geometry import CameraIntrinsics, RigidPose, inverse_transform_points
-from .refpoint import DepthMap, InstanceMask, ReferencePoint, visible_points
+from .geometry import RigidPose, inverse_transform_points
+from .refpoint import ReferencePoint, SceneObservation
 
 
 class InputMode(Enum):
@@ -60,26 +60,6 @@ class TargetMode(Enum):
 class ConstraintForm(Enum):
     CORRECTED = "corrected"           # dd/(d_i d0) factor on the anchor term
     AS_PRINTED = "as-printed"         # anchor term 1/(d_i d0), no dd factor
-
-
-@record
-class SceneObservation:
-    """One observed object instance: depth + mask + intrinsics.
-
-    ``gt_pose`` is required only by target encoding.
-    """
-
-    depth: DepthMap
-    mask: InstanceMask
-    intrinsics: CameraIntrinsics
-    gt_pose: RigidPose | None = None
-
-    def __post_init__(self):
-        if self.depth.values.shape != self.mask.values.shape:
-            raise ValueError(
-                f"depth {self.depth.values.shape} and mask "
-                f"{self.mask.values.shape} shapes differ"
-            )
 
 
 @record
@@ -163,7 +143,7 @@ def encode_input(
     GEOMETRIC mode takes ``dd0`` and ``t0_over_dd0`` from
     :func:`geometric_products` of its ``delta_d``.
     """
-    rows, cols, pts = visible_points(obs.depth, obs.mask, obs.intrinsics)
+    rows, cols, pts = obs.visible
     x, y, d = pts[:, 0], pts[:, 1], pts[:, 2]
 
     dd0 = None
@@ -206,7 +186,7 @@ def encode_targets(
     """
     if obs.gt_pose is None:
         raise MissingPoseError("target encoding requires a ground-truth pose")
-    rows, cols, cam = visible_points(obs.depth, obs.mask, obs.intrinsics)
+    rows, cols, cam = obs.visible
     pose = obs.gt_pose
     obj = inverse_transform_points(pose, cam)
     obj0 = pose.rotation.T @ (ref.as_array() - pose.translation)

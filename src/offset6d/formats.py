@@ -43,12 +43,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import ConstraintForm, GeoEncoding, GeoTargets, InputMode, SceneObservation, TargetMode, geometric_products
+from .encoding import ConstraintForm, GeoEncoding, GeoTargets, InputMode, TargetMode, geometric_products
 from .errors import ConfigError, FormatError
 from .geometry import CameraIntrinsics, RigidPose
 from .metrics import ObjectModel
 from .record import astuple, fields
-from .refpoint import DepthMap, InstanceMask, ReferencePoint, RefStrategy
+from .refpoint import DepthMap, InstanceMask, ReferencePoint, RefStrategy, SceneObservation
 from .spec import (
     RNG_ALGORITHM,
     BoxModel,
@@ -167,11 +167,13 @@ def read_ply(path) -> tuple[np.ndarray, bool | None]:
     if properties[:3] != ["x", "y", "z"]:
         raise FormatError(f"{path}: expected x y z properties, got {properties}", offset=0)
 
+    rows = [(off, line) for off, line in data_start if line.strip()]
+    if len(rows) < vertex_count:  # checked before the declared count is allocated
+        raise FormatError(
+            f"{path}: declared {vertex_count} vertices but found {len(rows)}", offset=len(raw)
+        )
     points = np.empty((vertex_count, 3))
-    filled = 0
-    for off, line in data_start:
-        if not line.strip():
-            continue
+    for filled, (off, line) in enumerate(rows):
         if filled >= vertex_count:
             raise FormatError(f"{path}: more vertex rows than declared", offset=off)
         words = line.split()
@@ -181,11 +183,6 @@ def read_ply(path) -> tuple[np.ndarray, bool | None]:
             points[filled] = [float(words[0]), float(words[1]), float(words[2])]
         except ValueError:
             raise FormatError(f"{path}: bad vertex row {line!r}", offset=off) from None
-        filled += 1
-    if filled != vertex_count:
-        raise FormatError(
-            f"{path}: declared {vertex_count} vertices but found {filled}", offset=len(raw)
-        )
     return points, symmetric
 
 
@@ -700,8 +697,10 @@ def pairs_to_spec(kv: dict[str, str], path="<config>") -> SceneSpec:
         raise ConfigError(f"{path}: unknown translation_dist {dist_name!r}")
     volume = _VOLUMES[dist_name]
     location, spread = (f"translation_{name}" for name in fields(volume))
-    where = value(location, _floats(3))
-    dist = value(spread, lambda text: volume(where, _floats(3)(text)))
+    # The spread is checked beside a zero location, then the location beside
+    # the checked spread, so an error names the key at fault.
+    spread_values = value(spread, lambda text: astuple(volume((0.0,) * 3, _floats(3)(text)))[1])
+    dist = value(location, lambda text: volume(_floats(3)(text), spread_values))
 
     try:
         return SceneSpec(

@@ -10,10 +10,12 @@ Three strategies are provided:
 
 A visible pixel is a masked pixel with depth above ``DEPTH_EPSILON``; any
 smaller depth (0 included) is missing data.  :func:`visible_points` is the
-one place that selects and lifts them, for the reference point here and for
-the channels and targets in :mod:`offset6d.encoding`.  The ROI center is
-used as given even when it falls on background; occlusion can push the box
-center off the object and that case is deliberately preserved.
+one place that selects and lifts them, and :attr:`SceneObservation.visible`
+does so once per observation, for the reference point here and for the
+channels and targets in :mod:`offset6d.encoding`.  The ROI is the mask's
+bounding box.  Its center is used as given even when it falls on
+background; occlusion can push the box center off the object and that case
+is deliberately preserved.
 
 Means are accumulated with exact compensated summation (``math.fsum``) in
 row-major pixel order, so results are bit-stable and independent of how the
@@ -23,13 +25,14 @@ mask was produced.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from .record import record
 from enum import Enum
 
 import numpy as np
 
 from .errors import EmptyObjectError
-from .geometry import CameraIntrinsics, backproject_pixels
+from .geometry import CameraIntrinsics, RigidPose, backproject_pixels
 
 # Depths at or below this (meters) are missing.  The depth-scaled channels
 # divide by d, and ``(d - d0) + d0`` could round a tinier d to 0.
@@ -76,27 +79,35 @@ class InstanceMask:
 
 
 @record
-class Roi:
-    """Box on the image plane: center pixel plus extent in pixels."""
+class SceneObservation:
+    """One observed object instance: depth + mask + intrinsics.
 
-    c_col: int
-    c_row: int
-    w: int
-    h: int
+    ``gt_pose`` is required only by target encoding.
+    """
+
+    depth: DepthMap
+    mask: InstanceMask
+    intrinsics: CameraIntrinsics
+    gt_pose: RigidPose | None = None
 
     def __post_init__(self):
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"roi extent must be positive, got w={self.w}, h={self.h}")
+        if self.depth.values.shape != self.mask.values.shape:
+            raise ValueError(
+                f"depth {self.depth.values.shape} and mask "
+                f"{self.mask.values.shape} shapes differ"
+            )
 
-    def intersects(self, width: int, height: int) -> bool:
-        half_w = self.w / 2.0
-        half_h = self.h / 2.0
-        return (
-            self.c_col + half_w > 0
-            and self.c_col - half_w < width
-            and self.c_row + half_h > 0
-            and self.c_row - half_h < height
-        )
+    @cached_property
+    def visible(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`visible_points` of this observation, computed on first use
+        and kept read-only: the reference point, the channels and the
+        targets all share it.  ``cached_property`` stores it in the
+        instance ``__dict__`` past the frozen ``__setattr__``; equality,
+        hashing and ``replace`` see only the fields."""
+        arrays = visible_points(self.depth, self.mask, self.intrinsics)
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
 
 
 @record
@@ -138,61 +149,38 @@ def fsum_mean(values: np.ndarray) -> float:
     return math.fsum(values.tolist()) / values.size
 
 
-def _ref_center(
-    depth: DepthMap, mask: InstanceMask, roi: Roi, k: CameraIntrinsics, statistic, strategy: RefStrategy
-) -> ReferencePoint:
-    """ROI-center pixel lifted at ``statistic`` of the visible depths."""
-    height, width = depth.values.shape
-    if not roi.intersects(width, height):
-        raise ValueError(f"roi {roi} does not intersect a {width}x{height} image")
-    _, _, points = visible_points(depth, mask, k)
-    d0 = float(statistic(points[:, 2]))
-    x0, y0, _ = backproject_pixels(roi.c_col, roi.c_row, d0, k).tolist()
-    return ReferencePoint(x0, y0, d0, strategy)
-
-
-def ref_center_nearest(
-    depth: DepthMap, mask: InstanceMask, roi: Roi, k: CameraIntrinsics
-) -> ReferencePoint:
-    """ROI-center pixel, depth of the closest visible point."""
-    return _ref_center(depth, mask, roi, k, np.min, RefStrategy.CENTER_NEAREST_DEPTH)
-
-
-def ref_center_meandepth(
-    depth: DepthMap, mask: InstanceMask, roi: Roi, k: CameraIntrinsics
-) -> ReferencePoint:
-    """ROI-center pixel, arithmetic mean of the visible depths."""
-    return _ref_center(depth, mask, roi, k, fsum_mean, RefStrategy.CENTER_MEAN_DEPTH)
+def _mean_point(points: np.ndarray) -> ReferencePoint:
+    """Componentwise mean of lifted points, the MEAN_VISIBLE reference."""
+    x0, y0, d0 = (fsum_mean(points[:, i]) for i in range(3))
+    return ReferencePoint(x0, y0, d0, RefStrategy.MEAN_VISIBLE)
 
 
 def ref_mean_visible(depth: DepthMap, mask: InstanceMask, k: CameraIntrinsics) -> ReferencePoint:
     """Componentwise mean of every lifted visible point."""
-    _, _, pts = visible_points(depth, mask, k)
-    x0 = fsum_mean(pts[:, 0])
-    y0 = fsum_mean(pts[:, 1])
-    d0 = fsum_mean(pts[:, 2])
-    return ReferencePoint(x0, y0, d0, RefStrategy.MEAN_VISIBLE)
+    _, _, points = visible_points(depth, mask, k)
+    return _mean_point(points)
 
 
-def make_reference(
-    depth: DepthMap, mask: InstanceMask, k: CameraIntrinsics, strategy: RefStrategy
-) -> ReferencePoint:
-    """Dispatch on strategy; the ROI is the mask's bounding box."""
+def make_reference(obs: SceneObservation, strategy: RefStrategy) -> ReferencePoint:
+    """The reference point of ``strategy``, from ``obs.visible``.
+
+    The ROI strategies lift the center pixel of the mask's bounding box,
+    the midpoint rounded down, at the minimum (CENTER_NEAREST_DEPTH) or the
+    mean (CENTER_MEAN_DEPTH) of the visible depths.
+    """
+    _, _, points = obs.visible
     if strategy is RefStrategy.MEAN_VISIBLE:
-        return ref_mean_visible(depth, mask, k)
-    roi = roi_from_mask(mask)
+        return _mean_point(points)
     if strategy is RefStrategy.CENTER_NEAREST_DEPTH:
-        return ref_center_nearest(depth, mask, roi, k)
-    if strategy is RefStrategy.CENTER_MEAN_DEPTH:
-        return ref_center_meandepth(depth, mask, roi, k)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def roi_from_mask(mask: InstanceMask) -> Roi:
-    """Tight bounding box of the mask, center at the rounded-down midpoint."""
-    rows, cols = np.nonzero(mask.values)
-    if rows.size == 0:
-        raise EmptyObjectError("mask has no foreground pixel")
-    r0, r1 = int(rows.min()), int(rows.max())
-    c0, c1 = int(cols.min()), int(cols.max())
-    return Roi(c_col=(c0 + c1) // 2, c_row=(r0 + r1) // 2, w=c1 - c0 + 1, h=r1 - r0 + 1)
+        d0 = float(points[:, 2].min())
+    elif strategy is RefStrategy.CENTER_MEAN_DEPTH:
+        d0 = fsum_mean(points[:, 2])
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    # A visible pixel is masked, so both axes have a foreground index.
+    rows = np.flatnonzero(obs.mask.values.any(axis=1))
+    cols = np.flatnonzero(obs.mask.values.any(axis=0))
+    u0 = (int(cols[0]) + int(cols[-1])) // 2
+    v0 = (int(rows[0]) + int(rows[-1])) // 2
+    x0, y0, _ = backproject_pixels(u0, v0, d0, obs.intrinsics).tolist()
+    return ReferencePoint(x0, y0, d0, strategy)

@@ -10,6 +10,7 @@ config's keys).
 
 from __future__ import annotations
 
+import math
 from .record import record
 from typing import Union
 
@@ -21,6 +22,11 @@ RNG_ALGORITHM = "numpy-philox4x64-10"
 SEED_LIMIT = 2**128  # a seed is the 128-bit Philox key: 0 <= seed < SEED_LIMIT
 
 
+def _positive(*values) -> bool:
+    """Every value a finite number above 0; NaN and infinity fail."""
+    return all(0 < v < math.inf for v in values)
+
+
 @record
 class BoxModel:
     width: float
@@ -30,8 +36,8 @@ class BoxModel:
     symmetric = False  # class attribute, not a field
 
     def __post_init__(self):
-        if min(self.width, self.height, self.length) <= 0:
-            raise ValueError("box extents must be positive")
+        if not _positive(self.width, self.height, self.length):
+            raise ValueError("box extents must be positive and finite")
 
     @property
     def half_extents(self) -> np.ndarray:
@@ -46,8 +52,8 @@ class CylinderModel:
     symmetric = True
 
     def __post_init__(self):
-        if self.radius <= 0 or self.height <= 0:
-            raise ValueError("cylinder dimensions must be positive")
+        if not _positive(self.radius, self.height):
+            raise ValueError("cylinder dimensions must be positive and finite")
 
 
 @record
@@ -57,8 +63,8 @@ class SphereModel:
     symmetric = True
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("sphere radius must be positive")
+        if not _positive(self.radius):
+            raise ValueError("sphere radius must be positive and finite")
 
 
 @record
@@ -80,8 +86,10 @@ class BoxVolume:
     half_widths: tuple[float, float, float]
 
     def __post_init__(self):
-        if min(self.half_widths) <= 0:
-            raise ValueError("half widths must be positive")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError("center must be finite")
+        if not _positive(*self.half_widths):
+            raise ValueError("half widths must be positive and finite")
 
 
 @record
@@ -90,8 +98,10 @@ class GaussianVolume:
     sigma: tuple[float, float, float]
 
     def __post_init__(self):
-        if min(self.sigma) <= 0:
-            raise ValueError("sigma must be positive")
+        if not all(map(math.isfinite, self.mean)):
+            raise ValueError("mean must be finite")
+        if not _positive(*self.sigma):
+            raise ValueError("sigma must be positive and finite")
 
 
 TranslationDist = Union[BoxVolume, GaussianVolume]
@@ -121,9 +131,10 @@ class SceneSpec:
             raise ValueError("image size must be positive")
         if self.rotation_dist != "uniform-so3":
             raise ValueError(f"unsupported rotation distribution {self.rotation_dist!r}")
-        if self.depth_noise_sigma < 0:
-            raise ValueError("depth_noise_sigma must be >= 0")
+        # Quoted like a config key: each of these fields shares its key's name.
+        if not 0.0 <= self.depth_noise_sigma < math.inf:
+            raise ValueError(f"'depth_noise_sigma' must be finite and >= 0, got {self.depth_noise_sigma!r}")
         if not 0.0 <= self.pixel_dropout < 1.0:
             raise ValueError("pixel_dropout must be in [0, 1)")
-        if self.occlusion_fraction is not None and self.occlusion_fraction < 0:
-            raise ValueError("occlusion_fraction must be >= 0")
+        if self.occlusion_fraction is not None and not 0.0 <= self.occlusion_fraction < math.inf:
+            raise ValueError(f"'occlusion_fraction' must be finite and >= 0, got {self.occlusion_fraction!r}")

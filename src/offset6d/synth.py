@@ -24,11 +24,10 @@ from .record import record
 import numpy as np
 
 from . import formats
-from .encoding import SceneObservation
 from .errors import EmptyInputError, EmptyObjectError, MissingPoseError
 from .geometry import RigidPose
 from .metrics import ObjectModel
-from .refpoint import DepthMap, InstanceMask, RefStrategy, make_reference
+from .refpoint import DepthMap, InstanceMask, RefStrategy, SceneObservation, make_reference
 from .spec import (
     BoxModel,
     BoxVolume,
@@ -472,7 +471,7 @@ def distribution_report(observations, strategy: RefStrategy) -> DistributionRepo
     for i, obs in enumerate(observations):
         if obs.gt_pose is None:
             raise MissingPoseError(f"scene {i} has no ground-truth pose; the distribution report needs one")
-        ref = make_reference(obs.depth, obs.mask, obs.intrinsics, strategy)
+        ref = make_reference(obs, strategy)
         raw.append(obs.gt_pose.translation)
         delta.append(obs.gt_pose.translation - ref.as_array())
     if len(raw) < 2:

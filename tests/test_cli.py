@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import offset6d as o6
-from offset6d import formats, record
+from offset6d import encoding, formats, record, refpoint
 from offset6d.cli import SOLVES_HEADER, SOLVES_VERSION, main
 
 from conftest import default_intrinsics, small_scene_spec
@@ -169,6 +169,26 @@ class TestSynthGen:
         assert r.exception is None or isinstance(r.exception, SystemExit)
         assert "in front of the camera" in r.output
         assert (out / formats.scene_name(0)).is_dir() and not (out / "manifest.txt").exists()
+
+
+class TestEncode:
+    @pytest.mark.parametrize("strategy", ["mean-visible", "center-nearest"])
+    def test_each_scene_selects_its_pixels_once(self, three_scene_dir, tmp_path, monkeypatch, strategy):
+        # The reference point, the channels and the targets share one pixel set per scene.
+        calls = []
+        select = refpoint.visible_points
+
+        def counted(*args):
+            calls.append(args)
+            return select(*args)
+
+        for module in (refpoint, encoding):  # every module binding the name, so no call escapes the count
+            if hasattr(module, "visible_points"):
+                monkeypatch.setattr(module, "visible_points", counted)
+        args = ["encode", "--dataset", str(three_scene_dir / "dataset"), "--out", str(tmp_path / "enc"),
+                "--strategy", strategy]
+        assert run(CliRunner(), args).exit_code == 0
+        assert len(calls) == 3
 
 
 class TestVerify:
@@ -695,6 +715,8 @@ class TestErrors:
             path = tmp_path / "dataset" / "manifest.txt"
             text = path.read_text()
         lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in text.splitlines()]
+        if key == "occlusion_fraction":  # optional, and absent from both files
+            lines.append(f"{key} = {value}")
         assert f"{key} = {value}" in lines
         path.write_text("\n".join(lines) + "\n")
         args = {
@@ -711,6 +733,14 @@ class TestErrors:
         ("synth-gen", "translation_half_widths", "0.1 0.0 0.15"),
         ("eval", "scene_count", "two"),
         ("encode", "model_params", "0.16 -0.12 0.2"),
+        # Non-finite values: each once ended in a traceback or, for the noise, in a noiseless dataset.
+        ("synth-gen", "occlusion_fraction", "nan"),
+        ("synth-gen", "translation_center", "0 0 nan"),
+        ("synth-gen", "translation_half_widths", "0.1 inf 0.15"),
+        ("synth-gen", "model_params", "0.16 inf 0.2"),
+        ("synth-gen", "depth_noise_sigma", "nan"),
+        ("encode", "depth_noise_sigma", "inf"),
+        ("eval", "translation_center", "0 0 inf"),
     ])
     def test_bad_spec_value_names_file_and_key(self, pipeline_dir, tmp_path, command, key, value):
         path, result = self._run_with_spec_value(pipeline_dir, tmp_path, command, key, value)
@@ -795,7 +825,7 @@ class TestErrors:
     @pytest.mark.parametrize("command, strategy, detail", [
         ("encode", "mean-visible", "no masked pixel with valid depth"),
         ("dist-report", "mean-visible", "no masked pixel with valid depth"),
-        ("dist-report", "center-mean", "mask has no foreground pixel"),
+        ("dist-report", "center-mean", "no masked pixel with valid depth"),
     ])
     def test_scene_without_usable_pixel_named(self, pipeline_dir, tmp_path, command, strategy, detail):
         # The reference point raises the error and knows no scene; the command names it.
@@ -812,7 +842,9 @@ class TestErrors:
         ("comment symmetric false", "comment symmetric yes", "symmetric flag must be true or false"),
         ("end_header", "end_header\noops 0.0 0.075", "bad vertex row 'oops 0.0 0.075'"),
         ("end_header", "end_header\nnan 0.0 0.075", "finite"),
-    ], ids=["symmetric-yes", "bad-vertex-row", "nan-vertex"])
+        # Once allocated before any row was read: 21.8 TiB, and a numpy traceback.
+        ("element vertex 500", "element vertex 1000000000000", "declared 1000000000000 vertices but found 500"),
+    ], ids=["symmetric-yes", "bad-vertex-row", "nan-vertex", "huge-vertex-count"])
     def test_malformed_model_names_file(self, pipeline_dir, tmp_path, old, new, detail):
         dataset = tmp_path / "dataset"
         shutil.copytree(pipeline_dir / "dataset", dataset)

@@ -271,7 +271,7 @@ class TestConstraintResidual:
             translation_dist=o6.BoxVolume((0.0, 0.0, z), (0.05, 0.05, 0.05)),
         )
         obs = o6.render_scene(spec, index).observation
-        ref = o6.make_reference(obs.depth, obs.mask, obs.intrinsics, strategy)
+        ref = o6.make_reference(obs, strategy)
         enc = o6.encode_input(obs, ref)
         tgt = o6.encode_targets(obs, ref)
         corrected = o6.constraint_residual(enc, tgt, obs.gt_pose, ConstraintForm.CORRECTED)

@@ -269,7 +269,7 @@ def _example_encoding(rng, mode=InputMode.GEOMETRIC, strategy=o6.RefStrategy.MEA
     spec = small_scene_spec(seed=63)
     scene = o6.render_scene(spec, 0)
     obs = scene.observation
-    ref = o6.make_reference(obs.depth, obs.mask, obs.intrinsics, strategy)
+    ref = o6.make_reference(obs, strategy)
     enc = o6.encode_input(obs, ref, mode)
     tgt = o6.encode_targets(obs, ref)
     return enc, tgt

@@ -33,22 +33,29 @@ def lift(u, v, d, k=K):
     return ((u - k.cx) / k.fx * d, (v - k.cy) / k.fy * d, d)
 
 
+def reference(depth, mask, strategy, k=K):
+    """``make_reference`` on the observation of ``depth`` and ``mask``."""
+    return o6.make_reference(o6.SceneObservation(depth, mask, k), strategy)
+
+
+NEAREST = o6.RefStrategy.CENTER_NEAREST_DEPTH
+MEAN_DEPTH = o6.RefStrategy.CENTER_MEAN_DEPTH
+
+
 class TestCenterNearest:
     def test_singleton_equals_backprojection(self):
         depth, mask = make_maps({(7, 5): 0.8})
-        roi = o6.Roi(c_col=5, c_row=7, w=3, h=3)
-        ref = o6.ref_center_nearest(depth, mask, roi, K)
+        ref = reference(depth, mask, NEAREST)
         assert (ref.x0, ref.y0, ref.d0) == lift(5, 7, 0.8)
         assert all(type(c) is float for c in (ref.x0, ref.y0, ref.d0))
-        assert ref.strategy is o6.RefStrategy.CENTER_NEAREST_DEPTH
+        assert ref.strategy is NEAREST
 
     def test_min_over_masked_depths(self):
         depth, mask = make_maps({(3, 3): 1.2, (10, 12): 0.8})
-        roi = o6.Roi(c_col=6, c_row=6, w=10, h=10)
-        ref = o6.ref_center_nearest(depth, mask, roi, K)
+        ref = reference(depth, mask, NEAREST)
         assert ref.d0 == 0.8
-        # (x0, y0) from the ROI center, not from the nearest pixel.
-        assert (ref.x0, ref.y0) == lift(6, 6, 0.8)[:2]
+        # (x0, y0) from the box center, rounded down, not from the nearest pixel.
+        assert (ref.x0, ref.y0) == lift((3 + 12) // 2, (3 + 10) // 2, 0.8)[:2]
 
     def test_all_invalid_depths(self):
         depth, mask = make_maps({})
@@ -56,37 +63,39 @@ class TestCenterNearest:
         mask_arr[5, 5] = True  # masked but depth 0 (missing)
         mask = o6.InstanceMask(mask_arr)
         with pytest.raises(EmptyObjectError):
-            o6.ref_center_nearest(depth, mask, o6.Roi(5, 5, 3, 3), K)
+            reference(depth, mask, NEAREST)
+
+    def test_box_is_the_masks_own(self):
+        # A masked pixel with missing depth widens the box, though it is not visible.
+        depth, mask = make_maps({(10, 12): 1.0})
+        mask_arr = mask.values.copy()
+        mask_arr[2, 2] = True
+        ref = reference(depth, o6.InstanceMask(mask_arr), NEAREST)
+        assert (ref.x0, ref.y0) == lift((2 + 12) // 2, (2 + 10) // 2, 1.0)[:2]
 
     def test_background_roi_center_is_used_as_given(self):
         # Occlusion can push the box center off the object; no snapping.
-        depth, mask = make_maps({(2, 2): 1.0})
-        roi = o6.Roi(c_col=15, c_row=15, w=30, h=30)
-        ref = o6.ref_center_nearest(depth, mask, roi, K)
+        depth, mask = make_maps({(2, 2): 1.0, (28, 28): 1.0}, shape=(30, 30))
+        ref = reference(depth, mask, NEAREST)
+        assert not mask.values[15, 15]
         assert (ref.x0, ref.y0) == lift(15, 15, 1.0)[:2]
-
-    def test_roi_outside_image(self):
-        depth, mask = make_maps({(2, 2): 1.0})
-        with pytest.raises(ValueError):
-            o6.ref_center_nearest(depth, mask, o6.Roi(c_col=100, c_row=100, w=4, h=4), K)
 
 
 class TestCenterMeanDepth:
     def test_mean_of_two(self):
         depth, mask = make_maps({(3, 3): 0.8, (10, 12): 1.2})
-        ref = o6.ref_center_meandepth(depth, mask, o6.Roi(6, 6, 10, 10), K)
+        ref = reference(depth, mask, MEAN_DEPTH)
         assert ref.d0 == 1.0
 
     def test_singleton_coincides_with_nearest(self):
         depth, mask = make_maps({(7, 5): 0.8})
-        roi = o6.Roi(5, 7, 3, 3)
-        a = o6.ref_center_nearest(depth, mask, roi, K)
-        b = o6.ref_center_meandepth(depth, mask, roi, K)
+        a = reference(depth, mask, NEAREST)
+        b = reference(depth, mask, MEAN_DEPTH)
         assert (a.x0, a.y0, a.d0) == (b.x0, b.y0, b.d0)
 
     def test_weighted_scene(self):
         depth, mask = make_maps({(1, 1): 1.0, (1, 2): 1.0, (2, 1): 1.0, (2, 2): 2.0})
-        ref = o6.ref_center_meandepth(depth, mask, o6.Roi(2, 2, 4, 4), K)
+        ref = reference(depth, mask, MEAN_DEPTH)
         assert ref.d0 == 1.25
 
 
@@ -143,19 +152,14 @@ class TestStrategyInvariants:
         return o6.DepthMap(depth), o6.InstanceMask(mask)
 
     def test_d0_within_valid_depth_range(self, rng):
-        roi = o6.Roi(15, 15, 30, 30)
         for _ in range(50):
             depth, mask = self._random_scene(rng)
             valid = mask.values & (depth.values > 0)
             if not valid.any():
                 continue
             lo, hi = depth.values[valid].min(), depth.values[valid].max()
-            for ref in (
-                o6.ref_center_nearest(depth, mask, roi, K),
-                o6.ref_center_meandepth(depth, mask, roi, K),
-                o6.ref_mean_visible(depth, mask, K),
-            ):
-                assert lo <= ref.d0 <= hi
+            for strategy in o6.RefStrategy:
+                assert lo <= reference(depth, mask, strategy).d0 <= hi
 
     def test_bit_stable_across_runs(self, rng):
         depth, mask = self._random_scene(rng)
@@ -171,13 +175,8 @@ class TestStrategyInvariants:
         depth[5:15, 5:15] = 1.37
         mask[5:15, 5:15] = True
         dm, im = o6.DepthMap(depth), o6.InstanceMask(mask)
-        roi = o6.roi_from_mask(im)
-        for ref in (
-            o6.ref_center_nearest(dm, im, roi, K),
-            o6.ref_center_meandepth(dm, im, roi, K),
-            o6.ref_mean_visible(dm, im, K),
-        ):
-            assert abs(ref.d0 - 1.37) <= 1e-12
+        for strategy in o6.RefStrategy:
+            assert abs(reference(dm, im, strategy).d0 - 1.37) <= 1e-12
 
 
 class TestTypes:
@@ -197,10 +196,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             o6.ref_mean_visible(depth, mask, K)
 
-    def test_roi_validation(self):
-        with pytest.raises(ValueError):
-            o6.Roi(c_col=1, c_row=1, w=0, h=5)
-
     def test_reference_point_needs_positive_depth(self):
         with pytest.raises(ValueError):
             o6.ReferencePoint(0.0, 0.0, 0.0, o6.RefStrategy.MEAN_VISIBLE)
@@ -208,8 +203,8 @@ class TestTypes:
     def test_roi_from_mask_center(self):
         mask = np.zeros((10, 10), dtype=bool)
         mask[2:5, 3:9] = True  # rows 2..4, cols 3..8
-        roi = o6.roi_from_mask(o6.InstanceMask(mask))
-        assert (roi.c_col, roi.c_row, roi.w, roi.h) == ((3 + 8) // 2, (2 + 4) // 2, 6, 3)
+        ref = reference(o6.DepthMap(np.where(mask, 1.0, 0.0)), o6.InstanceMask(mask), NEAREST)
+        assert (ref.x0, ref.y0) == lift((3 + 8) // 2, (2 + 4) // 2, 1.0)[:2]
 
 
 @st.composite
@@ -229,6 +224,13 @@ class TestOnePixelSet:
     """The reference point, the channels and the targets are all built from
     the masked pixels with depth above DEPTH_EPSILON."""
 
+    def test_observation_keeps_one_read_only_set(self):
+        depth, mask = make_maps({(3, 3): 0.8, (10, 12): 1.2})
+        obs = o6.SceneObservation(depth, mask, K)
+        assert obs.visible is obs.visible
+        assert not any(array.flags.writeable for array in obs.visible)
+        assert obs == o6.SceneObservation(depth, mask, K)  # the cached set is not a field
+
     @settings(max_examples=200, deadline=None)
     @given(maps=masked_depth_maps())
     def test_reference_channels_and_targets_agree(self, maps):
@@ -239,7 +241,7 @@ class TestOnePixelSet:
             ref = o6.ReferencePoint(0.0, 0.0, 1.0, o6.RefStrategy.MEAN_VISIBLE)
             for build in (
                 lambda: o6.ref_mean_visible(depth, mask, K),
-                lambda: o6.make_reference(depth, mask, K, o6.RefStrategy.CENTER_NEAREST_DEPTH),
+                lambda: o6.make_reference(obs, NEAREST),
                 lambda: o6.encode_input(obs, ref),
                 lambda: o6.encode_targets(obs, ref),
             ):
@@ -250,7 +252,7 @@ class TestOnePixelSet:
         points = [lift(int(u), int(v), float(d)) for u, v, d in zip(cols, rows, depths)]
         ref = o6.ref_mean_visible(depth, mask, K)
         assert (ref.x0, ref.y0, ref.d0) == tuple(math.fsum(c) / len(points) for c in zip(*points))
-        nearest = o6.make_reference(depth, mask, K, o6.RefStrategy.CENTER_NEAREST_DEPTH)
+        nearest = o6.make_reference(obs, NEAREST)
         assert nearest.d0 == depths.min()
         for selected in (o6.encode_input(obs, ref), o6.encode_targets(obs, ref)):
             assert np.array_equal(selected.us, cols) and np.array_equal(selected.vs, rows)

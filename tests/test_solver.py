@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import offset6d as o6
 from offset6d import record
+from offset6d.encoding import camera_side
 from offset6d.errors import DegenerateConfigurationError, ModeMismatchError
 from offset6d.geometry import rotation_defect
 from offset6d.solver import ConditionFlag
@@ -125,7 +126,7 @@ class TestConstraintSolve:
             translation_dist=o6.BoxVolume((0.0, 0.0, z), (0.1, 0.1, 0.1)),
         )
         obs = o6.render_scene(spec, index).observation
-        ref = o6.make_reference(obs.depth, obs.mask, obs.intrinsics, strategy)
+        ref = o6.make_reference(obs, strategy)
         enc = o6.encode_input(obs, ref)
         depths = obs.depth.values[enc.vs, enc.us]
         assume(len(enc) >= 50 and np.ptp(depths) >= 0.01)
@@ -173,7 +174,7 @@ class TestConstraintSolve:
         )
         obs = o6.render_scene(spec, 157).observation
         for strategy in (o6.RefStrategy.MEAN_VISIBLE, o6.RefStrategy.CENTER_MEAN_DEPTH):
-            ref = o6.make_reference(obs.depth, obs.mask, obs.intrinsics, strategy)
+            ref = o6.make_reference(obs, strategy)
             enc = o6.encode_input(obs, ref)
             delta_abc = o6.encode_targets(obs, ref).delta_abc
             if strategy is o6.RefStrategy.MEAN_VISIBLE:
@@ -292,3 +293,42 @@ class TestGeodesicError:
         for _ in range(100):
             a, b = random_pose(rng), random_pose(rng)
             assert abs(o6.rotation_geodesic_error(a, b) - o6.rotation_geodesic_error(b, a)) < 1e-12
+
+
+def constraint_cost(lhs, w, targets, rotation) -> float:
+    """``J(R) = |P - L R - w s(R)^T|^2`` with the best ``s(R) = (P - L R)^T w / w^T w``."""
+    fitted = targets - lhs @ rotation
+    return float(np.sum((fitted - np.outer(w, fitted.T @ w / (w @ w))) ** 2))
+
+
+def small_rotation(v) -> np.ndarray:
+    """``exp([v]x)``: the rotation by ``|v|`` radians about ``v``."""
+    angle = np.linalg.norm(v)
+    w, x, y, z = np.concatenate([[np.cos(angle / 2)], np.sin(angle / 2) * v / angle])
+    return o6.RigidPose.from_quaternion(w, x, y, z).rotation
+
+
+class TestLeastSquaresOptimum:
+    """The closed-form solve returns the minimum over SO(3) of the constraint
+    cost J: on perturbed targets, no rotation 1e-4 rad away costs less."""
+
+    @pytest.mark.parametrize("kind", [
+        o6.BoxModel(0.08, 0.06, 0.1), o6.SphereModel(0.05), o6.CylinderModel(0.03, 0.1),
+    ], ids=["box", "sphere", "cylinder"])
+    def test_no_nearby_rotation_costs_less(self, kind):
+        spec = small_scene_spec(seed=37, model_kind=kind, surface_sample_count=200)
+        model = o6.model_for_spec(spec)
+        draws = np.random.default_rng(41)
+        for index in range(20):
+            obs = o6.render_scene(spec, index, model=model).observation
+            ref = o6.make_reference(obs, o6.RefStrategy.CENTER_MEAN_DEPTH)
+            enc = o6.encode_input(obs, ref)
+            lhs, w = camera_side(enc)
+            clean = o6.encode_targets(obs, ref).delta_abc
+            for sigma in (1e-4, 1e-3, 1e-2):
+                targets = clean + o6.synth.perturbation_rng(spec.seed, index).normal(0.0, sigma, clean.shape)
+                rotation = o6.solve_from_constraints(enc, targets).pose.rotation
+                best = constraint_cost(lhs, w, targets, rotation)
+                for axis in draws.normal(size=(10, 3)):
+                    nearby = rotation @ small_rotation(1e-4 * axis / np.linalg.norm(axis))
+                    assert best <= constraint_cost(lhs, w, targets, nearby)
