@@ -15,8 +15,7 @@ Dataset layout (one directory per dataset)::
 ``pose.txt``; ``encode`` and ``dist-report`` read the whole scene.
 Encodings mirror the scene directories (encoding.txt + targets.txt each),
 and ``encode`` writes ``enc/manifest.txt``, a copy of the dataset's
-manifest, last, so a failed or interrupted encode leaves none; every batch
-command takes its scenes from a manifest (``_Scenes``).  Each table is
+manifest, last, so a failed or interrupted encode leaves none.  Each table is
 a ``key = value`` text header ending in ``data:``, then the rows as raw
 little-endian float64 (``<f8``), so ``head encoding.txt`` shows the header.
 ``encode`` writes the geometric channels and relative-offset targets, the
@@ -29,19 +28,22 @@ duplicated row, or targets that do not match their encoding fail the
 command and name the scene; ``verify`` refuses encodings whose manifest
 differs from the dataset's, and ``solve`` keys its noise by the manifest's
 scene index.  All commands are deterministic for fixed inputs and seed, and
-their outputs are byte-identical across reruns.  Any toolkit or file error
-exits 1 with a one-line diagnostic; ``eval`` with no non-degenerate
-prediction writes no ``results.csv``.
+their outputs are byte-identical across reruns.  Every batch command runs
+the scenes its manifest claims through one loop (``_each``): a failed scene
+stops no other; after the last, one line names each failed scene and the
+command exits 1 without writing its manifest, CSV or ``--out`` file.  Any
+other toolkit or file error exits 1 with a one-line diagnostic too.
 """
 
 from __future__ import annotations
 
 import gc
 import math
+import os
 import sys
-from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import click
 import numpy as np
@@ -57,7 +59,7 @@ from .encoding import (
     encode_input,
     encode_targets,
 )
-from .errors import DegenerateConfigurationError, Offset6DError
+from .errors import DegenerateConfigurationError, FormatError, MissingPoseError, Offset6DError
 from .geometry import RigidPose
 from .metrics import (
     MetricConfig,
@@ -70,13 +72,14 @@ from .metrics import (
     weighted_add_loss,
 )
 from .record import replace
-from .refpoint import RefStrategy, make_reference
+from .refpoint import RefStrategy, SceneObservation, make_reference
 from .solver import ConditionFlag, rotation_geodesic_error, solve_from_constraints
 from .spec import SEED_LIMIT
 from .synth import perturbation_rng
 
 _STRATEGIES = {s.value: s for s in RefStrategy}
 _SEED = click.IntRange(0, SEED_LIMIT - 1)  # the Philox key range
+_NAMED = 10  # an error line names at most this many scenes, then their total
 
 SOLVES_VERSION = "solves/v1"
 RESULTS_VERSION = "results/v1"
@@ -113,12 +116,32 @@ def _finite(ctx: click.Context, param: click.Parameter, value: float) -> float:
     return value
 
 
+def _capped(names: list[str], total: int, sep: str) -> str:
+    """The first ``_NAMED`` of ``names``, and the ``total`` if that is more."""
+    shown = sep.join(names[:_NAMED])
+    return shown if total <= _NAMED else f"{shown}{sep}... ({total} in all)"
+
+
+def _each(root: Path, names: Iterable[str], handle: Callable[[int, Path], object]) -> Iterator:
+    """``handle(index, root / name)`` for each name in order, lazily.  A toolkit
+    or file error fails its scene alone; after the last, one line names each
+    failed scene (unless the reason does, as a path does) and its reason."""
+    failures, failed = [], 0
+    for index, name in enumerate(names):
+        try:
+            yield handle(index, root / name)
+        except (Offset6DError, OSError) as exc:
+            failed += 1
+            if failed <= _NAMED:
+                failures.append(str(exc) if name in str(exc) else f"{name}: {exc}")
+    if failed:
+        raise click.ClickException(_capped(failures, failed, "; "))
+
+
 class _Scenes:
     """The scenes a directory's ``manifest.txt`` claims: a dataset's, or the
-    copy ``encode`` writes into its encodings.  Iterating yields
-    ``(index, scene_dir)`` in manifest order; within ``naming()``, a toolkit
-    error raised while a scene is read or handled names that scene, so
-    ``_Main.invoke`` stays the one error boundary."""
+    copy ``encode`` writes into its encodings.  Not iterable: every command
+    runs them through ``each``, in manifest order."""
 
     def __init__(self, directory: str):
         self.root = Path(directory)
@@ -128,26 +151,22 @@ class _Scenes:
         self.spec, count = formats.read_manifest(manifest)
         if count == 0:
             raise click.ClickException(f"{manifest} claims no scenes (scene_count = 0)")
-        self.names = [formats.scene_name(i) for i in range(count)]
-        missing = [name for name in self.names if not (self.root / name).is_dir()]
+        # The claim is checked against one listing before a list of its
+        # length is built: a hand-edited count costs no time or memory.
+        with os.scandir(self.root) as entries:
+            present = {entry.name for entry in entries if entry.name.startswith("scene_") and entry.is_dir()}
+        claimed = map(formats.scene_name, range(count))
+        missing = list(islice((name for name in claimed if name not in present), _NAMED))
         if missing:
-            raise click.ClickException(f"{self.root} is missing scene directories: {', '.join(missing)}")
-        self.current: str | None = None
+            suffixes = (name.removeprefix("scene_") for name in present)
+            indices = {int(suffix) for suffix in suffixes if suffix.isdecimal()}
+            found = sum(1 for i in indices if i < count and formats.scene_name(i) in present)
+            missing_text = _capped(missing, count - found, ", ")
+            raise click.ClickException(f"{self.root} is missing scene directories: {missing_text}")
+        self.names = [formats.scene_name(i) for i in range(count)]
 
-    def __iter__(self) -> Iterator[tuple[int, Path]]:
-        for index, name in enumerate(self.names):
-            self.current = name
-            yield index, self.root / name
-        self.current = None  # an error after the last scene belongs to none
-
-    @contextmanager
-    def naming(self) -> Iterator[None]:
-        try:
-            yield
-        except Offset6DError as exc:
-            if self.current is None or self.current in str(exc):  # a file error names its path
-                raise
-            raise Offset6DError(f"{self.current}: {exc}") from exc
+    def each(self, handle: Callable[[int, Path], object]) -> Iterator:
+        return _each(self.root, self.names, handle)
 
 
 def _read_encoded(enc_dir: Path) -> tuple[GeoEncoding, GeoTargets]:
@@ -156,12 +175,10 @@ def _read_encoded(enc_dir: Path) -> tuple[GeoEncoding, GeoTargets]:
     enc, _ = formats.read_encoding(enc_dir / "encoding.txt")
     tgt = formats.read_targets(enc_dir / "targets.txt")
     if enc.mode is not InputMode.GEOMETRIC or tgt.mode is not TargetMode.RELATIVE_OFFSET:
-        raise click.ClickException(
-            f"{enc_dir}: expected {InputMode.GEOMETRIC.value} channels and {TargetMode.RELATIVE_OFFSET.value} "
-            f"targets, found {enc.mode.value} and {tgt.mode.value}"
-        )
+        raise FormatError(f"{enc_dir}: expected {InputMode.GEOMETRIC.value} channels and "
+                          f"{TargetMode.RELATIVE_OFFSET.value} targets, found {enc.mode.value} and {tgt.mode.value}")
     if tgt.ref != enc.ref or not (np.array_equal(tgt.us, enc.us) and np.array_equal(tgt.vs, enc.vs)):
-        raise click.ClickException(f"{enc_dir}: targets.txt and encoding.txt differ in pixels or reference point")
+        raise FormatError(f"{enc_dir}: targets.txt and encoding.txt differ in pixels or reference point")
     return enc, tgt
 
 
@@ -193,9 +210,11 @@ def synth_gen(config_path: str, out: str | None, count: int | None, seed: int | 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.txt").unlink(missing_ok=True)
     formats.write_model(out_dir / "model.ply", model)
-    for index in range(n):
-        scene = synth.render_scene(spec, index, model=model)
-        formats.write_scene_dir(out_dir / formats.scene_name(index), scene.observation)
+
+    def render(index: int, scene_dir: Path) -> None:
+        formats.write_scene_dir(scene_dir, synth.render_scene(spec, index, model=model).observation)
+
+    list(_each(out_dir, map(formats.scene_name, range(n)), render))
     formats.write_manifest(out_dir / "manifest.txt", spec, n)  # last: marks the dataset complete
     click.echo(f"wrote {n} scenes to {out_dir}")
 
@@ -208,19 +227,21 @@ def encode_cmd(dataset: str, out: str, strategy: str) -> None:
     """Encode every scene of a dataset into input channels and targets."""
     scenes = _Scenes(dataset)
     out_dir = Path(out)
+    if out_dir.resolve() == scenes.root.resolve():  # its manifest.txt would be the dataset's
+        raise click.ClickException(f"--out {out} is the dataset directory; write the encodings elsewhere")
     (out_dir / "manifest.txt").unlink(missing_ok=True)
-    with scenes.naming():
-        for _, scene_dir in scenes:
-            obs = formats.read_scene_dir(scene_dir, scenes.spec.intrinsics)
-            ref = make_reference(obs, _STRATEGIES[strategy])
-            enc_dir = out_dir / scene_dir.name
-            enc = encode_input(obs, ref)
-            formats.write_encoding(enc_dir / "encoding.txt", enc)
-            if obs.gt_pose is None:  # as write_scene_dir does for pose.txt
-                (enc_dir / "targets.txt").unlink(missing_ok=True)
-            else:
-                tgt = encode_targets(obs, ref)
-                formats.write_targets(enc_dir / "targets.txt", tgt)
+
+    def encode_scene(_: int, scene_dir: Path) -> None:
+        obs = formats.read_scene_dir(scene_dir, scenes.spec.intrinsics)
+        ref = make_reference(obs, _STRATEGIES[strategy])
+        enc_dir = out_dir / scene_dir.name
+        formats.write_encoding(enc_dir / "encoding.txt", encode_input(obs, ref))
+        if obs.gt_pose is None:  # as write_scene_dir does for pose.txt
+            (enc_dir / "targets.txt").unlink(missing_ok=True)
+        else:
+            formats.write_targets(enc_dir / "targets.txt", encode_targets(obs, ref))
+
+    list(scenes.each(encode_scene))
     formats.write_manifest(out_dir / "manifest.txt", scenes.spec, len(scenes.names))  # last: marks enc/ complete
     click.echo(f"encoded {len(scenes.names)} scenes to {out_dir}")
 
@@ -240,22 +261,21 @@ def verify_cmd(dataset: str, encodings: str, tolerance: float, out: str | None) 
             f"{encoded.root} holds {len(encoded.names)} scenes encoded from another dataset than {scenes.root} "
             f"({len(scenes.names)} scenes); re-encode it"
         )
-    stats = {f: {"max": 0.0, "sq_sum": 0.0, "n": 0} for f in ConstraintForm}
-    nonfinite = []
-    for _, scene_dir in scenes:
+
+    def residual_norms(_: int, scene_dir: Path) -> dict[ConstraintForm, np.ndarray]:
         gt_pose = formats.read_pose(scene_dir / "pose.txt")
         enc, tgt = _read_encoded(encoded.root / scene_dir.name)
-        for f in ConstraintForm:
-            residual = constraint_residual(enc, tgt, gt_pose, f)
-            norms = np.linalg.norm(residual, axis=1)
-            if not np.all(np.isfinite(norms)):  # max() would skip a NaN
-                nonfinite.append(scene_dir.name)
-                break
-            stats[f]["max"] = max(stats[f]["max"], float(norms.max()))
-            stats[f]["sq_sum"] += float(np.sum(norms**2))
-            stats[f]["n"] += norms.size
-    if nonfinite:
-        raise click.ClickException(f"non-finite constraint residuals in {', '.join(nonfinite)}")
+        norms = {f: np.linalg.norm(constraint_residual(enc, tgt, gt_pose, f), axis=1) for f in ConstraintForm}
+        if not all(np.all(np.isfinite(n)) for n in norms.values()):  # max() would skip a NaN
+            raise Offset6DError("non-finite constraint residuals")
+        return norms
+
+    stats = {f: {"max": 0.0, "sq_sum": 0.0, "n": 0} for f in ConstraintForm}
+    for norms in scenes.each(residual_norms):
+        for f, n in norms.items():
+            stats[f]["max"] = max(stats[f]["max"], float(n.max()))
+            stats[f]["sq_sum"] += float(np.sum(n**2))
+            stats[f]["n"] += n.size
     pairs: list[tuple[str, str]] = [("format", "verify/v1")]
     for f in ConstraintForm:
         rms = (stats[f]["sq_sum"] / stats[f]["n"]) ** 0.5
@@ -282,8 +302,8 @@ def verify_cmd(dataset: str, encodings: str, tolerance: float, out: str | None) 
 @click.option("--refine", type=click.IntRange(min=0), default=0, show_default=True, help="Refinement iterations.")
 def solve_cmd(encodings: str, out: str, perturb_sigma: float, seed: int, refine: int) -> None:
     """Recover poses from encodings (optionally with perturbed targets)."""
-    rows = []
-    for index, enc_dir in _Scenes(encodings):
+
+    def solve_scene(index: int, enc_dir: Path) -> list:
         enc, tgt = _read_encoded(enc_dir)
         delta_abc = tgt.delta_abc
         if perturb_sigma > 0:
@@ -292,15 +312,12 @@ def solve_cmd(encodings: str, out: str, perturb_sigma: float, seed: int, refine:
         try:
             report = solve_from_constraints(enc, delta_abc, refine_iterations=refine)
         except DegenerateConfigurationError:
-            rows.append([enc_dir.name] + [None] * 14 + [ConditionFlag.DEGENERATE.value])
-            continue
+            return [enc_dir.name] + [None] * 14 + [ConditionFlag.DEGENERATE.value]
         pose = report.pose
-        rows.append(
-            [enc_dir.name]
-            + [float(v) for v in pose.rotation.ravel()]
-            + [float(v) for v in pose.translation]
-            + [report.residual_rms, report.point_count, report.condition_flag.value]
-        )
+        return [enc_dir.name, *pose.rotation.ravel().tolist(), *pose.translation.tolist(),
+                report.residual_rms, report.point_count, report.condition_flag.value]
+
+    rows = list(_Scenes(encodings).each(solve_scene))
     formats.write_csv(out, SOLVES_VERSION, SOLVES_HEADER, rows)
     click.echo(f"solved {len(rows)} scenes -> {out}")
 
@@ -338,11 +355,9 @@ def _predicted(dataset: str, pred: str) -> tuple[ObjectModel, Iterator[tuple]]:
     extra = predictions.keys() - set(scenes.names)
     if extra:
         raise click.ClickException(f"{pred} has rows for scenes {scenes.root} does not claim: {', '.join(sorted(extra))}")
-    joined = (
-        (scene_dir.name, formats.read_pose(scene_dir / "pose.txt"), *predictions[scene_dir.name])
-        for _, scene_dir in scenes
+    return model, scenes.each(
+        lambda _, scene_dir: (scene_dir.name, formats.read_pose(scene_dir / "pose.txt"), *predictions[scene_dir.name])
     )
-    return model, joined
 
 
 @main.command("eval")
@@ -404,9 +419,15 @@ def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fracti
 def dist_report_cmd(dataset: str, strategy: str, out: str) -> None:
     """Translation-spread table: raw ground truth vs anchored offsets."""
     scenes = _Scenes(dataset)
-    with scenes.naming():
-        observations = (formats.read_scene_dir(scene_dir, scenes.spec.intrinsics) for _, scene_dir in scenes)
-        report = synth.distribution_report(observations, _STRATEGIES[strategy])
+
+    def observe(_: int, scene_dir: Path) -> SceneObservation:
+        obs = formats.read_scene_dir(scene_dir, scenes.spec.intrinsics)
+        if obs.gt_pose is None:  # the report's own checks, here to name the scene, not its position
+            raise MissingPoseError("no ground-truth pose; the distribution report needs one")
+        obs.visible  # cached: the reference point reuses it
+        return obs
+
+    report = synth.distribution_report(scenes.each(observe), _STRATEGIES[strategy])
     rows = [
         [r["quantity"], r["component"], r["variance"], r["min"], r["max"], r["variance_ratio"]]
         for r in report.rows()

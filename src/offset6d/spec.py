@@ -20,6 +20,11 @@ from .geometry import CameraIntrinsics
 
 RNG_ALGORITHM = "numpy-philox4x64-10"
 SEED_LIMIT = 2**128  # a seed is the 128-bit Philox key: 0 <= seed < SEED_LIMIT
+# Each scene's depth map is rendered as a float64 array of this many pixels at
+# most (32 MiB); 2**22 covers 2048x2048 and 1080p.
+PIXEL_LIMIT = 2**22
+# The model diameter is an exhaustive O(m^2) scan of the surface samples.
+SAMPLE_LIMIT = 2**17
 
 
 def _positive(*values) -> bool:
@@ -125,13 +130,15 @@ class SceneSpec:
     def __post_init__(self):
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
-        if self.surface_sample_count <= 0:
-            raise ValueError("surface_sample_count must be positive")
-        if self.image_size[0] <= 0 or self.image_size[1] <= 0:
-            raise ValueError("image size must be positive")
         if self.rotation_dist != "uniform-so3":
             raise ValueError(f"unsupported rotation distribution {self.rotation_dist!r}")
         # Quoted like a config key: each of these fields shares its key's name.
+        if not 0 < self.surface_sample_count <= SAMPLE_LIMIT:
+            raise ValueError(f"'surface_sample_count' must be in [1, 2**17], got {self.surface_sample_count}")
+        width, height = self.image_size
+        if not (width > 0 and height > 0 and width * height <= PIXEL_LIMIT):
+            raise ValueError(f"'image_width' x 'image_height' must be positive and at most 2**22 pixels, "
+                             f"got {width} x {height}")
         if not 0.0 <= self.depth_noise_sigma < math.inf:
             raise ValueError(f"'depth_noise_sigma' must be finite and >= 0, got {self.depth_noise_sigma!r}")
         if not 0.0 <= self.pixel_dropout < 1.0:

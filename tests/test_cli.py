@@ -8,13 +8,14 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import offset6d as o6
 from offset6d import encoding, formats, record, refpoint
-from offset6d.cli import SOLVES_HEADER, SOLVES_VERSION, main
+from offset6d.cli import SOLVES_HEADER, SOLVES_VERSION, _each, _Scenes, main
 
 from conftest import default_intrinsics, small_scene_spec
 
@@ -741,6 +742,12 @@ class TestErrors:
         ("synth-gen", "depth_noise_sigma", "nan"),
         ("encode", "depth_noise_sigma", "inf"),
         ("eval", "translation_center", "0 0 inf"),
+        # Once allocated before any check: 116 TiB of depth map and 373 GiB of model points.
+        ("synth-gen", "image_width", "100000000000"),
+        ("synth-gen", "surface_sample_count", "100000000000"),
+        ("synth-gen", "image_height", "30000"),
+        ("encode", "image_width", "30000"),
+        ("encode", "surface_sample_count", str(2**17 + 1)),
     ])
     def test_bad_spec_value_names_file_and_key(self, pipeline_dir, tmp_path, command, key, value):
         path, result = self._run_with_spec_value(pipeline_dir, tmp_path, command, key, value)
@@ -809,8 +816,9 @@ class TestErrors:
         elif command != "dist-report":
             args += ["--pred", str(pipeline_dir / "solves.csv")]
         # verify, eval and loss-decompose read pose.txt alone and name it;
-        # dist-report reads whole scenes and names the scene's index.
-        assert_one_error_line(CliRunner().invoke(main, args), "scene 2" if command == "dist-report" else str(pose))
+        # dist-report reads whole scenes and names the scene.
+        detail = f"{formats.scene_name(2)}: no ground-truth pose" if command == "dist-report" else str(pose)
+        assert_one_error_line(CliRunner().invoke(main, args), detail)
         assert not (tmp_path / "out.csv").exists()
 
     def test_dist_report_of_one_scene_fails(self, tmp_path):
@@ -901,6 +909,120 @@ class TestErrors:
         assert r.exit_code == 0, r.output
         _, rows = formats.read_csv(tmp_path / "solves.csv", SOLVES_VERSION)
         assert [row[-1] for row in rows] == ["well-posed", "degenerate"] + ["well-posed"] * 4
+
+
+def _break_two_scenes(command, pipeline_dir, tmp_path):
+    """A copy of ``pipeline_dir``'s inputs with two scenes broken for
+    ``command``; returns the arguments, the output it must not write and what
+    the error line must hold for each broken scene."""
+    dataset, enc, out = tmp_path / "dataset", tmp_path / "enc", tmp_path / "out"
+    shutil.copytree(pipeline_dir / "dataset", dataset)
+    shutil.copytree(pipeline_dir / "enc", enc)
+    def scene(root, i):
+        return root / formats.scene_name(i)
+
+    def zero_mask(i):
+        mask = scene(dataset, i) / "mask.pgm"
+        formats.write_mask_pgm(mask, np.zeros_like(formats.read_mask_pgm(mask)))
+
+    empty = "no masked pixel with valid depth"
+    if command == "synth-gen":  # z ~ N(0.15, 0.1): scenes 1 and 2 fall behind the camera
+        config = tmp_path / "gaussian.txt"
+        config.write_text(CONFIG.replace(
+            "translation_dist = box\ntranslation_center = 0.0 0.0 1.0\ntranslation_half_widths = 0.25 0.25 0.25\n",
+            "translation_dist = gaussian\ntranslation_mean = 0.0 0.0 0.15\ntranslation_sigma = 0.05 0.05 0.1\n"))
+        behind = "translation sample does not keep the whole object in front of the camera"
+        return (["synth-gen", "-c", str(config), "--out", str(out)], out / "manifest.txt",
+                [f"{formats.scene_name(1)}: {behind}", f"{formats.scene_name(2)}: {behind}"])
+    if command == "encode":
+        zero_mask(1)
+        zero_mask(4)
+        return (["encode", "--dataset", str(dataset), "--out", str(out)], out / "manifest.txt",
+                [f"{formats.scene_name(1)}: {empty}", f"{formats.scene_name(4)}: {empty}"])
+    if command == "verify":  # a NaN channel and a missing targets.txt
+        path = scene(enc, 1) / "encoding.txt"
+        geo, _ = formats.read_encoding(path)
+        delta_x = geo.delta_x.copy()
+        delta_x[0] = np.nan
+        formats.write_encoding(path, record.replace(geo, delta_x=delta_x))
+        (scene(enc, 3) / "targets.txt").unlink()
+        return (["verify", "--dataset", str(dataset), "--encodings", str(enc), "--out", str(out)], out,
+                [f"{formats.scene_name(1)}: non-finite constraint residuals", str(scene(enc, 3) / "targets.txt")])
+    if command == "solve":  # another scene's targets and another encoding mode
+        shutil.copy(scene(enc, 1) / "targets.txt", scene(enc, 0) / "targets.txt")
+        obs = formats.read_scene_dir(scene(dataset, 5), K)
+        ref = formats.read_targets(scene(enc, 5) / "targets.txt").ref
+        formats.write_targets(scene(enc, 5) / "targets.txt", o6.encode_targets(obs, ref, o6.TargetMode("absolute")))
+        return (["solve", "--encodings", str(enc), "--out", str(out)], out,
+                [f"{scene(enc, 0)}: targets.txt and encoding.txt differ", f"{scene(enc, 5)}: expected geometric"])
+    if command in ("eval", "loss-decompose"):  # a missing and a malformed pose.txt
+        (scene(dataset, 2) / "pose.txt").unlink()
+        pose = scene(dataset, 3) / "pose.txt"
+        pose.write_text(pose.read_text().replace("rotation = ", "rotation = 1.1 ", 1))
+        return ([command, "--dataset", str(dataset), "--pred", str(pipeline_dir / "solves.csv"), "--out", str(out)],
+                out, [str(scene(dataset, 2) / "pose.txt"), str(pose)])
+    # dist-report: named by scene, not by position among the scenes that did not fail
+    zero_mask(1)
+    (scene(dataset, 3) / "pose.txt").unlink()
+    return (["dist-report", "--dataset", str(dataset), "--out", str(out)], out,
+            [f"{formats.scene_name(1)}: {empty}", f"{formats.scene_name(3)}: no ground-truth pose"])
+
+
+class TestEveryScene:
+    """A batch command tries every scene: one that fails stops no other, and
+    the command exits 1 with one line that names each failed scene."""
+
+    @pytest.mark.parametrize("command", ["synth-gen", "encode", "verify", "solve", "eval", "loss-decompose",
+                                         "dist-report"])
+    def test_two_broken_scenes_both_named(self, pipeline_dir, tmp_path, command):
+        args, output, details = _break_two_scenes(command, pipeline_dir, tmp_path)
+        r = CliRunner().invoke(main, args)
+        assert_one_error_line(r, *details)
+        assert "; " in r.output  # one line, the failures side by side
+        assert not output.exists()
+        if command in ("synth-gen", "encode"):  # the good scenes were still written
+            written = [p.name for p in sorted(output.parent.iterdir()) if p.is_dir()]
+            broken = {"synth-gen": (1, 2), "encode": (1, 4)}[command]
+            assert written == [formats.scene_name(i) for i in range(6) if i not in broken]
+
+    def test_failure_line_names_ten_scenes_and_the_total(self, tmp_path):
+        def fail(index, scene_dir):
+            raise o6.EmptyObjectError("no masked pixel with valid depth")
+
+        names = [formats.scene_name(i) for i in range(25)]
+        with pytest.raises(click.ClickException) as caught:
+            list(_each(tmp_path, names, fail))
+        message = caught.value.message
+        assert message.count("no masked pixel") == 10 and message.endswith("(25 in all)")
+        assert names[9] in message and names[10] not in message
+
+    def test_scenes_are_not_iterable(self, pipeline_dir):
+        # Every command reaches its scenes through each(); there is no loop around it.
+        with pytest.raises(TypeError):
+            iter(_Scenes(str(pipeline_dir / "dataset")))
+
+    def test_huge_scene_count_is_named_briefly(self, pipeline_dir, tmp_path):
+        # Once: every claimed name built and stat'ed, and a 2.9 MB error line.
+        dataset = tmp_path / "dataset"
+        shutil.copytree(pipeline_dir / "dataset", dataset)
+        path = dataset / "manifest.txt"
+        path.write_text(path.read_text().replace("scene_count = 6\n", "scene_count = 200000\n"))
+        r = CliRunner().invoke(main, ["verify", "--dataset", str(dataset), "--encodings", str(pipeline_dir / "enc")])
+        assert_one_error_line(r, formats.scene_name(6), formats.scene_name(15), "(199994 in all)")
+        assert len(r.output) < 1024 and formats.scene_name(16) not in r.output
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    def test_encode_into_the_dataset_refused(self, pipeline_dir, tmp_path, spelling):
+        # Once: the dataset's manifest was unlinked before the first scene,
+        # so every later command refused the dataset.
+        dataset = tmp_path / "dataset"
+        shutil.copytree(pipeline_dir / "dataset", dataset)
+        manifest = (dataset / "manifest.txt").read_bytes()
+        out = dataset if spelling == "same" else tmp_path / "dataset" / ".." / "dataset"
+        r = CliRunner().invoke(main, ["encode", "--dataset", str(dataset), "--out", str(out)])
+        assert_one_error_line(r, "--out", "dataset directory")
+        assert (dataset / "manifest.txt").read_bytes() == manifest
+        assert not (dataset / formats.scene_name(0) / "encoding.txt").exists()
 
 
 def python_prints(code: str) -> str:
