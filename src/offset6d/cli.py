@@ -232,7 +232,7 @@ def encode_cmd(dataset: str, out: str, strategy: str) -> None:
     (out_dir / "manifest.txt").unlink(missing_ok=True)
 
     def encode_scene(_: int, scene_dir: Path) -> None:
-        obs = formats.read_scene_dir(scene_dir, scenes.spec.intrinsics)
+        obs = formats.read_scene_dir(scene_dir, scenes.spec)
         ref = make_reference(obs, _STRATEGIES[strategy])
         enc_dir = out_dir / scene_dir.name
         formats.write_encoding(enc_dir / "encoding.txt", encode_input(obs, ref))
@@ -421,7 +421,7 @@ def dist_report_cmd(dataset: str, strategy: str, out: str) -> None:
     scenes = _Scenes(dataset)
 
     def observe(_: int, scene_dir: Path) -> SceneObservation:
-        obs = formats.read_scene_dir(scene_dir, scenes.spec.intrinsics)
+        obs = formats.read_scene_dir(scene_dir, scenes.spec)
         if obs.gt_pose is None:  # the report's own checks, here to name the scene, not its position
             raise MissingPoseError("no ground-truth pose; the distribution report needs one")
         obs.visible  # cached: the reference point reuses it

@@ -68,13 +68,16 @@ MAX_DEPTH_MM = 65535
 # atomic writing
 
 
-def _atomic_write_bytes(path, data: bytes) -> None:
+def _atomic_write_bytes(path, *chunks) -> None:
+    """Write ``chunks`` (bytes, or contiguous arrays written as their raw
+    bytes) one after another, without joining them first."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         umask = os.umask(0)  # mkstemp makes the file 0o600; the umask is only readable by setting it
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -236,11 +239,12 @@ def write_depth_pgm(path, depth_m: np.ndarray) -> None:
     depth = np.asarray(depth_m, dtype=np.float64)
     if depth.ndim != 2:
         raise ValueError("depth must be 2-D")
-    mm = np.rint(depth / DEPTH_UNIT)
+    mm = depth / DEPTH_UNIT
+    np.rint(mm, out=mm)
     if not np.all((mm >= 0) & (mm <= MAX_DEPTH_MM)):  # NaN fails both
         raise ValueError(f"depth out of the PGM range [0, {MAX_DEPTH_MM}] mm")
     header = f"P5\n{depth.shape[1]} {depth.shape[0]}\n{MAX_DEPTH_MM}\n".encode()
-    _atomic_write_bytes(path, header + mm.astype(">u2").tobytes())
+    _atomic_write_bytes(path, header, mm.astype(">u2"))
 
 
 def _pgm_samples(raw: bytes, path, maxval: int, dtype: str) -> tuple[np.ndarray, int]:
@@ -265,7 +269,7 @@ def _check_payload(raw: bytes, pos: int, expected: int, path, what: str) -> None
 
 def read_depth_pgm(path) -> np.ndarray:
     mm, _ = _pgm_samples(Path(path).read_bytes(), path, MAX_DEPTH_MM, ">u2")
-    return mm.astype(np.float64) * DEPTH_UNIT
+    return np.multiply(mm, DEPTH_UNIT, dtype=np.float64)  # no float64 copy before the product
 
 
 def write_mask_pgm(path, mask: np.ndarray) -> None:
@@ -273,7 +277,7 @@ def write_mask_pgm(path, mask: np.ndarray) -> None:
     if m.ndim != 2:
         raise ValueError("mask must be 2-D")
     header = f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode()
-    _atomic_write_bytes(path, header + np.where(m, 255, 0).astype(np.uint8).tobytes())
+    _atomic_write_bytes(path, header, np.where(m, np.uint8(255), np.uint8(0)))
 
 
 def read_mask_pgm(path) -> np.ndarray:
@@ -432,7 +436,7 @@ def _ref_from(kv: dict[str, str], path) -> ReferencePoint:
 def _write_table(path, header_pairs: list[tuple[str, str]], columns: tuple[str, ...], rows: np.ndarray) -> None:
     pairs = [*header_pairs, ("count", str(rows.shape[0])), ("columns", " ".join(columns))]
     header = format_keyvalue(pairs) + "data:\n"
-    _atomic_write_bytes(path, header.encode() + np.ascontiguousarray(rows, dtype="<f8").tobytes())
+    _atomic_write_bytes(path, header.encode(), np.ascontiguousarray(rows, dtype="<f8"))
 
 
 def _read_table(path, expected_format: str, allowed: set[str], columns: tuple[str, ...]) -> tuple[dict[str, str], np.ndarray]:
@@ -595,16 +599,23 @@ def write_scene_dir(scene_dir, obs: SceneObservation) -> None:
         write_pose(scene_dir / "pose.txt", obs.gt_pose)
 
 
-def read_scene_dir(scene_dir, intrinsics: CameraIntrinsics) -> SceneObservation:
-    """The observation in ``scene_dir``, seen through ``intrinsics`` (the
-    manifest's camera); ``gt_pose`` is None when there is no ``pose.txt``."""
+def read_scene_dir(scene_dir, spec: SceneSpec) -> SceneObservation:
+    """The observation in ``scene_dir``, seen through the camera of ``spec``
+    (the manifest's); ``gt_pose`` is None when there is no ``pose.txt``.  A
+    depth map of another size than the spec's image raises a
+    :class:`FormatError` naming ``depth.pgm``."""
     scene_dir = Path(scene_dir)
-    depth = DepthMap(read_depth_pgm(scene_dir / "depth.pgm"))
+    depth_path = scene_dir / "depth.pgm"
+    depth = read_depth_pgm(depth_path)
+    width, height = spec.image_size
+    if depth.shape != (height, width):
+        raise FormatError(f"{depth_path}: {depth.shape[1]}x{depth.shape[0]} image, but the manifest's is {width}x{height}")
+    depth = DepthMap(depth)
     mask = InstanceMask(read_mask_pgm(scene_dir / "mask.pgm"))
     pose_path = scene_dir / "pose.txt"
     gt_pose = read_pose(pose_path) if pose_path.exists() else None
     # The mask is checked against the depth map, so a size mismatch names it.
-    return _built(scene_dir / "mask.pgm", SceneObservation, depth=depth, mask=mask, intrinsics=intrinsics, gt_pose=gt_pose)
+    return _built(scene_dir / "mask.pgm", SceneObservation, depth=depth, mask=mask, intrinsics=spec.intrinsics, gt_pose=gt_pose)
 
 
 def scene_name(index: int) -> str:

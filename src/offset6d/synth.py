@@ -42,6 +42,9 @@ from .spec import (
 # a reserved block that no scene index can reach.
 _MODEL_COUNTER = 1 << 192
 _PERTURB_COUNTER = 1 << 193
+# Rays cast at once when rendering a primitive: a scene's ray-cast
+# temporaries stay this size, whatever the object's pixel footprint.
+_BAND_RAYS = 4096
 
 
 @record
@@ -314,7 +317,6 @@ def _pixel_bbox(spec: SceneSpec, t: np.ndarray, r_bound: float):
 def _render_depth(spec: SceneSpec, pose: RigidPose, model: ObjectModel) -> np.ndarray:
     width, height = spec.image_size
     k = spec.intrinsics
-    depth = np.zeros((height, width))
     r_bound = _surface_bound(spec.model_kind, model)
     t = pose.translation
     if t[2] - r_bound <= 0:
@@ -330,29 +332,34 @@ def _render_depth(spec: SceneSpec, pose: RigidPose, model: ObjectModel) -> np.nd
         keep = (us >= 0) & (us < width) & (vs >= 0) & (vs < height)
         if not np.any(keep):
             raise EmptyObjectError("object projects entirely outside the image")
-        flat = np.full(height * width, np.inf)
-        np.minimum.at(flat, vs[keep] * width + us[keep], cam[keep, 2])
-        grid = flat.reshape(height, width)
-        depth[np.isfinite(grid)] = grid[np.isfinite(grid)]
-        return depth
+        depth = np.full(height * width, np.inf)
+        np.minimum.at(depth, vs[keep] * width + us[keep], cam[keep, 2])
+        depth[~np.isfinite(depth)] = 0.0
+        return depth.reshape(height, width)
 
     u0, u1, v0, v1 = _pixel_bbox(spec, t, r_bound)
     if u1 < u0 or v1 < v0:
         raise EmptyObjectError("object projects entirely outside the image")
-    us, vs = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1))
-    us = us.ravel()
-    vs = vs.ravel()
-    # Rays through pixel centers, parameterized so s equals camera depth.
-    dirs_cam = np.stack(
-        [(us - k.cx) / k.fx, (vs - k.cy) / k.fy, np.ones(us.size)], axis=1
-    )
+    depth = np.zeros((height, width))
     origin_obj = -(pose.rotation.T @ t)
-    dirs_obj = dirs_cam @ pose.rotation
-    s = _intersect(spec.model_kind, origin_obj, dirs_obj)
-    hit = np.isfinite(s)
-    if not np.any(hit):
+    # Rays through pixel centers, parameterized so s equals camera depth.
+    # Each pixel's ray and depth depend on that pixel alone, so casting the
+    # box a band of whole rows at a time gives the same bytes as one cast.
+    x = (np.arange(u0, u1 + 1) - k.cx) / k.fx
+    band_rows = max(1, _BAND_RAYS // x.size)
+    hit_any = False
+    for b0 in range(v0, v1 + 1, band_rows):
+        b1 = min(b0 + band_rows, v1 + 1)
+        dirs_cam = np.ones((b1 - b0, x.size, 3))
+        dirs_cam[:, :, 0] = x
+        dirs_cam[:, :, 1] = ((np.arange(b0, b1) - k.cy) / k.fy)[:, None]
+        s = _intersect(spec.model_kind, origin_obj, dirs_cam.reshape(-1, 3) @ pose.rotation)
+        s = s.reshape(b1 - b0, x.size)
+        hit = np.isfinite(s)
+        np.copyto(depth[b0:b1, u0 : u1 + 1], s, where=hit)
+        hit_any = hit_any or hit.any()
+    if not hit_any:
         raise EmptyObjectError("object projects entirely outside the image")
-    depth[vs[hit], us[hit]] = s[hit]
     return depth
 
 

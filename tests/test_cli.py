@@ -171,6 +171,29 @@ class TestSynthGen:
         assert "in front of the camera" in r.output
         assert (out / formats.scene_name(0)).is_dir() and not (out / "manifest.txt").exists()
 
+    def test_memory_is_bounded_by_the_image_not_the_object(self, tmp_path):
+        # A box filling a 640x480 frame: the ray cast runs in bands of a fixed
+        # number of rays, so the peak is a few depth-map copies, not a dozen
+        # arrays over the object's whole bounding box (16.2x when unbanded).
+        config = (CONFIG.replace("scene_count = 6", "scene_count = 1")
+                  .replace("image_width = 160", "image_width = 640").replace("image_height = 160", "image_height = 480")
+                  .replace("fx = 140.0", "fx = 960.0").replace("fy = 140.0", "fy = 960.0")
+                  .replace("cx = 80.0", "cx = 320.0").replace("cy = 80.0", "cy = 240.0")
+                  .replace("model_params = 0.08 0.06 0.1", "model_params = 0.5 0.5 0.5")
+                  .replace("translation_half_widths = 0.25 0.25 0.25", "translation_half_widths = 0.01 0.01 0.01"))
+        (tmp_path / "config.txt").write_text(config)
+        out = tmp_path / "dataset"
+        tracemalloc.start()
+        try:
+            r = run(CliRunner(), ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.exit_code == 0, r.output
+        depth = formats.read_depth_pgm(out / formats.scene_name(0) / "depth.pgm")
+        assert np.count_nonzero(depth) > 0.8 * depth.size
+        assert peak < 4 * depth.nbytes, peak
+
 
 class TestEncode:
     @pytest.mark.parametrize("strategy", ["mean-visible", "center-nearest"])
@@ -572,7 +595,7 @@ class TestErrors:
         enc = tmp_path / "enc"
         shutil.copytree(pipeline_dir / "enc", enc)
         scene = enc / formats.scene_name(2)
-        obs = formats.read_scene_dir(pipeline_dir / "dataset" / scene.name, K)
+        obs = formats.read_scene_dir(pipeline_dir / "dataset" / scene.name, small_scene_spec())
         ref = formats.read_targets(scene / "targets.txt").ref
         if name == "targets.txt":
             formats.write_targets(scene / name, o6.encode_targets(obs, ref, o6.TargetMode(mode)))
@@ -765,6 +788,18 @@ class TestErrors:
         path, result = self._run_with_spec_value(pipeline_dir, tmp_path, command, key, value)
         assert_one_error_line(result, str(path), detail)
 
+    @pytest.mark.parametrize("command", ["encode", "dist-report"])
+    def test_image_size_other_than_the_manifests_names_each_scene(self, three_scene_dir, tmp_path, command):
+        dataset = tmp_path / "dataset"
+        shutil.copytree(three_scene_dir / "dataset", dataset)
+        path = dataset / "manifest.txt"
+        path.write_text(path.read_text().replace("image_width = 160\n", "image_width = 4097\n"))
+        out = tmp_path / "out"
+        r = CliRunner().invoke(main, [command, "--dataset", str(dataset), "--out", str(out)])
+        depths = [str(dataset / formats.scene_name(i) / "depth.pgm") for i in range(3)]
+        assert_one_error_line(r, *depths, "160x160 image, but the manifest's is 4097x160")
+        assert not (out / "manifest.txt").exists() and not out.is_file()
+
     def test_manifest_of_version_1_refused(self, pipeline_dir, tmp_path):
         # dataset/v1 kept a copy of the camera in every scene; there is no v1 reader.
         shutil.copytree(pipeline_dir / "dataset", tmp_path / "dataset")
@@ -950,7 +985,7 @@ def _break_two_scenes(command, pipeline_dir, tmp_path):
                 [f"{formats.scene_name(1)}: non-finite constraint residuals", str(scene(enc, 3) / "targets.txt")])
     if command == "solve":  # another scene's targets and another encoding mode
         shutil.copy(scene(enc, 1) / "targets.txt", scene(enc, 0) / "targets.txt")
-        obs = formats.read_scene_dir(scene(dataset, 5), K)
+        obs = formats.read_scene_dir(scene(dataset, 5), small_scene_spec())
         ref = formats.read_targets(scene(enc, 5) / "targets.txt").ref
         formats.write_targets(scene(enc, 5) / "targets.txt", o6.encode_targets(obs, ref, o6.TargetMode("absolute")))
         return (["solve", "--encodings", str(enc), "--out", str(out)], out,

@@ -15,9 +15,7 @@ from offset6d import formats, record
 from offset6d.encoding import ConstraintForm, GeoEncoding, GeoTargets, InputMode, TargetMode, geometric_products
 from offset6d.errors import ConfigError, FormatError
 
-from conftest import default_intrinsics, random_pose, random_rotation, small_scene_spec
-
-K = default_intrinsics()
+from conftest import random_pose, random_rotation, small_scene_spec
 
 
 class TestAtomicWrite:
@@ -628,7 +626,7 @@ class TestSceneDir:
         spec = small_scene_spec(seed=65)
         obs = o6.render_scene(spec, 0).observation
         formats.write_scene_dir(tmp_path / "scene_00000", obs)
-        back = formats.read_scene_dir(tmp_path / "scene_00000", spec.intrinsics)
+        back = formats.read_scene_dir(tmp_path / "scene_00000", spec)
         np.testing.assert_array_equal(back.mask.values, obs.mask.values)
         assert np.abs(back.depth.values - obs.depth.values).max() <= 0.0005 + 1e-12
         np.testing.assert_array_equal(back.gt_pose.rotation, obs.gt_pose.rotation)
@@ -640,7 +638,13 @@ class TestSceneDir:
         formats.write_scene_dir(tmp_path / "scene_00000", obs)
         formats.write_scene_dir(tmp_path / "scene_00000", record.replace(obs, gt_pose=None))
         assert not (tmp_path / "scene_00000" / "pose.txt").exists()
-        assert formats.read_scene_dir(tmp_path / "scene_00000", K).gt_pose is None
+        assert formats.read_scene_dir(tmp_path / "scene_00000", small_scene_spec()).gt_pose is None
+
+    def test_depth_of_another_size_than_the_spec_names_the_file(self, tmp_path):
+        obs = o6.render_scene(small_scene_spec(seed=67), 0).observation
+        formats.write_scene_dir(tmp_path / "scene_00000", obs)
+        with pytest.raises(FormatError, match=r"depth\.pgm: 160x160 image, but the manifest's is 160x120"):
+            formats.read_scene_dir(tmp_path / "scene_00000", small_scene_spec(image_size=(160, 120)))
 
 
 class TestManifestAndConfig:

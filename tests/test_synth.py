@@ -164,6 +164,35 @@ class TestBoxRayCastExactness:
             assert o6.render_scene(spec, i, model=model).observation.depth.values.tobytes() == depth.tobytes()
 
 
+class TestBandedRayCast:
+    """The ray cast's band size changes no depth bit."""
+
+    @pytest.mark.parametrize("spec", [
+        dense_pixels_spec(seed=61),
+        small_scene_spec(seed=62),
+        small_scene_spec(seed=63, model_kind=o6.SphereModel(0.1)),
+        small_scene_spec(seed=64, model_kind=o6.CylinderModel(0.06, 0.15)),
+    ], ids=["dense-pixels", "box", "sphere", "cylinder"])
+    def test_depth_bytes_do_not_depend_on_the_band(self, spec, monkeypatch):
+        model = o6.model_for_spec(spec)
+        r_bound = synth._surface_bound(spec.model_kind, model)
+
+        def render(index, band_rays):
+            monkeypatch.setattr(synth, "_BAND_RAYS", band_rays)
+            return o6.render_scene(spec, index, model=model).observation
+
+        for index in range(6):
+            whole = render(index, spec.image_size[0] * spec.image_size[1])  # one band
+            u0, u1, v0, _ = synth._pixel_bbox(spec, whole.gt_pose.translation, r_bound)
+            rows = np.flatnonzero(whole.depth.values.any(axis=1))
+            middle = (rows[0] + rows[-1]) // 2
+            assert rows[0] < middle < rows[-1]
+            # The first band ends on the object's middle row.
+            split = render(index, (u1 - u0 + 1) * (middle - v0 + 1))
+            one_row = render(index, 1)
+            assert one_row.depth.values.tobytes() == split.depth.values.tobytes() == whole.depth.values.tobytes()
+
+
 class TestRotationSampling:
     def test_draws_are_valid_rotations(self):
         rng = np.random.default_rng(3)
