@@ -33,7 +33,6 @@ from .geometry import (
     CameraIntrinsics,
     RigidPose,
     backproject_pixels,
-    compose,
     inverse_transform_points,
     nearest_rotation,
     transform_points,

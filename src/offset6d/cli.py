@@ -398,14 +398,14 @@ def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fracti
         )
     if not selective_errors:
         raise click.ClickException("no non-degenerate predictions to summarize")
-    formats.write_csv(out, RESULTS_VERSION, RESULTS_HEADER, rows)
-    summary = [
+    summary = [  # before results.csv: a summary that fails leaves no CSV
         ("format", "summary/v1"),
         ("scene_count", str(len(rows))),
         ("mean_add_selective", formats.format_float(float(np.mean(selective_errors)))),
         ("accuracy_at_threshold", formats.format_float(accuracy_at_threshold(selective_errors, model, cfg))),
         ("auc", formats.format_float(auc(selective_errors, cfg))),
     ]
+    formats.write_csv(out, RESULTS_VERSION, RESULTS_HEADER, rows)
     for key, value in summary[1:]:
         click.echo(f"{key} = {value}")
     if summary_out:

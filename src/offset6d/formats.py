@@ -25,11 +25,15 @@ Conventions:
   - Results: CSV with a ``# name/vN`` version line; readers reject unknown
     versions.
 
-All writers go through a temp file plus atomic rename, so an interrupted
-run never leaves a truncated artifact behind; the file gets the mode a plain
-``open`` would give it (``0o666`` less the umask).  Parse errors name the byte
-offset of the offending data where it is meaningful.  A value that does not
-parse, or that the type it builds rejects, names the file and the key.
+Every text artifact (PLY, key/value text, table headers, CSV) is UTF-8,
+written by ``str.encode`` and read through one strict decoder (``_lines``):
+a byte that is not UTF-8 is a :class:`FormatError` naming the file and its
+byte offset, a PLY comment included.  All writers go through a temp file
+plus atomic rename, so an interrupted run never leaves a truncated artifact
+behind; the file gets the mode a plain ``open`` would give it (``0o666``
+less the umask).  Parse errors name the byte offset of the offending data
+where it is meaningful.  A value that does not parse, or that the type it
+builds rejects, names the file and the key.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import functools
 import io
 import os
 import tempfile
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -122,13 +127,7 @@ def read_ply(path) -> tuple[np.ndarray, bool | None]:
     error names the file.
     """
     raw = Path(path).read_bytes()
-    offset = 0
-    lines = []
-    for chunk in raw.split(b"\n"):
-        lines.append((offset, chunk.decode("ascii", errors="replace")))
-        offset += len(chunk) + 1
-
-    it = iter(lines)
+    it = _lines(raw, path)
     off, magic = next(it, (0, ""))
     if magic.strip() != "ply":
         raise FormatError(f"{path}: not a PLY file: first line {magic!r}", offset=off)
@@ -312,15 +311,25 @@ def write_keyvalue(path, pairs: list[tuple[str, str]]) -> None:
 
 
 def read_keyvalue(path) -> dict[str, str]:
-    return _parse_keyvalue(Path(path).read_text(), path)
+    return _parse_keyvalue(Path(path).read_bytes(), path)
 
 
-def _parse_keyvalue(text: str, path) -> dict[str, str]:
+def _lines(raw: bytes, path):
+    """``(byte offset, line)`` per ``\\n``-ended line of ``raw``, without its ``\\n``, decoded once as
+    strict UTF-8; a byte that is not UTF-8 raises a :class:`FormatError` naming the file and its offset."""
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text", offset=exc.start) from None
+    offsets = accumulate(map(len, io.BytesIO(raw)), initial=0)  # both split after each "\n" only
+    return zip(offsets, (line.removesuffix("\n") for line in io.StringIO(text, newline="\n")))
+
+
+def _parse_keyvalue(raw: bytes, path) -> dict[str, str]:
     """``key = value`` lines; blank and ``#`` lines are skipped, a repeated
-    key is an error.  Offsets count from the start of ``text``."""
+    key is an error."""
     out: dict[str, str] = {}
-    offset = 0
-    for line in text.split("\n"):
+    for offset, line in _lines(raw, path):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             if "=" not in stripped:
@@ -330,7 +339,6 @@ def _parse_keyvalue(text: str, path) -> dict[str, str]:
             if key in out:
                 raise FormatError(f"{path}: duplicate key {key!r}", offset=offset)
             out[key] = value.strip()
-        offset += len(line.encode()) + 1
     return out
 
 
@@ -439,18 +447,19 @@ def _write_table(path, header_pairs: list[tuple[str, str]], columns: tuple[str, 
     _atomic_write_bytes(path, header.encode(), np.ascontiguousarray(rows, dtype="<f8"))
 
 
-def _read_table(path, expected_format: str, allowed: set[str], columns: tuple[str, ...]) -> tuple[dict[str, str], np.ndarray]:
-    """Header pairs and a ``(count, len(columns))`` float64 array; the
-    header must list exactly ``columns``."""
+def _read_table(
+    path, expected_format: str, allowed: set[str], columns: tuple[str, ...]
+) -> tuple[dict[str, str], np.ndarray, np.ndarray, np.ndarray]:
+    """Header pairs, the int64 pixel columns ``us`` and ``vs``, and the
+    ``(count, len(columns) - 2)`` float64 rest.  The header must list exactly
+    ``columns``, which start with ``u v``: whole numbers in ``[0, 2**53]``, where
+    float64 holds every integer, checked before the cast, so a bad one names
+    its column and byte offset."""
     raw = Path(path).read_bytes()
     split = raw.find(_DATA_MARK)
     if split < 0:
         raise FormatError(f"{path}: missing 'data:' section", offset=len(raw))
-    try:
-        header = raw[:split].decode()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: header is not UTF-8 text", offset=exc.start) from None
-    kv = _parse_keyvalue(header, path)
+    kv = _parse_keyvalue(raw[:split], path)
     _check_format(kv, expected_format, path)
     _check_no_extra(kv, allowed, path)
     found = _value(kv, path, "columns")
@@ -460,7 +469,17 @@ def _read_table(path, expected_format: str, allowed: set[str], columns: tuple[st
     pos = split + len(_DATA_MARK)
     _check_payload(raw, pos, count * len(columns) * 8, path, "row")
     data = np.frombuffer(raw, dtype="<f8", count=count * len(columns), offset=pos)
-    return kv, data.reshape(count, len(columns)).astype(np.float64)
+    table = data.reshape(count, len(columns)).astype(np.float64)
+    pixels = table[:, :2]
+    bad = np.flatnonzero(~((pixels >= 0) & (pixels <= 2.0**53) & (pixels == np.trunc(pixels))))  # NaN fails all
+    if bad.size:
+        row, column = divmod(int(bad[0]), 2)
+        raise FormatError(
+            f"{path}: column {columns[column]!r}, row {row}: {float(pixels[row, column])!r} is not a pixel index",
+            offset=pos + 8 * (row * len(columns) + column),
+        )
+    us, vs = pixels.T.astype(np.int64, order="C")
+    return kv, us, vs, table[:, 2:]
 
 
 _ENCODING_KEYS = {
@@ -496,17 +515,18 @@ def write_encoding(path, enc: GeoEncoding) -> None:
 
 
 def read_encoding(path) -> tuple[GeoEncoding, ConstraintForm]:
-    kv, data = _read_table(path, "encoding/v3", _ENCODING_KEYS, _ENCODING_COLUMNS)
+    kv, us, vs, rest = _read_table(path, "encoding/v3", _ENCODING_KEYS, _ENCODING_COLUMNS)
     mode = _value(kv, path, "mode", InputMode)
     form = _value(kv, path, "constraint_form", ConstraintForm)
     ref = _ref_from(kv, path)
-    us, vs, delta_x, delta_y, delta_d = data.T
-    dd0, t0_over_dd0 = geometric_products(delta_d, ref) if mode is InputMode.GEOMETRIC else (None, None)
+    delta_x, delta_y, delta_d = rest.T
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # products past the float range read as inf
+        dd0, t0_over_dd0 = geometric_products(delta_d, ref) if mode is InputMode.GEOMETRIC else (None, None)
     enc = _built(
         path,
         GeoEncoding,
-        us=us.astype(np.int64),
-        vs=vs.astype(np.int64),
+        us=us,
+        vs=vs,
         delta_x=delta_x,
         delta_y=delta_y,
         delta_d=delta_d,
@@ -534,18 +554,11 @@ def write_targets(path, tgt: GeoTargets) -> None:
 
 
 def read_targets(path) -> GeoTargets:
-    kv, data = _read_table(path, "targets/v2", _TARGET_KEYS, _TARGET_COLUMNS)
+    kv, us, vs, delta_abc = _read_table(path, "targets/v2", _TARGET_KEYS, _TARGET_COLUMNS)
     mode = _value(kv, path, "mode", TargetMode)
     ref = _ref_from(kv, path)
     delta_t = np.array(_value(kv, path, "delta_t", _floats(3)))
-    return GeoTargets(
-        delta_t=delta_t,
-        delta_abc=data[:, 2:].copy(),
-        mode=mode,
-        ref=ref,
-        us=data[:, 0].astype(np.int64),
-        vs=data[:, 1].astype(np.int64),
-    )
+    return GeoTargets(delta_t=delta_t, delta_abc=delta_abc.copy(), mode=mode, ref=ref, us=us, vs=vs)
 
 
 # ---------------------------------------------------------------------------
@@ -570,14 +583,17 @@ def read_csv(path, version: str) -> tuple[list[str], list[list[str]]]:
     """Header row and data rows of a :func:`write_csv` file.  Only the first
     line, the version, is a comment; the rest is CSV, so a cell may start
     with ``#`` or hold line breaks."""
-    with open(path, newline="", encoding="utf-8") as f:
-        first = f.readline()
-        if not first.startswith("# "):
-            raise FormatError(f"{path}: missing version line", offset=0)
-        found = first[2:].strip()
-        if found != version:
-            raise FormatError(f"{path}: expected version {version!r}, found {found!r}", offset=0)
-        rows = list(csv.reader(f))
+    lines = _lines(Path(path).read_bytes(), path)
+    _, first = next(lines, (0, ""))
+    if not first.startswith("# "):
+        raise FormatError(f"{path}: missing version line", offset=0)
+    found = first[2:].strip()
+    if found != version:
+        raise FormatError(f"{path}: expected version {version!r}, found {found!r}", offset=0)
+    try:
+        rows = list(csv.reader(f"{line}\n" for _, line in lines))  # a quoted cell keeps its line breaks
+    except csv.Error as exc:  # an unquoted "\r", a field past csv's size limit, a NUL before Python 3.11
+        raise FormatError(f"{path}: not CSV: {exc}") from None
     if not rows:
         raise FormatError(f"{path}: missing CSV header row")
     return rows[0], rows[1:]

@@ -100,7 +100,7 @@ class RigidPose:
             raise ValueError(f"translation must be a 3-vector, got shape {t.shape}")
         if not np.all(np.isfinite(r)) or not np.all(np.isfinite(t)):
             raise ValueError("pose entries must be finite")
-        defect = rotation_defect(r)
+        defect = rotation_defect(r) if np.abs(r).max() <= 2 else math.inf  # far from SO(3); squares could overflow
         if defect > ROTATION_TOLERANCE:
             if defect > ROTATION_REPAIR_LIMIT:
                 raise ValueError(
@@ -165,11 +165,3 @@ def inverse_transform_points(pose: RigidPose, points: np.ndarray) -> np.ndarray:
     """Map (N, 3) camera-frame points back to the object frame: ``R^T (q - t)``."""
     pts = np.asarray(points, dtype=np.float64)
     return (pts - pose.translation) @ pose.rotation
-
-
-def compose(a: RigidPose, b: RigidPose) -> RigidPose:
-    """Pose composition: (compose(a, b))(p) = a(b(p)).
-
-    The constructor re-orthonormalizes when accumulated drift exceeds 1e-9.
-    """
-    return RigidPose(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)

@@ -144,9 +144,12 @@ class ObjectModel:
             raise ValueError(f"model needs >= 2 points of dim 3, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("model points must be finite")
-        diameter = max_pairwise_distance(pts)
+        with np.errstate(over="ignore"):  # a diameter past the float range squares to infinity
+            diameter = max_pairwise_distance(pts)
         if diameter <= 0:
             raise ValueError("model diameter must be positive (all points coincide?)")
+        if diameter == math.inf:
+            raise ValueError("model diameter is not finite (coordinates too large?)")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "diameter", diameter)

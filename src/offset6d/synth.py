@@ -164,10 +164,12 @@ def make_model(kind: ModelKind, surface_sample_count: int, rng: np.random.Genera
         points, file_symmetric = formats.read_ply(kind.path)
         symmetric = kind.symmetric if file_symmetric is None else file_symmetric
         # Two-pass re-centering: the residual mean after the second pass is
-        # far below float resolution at these scales.
-        points = points - points.mean(axis=0)
-        points = points - points.mean(axis=0)
-        return ObjectModel.from_points(points, symmetric)
+        # far below float resolution at these scales.  A sum past the float
+        # range leaves points the model refuses as not finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = points - points.mean(axis=0)
+            points = points - points.mean(axis=0)
+        return formats._built(kind.path, ObjectModel.from_points, points, symmetric)  # a refusal names the PLY
 
     extremes = _extreme_points(kind)
     n_random = max(0, surface_sample_count - extremes.shape[0])

@@ -901,6 +901,48 @@ class TestErrors:
         assert_one_error_line(CliRunner().invoke(main, args), str(path), detail)
         assert not (tmp_path / "results.csv").exists()
 
+    @pytest.mark.parametrize("command, target, damage", [
+        ("synth-gen", "config.txt", "not-utf8"),
+        ("encode", "dataset/manifest.txt", "not-utf8"),
+        ("verify", "dataset/scene_00001/pose.txt", "not-utf8"),
+        ("solve", "enc/scene_00001/encoding.txt", "nan-u"),
+        ("eval", "solves.csv", "not-utf8"),
+        ("dist-report", "dataset/scene_00001/pose.txt", "not-utf8"),
+        ("loss-decompose", "dataset/model.ply", "huge-vertex"),
+    ])
+    def test_corrupted_input_is_one_error_line(self, pipeline_dir, tmp_path, command, target, damage):
+        # One bad input per command: a byte that is not UTF-8, a NaN pixel
+        # column, a finite vertex whose diameter overflows.  Each once ended
+        # in a traceback or a numpy warning.
+        for name in ("config.txt", "dataset", "enc", "solves.csv"):
+            copy = shutil.copytree if (pipeline_dir / name).is_dir() else shutil.copy
+            copy(pipeline_dir / name, tmp_path / name)
+        path = tmp_path / target
+        raw = path.read_bytes()
+        if damage == "not-utf8":
+            raw += b"\xff"
+        elif damage == "nan-u":
+            u = raw.index(b"\ndata:\n") + len(b"\ndata:\n")
+            raw = raw[:u] + np.array([np.nan], dtype="<f8").tobytes() + raw[u + 8:]
+        else:
+            header_end = raw.index(b"end_header\n") + len(b"end_header\n")
+            raw = raw[:header_end] + b"1e300 0 0" + raw[raw.index(b"\n", header_end):]
+        path.write_bytes(raw)
+        dataset, enc, out = tmp_path / "dataset", tmp_path / "enc", tmp_path / "out"
+        args = {
+            "synth-gen": ["-c", tmp_path / "config.txt", "--out", out],
+            "encode": ["--dataset", dataset, "--out", out],
+            "verify": ["--dataset", dataset, "--encodings", enc],
+            "solve": ["--encodings", enc, "--out", out],
+            "eval": ["--dataset", dataset, "--pred", tmp_path / "solves.csv", "--out", out],
+            "dist-report": ["--dataset", dataset, "--out", out],
+            "loss-decompose": ["--dataset", dataset, "--pred", tmp_path / "solves.csv", "--out", out],
+        }[command]
+        r = CliRunner().invoke(main, [command, *map(str, args)])
+        assert_one_error_line(r, str(path))
+        assert "Warning" not in r.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, option, value", [
         ("eval", "--auc-max", "-1"),
         ("eval", "--auc-max", "0"),

@@ -415,6 +415,24 @@ class TestEncodingFiles:
             formats.read_targets(path)
         assert err.value.offset == len(b"format = targets/v2\nmode = ")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.5, 2.0**53 + 2, 1e300])
+    @pytest.mark.parametrize("name, column", [("encoding.txt", 0), ("targets.txt", 1)])
+    def test_pixel_column_checked_before_the_cast(self, tmp_path, rng, name, column, value):
+        # Once cast to int64 unchecked: numpy's "invalid value encountered in
+        # cast" warning, or a fraction truncated into another pixel.
+        enc, tgt = _example_encoding(rng)
+        path = tmp_path / name
+        write, read = {"encoding.txt": (formats.write_encoding, formats.read_encoding),
+                       "targets.txt": (formats.write_targets, formats.read_targets)}[name]
+        write(path, enc if name == "encoding.txt" else tgt)
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"\ndata:\n") + len(b"\ndata:\n") + 3 * 5 * 8 + column * 8  # row 3
+        raw[at : at + 8] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=f"column '{'uv'[column]}', row 3: .* is not a pixel index") as err:
+            read(path)
+        assert str(path) in str(err.value) and err.value.offset == at
+
     def test_duplicate_header_key_rejected(self, tmp_path, rng):
         enc, _ = _example_encoding(rng)
         path = tmp_path / "encoding.txt"
@@ -619,6 +637,46 @@ class TestCsv:
         formats.write_csv(a, "results/v1", ["n", "v"], rows)
         formats.write_csv(b, "results/v1", ["n", "v"], rows)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestTextDecoding:
+    """Every text reader decodes through one strict UTF-8 path."""
+
+    @pytest.mark.parametrize("name, text, read", [
+        ("pose.txt", b"format = pose/v1\nrotation = \xff\n", formats.read_pose),
+        ("manifest.txt", b"format = dataset/v2\n\xff\n", formats.read_manifest),
+        ("config.txt", b"# \xff\nformat = experiment/v1\n", formats.read_experiment_config),
+        ("model.ply", b"ply\ncomment \xff\n", formats.read_model),  # once silently replaced
+        ("solves.csv", b"# solves/v1\nscene,\xff\n", lambda path: formats.read_csv(path, "solves/v1")),
+    ], ids=["pose", "manifest", "config", "ply-comment", "csv"])
+    def test_byte_that_is_not_utf8_names_file_and_offset(self, tmp_path, name, text, read):
+        path = tmp_path / name
+        path.write_bytes(text)
+        with pytest.raises(FormatError, match="not UTF-8 text") as err:
+            read(path)
+        assert str(path) in str(err.value) and err.value.offset == text.index(b"\xff")
+
+    def test_non_ascii_text_reads_as_written(self, tmp_path, rng):
+        ply, csv_path = tmp_path / "model.ply", tmp_path / "notes.csv"
+        formats.write_ply(ply, rng.uniform(-1, 1, (3, 3)))
+        ply.write_bytes(ply.read_bytes().replace(b"ply\n", "ply\ncomment modèle\n".encode(), 1))
+        assert formats.read_ply(ply)[0].shape == (3, 3)
+        formats.write_csv(csv_path, "notes/v1", ["name"], [["modèle\r\nµ"]])
+        assert formats.read_csv(csv_path, "notes/v1") == (["name"], [["modèle\r\nµ"]])
+
+    def test_offsets_count_bytes_not_characters(self, tmp_path):
+        path = tmp_path / "pose.txt"
+        path.write_bytes("# é\nnot a pair\n".encode())
+        with pytest.raises(FormatError, match="expected 'key = value'") as err:
+            formats.read_pose(path)
+        assert err.value.offset == len("# é\n".encode())
+
+    def test_unquoted_carriage_return_in_csv_refused(self, tmp_path):
+        # write_csv quotes every cell holding a "\r"; a bare one is not its output.
+        path = tmp_path / "solves.csv"
+        path.write_bytes(b"# solves/v1\nscene\rname\n")
+        with pytest.raises(FormatError, match="not CSV"):
+            formats.read_csv(path, "solves/v1")
 
 
 class TestSceneDir:

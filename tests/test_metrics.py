@@ -78,6 +78,12 @@ class TestObjectModel:
         with pytest.raises(ValueError):
             o6.ObjectModel.from_points(np.zeros((1, 3)), False)
 
+    def test_diameter_past_the_float_range_refused(self):
+        # Finite points whose squared distance overflows: refused, with no
+        # numpy overflow warning (the suite turns one into an error).
+        with pytest.raises(ValueError, match="diameter is not finite"):
+            o6.ObjectModel.from_points(np.array([[0.0, 0.0, 0.0], [1e300, 0.0, 0.0]]), False)
+
 
 class TestAdd:
     def test_equal_poses(self, rng):

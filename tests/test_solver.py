@@ -73,7 +73,8 @@ class TestProcrustes:
             cam = o6.transform_points(pose, obj)
             moved = o6.transform_points(motion, cam)
             report = o6.solve_procrustes(moved, obj)
-            expected = o6.compose(motion, pose)
+            r, t = motion.rotation, motion.translation
+            expected = o6.RigidPose(r @ pose.rotation, r @ pose.translation + t)  # motion o pose
             assert o6.rotation_geodesic_error(report.pose, expected) < 1e-9
             assert np.linalg.norm(report.pose.translation - expected.translation) < 1e-9
 

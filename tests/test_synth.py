@@ -433,6 +433,20 @@ class TestFileModelSplatting:
         model = o6.make_model(o6.FileModel(str(path), symmetric=False), 100, np.random.default_rng(3))
         assert model.symmetric  # file comment wins
 
+    @pytest.mark.parametrize("points, detail", [
+        ([[0.1, 0.1, 0.1]] * 4, "all points coincide"),
+        ([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [1e300, 0.0, 0.0]], "diameter is not finite"),
+        ([[1.7e308, 0.0, 0.0], [1.7e308, 0.1, 0.0]], "must be finite"),  # the re-centering sum overflows
+    ], ids=["coincident", "huge-diameter", "huge-mean"])
+    def test_file_that_makes_no_model_names_it(self, tmp_path, points, detail):
+        from offset6d import formats
+
+        path = tmp_path / "model.ply"
+        formats.write_ply(path, np.array(points))
+        with pytest.raises(o6.FormatError, match=detail) as err:
+            o6.make_model(o6.FileModel(str(path)), 100, np.random.default_rng(3))
+        assert str(path) in str(err.value)
+
 
 class TestDistributionReport:
     def test_identical_poses_zero_variance(self):
