@@ -32,7 +32,10 @@ their outputs are byte-identical across reruns.  Every batch command runs
 the scenes its manifest claims through one loop (``_each``): a failed scene
 stops no other; after the last, one line names each failed scene and the
 command exits 1 without writing its manifest, CSV or ``--out`` file.  Any
-other toolkit or file error exits 1 with a one-line diagnostic too.
+other toolkit or file error exits 1 with a one-line diagnostic too.  Every
+command runs with numpy's overflow, invalid and divide-by-zero faults raised:
+a numeric fault (a finite but huge pose or channel) fails its scene like any
+other fault, and in ``solve`` it gives the scene a ``degenerate`` row.
 """
 
 from __future__ import annotations
@@ -98,14 +101,22 @@ DIST_HEADER = ["quantity", "component", "variance", "min", "max", "variance_rati
 LOSS_HEADER = ["scene", "total", "rotation_part", "cross_term", "translation_part", "weighted_total"]
 
 
+# What fails a scene, or a command outside the scene loop: a toolkit error, a
+# file error, or a numeric fault raised under ``_Main``'s error state.
+_FAULTS = (Offset6DError, OSError, FloatingPointError)
+
+
 class _Main(click.Group):
-    """The error boundary: toolkit and file-system errors from any command
-    become a one-line diagnostic and exit status 1, never a traceback."""
+    """The error boundary: every command runs with numpy's overflow, invalid
+    and divide-by-zero faults raised (the caller's state comes back on exit),
+    and a fault from any command becomes a one-line diagnostic and exit
+    status 1, never a warning or a traceback."""
 
     def invoke(self, ctx: click.Context):
         try:
-            return super().invoke(ctx)
-        except (Offset6DError, OSError) as exc:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return super().invoke(ctx)
+        except _FAULTS as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -124,13 +135,14 @@ def _capped(names: list[str], total: int, sep: str) -> str:
 
 def _each(root: Path, names: Iterable[str], handle: Callable[[int, Path], object]) -> Iterator:
     """``handle(index, root / name)`` for each name in order, lazily.  A toolkit
-    or file error fails its scene alone; after the last, one line names each
-    failed scene (unless the reason does, as a path does) and its reason."""
+    or file error or a numeric fault fails its scene alone; after the last, one
+    line names each failed scene (unless the reason does, as a path does) and
+    its reason."""
     failures, failed = [], 0
     for index, name in enumerate(names):
         try:
             yield handle(index, root / name)
-        except (Offset6DError, OSError) as exc:
+        except _FAULTS as exc:
             failed += 1
             if failed <= _NAMED:
                 failures.append(str(exc) if name in str(exc) else f"{name}: {exc}")
@@ -262,20 +274,21 @@ def verify_cmd(dataset: str, encodings: str, tolerance: float, out: str | None) 
             f"({len(scenes.names)} scenes); re-encode it"
         )
 
-    def residual_norms(_: int, scene_dir: Path) -> dict[ConstraintForm, np.ndarray]:
+    def residual_stats(_: int, scene_dir: Path) -> dict[ConstraintForm, tuple[float, float, int]]:
+        """Per form: the scene's max residual norm, its sum of squares and its pixel count."""
         gt_pose = formats.read_pose(scene_dir / "pose.txt")
         enc, tgt = _read_encoded(encoded.root / scene_dir.name)
         norms = {f: np.linalg.norm(constraint_residual(enc, tgt, gt_pose, f), axis=1) for f in ConstraintForm}
         if not all(np.all(np.isfinite(n)) for n in norms.values()):  # max() would skip a NaN
             raise Offset6DError("non-finite constraint residuals")
-        return norms
+        return {f: (float(n.max()), float(np.sum(n**2)), n.size) for f, n in norms.items()}
 
     stats = {f: {"max": 0.0, "sq_sum": 0.0, "n": 0} for f in ConstraintForm}
-    for norms in scenes.each(residual_norms):
-        for f, n in norms.items():
-            stats[f]["max"] = max(stats[f]["max"], float(n.max()))
-            stats[f]["sq_sum"] += float(np.sum(n**2))
-            stats[f]["n"] += n.size
+    for scene in scenes.each(residual_stats):
+        for f, (peak, sq_sum, n) in scene.items():
+            stats[f]["max"] = max(stats[f]["max"], peak)
+            stats[f]["sq_sum"] += sq_sum
+            stats[f]["n"] += n
     pairs: list[tuple[str, str]] = [("format", "verify/v1")]
     for f in ConstraintForm:
         rms = (stats[f]["sq_sum"] / stats[f]["n"]) ** 0.5
@@ -311,7 +324,7 @@ def solve_cmd(encodings: str, out: str, perturb_sigma: float, seed: int, refine:
             delta_abc = delta_abc + rng.normal(0.0, perturb_sigma, delta_abc.shape)
         try:
             report = solve_from_constraints(enc, delta_abc, refine_iterations=refine)
-        except DegenerateConfigurationError:
+        except (DegenerateConfigurationError, FloatingPointError):  # a channel past the float range, say
             return [enc_dir.name] + [None] * 14 + [ConditionFlag.DEGENERATE.value]
         pose = report.pose
         return [enc_dir.name, *pose.rotation.ravel().tolist(), *pose.translation.tolist(),
@@ -322,11 +335,12 @@ def solve_cmd(encodings: str, out: str, perturb_sigma: float, seed: int, refine:
     click.echo(f"solved {len(rows)} scenes -> {out}")
 
 
-def _predicted(dataset: str, pred: str) -> tuple[ObjectModel, Iterator[tuple]]:
-    """The dataset's model, and every dataset scene joined by name to its one
-    solves row as ``(name, gt_pose, pose, residual)``; pose and residual are
-    None for a degenerate row.  A missing or duplicated row fails before any
-    scene is read."""
+def _predicted(dataset: str, pred: str, score: Callable[..., list]) -> tuple[ObjectModel, list[list]]:
+    """The dataset's model, and one row per dataset scene: its name, then
+    ``score(model, gt_pose, pose, residual)`` of its one solves row, joined by
+    name; pose and residual are None for a degenerate row.  A missing or
+    duplicated row fails before any scene is read; a scene whose pose or score
+    fails is named by the scene loop."""
     scenes = _Scenes(dataset)
     model = formats.read_model(scenes.root / "model.ply")
     header, rows = formats.read_csv(pred, SOLVES_VERSION)
@@ -355,9 +369,12 @@ def _predicted(dataset: str, pred: str) -> tuple[ObjectModel, Iterator[tuple]]:
     extra = predictions.keys() - set(scenes.names)
     if extra:
         raise click.ClickException(f"{pred} has rows for scenes {scenes.root} does not claim: {', '.join(sorted(extra))}")
-    return model, scenes.each(
-        lambda _, scene_dir: (scene_dir.name, formats.read_pose(scene_dir / "pose.txt"), *predictions[scene_dir.name])
-    )
+
+    def scored(_: int, scene_dir: Path) -> list:
+        gt = formats.read_pose(scene_dir / "pose.txt")
+        return [scene_dir.name, *score(model, gt, *predictions[scene_dir.name])]
+
+    return model, list(scenes.each(scored))
 
 
 @main.command("eval")
@@ -373,29 +390,18 @@ def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fracti
              summary_out: str | None) -> None:
     """Score predicted poses against ground truth."""
     cfg = MetricConfig(auc_max_threshold=auc_max, threshold_fraction=threshold_fraction)
-    model, predicted = _predicted(dataset, pred)
-    rows = []
-    selective_errors = []
-    for name, gt, pose, residual in predicted:
+
+    def score(model: ObjectModel, gt: RigidPose, pose: RigidPose | None, residual: float | None) -> list:
         if pose is None:
-            rows.append([name] + [None] * 6 + [ConditionFlag.DEGENERATE.value])
-            continue
+            return [None] * 6 + [ConditionFlag.DEGENERATE.value]
         err_add = add(pose, gt, model)
         err_add_s = add_s(pose, gt, model)
         err_sel = err_add_s if model.symmetric else err_add  # add_selective, without a second ADD-S
-        selective_errors.append(err_sel)
-        rows.append(
-            [
-                name,
-                err_add,
-                err_add_s,
-                err_sel,
-                rotation_geodesic_error(pose, gt),
-                float(np.linalg.norm(pose.translation - gt.translation)),
-                residual,
-                "ok",
-            ]
-        )
+        return [err_add, err_add_s, err_sel, rotation_geodesic_error(pose, gt),
+                float(np.linalg.norm(pose.translation - gt.translation)), residual, "ok"]
+
+    model, rows = _predicted(dataset, pred, score)
+    selective_errors = [row[RESULTS_HEADER.index("add_selective")] for row in rows if row[-1] == "ok"]
     if not selective_errors:
         raise click.ClickException("no non-degenerate predictions to summarize")
     summary = [  # before results.csv: a summary that fails leaves no CSV
@@ -449,23 +455,15 @@ def dist_report_cmd(dataset: str, strategy: str, out: str) -> None:
 @click.option("--w-trans", type=click.FloatRange(min=0.0), callback=_finite, default=1.0, show_default=True)
 def loss_decompose_cmd(dataset: str, pred: str, out: str, w_rot: float, w_trans: float) -> None:
     """Split the squared pose loss into rotation/cross/translation parts."""
-    model, predicted = _predicted(dataset, pred)
-    rows = []
-    for name, gt, pose, _ in predicted:
+
+    def score(model: ObjectModel, gt: RigidPose, pose: RigidPose | None, _: float | None) -> list:
         if pose is None:
-            rows.append([name] + [None] * 5)
-            continue
+            return [None] * 5
         parts = decompose_add_loss(pose, gt, model)
-        rows.append(
-            [
-                name,
-                parts.total,
-                parts.rotation_part,
-                parts.cross_term,
-                parts.translation_part,
-                weighted_add_loss(pose, gt, model, w_rot, w_trans),
-            ]
-        )
+        return [parts.total, parts.rotation_part, parts.cross_term, parts.translation_part,
+                weighted_add_loss(pose, gt, model, w_rot, w_trans)]
+
+    _, rows = _predicted(dataset, pred, score)
     formats.write_csv(out, LOSS_VERSION, LOSS_HEADER, rows)
     click.echo(f"decomposed {len(rows)} scenes -> {out}")
 

@@ -909,11 +909,17 @@ class TestErrors:
         ("eval", "solves.csv", "not-utf8"),
         ("dist-report", "dataset/scene_00001/pose.txt", "not-utf8"),
         ("loss-decompose", "dataset/model.ply", "huge-vertex"),
+        ("verify", "enc/scene_00001/encoding.txt", "huge-delta-x"),
+        ("eval", "solves.csv", "huge-tx"),
+        ("loss-decompose", "solves.csv", "huge-tx"),
+        ("eval", "dataset/scene_00001/pose.txt", "huge-gt"),
+        ("dist-report", "dataset/scene_00001/pose.txt", "huge-gt"),
     ])
     def test_corrupted_input_is_one_error_line(self, pipeline_dir, tmp_path, command, target, damage):
         # One bad input per command: a byte that is not UTF-8, a NaN pixel
-        # column, a finite vertex whose diameter overflows.  Each once ended
-        # in a traceback or a numpy warning.
+        # column, a finite vertex whose diameter overflows, a finite channel
+        # or pose whose square overflows.  Each once ended in a traceback or
+        # a numpy warning.
         for name in ("config.txt", "dataset", "enc", "solves.csv"):
             copy = shutil.copytree if (pipeline_dir / name).is_dir() else shutil.copy
             copy(pipeline_dir / name, tmp_path / name)
@@ -922,8 +928,14 @@ class TestErrors:
         if damage == "not-utf8":
             raw += b"\xff"
         elif damage == "nan-u":
-            u = raw.index(b"\ndata:\n") + len(b"\ndata:\n")
-            raw = raw[:u] + np.array([np.nan], dtype="<f8").tobytes() + raw[u + 8:]
+            raw = first_row_set(raw, "u", np.nan)
+        elif damage == "huge-delta-x":
+            raw = first_row_set(raw, "delta_x", 1e300)
+        elif damage == "huge-tx":
+            raw = huge_tx(raw)
+        elif damage == "huge-gt":
+            start = raw.index(b"translation = ")
+            raw = raw[:start] + b"translation = 1e300 0.0 1.0" + raw[raw.index(b"\n", start):]
         else:
             header_end = raw.index(b"end_header\n") + len(b"end_header\n")
             raw = raw[:header_end] + b"1e300 0 0" + raw[raw.index(b"\n", header_end):]
@@ -939,7 +951,11 @@ class TestErrors:
             "loss-decompose": ["--dataset", dataset, "--pred", tmp_path / "solves.csv", "--out", out],
         }[command]
         r = CliRunner().invoke(main, [command, *map(str, args)])
-        assert_one_error_line(r, str(path))
+        if damage in ("not-utf8", "nan-u", "huge-vertex"):
+            named = [str(path)]
+        else:  # a numeric fault names its scene; dist-report's is in the spread over all scenes, no one scene's
+            named = [] if command == "dist-report" else [formats.scene_name(1)]
+        assert_one_error_line(r, *named)
         assert "Warning" not in r.output
         assert not out.exists()
 
@@ -974,18 +990,42 @@ class TestErrors:
         assert option in r.output and "Traceback" not in r.output
         assert not out.exists()
 
-    def test_nan_target_flags_scene_degenerate(self, pipeline_dir, tmp_path):
+    @pytest.mark.parametrize("damage", ["nan-target", "huge-delta-d"])
+    def test_numeric_fault_flags_scene_degenerate(self, pipeline_dir, tmp_path, damage):
+        # A NaN target, or a finite delta_d whose residual squares past the
+        # float range: once a well-posed row with residual_rms = inf.
         enc = tmp_path / "enc"
         shutil.copytree(pipeline_dir / "enc", enc)
-        targets = enc / formats.scene_name(1) / "targets.txt"
-        tgt = formats.read_targets(targets)
-        delta_abc = tgt.delta_abc.copy()
-        delta_abc[0, 0] = np.nan
-        formats.write_targets(targets, record.replace(tgt, delta_abc=delta_abc))
-        r = run(CliRunner(), ["solve", "--encodings", str(enc), "--out", str(tmp_path / "solves.csv")])
+        if damage == "nan-target":
+            targets = enc / formats.scene_name(1) / "targets.txt"
+            tgt = formats.read_targets(targets)
+            delta_abc = tgt.delta_abc.copy()
+            delta_abc[0, 0] = np.nan
+            formats.write_targets(targets, record.replace(tgt, delta_abc=delta_abc))
+        else:
+            path = enc / formats.scene_name(1) / "encoding.txt"
+            path.write_bytes(first_row_set(path.read_bytes(), "delta_d", 1e300))
+        out = tmp_path / "solves.csv"
+        r = run(CliRunner(), ["solve", "--encodings", str(enc), "--out", str(out)])
         assert r.exit_code == 0, r.output
-        _, rows = formats.read_csv(tmp_path / "solves.csv", SOLVES_VERSION)
+        assert r.output == f"solved 6 scenes -> {out}\n"  # stdout and stderr: no warning
+        _, rows = formats.read_csv(out, SOLVES_VERSION)
         assert [row[-1] for row in rows] == ["well-posed", "degenerate"] + ["well-posed"] * 4
+
+
+def first_row_set(table: bytes, column: str, value: float) -> bytes:
+    """An ``encoding.txt``'s bytes with ``column`` of its first row set to ``value``."""
+    at = table.index(b"\ndata:\n") + len(b"\ndata:\n") + 8 * formats._ENCODING_COLUMNS.index(column)
+    return table[:at] + np.array([value], dtype="<f8").tobytes() + table[at + 8:]
+
+
+def huge_tx(solves: bytes) -> bytes:
+    """``solves`` with the ``tx`` of scene_00001's row set to ``1e300``."""
+    start = solves.index(b"\nscene_00001,") + 1
+    end = solves.index(b"\n", start)
+    cells = solves[start:end].split(b",")
+    cells[SOLVES_HEADER.index("tx")] = b"1e300"
+    return solves[:start] + b",".join(cells) + solves[end:]
 
 
 def _break_two_scenes(command, pipeline_dir, tmp_path):
@@ -1073,6 +1113,19 @@ class TestEveryScene:
         assert message.count("no masked pixel") == 10 and message.endswith("(25 in all)")
         assert names[9] in message and names[10] not in message
 
+    def test_numeric_fault_fails_its_scene_and_a_value_error_escapes(self, tmp_path):
+        # A FloatingPointError is a fault of the input; a ValueError is a bug.
+        def handle(index, scene_dir):
+            if scene_dir.name == names[1]:
+                raise FloatingPointError("overflow encountered in multiply")
+            raise ValueError("a bug")
+
+        names = [formats.scene_name(i) for i in range(2)]
+        with pytest.raises(click.ClickException, match=f"^{names[1]}: overflow encountered in multiply$"):
+            list(_each(tmp_path, names[1:], handle))
+        with pytest.raises(ValueError):
+            list(_each(tmp_path, names, handle))
+
     def test_scenes_are_not_iterable(self, pipeline_dir):
         # Every command reaches its scenes through each(); there is no loop around it.
         with pytest.raises(TypeError):
@@ -1129,3 +1182,20 @@ def test_only_the_cli_import_freezes_the_heap():
     state = "; import gc; print(gc.isenabled(), gc.get_freeze_count() > 0)"
     assert python_prints("import offset6d.cli" + state) == "True True"
     assert python_prints("import offset6d; import gc; print(gc.get_freeze_count())") == "0"
+
+
+def test_the_numeric_error_state_stays_inside_the_cli(pipeline_dir, tmp_path):
+    # Library callers keep numpy's defaults: the import sets nothing, and a
+    # command that passes or fails gives the caller's state back.
+    state = "; import numpy; print(sorted(numpy.geterr().items()))"
+    assert python_prints("import offset6d.cli" + state) == python_prints("import numpy" + state)
+    before = np.geterr()
+    huge = tmp_path / "huge.csv"
+    huge.write_bytes(huge_tx((pipeline_dir / "solves.csv").read_bytes()))
+    args = ["eval", "--dataset", str(pipeline_dir / "dataset"), "--out", str(tmp_path / "results.csv"), "--pred"]
+    r = CliRunner().invoke(main, [*args, str(pipeline_dir / "solves.csv")])
+    assert r.exit_code == 0, r.output
+    assert np.geterr() == before
+    r = CliRunner().invoke(main, [*args, str(huge)])
+    assert_one_error_line(r, formats.scene_name(1))
+    assert np.geterr() == before
