@@ -76,7 +76,6 @@ from .spec import (
     SphereModel,
 )
 from .synth import (
-    DistributionReport,
     SyntheticScene,
     distribution_report,
     make_model,

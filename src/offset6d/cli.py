@@ -62,7 +62,7 @@ from .encoding import (
     encode_input,
     encode_targets,
 )
-from .errors import DegenerateConfigurationError, FormatError, MissingPoseError, Offset6DError
+from .errors import ConfigError, DegenerateConfigurationError, FormatError, MissingPoseError, Offset6DError
 from .geometry import RigidPose
 from .metrics import (
     MetricConfig,
@@ -75,7 +75,7 @@ from .metrics import (
     weighted_add_loss,
 )
 from .record import replace
-from .refpoint import RefStrategy, SceneObservation, make_reference
+from .refpoint import RefStrategy, make_reference
 from .solver import ConditionFlag, rotation_geodesic_error, solve_from_constraints
 from .spec import SEED_LIMIT
 from .synth import perturbation_rng
@@ -218,7 +218,12 @@ def synth_gen(config_path: str, out: str | None, count: int | None, seed: int | 
     if not str(out_dir):
         raise click.ClickException("no output directory (set output_dir or --out)")
 
-    model = synth.model_for_spec(spec)
+    try:
+        model = synth.model_for_spec(spec)
+    except Offset6DError:  # a model file that makes no model, named by its reader
+        raise
+    except ValueError as exc:  # a primitive whose sampled diameter is not finite
+        raise ConfigError(f"{config_path}: model_params: {exc}") from None
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.txt").unlink(missing_ok=True)
     formats.write_model(out_dir / "model.ply", model)
@@ -426,25 +431,20 @@ def dist_report_cmd(dataset: str, strategy: str, out: str) -> None:
     """Translation-spread table: raw ground truth vs anchored offsets."""
     scenes = _Scenes(dataset)
 
-    def observe(_: int, scene_dir: Path) -> SceneObservation:
+    def offset(_: int, scene_dir: Path) -> tuple[np.ndarray, np.ndarray]:
+        """The scene's ground-truth translation ``t`` and its offset ``t - t0``."""
         obs = formats.read_scene_dir(scene_dir, scenes.spec)
-        if obs.gt_pose is None:  # the report's own checks, here to name the scene, not its position
+        if obs.gt_pose is None:
             raise MissingPoseError("no ground-truth pose; the distribution report needs one")
-        obs.visible  # cached: the reference point reuses it
-        return obs
+        t = obs.gt_pose.translation
+        t * t  # a translation whose square overflows fails here, not in the spread over all scenes
+        return t, t - make_reference(obs, _STRATEGIES[strategy]).as_array()
 
-    report = synth.distribution_report(scenes.each(observe), _STRATEGIES[strategy])
-    rows = [
-        [r["quantity"], r["component"], r["variance"], r["min"], r["max"], r["variance_ratio"]]
-        for r in report.rows()
-    ]
+    rows = synth.distribution_report(scenes.each(offset))
     formats.write_csv(out, DIST_VERSION, DIST_HEADER, rows)
-    for r in report.rows():
-        ratio = "" if r["variance_ratio"] is None else f"  ratio {r['variance_ratio']:.1f}"
-        click.echo(
-            f"{r['quantity']:8s} {r['component']}: var {r['variance']:.3e} "
-            f"range ({r['min']:.4f}, {r['max']:.4f}){ratio}"
-        )
+    for quantity, component, variance, lo, hi, ratio in rows:
+        shown = "" if ratio is None else f"  ratio {ratio:.1f}"
+        click.echo(f"{quantity:8s} {component}: var {variance:.3e} range ({lo:.4f}, {hi:.4f}){shown}")
 
 
 @main.command("loss-decompose")

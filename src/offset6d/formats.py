@@ -49,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import ConstraintForm, GeoEncoding, GeoTargets, InputMode, TargetMode, geometric_products
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, InvalidDepthError
 from .geometry import CameraIntrinsics, RigidPose
 from .metrics import ObjectModel
 from .record import astuple, fields
@@ -234,14 +234,15 @@ def _parse_pgm_header(raw: bytes, path) -> tuple[int, int, int, int]:
 
 def write_depth_pgm(path, depth_m: np.ndarray) -> None:
     """Quantize meters to whole millimeters (round half-even) and store as
-    16-bit PGM.  0 stays 0 (missing); NaN and infinity are refused."""
+    16-bit PGM.  0 stays 0 (missing); a depth outside the 16-bit range,
+    NaN or infinity raises :class:`InvalidDepthError`."""
     depth = np.asarray(depth_m, dtype=np.float64)
     if depth.ndim != 2:
         raise ValueError("depth must be 2-D")
     mm = depth / DEPTH_UNIT
     np.rint(mm, out=mm)
     if not np.all((mm >= 0) & (mm <= MAX_DEPTH_MM)):  # NaN fails both
-        raise ValueError(f"depth out of the PGM range [0, {MAX_DEPTH_MM}] mm")
+        raise InvalidDepthError(f"depth out of the PGM range [0, {MAX_DEPTH_MM}] mm")
     header = f"P5\n{depth.shape[1]} {depth.shape[0]}\n{MAX_DEPTH_MM}\n".encode()
     _atomic_write_bytes(path, header, mm.astype(">u2"))
 

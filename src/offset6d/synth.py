@@ -14,20 +14,24 @@ point splatting with a per-pixel z-buffer.
 
 Depth noise is Gaussian truncated at +-3 sigma; dropout zeroes the depth of
 a masked pixel (the mask keeps claiming the object, mimicking a sensor hole).
+
+:func:`distribution_report` reduces each scene's ground-truth translation and
+its offset from a reference point to the translation-spread table.
 """
 
 from __future__ import annotations
 
 import math
-from .record import record
+from typing import Iterable
 
 import numpy as np
 
 from . import formats
-from .errors import EmptyInputError, EmptyObjectError, MissingPoseError
+from .errors import EmptyInputError, EmptyObjectError
 from .geometry import RigidPose
 from .metrics import ObjectModel
-from .refpoint import DepthMap, InstanceMask, RefStrategy, SceneObservation, make_reference
+from .record import record
+from .refpoint import DepthMap, InstanceMask, SceneObservation
 from .spec import (
     BoxModel,
     BoxVolume,
@@ -429,71 +433,26 @@ def render_scene(spec: SceneSpec, index: int, model: ObjectModel | None = None) 
     return SyntheticScene(observation=observation, model=model)
 
 
-@record
-class DistributionReport:
-    """Per-component spread of raw translations vs anchored offsets."""
+def distribution_report(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[list]:
+    """The spread of ground-truth translations ``t`` against their offsets
+    ``t - t0`` from a reference point, given one ``(t, t - t0)`` pair per
+    scene.
 
-    strategy: RefStrategy
-    scene_count: int
-    raw_variance: np.ndarray
-    raw_min: np.ndarray
-    raw_max: np.ndarray
-    delta_variance: np.ndarray
-    delta_min: np.ndarray
-    delta_max: np.ndarray
-
-    @property
-    def variance_ratio(self) -> np.ndarray:
-        return self.raw_variance / self.delta_variance
-
-    def rows(self) -> list[dict]:
-        out = []
-        for name, var, lo, hi, ratio in (
-            ("raw_t", self.raw_variance, self.raw_min, self.raw_max, [None] * 3),
-            ("delta_t", self.delta_variance, self.delta_min, self.delta_max, self.variance_ratio),
-        ):
-            for i, comp in enumerate("xyz"):
-                out.append(
-                    {
-                        "quantity": name,
-                        "component": comp,
-                        "variance": float(var[i]),
-                        "min": float(lo[i]),
-                        "max": float(hi[i]),
-                        "variance_ratio": None if ratio[i] is None else float(ratio[i]),
-                    }
-                )
-        return out
-
-
-def distribution_report(observations, strategy: RefStrategy) -> DistributionReport:
-    """Compare ground-truth translation spread against the anchored offsets.
-
-    For each observation the reference point of the given strategy is
-    computed and ``delta_t = t - t0`` recorded; variances are sample
-    variances (ddof=1).  An observation without a pose raises
-    :class:`MissingPoseError` naming its position (scene ``i`` of the
-    sequence), fewer than two raise :class:`EmptyInputError`.
+    Six rows ``[quantity, component, variance, min, max, variance_ratio]``:
+    ``raw_t`` then ``delta_t``, each for x, y and z.  Variances are sample
+    variances (ddof=1); the ratio is the raw variance over the offset
+    variance, ``None`` on the ``raw_t`` rows.  Fewer than two pairs raise
+    :class:`EmptyInputError`.
     """
-    raw = []
-    delta = []
-    for i, obs in enumerate(observations):
-        if obs.gt_pose is None:
-            raise MissingPoseError(f"scene {i} has no ground-truth pose; the distribution report needs one")
-        ref = make_reference(obs, strategy)
-        raw.append(obs.gt_pose.translation)
-        delta.append(obs.gt_pose.translation - ref.as_array())
-    if len(raw) < 2:
-        raise EmptyInputError(f"the distribution report needs at least two scenes, got {len(raw)}")
-    raw = np.asarray(raw)
-    delta = np.asarray(delta)
-    return DistributionReport(
-        strategy=strategy,
-        scene_count=raw.shape[0],
-        raw_variance=raw.var(axis=0, ddof=1),
-        raw_min=raw.min(axis=0),
-        raw_max=raw.max(axis=0),
-        delta_variance=delta.var(axis=0, ddof=1),
-        delta_min=delta.min(axis=0),
-        delta_max=delta.max(axis=0),
-    )
+    pairs = list(pairs)
+    if len(pairs) < 2:
+        raise EmptyInputError(f"the distribution report needs at least two scenes, got {len(pairs)}")
+    raw, delta = (np.array(column) for column in zip(*pairs))
+    raw_var, delta_var = raw.var(axis=0, ddof=1), delta.var(axis=0, ddof=1)
+    ratio = raw_var / delta_var
+    return [
+        [quantity, component, float(var[i]), float(values[:, i].min()), float(values[:, i].max()),
+         None if ratios is None else float(ratios[i])]
+        for quantity, values, var, ratios in (("raw_t", raw, raw_var, None), ("delta_t", delta, delta_var, ratio))
+        for i, component in enumerate("xyz")
+    ]

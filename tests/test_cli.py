@@ -865,6 +865,19 @@ class TestErrors:
         assert formats.scene_name(0) not in r.output  # the error comes after the last scene
         assert not (tmp_path / "dist.csv").exists()
 
+    def test_dist_report_of_identical_scenes_fails(self, pipeline_dir, tmp_path):
+        # Zero spread: the variance ratio divides by a zero offset variance,
+        # a numeric fault in the spread over all scenes, not in one scene.
+        dataset = tmp_path / "dataset"
+        shutil.copytree(pipeline_dir / "dataset", dataset)
+        for i in range(1, 6):
+            shutil.rmtree(dataset / formats.scene_name(i))
+            shutil.copytree(dataset / formats.scene_name(0), dataset / formats.scene_name(i))
+        r = CliRunner().invoke(main, ["dist-report", "--dataset", str(dataset), "--out", str(tmp_path / "dist.csv")])
+        assert_one_error_line(r, "encountered in divide")
+        assert "scene_" not in r.output
+        assert not (tmp_path / "dist.csv").exists()
+
     @pytest.mark.parametrize("command, strategy, detail", [
         ("encode", "mean-visible", "no masked pixel with valid depth"),
         ("dist-report", "mean-visible", "no masked pixel with valid depth"),
@@ -914,12 +927,15 @@ class TestErrors:
         ("loss-decompose", "solves.csv", "huge-tx"),
         ("eval", "dataset/scene_00001/pose.txt", "huge-gt"),
         ("dist-report", "dataset/scene_00001/pose.txt", "huge-gt"),
+        ("synth-gen", "config.txt", "huge-model"),
+        ("synth-gen", "config.txt", "huge-noise"),
     ])
     def test_corrupted_input_is_one_error_line(self, pipeline_dir, tmp_path, command, target, damage):
         # One bad input per command: a byte that is not UTF-8, a NaN pixel
-        # column, a finite vertex whose diameter overflows, a finite channel
-        # or pose whose square overflows.  Each once ended in a traceback or
-        # a numpy warning.
+        # column, a finite vertex or primitive whose diameter overflows, a
+        # finite channel or pose whose square overflows, a depth noise that
+        # leaves the PGM range.  Each once ended in a traceback or a numpy
+        # warning.
         for name in ("config.txt", "dataset", "enc", "solves.csv"):
             copy = shutil.copytree if (pipeline_dir / name).is_dir() else shutil.copy
             copy(pipeline_dir / name, tmp_path / name)
@@ -933,9 +949,10 @@ class TestErrors:
             raw = first_row_set(raw, "delta_x", 1e300)
         elif damage == "huge-tx":
             raw = huge_tx(raw)
-        elif damage == "huge-gt":
-            start = raw.index(b"translation = ")
-            raw = raw[:start] + b"translation = 1e300 0.0 1.0" + raw[raw.index(b"\n", start):]
+        elif damage in HUGE_VALUES:
+            line = HUGE_VALUES[damage]
+            start = raw.index(line.split(b"= ")[0] + b"= ")
+            raw = raw[:start] + line + raw[raw.index(b"\n", start):]
         else:
             header_end = raw.index(b"end_header\n") + len(b"end_header\n")
             raw = raw[:header_end] + b"1e300 0 0" + raw[raw.index(b"\n", header_end):]
@@ -953,11 +970,15 @@ class TestErrors:
         r = CliRunner().invoke(main, [command, *map(str, args)])
         if damage in ("not-utf8", "nan-u", "huge-vertex"):
             named = [str(path)]
-        else:  # a numeric fault names its scene; dist-report's is in the spread over all scenes, no one scene's
-            named = [] if command == "dist-report" else [formats.scene_name(1)]
+        elif damage == "huge-model":
+            named = [f"{path}: model_params: model diameter is not finite"]
+        elif damage == "huge-noise":  # every scene fails, each named
+            named = [f"{formats.scene_name(i)}: depth out of the PGM range" for i in (0, 5)]
+        else:  # a numeric fault names its scene
+            named = [formats.scene_name(1)]
         assert_one_error_line(r, *named)
         assert "Warning" not in r.output
-        assert not out.exists()
+        assert not (out / "manifest.txt" if damage == "huge-noise" else out).exists()  # scenes it rendered stay
 
     @pytest.mark.parametrize("command, option, value", [
         ("eval", "--auc-max", "-1"),
@@ -1011,6 +1032,14 @@ class TestErrors:
         assert r.output == f"solved 6 scenes -> {out}\n"  # stdout and stderr: no warning
         _, rows = formats.read_csv(out, SOLVES_VERSION)
         assert [row[-1] for row in rows] == ["well-posed", "degenerate"] + ["well-posed"] * 4
+
+
+# A finite but huge value for one ``key = value`` line of a file.
+HUGE_VALUES = {
+    "huge-gt": b"translation = 1e300 0.0 1.0",
+    "huge-model": b"model_params = 1e300 0.06 0.1",
+    "huge-noise": b"depth_noise_sigma = 1e300",
+}
 
 
 def first_row_set(table: bytes, column: str, value: float) -> bytes:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import offset6d as o6
-from offset6d import formats, record, synth
+from offset6d import formats, synth
 from offset6d.errors import EmptyObjectError
 from offset6d.geometry import rotation_defect
 from offset6d.synth import model_rng, scene_rng
@@ -448,51 +448,53 @@ class TestFileModelSplatting:
         assert str(path) in str(err.value)
 
 
+def offsets(observations, strategy=o6.RefStrategy.MEAN_VISIBLE):
+    """Each observation's ``(t, t - t0)`` pair, as ``dist-report`` makes it."""
+    for obs in observations:
+        t = obs.gt_pose.translation
+        yield t, t - o6.make_reference(obs, strategy).as_array()
+
+
 class TestDistributionReport:
     def test_identical_poses_zero_variance(self):
         spec = small_scene_spec(seed=53)
-        scene = o6.render_scene(spec, 0)
-        report = o6.distribution_report([scene.observation] * 3, o6.RefStrategy.MEAN_VISIBLE)
-        np.testing.assert_array_equal(report.raw_variance, np.zeros(3))
-        np.testing.assert_array_equal(report.delta_variance, np.zeros(3))
+        pairs = list(offsets([o6.render_scene(spec, 0).observation] * 3))
+        with np.errstate(invalid="ignore"):  # the ratio is 0/0
+            rows = o6.distribution_report(pairs)
+        assert [row[2] for row in rows] == [0.0] * 6
+        assert all(math.isnan(row[5]) for row in rows[3:])
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):  # as the CLI runs it
+            o6.distribution_report(pairs)
 
     def test_compaction_on_small_sweep(self):
         spec = small_scene_spec(seed=55, translation_dist=o6.BoxVolume((0, 0, 1.0), (0.3, 0.3, 0.3)))
         model = o6.model_for_spec(spec)
         scenes = [o6.render_scene(spec, i, model=model).observation for i in range(60)]
-        report = o6.distribution_report(scenes, o6.RefStrategy.MEAN_VISIBLE)
-        assert report.scene_count == 60
-        assert np.all(report.variance_ratio > 10)
+        rows = o6.distribution_report(offsets(scenes))
+        assert all(row[5] > 10 for row in rows[3:])
 
     def test_delta_ranges_bounded_by_half_diameter_plus_noise(self):
         sigma = 5e-4
         spec = small_scene_spec(seed=57, depth_noise_sigma=sigma)
         model = o6.model_for_spec(spec)
         scenes = [o6.render_scene(spec, i, model=model).observation for i in range(40)]
-        report = o6.distribution_report(scenes, o6.RefStrategy.MEAN_VISIBLE)
+        rows = o6.distribution_report(offsets(scenes))
         bound = model.diameter / 2 + 3 * sigma
-        assert np.all(report.delta_min >= -bound - 1e-9)
-        assert np.all(report.delta_max <= bound + 1e-9)
+        for _, _, _, lo, hi, _ in rows[3:]:
+            assert -bound - 1e-9 <= lo <= hi <= bound + 1e-9
 
     def test_rows_structure(self):
         spec = small_scene_spec(seed=59)
         scenes = [o6.render_scene(spec, i).observation for i in range(3)]
-        report = o6.distribution_report(scenes, o6.RefStrategy.CENTER_MEAN_DEPTH)
-        rows = report.rows()
-        assert len(rows) == 6
-        assert {r["quantity"] for r in rows} == {"raw_t", "delta_t"}
-        assert all(r["variance_ratio"] is None for r in rows if r["quantity"] == "raw_t")
+        rows = o6.distribution_report(offsets(scenes, o6.RefStrategy.CENTER_MEAN_DEPTH))
+        assert [row[:2] for row in rows] == [[q, c] for q in ("raw_t", "delta_t") for c in "xyz"]
+        assert all(row[5] is None for row in rows[:3])
+        assert all(isinstance(row[5], float) for row in rows[3:])
 
     def test_needs_two_scenes(self):
         spec = small_scene_spec(seed=61)
         with pytest.raises(o6.EmptyInputError, match="at least two scenes, got 1"):
-            o6.distribution_report([o6.render_scene(spec, 0).observation], o6.RefStrategy.MEAN_VISIBLE)
-
-    def test_missing_pose_names_its_position(self):
-        obs = o6.render_scene(small_scene_spec(seed=62), 0).observation
-        observations = [obs, obs, record.replace(obs, gt_pose=None)]
-        with pytest.raises(o6.MissingPoseError, match="scene 2 has no ground-truth pose"):
-            o6.distribution_report(observations, o6.RefStrategy.MEAN_VISIBLE)
+            o6.distribution_report(offsets([o6.render_scene(spec, 0).observation]))
 
 
 class TestSpecText:
