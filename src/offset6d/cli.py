@@ -58,7 +58,7 @@ from .encoding import (
     GeoTargets,
     InputMode,
     TargetMode,
-    constraint_residual,
+    constraint_residuals,
     encode_input,
     encode_targets,
 )
@@ -191,7 +191,7 @@ def _read_encoded(enc_dir: Path) -> tuple[GeoEncoding, GeoTargets]:
                           f"{TargetMode.RELATIVE_OFFSET.value} targets, found {enc.mode.value} and {tgt.mode.value}")
     if tgt.ref != enc.ref or not (np.array_equal(tgt.us, enc.us) and np.array_equal(tgt.vs, enc.vs)):
         raise FormatError(f"{enc_dir}: targets.txt and encoding.txt differ in pixels or reference point")
-    return enc, tgt
+    return enc, replace(tgt, us=enc.us, vs=enc.vs)  # one copy of the pixel indices
 
 
 @click.group(cls=_Main)
@@ -283,7 +283,9 @@ def verify_cmd(dataset: str, encodings: str, tolerance: float, out: str | None) 
         """Per form: the scene's max residual norm, its sum of squares and its pixel count."""
         gt_pose = formats.read_pose(scene_dir / "pose.txt")
         enc, tgt = _read_encoded(encoded.root / scene_dir.name)
-        norms = {f: np.linalg.norm(constraint_residual(enc, tgt, gt_pose, f), axis=1) for f in ConstraintForm}
+        residuals = constraint_residuals(enc, tgt, gt_pose)
+        # Each row's Euclidean norm, squared in place: the bits of np.linalg.norm(r, axis=1) without its copies.
+        norms = {f: np.sqrt(np.square(r, out=r).sum(axis=1)) for f, r in residuals.items()}
         if not all(np.all(np.isfinite(n)) for n in norms.values()):  # max() would skip a NaN
             raise Offset6DError("non-finite constraint residuals")
         return {f: (float(n.max()), float(np.sum(n**2)), n.size) for f, n in norms.items()}
@@ -326,7 +328,8 @@ def solve_cmd(encodings: str, out: str, perturb_sigma: float, seed: int, refine:
         delta_abc = tgt.delta_abc
         if perturb_sigma > 0:
             rng = perturbation_rng(seed, index)
-            delta_abc = delta_abc + rng.normal(0.0, perturb_sigma, delta_abc.shape)
+            noise = rng.normal(0.0, perturb_sigma, delta_abc.shape)
+            delta_abc = np.add(noise, delta_abc, out=noise)
         try:
             report = solve_from_constraints(enc, delta_abc, refine_iterations=refine)
         except (DegenerateConfigurationError, FloatingPointError):  # a channel past the float range, say

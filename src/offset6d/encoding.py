@@ -161,8 +161,8 @@ def encode_input(
         raise ValueError(f"unknown input mode {mode!r}")
 
     return GeoEncoding(
-        us=cols.copy(),
-        vs=rows.copy(),
+        us=cols,
+        vs=rows,
         delta_x=cx,
         delta_y=cy,
         delta_d=cd,
@@ -182,7 +182,8 @@ def encode_targets(
 
     Object coordinates come from inverse-transforming the lifted pixel
     points (and the reference point) with ``obs.gt_pose``; they are exactly
-    consistent with the input channels by construction.
+    consistent with the input channels by construction.  The pixel indices
+    are ``obs.visible``'s read-only arrays, shared with the encoding.
     """
     if obs.gt_pose is None:
         raise MissingPoseError("target encoding requires a ground-truth pose")
@@ -206,8 +207,8 @@ def encode_targets(
         delta_abc=delta_abc,
         mode=mode,
         ref=ref,
-        us=cols.copy(),
-        vs=rows.copy(),
+        us=cols,
+        vs=rows,
     )
 
 
@@ -225,13 +226,9 @@ def decode_translation(delta_t: np.ndarray, ref: ReferencePoint) -> np.ndarray:
     return np.asarray(delta_t, dtype=np.float64) + ref.as_array()
 
 
-def constraint_residual(
-    enc: GeoEncoding,
-    tgt: GeoTargets,
-    pose: RigidPose,
-    form: ConstraintForm = ConstraintForm.CORRECTED,
-) -> np.ndarray:
-    """Per-pixel residual of the depth-scaled constraint, (N, 3).
+def constraint_residuals(enc: GeoEncoding, tgt: GeoTargets, pose: RigidPose) -> dict[ConstraintForm, np.ndarray]:
+    """Per-pixel residual of the depth-scaled constraint, (N, 3), in each
+    :class:`ConstraintForm`.
 
     The residual is right-hand side minus left-hand side::
 
@@ -240,23 +237,39 @@ def constraint_residual(
     with ``w = dd / (d_i d0)``, ``dt = pose.t - t0``, and the anchor term
     ``w * t0`` (CORRECTED) or ``t0 / (d_i d0)`` (AS_PRINTED).  On exactly
     consistent data the CORRECTED residual vanishes, while the AS_PRINTED
-    residual equals ``(dd - 1) * t0 / (d_i d0)``.
+    residual equals ``(dd - 1) * t0 / (d_i d0)``.  ``R * dABC - w * dt``, which
+    the forms share, is built once, and the AS_PRINTED residual in it.
     """
     if tgt.mode is not TargetMode.RELATIVE_OFFSET:
         raise ModeMismatchError(
             f"constraint residual requires RELATIVE_OFFSET targets, got {tgt.mode}"
         )
-    lhs, w = camera_side(enc)
+    w = camera_side(enc)[1]
     t0 = enc.ref.as_array()
     delta_t = pose.translation - t0
-    rhs = tgt.delta_abc @ pose.rotation.T - w[:, None] * delta_t[None, :]
-    if form is ConstraintForm.CORRECTED:
-        rhs = rhs - w[:, None] * t0[None, :]
-    elif form is ConstraintForm.AS_PRINTED:
-        rhs = rhs - enc.t0_over_dd0
-    else:
+    rhs = tgt.delta_abc @ pose.rotation.T
+    corrected = np.empty_like(rhs)
+    for j in range(3):  # the products of w[:, None] * delta_t and w[:, None] * t0, a column at a time
+        rhs[:, j] -= w * delta_t[j]
+        np.subtract(rhs[:, j], w * t0[j], out=corrected[:, j])
+    residuals = {ConstraintForm.CORRECTED: corrected,
+                 ConstraintForm.AS_PRINTED: np.subtract(rhs, enc.t0_over_dd0, out=rhs)}
+    for residual in residuals.values():  # less [dx, dy, 0]: x - 0 is x
+        residual[:, 0] -= enc.delta_x
+        residual[:, 1] -= enc.delta_y
+    return residuals
+
+
+def constraint_residual(
+    enc: GeoEncoding,
+    tgt: GeoTargets,
+    pose: RigidPose,
+    form: ConstraintForm = ConstraintForm.CORRECTED,
+) -> np.ndarray:
+    """The residual of :func:`constraint_residuals` in ``form``."""
+    if not isinstance(form, ConstraintForm):
         raise ValueError(f"unknown constraint form {form!r}")
-    return rhs - lhs
+    return constraint_residuals(enc, tgt, pose)[form]
 
 
 def naive_offset_residual(

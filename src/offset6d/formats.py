@@ -43,7 +43,7 @@ import functools
 import io
 import os
 import tempfile
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,8 @@ from .metrics import ObjectModel
 from .record import astuple, fields
 from .refpoint import DepthMap, InstanceMask, ReferencePoint, RefStrategy, SceneObservation
 from .spec import (
+    DEPTH_UNIT,
+    MAX_DEPTH_MM,
     RNG_ALGORITHM,
     BoxModel,
     BoxVolume,
@@ -65,17 +67,19 @@ from .spec import (
     SphereModel,
 )
 
-DEPTH_UNIT = 0.001  # PGM depth LSB in meters
-MAX_DEPTH_MM = 65535
+# Depth pixels quantized, or table rows read, at once: the conversion's
+# temporaries stay this size, whatever the image or table.
+_BAND = 4096
 
 
 # ---------------------------------------------------------------------------
 # atomic writing
 
 
-def _atomic_write_bytes(path, *chunks) -> None:
-    """Write ``chunks`` (bytes, or contiguous arrays written as their raw
-    bytes) one after another, without joining them first."""
+def _atomic_write_bytes(path, chunks) -> None:
+    """Write the iterable ``chunks`` (bytes, or contiguous arrays written as
+    their raw bytes) one after another, each taken as it is written, so a
+    generator streams; an error it raises leaves no file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -94,7 +98,7 @@ def _atomic_write_bytes(path, *chunks) -> None:
 
 
 def _atomic_write_text(path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode())
+    _atomic_write_bytes(path, [text.encode()])
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +238,24 @@ def _parse_pgm_header(raw: bytes, path) -> tuple[int, int, int, int]:
 
 def write_depth_pgm(path, depth_m: np.ndarray) -> None:
     """Quantize meters to whole millimeters (round half-even) and store as
-    16-bit PGM.  0 stays 0 (missing); a depth outside the 16-bit range,
-    NaN or infinity raises :class:`InvalidDepthError`."""
+    16-bit PGM, a band of rows at a time.  0 stays 0 (missing); a depth
+    outside the 16-bit range, NaN or infinity raises
+    :class:`InvalidDepthError` and leaves no file."""
     depth = np.asarray(depth_m, dtype=np.float64)
     if depth.ndim != 2:
         raise ValueError("depth must be 2-D")
-    mm = depth / DEPTH_UNIT
-    np.rint(mm, out=mm)
-    if not np.all((mm >= 0) & (mm <= MAX_DEPTH_MM)):  # NaN fails both
-        raise InvalidDepthError(f"depth out of the PGM range [0, {MAX_DEPTH_MM}] mm")
+    rows = max(1, _BAND // max(1, depth.shape[1]))
+
+    def samples():
+        for start in range(0, depth.shape[0], rows):
+            mm = depth[start : start + rows] / DEPTH_UNIT
+            np.rint(mm, out=mm)
+            if not np.all((mm >= 0) & (mm <= MAX_DEPTH_MM)):  # NaN fails both
+                raise InvalidDepthError(f"depth out of the PGM range [0, {MAX_DEPTH_MM}] mm")
+            yield mm.astype(">u2")
+
     header = f"P5\n{depth.shape[1]} {depth.shape[0]}\n{MAX_DEPTH_MM}\n".encode()
-    _atomic_write_bytes(path, header, mm.astype(">u2"))
+    _atomic_write_bytes(path, chain([header], samples()))
 
 
 def _pgm_samples(raw: bytes, path, maxval: int, dtype: str) -> tuple[np.ndarray, int]:
@@ -254,16 +265,16 @@ def _pgm_samples(raw: bytes, path, maxval: int, dtype: str) -> tuple[np.ndarray,
     if found != maxval:
         kind = "depth" if maxval == MAX_DEPTH_MM else "mask"
         raise FormatError(f"{path}: {kind} PGM must have maxval {maxval}, got {found}", offset=2)
-    _check_payload(raw, pos, width * height * np.dtype(dtype).itemsize, path, "pixel")
+    _check_payload(len(raw), pos, width * height * np.dtype(dtype).itemsize, path, "pixel")
     samples = np.frombuffer(raw, dtype=dtype, count=width * height, offset=pos)
     return samples.reshape(height, width), pos
 
 
-def _check_payload(raw: bytes, pos: int, expected: int, path, what: str) -> None:
-    """Exactly ``expected`` bytes must follow offset ``pos``."""
-    if len(raw) - pos < expected:
-        raise FormatError(f"{path}: expected {expected} data bytes, found {len(raw) - pos}", offset=len(raw))
-    if len(raw) - pos > expected:
+def _check_payload(size: int, pos: int, expected: int, path, what: str) -> None:
+    """Exactly ``expected`` bytes must follow offset ``pos`` of a ``size``-byte file."""
+    if size - pos < expected:
+        raise FormatError(f"{path}: expected {expected} data bytes, found {size - pos}", offset=size)
+    if size - pos > expected:
         raise FormatError(f"{path}: trailing bytes after {what} data", offset=pos + expected)
 
 
@@ -277,7 +288,7 @@ def write_mask_pgm(path, mask: np.ndarray) -> None:
     if m.ndim != 2:
         raise ValueError("mask must be 2-D")
     header = f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode()
-    _atomic_write_bytes(path, header, np.where(m, np.uint8(255), np.uint8(0)))
+    _atomic_write_bytes(path, [header, np.where(m, np.uint8(255), np.uint8(0))])
 
 
 def read_mask_pgm(path) -> np.ndarray:
@@ -445,42 +456,53 @@ def _ref_from(kv: dict[str, str], path) -> ReferencePoint:
 def _write_table(path, header_pairs: list[tuple[str, str]], columns: tuple[str, ...], rows: np.ndarray) -> None:
     pairs = [*header_pairs, ("count", str(rows.shape[0])), ("columns", " ".join(columns))]
     header = format_keyvalue(pairs) + "data:\n"
-    _atomic_write_bytes(path, header.encode(), np.ascontiguousarray(rows, dtype="<f8"))
+    _atomic_write_bytes(path, [header.encode(), np.ascontiguousarray(rows, dtype="<f8")])
 
 
 def _read_table(
     path, expected_format: str, allowed: set[str], columns: tuple[str, ...]
 ) -> tuple[dict[str, str], np.ndarray, np.ndarray, np.ndarray]:
     """Header pairs, the int64 pixel columns ``us`` and ``vs``, and the
-    ``(count, len(columns) - 2)`` float64 rest.  The header must list exactly
-    ``columns``, which start with ``u v``: whole numbers in ``[0, 2**53]``, where
-    float64 holds every integer, checked before the cast, so a bad one names
-    its column and byte offset."""
-    raw = Path(path).read_bytes()
-    split = raw.find(_DATA_MARK)
-    if split < 0:
-        raise FormatError(f"{path}: missing 'data:' section", offset=len(raw))
-    kv = _parse_keyvalue(raw[:split], path)
-    _check_format(kv, expected_format, path)
-    _check_no_extra(kv, allowed, path)
-    found = _value(kv, path, "columns")
-    if found.split() != list(columns):
-        raise FormatError(f"{path}: expected columns {' '.join(columns)!r}, found {found!r}")
-    count = _value(kv, path, "count", _count)
-    pos = split + len(_DATA_MARK)
-    _check_payload(raw, pos, count * len(columns) * 8, path, "row")
-    data = np.frombuffer(raw, dtype="<f8", count=count * len(columns), offset=pos)
-    table = data.reshape(count, len(columns)).astype(np.float64)
-    pixels = table[:, :2]
-    bad = np.flatnonzero(~((pixels >= 0) & (pixels <= 2.0**53) & (pixels == np.trunc(pixels))))  # NaN fails all
-    if bad.size:
-        row, column = divmod(int(bad[0]), 2)
-        raise FormatError(
-            f"{path}: column {columns[column]!r}, row {row}: {float(pixels[row, column])!r} is not a pixel index",
-            offset=pos + 8 * (row * len(columns) + column),
-        )
-    us, vs = pixels.T.astype(np.int64, order="C")
-    return kv, us, vs, table[:, 2:]
+    C-contiguous ``(count, len(columns) - 2)`` float64 rest, read a band of
+    rows at a time.  The header must list exactly ``columns``, which start
+    with ``u v``: whole numbers in ``[0, 2**53]``, where float64 holds every
+    integer, checked before the cast, so a bad one names its column and byte
+    offset."""
+    with open(path, "rb") as f:
+        head = f.read(io.DEFAULT_BUFFER_SIZE)
+        while (split := head.find(_DATA_MARK)) < 0 and (more := f.read(len(head))):
+            head += more
+        if split < 0:
+            raise FormatError(f"{path}: missing 'data:' section", offset=len(head))
+        kv = _parse_keyvalue(head[:split], path)
+        _check_format(kv, expected_format, path)
+        _check_no_extra(kv, allowed, path)
+        found = _value(kv, path, "columns")
+        if found.split() != list(columns):
+            raise FormatError(f"{path}: expected columns {' '.join(columns)!r}, found {found!r}")
+        count = _value(kv, path, "count", _count)
+        pos = split + len(_DATA_MARK)
+        _check_payload(os.fstat(f.fileno()).st_size, pos, count * len(columns) * 8, path, "row")
+        f.seek(pos)
+        pixels = np.empty((2, count), dtype=np.int64)
+        rest = np.empty((count, len(columns) - 2))
+        band = np.empty((min(count, _BAND), len(columns)), dtype="<f8")
+        for start in range(0, count, _BAND):
+            rows = band[: count - start]  # the last band may be shorter
+            part = slice(start, start + len(rows))
+            f.readinto(memoryview(rows).cast("B"))
+            uv = rows[:, :2]
+            bad = np.flatnonzero(~((uv >= 0) & (uv <= 2.0**53) & (uv == np.trunc(uv))))  # NaN fails all
+            if bad.size:
+                row, column = divmod(int(bad[0]), 2)
+                value, row = float(uv[row, column]), part.start + row
+                raise FormatError(
+                    f"{path}: column {columns[column]!r}, row {row}: {value!r} is not a pixel index",
+                    offset=pos + 8 * (row * len(columns) + column),
+                )
+            pixels[:, part] = uv.T
+            rest[part] = rows[:, 2:]
+    return kv, pixels[0], pixels[1], rest
 
 
 _ENCODING_KEYS = {
@@ -489,8 +511,16 @@ _ENCODING_KEYS = {
 _ENCODING_COLUMNS = ("u", "v", "delta_x", "delta_y", "delta_d")
 
 
-def _same_bits(stored: np.ndarray, derived: np.ndarray) -> bool:
-    return (stored.dtype, stored.shape) == (derived.dtype, derived.shape) and stored.tobytes() == derived.tobytes()
+def _same_bits(stored: tuple[np.ndarray, ...], derived: tuple[np.ndarray, ...]) -> bool:
+    """Whether each stored array has the dtype, shape and bits of its derived
+    one, compared as unsigned integers of the dtype's size (-0.0 is not 0.0
+    and a NaN equals itself)."""
+    for a, b in zip(stored, derived):
+        if (a.dtype, a.shape) != (b.dtype, b.shape):
+            return False
+        if not np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}")):
+            return False
+    return True
 
 
 def write_encoding(path, enc: GeoEncoding) -> None:
@@ -498,14 +528,13 @@ def write_encoding(path, enc: GeoEncoding) -> None:
     and ``t0_over_dd0`` are not stored: they must equal, bit for bit,
     :func:`~offset6d.encoding.geometric_products` of its ``delta_d``, which
     :func:`read_encoding` derives, or this raises ``ValueError``."""
-    if enc.mode is InputMode.GEOMETRIC:
-        dd0, t0_over_dd0 = geometric_products(enc.delta_d, enc.ref)
-        if not (_same_bits(enc.dd0, dd0) and _same_bits(enc.t0_over_dd0, t0_over_dd0)):
-            raise ValueError(
-                f"{path}: dd0 and t0_over_dd0 differ from the products of delta_d and the "
-                "reference point; the file keeps only those"
-            )
-    rows = np.stack([enc.us.astype(np.float64), enc.vs.astype(np.float64), enc.delta_x, enc.delta_y, enc.delta_d], axis=1)
+    stored = (enc.dd0, enc.t0_over_dd0)
+    if enc.mode is InputMode.GEOMETRIC and not _same_bits(stored, geometric_products(enc.delta_d, enc.ref)):
+        raise ValueError(
+            f"{path}: dd0 and t0_over_dd0 differ from the products of delta_d and the "
+            "reference point; the file keeps only those"
+        )
+    rows = np.stack([enc.us, enc.vs, enc.delta_x, enc.delta_y, enc.delta_d], axis=1, dtype=np.float64)
     header = [
         ("format", "encoding/v3"),
         ("mode", enc.mode.value),
@@ -544,7 +573,7 @@ _TARGET_COLUMNS = ("u", "v", "da", "db", "dc")
 
 
 def write_targets(path, tgt: GeoTargets) -> None:
-    rows = np.column_stack([tgt.us.astype(np.float64), tgt.vs.astype(np.float64), tgt.delta_abc])
+    rows = np.concatenate([tgt.us[:, None], tgt.vs[:, None], tgt.delta_abc], axis=1, dtype=np.float64)
     header = [
         ("format", "targets/v2"),
         ("mode", tgt.mode.value),
@@ -559,7 +588,7 @@ def read_targets(path) -> GeoTargets:
     mode = _value(kv, path, "mode", TargetMode)
     ref = _ref_from(kv, path)
     delta_t = np.array(_value(kv, path, "delta_t", _floats(3)))
-    return GeoTargets(delta_t=delta_t, delta_abc=delta_abc.copy(), mode=mode, ref=ref, us=us, vs=vs)
+    return GeoTargets(delta_t=delta_t, delta_abc=delta_abc, mode=mode, ref=ref, us=us, vs=vs)
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +656,9 @@ def read_scene_dir(scene_dir, spec: SceneSpec) -> SceneObservation:
     width, height = spec.image_size
     if depth.shape != (height, width):
         raise FormatError(f"{depth_path}: {depth.shape[1]}x{depth.shape[0]} image, but the manifest's is {width}x{height}")
-    depth = DepthMap(depth)
-    mask = InstanceMask(read_mask_pgm(scene_dir / "mask.pgm"))
+    mask = read_mask_pgm(scene_dir / "mask.pgm")
+    depth.flags.writeable = mask.flags.writeable = False  # fresh arrays, handed over rather than copied
+    depth, mask = DepthMap(depth), InstanceMask(mask)
     pose_path = scene_dir / "pose.txt"
     gt_pose = read_pose(pose_path) if pose_path.exists() else None
     # The mask is checked against the depth map, so a size mismatch names it.

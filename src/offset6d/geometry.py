@@ -147,12 +147,16 @@ def backproject_pixels(us, vs, ds, k: CameraIntrinsics) -> np.ndarray:
     """Lift pixels ``(u, v)`` with depths ``d`` to the camera frame: an (N, 3)
     array of ``x = (u - cx) / fx * d``, ``y = (v - cy) / fy * d``, ``z = d``.
     """
-    us = np.asarray(us, dtype=np.float64)
-    vs = np.asarray(vs, dtype=np.float64)
     ds = np.asarray(ds, dtype=np.float64)
     if not (np.all(np.isfinite(ds)) and np.all(ds > 0)):
         raise InvalidDepthError("all depths must be positive and finite")
-    return np.stack([(us - k.cx) / k.fx * ds, (vs - k.cy) / k.fy * ds, ds], axis=-1)
+    points = np.empty(np.broadcast(us, vs, ds).shape + (3,))
+    for axis, (pixel, c, f) in enumerate(((us, k.cx, k.fx), (vs, k.cy, k.fy))):
+        coordinate = np.subtract(pixel, c, out=points[..., axis], dtype=np.float64)  # in the result, no temporaries
+        coordinate /= f
+        coordinate *= ds
+    points[..., 2] = ds
+    return points
 
 
 def transform_points(pose: RigidPose, points: np.ndarray) -> np.ndarray:

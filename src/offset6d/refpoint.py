@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import chain
 from .record import record
 from enum import Enum
 
@@ -34,6 +35,8 @@ import numpy as np
 from .errors import EmptyObjectError
 from .geometry import CameraIntrinsics, RigidPose, backproject_pixels
 
+# Values converted to Python floats at once (32 bytes each) by fsum_mean.
+_FSUM_CHUNK = 4096
 # Depths at or below this (meters) are missing.  The depth-scaled channels
 # divide by d, and ``(d - d0) + d0`` could round a tinier d to 0.
 DEPTH_EPSILON = 1e-6
@@ -45,36 +48,48 @@ class RefStrategy(Enum):
     MEAN_VISIBLE = "mean-visible"
 
 
+def _owned(values, dtype) -> np.ndarray:
+    """``values`` itself when it is a read-only ``dtype`` array that owns its
+    memory, which no one else can write to; a read-only copy of anything
+    else, so a caller's writable array is never frozen or aliased."""
+    if type(values) is np.ndarray and values.dtype == dtype and values.base is None and not values.flags.writeable:
+        return values
+    copy = np.array(values, dtype=dtype)
+    copy.flags.writeable = False
+    return copy
+
+
 @record
 class DepthMap:
     """Row-major depth image in meters; a depth <= DEPTH_EPSILON (0, say)
-    marks a missing pixel."""
+    marks a missing pixel.  A read-only float64 array that owns its memory
+    is taken as is, anything else is copied."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
+        v = _owned(self.values, np.float64)
         if v.ndim != 2:
             raise ValueError(f"depth map must be 2-D, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("depth values must be finite")
         if np.any(v < 0):
             raise ValueError("depth values must be >= 0")
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
 
 @record
 class InstanceMask:
-    """Row-major boolean foreground mask, same shape as its depth map."""
+    """Row-major boolean foreground mask, same shape as its depth map.  A
+    read-only bool array that owns its memory is taken as is, anything else
+    is copied."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=bool)
+        v = _owned(self.values, bool)
         if v.ndim != 2:
             raise ValueError(f"mask must be 2-D, got shape {v.shape}")
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
 
@@ -144,9 +159,11 @@ def visible_points(
 
 
 def fsum_mean(values: np.ndarray) -> float:
-    """Mean via exact (compensated) summation; order-independent result."""
+    """Mean via exact (compensated) summation; order-independent result.  The
+    values reach ``fsum`` as Python floats a few thousand at a time."""
     values = np.asarray(values, dtype=np.float64)
-    return math.fsum(values.tolist()) / values.size
+    chunks = (values[i : i + _FSUM_CHUNK].tolist() for i in range(0, values.size, _FSUM_CHUNK))
+    return math.fsum(chain.from_iterable(chunks)) / values.size
 
 
 def _mean_point(points: np.ndarray) -> ReferencePoint:

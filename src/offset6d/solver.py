@@ -107,12 +107,16 @@ def solve_procrustes(cam_points, obj_points) -> SolveReport:
 
 
 def _reconstruct_camera_points(enc: GeoEncoding) -> np.ndarray:
-    """Lifted pixel points recovered from the channels alone (no intrinsics)."""
+    """Lifted pixel points recovered from the channels alone (no intrinsics):
+    ``d = dd + d0`` and ``x = d * (dx + x0 / d0)``, ``y`` likewise, built in
+    the (N, 3) result."""
     d0 = enc.ref.d0
-    d = enc.delta_d + d0
-    x = d * (enc.delta_x + enc.ref.x0 / d0)
-    y = d * (enc.delta_y + enc.ref.y0 / d0)
-    return np.stack([x, y, d], axis=1)
+    cam = np.empty((len(enc), 3))
+    d = np.add(enc.delta_d, d0, out=cam[:, 2])
+    for axis, (delta, anchor) in enumerate(((enc.delta_x, enc.ref.x0), (enc.delta_y, enc.ref.y0))):
+        np.add(delta, anchor / d0, out=cam[:, axis])
+        cam[:, axis] *= d
+    return cam
 
 
 def _object_points(
@@ -121,7 +125,9 @@ def _object_points(
     """Surface points in the object frame: the targets anchored at the
     reference point's object-frame image under ``pose``, scaled by depth."""
     obj0 = pose.rotation.T @ (ref.as_array() - pose.translation)
-    return (delta_abc + obj0[None, :] / ref.d0) * cam[:, 2:3]
+    obj = np.add(delta_abc, obj0[None, :] / ref.d0)
+    obj *= cam[:, 2:3]
+    return obj
 
 
 def _constraint_rms(
@@ -129,9 +135,18 @@ def _constraint_rms(
 ) -> float:
     """Meters-level RMS: reconstruct each surface point in both frames under
     the recovered pose and measure the 3D mismatch."""
-    obj = _object_points(cam, delta_abc, ref, pose)
-    residual = obj @ pose.rotation.T + pose.translation - cam
-    return float(np.sqrt(np.mean(np.sum(residual**2, axis=1))))
+    residual = _object_points(cam, delta_abc, ref, pose) @ pose.rotation.T
+    residual += pose.translation
+    residual -= cam
+    return float(np.sqrt(np.mean(np.sum(np.square(residual, out=residual), axis=1))))
+
+
+def _without(x: np.ndarray, w: np.ndarray, ww: float) -> np.ndarray:
+    """``x - w (w^T x) / ww``: the (N, 3) ``x`` with the ``w`` direction
+    projected out, built in one array."""
+    projected = np.outer(w, w @ x)
+    projected /= ww
+    return np.subtract(x, projected, out=projected)
 
 
 def solve_from_constraints(
@@ -178,10 +193,10 @@ def solve_from_constraints(
             "every pixel is at the reference depth; translation is not observable"
         )
 
-    lhs_w, abc_w = (x - np.outer(w, w @ x) / ww for x in (lhs, delta_abc))  # w projected out
-    rotation = _fit_rotation(lhs_w.T @ abc_w, "constraint system is rank deficient; rotation is not determined")
-    translation = rotation @ ((delta_abc - lhs @ rotation).T @ w / ww)
-    pose = RigidPose(rotation, translation)
+    h = _without(lhs, w, ww).T @ _without(delta_abc, w, ww)
+    rotation = _fit_rotation(h, "constraint system is rank deficient; rotation is not determined")
+    pose = RigidPose(rotation, rotation @ ((delta_abc - lhs @ rotation).T @ w / ww))
+    del lhs, w  # freed before the (N, 3) arrays of the RMS
     cam = _reconstruct_camera_points(enc)
     rms = _constraint_rms(cam, delta_abc, enc.ref, pose)
 

@@ -25,6 +25,9 @@ SEED_LIMIT = 2**128  # a seed is the 128-bit Philox key: 0 <= seed < SEED_LIMIT
 PIXEL_LIMIT = 2**22
 # The model diameter is an exhaustive O(m^2) scan of the surface samples.
 SAMPLE_LIMIT = 2**17
+# A depth PGM stores whole millimeters in 16 bits: depths up to 65.535 m.
+DEPTH_UNIT = 0.001  # PGM depth LSB in meters
+MAX_DEPTH_MM = 65535
 
 
 def _positive(*values) -> bool:
@@ -139,8 +142,10 @@ class SceneSpec:
         if not (width > 0 and height > 0 and width * height <= PIXEL_LIMIT):
             raise ValueError(f"'image_width' x 'image_height' must be positive and at most 2**22 pixels, "
                              f"got {width} x {height}")
-        if not 0.0 <= self.depth_noise_sigma < math.inf:
-            raise ValueError(f"'depth_noise_sigma' must be finite and >= 0, got {self.depth_noise_sigma!r}")
+        # Noise is clipped at +-3 sigma; a clip past the PGM range leaves no scene writable.
+        if not 0.0 <= 3 * self.depth_noise_sigma <= MAX_DEPTH_MM * DEPTH_UNIT:
+            raise ValueError(f"'depth_noise_sigma' must be >= 0 with its 3-sigma clip within the "
+                             f"{MAX_DEPTH_MM * DEPTH_UNIT} m PGM depth range, got {self.depth_noise_sigma!r}")
         if not 0.0 <= self.pixel_dropout < 1.0:
             raise ValueError("pixel_dropout must be in [0, 1)")
         if self.occlusion_fraction is not None and not 0.0 <= self.occlusion_fraction < math.inf:

@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from . import formats
-from .errors import EmptyInputError, EmptyObjectError
+from .errors import EmptyInputError, EmptyObjectError, Offset6DError
 from .geometry import RigidPose
 from .metrics import ObjectModel
 from .record import record
@@ -338,10 +338,10 @@ def _render_depth(spec: SceneSpec, pose: RigidPose, model: ObjectModel) -> np.nd
         keep = (us >= 0) & (us < width) & (vs >= 0) & (vs < height)
         if not np.any(keep):
             raise EmptyObjectError("object projects entirely outside the image")
-        depth = np.full(height * width, np.inf)
-        np.minimum.at(depth, vs[keep] * width + us[keep], cam[keep, 2])
+        depth = np.full((height, width), np.inf)
+        np.minimum.at(depth.reshape(-1), vs[keep] * width + us[keep], cam[keep, 2])  # a view: writes reach depth
         depth[~np.isfinite(depth)] = 0.0
-        return depth.reshape(height, width)
+        return depth
 
     u0, u1, v0, v1 = _pixel_bbox(spec, t, r_bound)
     if u1 < u0 or v1 < v0:
@@ -424,6 +424,7 @@ def render_scene(spec: SceneSpec, index: int, model: ObjectModel | None = None) 
     if not np.any(mask & (depth > 0)):
         raise EmptyObjectError("no valid depth pixel survived noise/dropout")
 
+    depth.flags.writeable = mask.flags.writeable = False  # handed over to the observation, not copied
     observation = SceneObservation(
         depth=DepthMap(depth),
         mask=InstanceMask(mask),
@@ -442,13 +443,18 @@ def distribution_report(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[
     ``raw_t`` then ``delta_t``, each for x, y and z.  Variances are sample
     variances (ddof=1); the ratio is the raw variance over the offset
     variance, ``None`` on the ``raw_t`` rows.  Fewer than two pairs raise
-    :class:`EmptyInputError`.
+    :class:`EmptyInputError`; an offset component with zero variance, which
+    leaves its ratio undefined, raises :class:`Offset6DError` naming it.
     """
     pairs = list(pairs)
     if len(pairs) < 2:
         raise EmptyInputError(f"the distribution report needs at least two scenes, got {len(pairs)}")
     raw, delta = (np.array(column) for column in zip(*pairs))
     raw_var, delta_var = raw.var(axis=0, ddof=1), delta.var(axis=0, ddof=1)
+    zero = np.flatnonzero(delta_var == 0)
+    if zero.size:
+        raise Offset6DError(f"delta_t {'xyz'[zero[0]]}: zero variance over {len(pairs)} scenes, "
+                            "so its variance_ratio is undefined")
     ratio = raw_var / delta_var
     return [
         [quantity, component, float(var[i]), float(values[:, i].min()), float(values[:, i].max()),

@@ -196,6 +196,27 @@ class TestTypes:
         with pytest.raises(ValueError):
             o6.ref_mean_visible(depth, mask, K)
 
+    @pytest.mark.parametrize("make, dtype", [(o6.DepthMap, np.float64), (o6.InstanceMask, bool)])
+    def test_owned_read_only_array_is_taken_anything_else_copied(self, make, dtype):
+        # A caller's writable array stays writable and unshared.
+        writable = np.ones((4, 5), dtype=dtype)
+        values = make(writable).values
+        assert writable.flags.writeable and not values.flags.writeable
+        assert not np.shares_memory(values, writable)
+        # A read-only array that owns its memory changes owner, no copy.
+        owned = np.ones((4, 5), dtype=dtype)
+        owned.flags.writeable = False
+        assert np.shares_memory(make(owned).values, owned)
+        # A read-only view of a writable base, or another dtype, is copied.
+        view = np.ones((4, 5), dtype=dtype)[:]
+        view.flags.writeable = False
+        other = np.ones((4, 5), dtype=np.float32 if dtype is bool else bool)
+        other.flags.writeable = False
+        for array in (view, other):
+            values = make(array).values
+            assert values.dtype == dtype and not values.flags.writeable
+            assert not np.shares_memory(values, array)
+
     def test_reference_point_needs_positive_depth(self):
         with pytest.raises(ValueError):
             o6.ReferencePoint(0.0, 0.0, 0.0, o6.RefStrategy.MEAN_VISIBLE)

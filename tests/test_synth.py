@@ -459,12 +459,10 @@ class TestDistributionReport:
     def test_identical_poses_zero_variance(self):
         spec = small_scene_spec(seed=53)
         pairs = list(offsets([o6.render_scene(spec, 0).observation] * 3))
-        with np.errstate(invalid="ignore"):  # the ratio is 0/0
-            rows = o6.distribution_report(pairs)
-        assert [row[2] for row in rows] == [0.0] * 6
-        assert all(math.isnan(row[5]) for row in rows[3:])
-        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):  # as the CLI runs it
-            o6.distribution_report(pairs)
+        # The ratio would be 0/0: refused naming the offset component, under any error state.
+        for state in ("ignore", "raise"):
+            with np.errstate(invalid=state), pytest.raises(o6.Offset6DError, match="delta_t x: zero variance over 3 scenes"):
+                o6.distribution_report(pairs)
 
     def test_compaction_on_small_sweep(self):
         spec = small_scene_spec(seed=55, translation_dist=o6.BoxVolume((0, 0, 1.0), (0.3, 0.3, 0.3)))
@@ -524,6 +522,9 @@ class TestSpecValidation:
             small_scene_spec(pixel_dropout=1.0)
         with pytest.raises(ValueError):
             small_scene_spec(depth_noise_sigma=-1.0)
+        with pytest.raises(ValueError, match="'depth_noise_sigma' .* 65.535 m PGM depth range"):
+            small_scene_spec(depth_noise_sigma=21.85)  # a 3-sigma clip of 65.55 m
+        small_scene_spec(depth_noise_sigma=21.845)  # a clip of exactly the range
         with pytest.raises(ValueError):
             small_scene_spec(rotation_dist="euler-gimbal")
         with pytest.raises(ValueError):
