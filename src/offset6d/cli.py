@@ -72,7 +72,6 @@ from .metrics import (
     accuracy_at_threshold,
     auc,
     decompose_add_loss,
-    weighted_add_loss,
 )
 from .record import replace
 from .refpoint import RefStrategy, make_reference
@@ -222,7 +221,7 @@ def synth_gen(config_path: str, out: str | None, count: int | None, seed: int | 
         model = synth.model_for_spec(spec)
     except Offset6DError:  # a model file that makes no model, named by its reader
         raise
-    except ValueError as exc:  # a primitive whose sampled diameter is not finite
+    except (ValueError, FloatingPointError) as exc:  # a primitive whose face areas or diameter are not finite
         raise ConfigError(f"{config_path}: model_params: {exc}") from None
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.txt").unlink(missing_ok=True)
@@ -464,7 +463,7 @@ def loss_decompose_cmd(dataset: str, pred: str, out: str, w_rot: float, w_trans:
             return [None] * 5
         parts = decompose_add_loss(pose, gt, model)
         return [parts.total, parts.rotation_part, parts.cross_term, parts.translation_part,
-                weighted_add_loss(pose, gt, model, w_rot, w_trans)]
+                parts.weighted(w_rot, w_trans)]
 
     _, rows = _predicted(dataset, pred, score)
     formats.write_csv(out, LOSS_VERSION, LOSS_HEADER, rows)

@@ -49,12 +49,21 @@ class CameraIntrinsics:
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
 
 
+def _det3(m: list) -> float:
+    """Cofactor determinant of a 3x3 nested list, in plain Python floats
+    (no LAPACK call for a sign or a defect)."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def rotation_defect(matrix: np.ndarray) -> float:
     """How far ``matrix`` is from SO(3): max of Frobenius orthonormality
     residual and determinant deviation from +1."""
-    m = np.asarray(matrix, dtype=np.float64)
-    ortho = np.linalg.norm(m.T @ m - np.eye(3))
-    return max(ortho, abs(np.linalg.det(m) - 1.0))
+    m = np.asarray(matrix, dtype=np.float64).tolist()
+    cols = list(zip(*m))
+    gram = [sum(x * y for x, y in zip(p, q)) - (j == k) for j, p in enumerate(cols) for k, q in enumerate(cols)]
+    ortho = math.hypot(*gram)  # Frobenius norm of m^T m - I
+    return max(ortho, abs(_det3(m) - 1.0))
 
 
 def nearest_rotation(matrix: np.ndarray) -> np.ndarray:
@@ -68,7 +77,7 @@ def nearest_rotation(matrix: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected 3x3 matrix, got shape {m.shape}")
     u, _, vt = np.linalg.svd(m)
     r = u @ vt
-    if np.linalg.det(r) < 0:
+    if _det3(r.tolist()) < 0:  # Umeyama's sign fix; r is orthogonal, so det is +-1
         r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
     return r
 

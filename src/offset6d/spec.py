@@ -148,5 +148,6 @@ class SceneSpec:
                              f"{MAX_DEPTH_MM * DEPTH_UNIT} m PGM depth range, got {self.depth_noise_sigma!r}")
         if not 0.0 <= self.pixel_dropout < 1.0:
             raise ValueError("pixel_dropout must be in [0, 1)")
-        if self.occlusion_fraction is not None and not 0.0 <= self.occlusion_fraction < math.inf:
-            raise ValueError(f"'occlusion_fraction' must be finite and >= 0, got {self.occlusion_fraction!r}")
+        # The strip covers ceil(fraction * rows) of the object's rows: at 1 it leaves none visible.
+        if self.occlusion_fraction is not None and not 0.0 <= self.occlusion_fraction < 1.0:
+            raise ValueError(f"'occlusion_fraction' must be in [0, 1), got {self.occlusion_fraction!r}")

@@ -89,10 +89,16 @@ def sample_rotation_uniform(rng: np.random.Generator) -> np.ndarray:
 
 def _sample_box_surface(rng: np.random.Generator, half: np.ndarray, n: int) -> np.ndarray:
     # Pick an axis by total face area (both faces of the axis), then a sign.
+    # The axis is Generator.choice(3, size=n, p=weights) by its own inverse
+    # CDF: the same draws and stream use, without choice's argument checks.
     hx, hy, hz = half
     areas = np.array([hy * hz, hx * hz, hx * hy])
     weights = areas / areas.sum()
-    axes = rng.choice(3, size=n, p=weights)
+    if not np.isfinite(weights).all():
+        raise ValueError("box face areas are not finite (extents too large or too small?)")
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    axes = cdf.searchsorted(rng.random(n), side="right")
     signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     uv = rng.uniform(-1.0, 1.0, size=(n, 2))
     pts = np.empty((n, 3))

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import offset6d as o6
-from offset6d import encoding, formats, record, refpoint
+from offset6d import cli, encoding, formats, metrics, record, refpoint
 from offset6d.cli import SOLVES_HEADER, SOLVES_VERSION, _each, _Scenes, main
 
 from conftest import default_intrinsics, small_scene_spec
@@ -553,7 +553,12 @@ class TestReports:
         ratios = [float(r[5]) for r in rows if r[0] == "delta_t"]
         assert all(v > 10 for v in ratios)
 
-    def test_loss_decompose(self, pipeline_dir, tmp_path):
+    def test_loss_decompose(self, pipeline_dir, tmp_path, monkeypatch):
+        calls = []
+        for module in (cli, metrics):  # where it is defined and where the CLI imported it
+            original = module.decompose_add_loss
+            monkeypatch.setattr(module, "decompose_add_loss",
+                                lambda *args, original=original: calls.append(1) or original(*args))
         runner = CliRunner()
         out = tmp_path / "loss.csv"
         r = run(runner, [
@@ -562,6 +567,7 @@ class TestReports:
         ])
         assert r.exit_code == 0, r.output
         header, rows = formats.read_csv(out, "loss/v1")
+        assert len(calls) == len(rows)  # one decomposition per scene, the weighted total included
         for row in rows:
             total = float(row[1])
             parts = float(row[2]) + float(row[3]) + float(row[4])
@@ -813,6 +819,7 @@ class TestErrors:
         ("encode", "model_params", "0.16 -0.12 0.2"),
         # Non-finite values: each once ended in a traceback or, for the noise, in a noiseless dataset.
         ("synth-gen", "occlusion_fraction", "nan"),
+        ("synth-gen", "occlusion_fraction", "1.0"),  # once eight "fully occluded" scene errors
         ("synth-gen", "translation_center", "0 0 nan"),
         ("synth-gen", "translation_half_widths", "0.1 inf 0.15"),
         ("synth-gen", "model_params", "0.16 inf 0.2"),
@@ -829,6 +836,7 @@ class TestErrors:
     def test_bad_spec_value_names_file_and_key(self, pipeline_dir, tmp_path, command, key, value):
         path, result = self._run_with_spec_value(pipeline_dir, tmp_path, command, key, value)
         assert_one_error_line(result, str(path), repr(key))
+        assert not (tmp_path / "out").exists()  # refused before anything is written
 
     # The camera is stored once, in the manifest; a check across keys names
     # the key in its own words.
@@ -837,6 +845,9 @@ class TestErrors:
         ("encode", "fx", "-5.0", "fx=-5.0"),
         ("synth-gen", "seed", "-1", "seed must be in [0, 2**128)"),
         ("synth-gen", "seed", str(2**128), "seed must be in [0, 2**128)"),
+        # Box face areas that overflow or underflow: once a bare numpy message naming no file.
+        ("synth-gen", "model_params", "1e200 1e200 1e200", "model_params: overflow"),
+        ("synth-gen", "model_params", "1e-200 1e-200 1e-200", "model_params: invalid value"),
     ])
     def test_bad_spec_value_names_file_and_detail(self, pipeline_dir, tmp_path, command, key, value, detail):
         path, result = self._run_with_spec_value(pipeline_dir, tmp_path, command, key, value)

@@ -5,6 +5,7 @@ import pytest
 
 import offset6d as o6
 from offset6d.errors import InvalidDepthError
+from offset6d.geometry import rotation_defect
 
 from conftest import random_pose, random_rotation
 
@@ -125,8 +126,6 @@ class TestRigidPoseInvariants:
     def test_repairs_small_drift(self, rng):
         r = random_rotation(rng) + 1e-8
         pose = o6.RigidPose(r, np.zeros(3))
-        from offset6d.geometry import rotation_defect
-
         assert rotation_defect(pose.rotation) <= 1e-9
 
     def test_rejects_large_drift(self, rng):
@@ -156,13 +155,59 @@ class TestRigidPoseInvariants:
             pose.rotation[0, 0] = 5.0
 
 
+def numpy_rotation_defect(m):
+    return max(np.linalg.norm(m.T @ m - np.eye(3)), abs(np.linalg.det(m) - 1.0))
+
+
+def numpy_nearest_rotation(m):
+    """The SVD projection with the sign test done by LAPACK's determinant."""
+    u, _, vt = np.linalg.svd(m)
+    r = u @ vt
+    return u @ np.diag([1.0, 1.0, -1.0]) @ vt if np.linalg.det(r) < 0 else r
+
+
+class TestRotationDefect:
+    def test_agrees_with_numpy_formula(self, rng):
+        for _ in range(500):
+            r = random_rotation(rng)
+            for m in (r, r + rng.normal(0, 1e-7, (3, 3)), r * (1 + 1e-3), rng.normal(size=(3, 3))):
+                # A few ulp of the determinant's scale: the two sum in different orders.
+                tol = 8 * np.spacing(max(1.0, np.abs(m).max() ** 3))
+                assert abs(rotation_defect(m) - numpy_rotation_defect(m)) <= tol
+
+    def test_thresholds_kept(self, rng):
+        # Stretching one axis by e gives a defect of about 2e.
+        r = random_rotation(rng)
+        for e, outcome in ((0.4e-9, "kept"), (0.6e-9, "repaired"), (0.4e-6, "repaired"), (0.6e-6, "rejected")):
+            m = r @ np.diag([1 + e, 1.0, 1.0])
+            if outcome == "rejected":
+                with pytest.raises(ValueError, match="not orthonormal"):
+                    o6.RigidPose(m, np.zeros(3))
+                continue
+            pose = o6.RigidPose(m, np.zeros(3))
+            assert np.array_equal(pose.rotation, m) == (outcome == "kept")
+            assert rotation_defect(pose.rotation) <= 1e-9
+
+
 class TestNearestRotation:
+    def test_bit_identical_to_numpy_determinant_formula(self, rng):
+        inputs = []
+        for _ in range(300):
+            r = random_rotation(rng)
+            u, _, vt = np.linalg.svd(rng.normal(size=(3, 3)))
+            inputs += [
+                rng.normal(size=(3, 3)),
+                r + rng.normal(0, 1e-3, (3, 3)),
+                u @ np.diag([1.0, 1e-12, 0.0]) @ vt,  # near-singular: rank 1 and a bit
+                r @ np.diag([1.0, 1.0, -1.0]),  # reflected
+            ]
+        for m in inputs:
+            np.testing.assert_array_equal(o6.nearest_rotation(m), numpy_nearest_rotation(m))
+
     def test_projects_noisy_rotation_back(self, rng):
         r = random_rotation(rng)
         noisy = r + rng.normal(0, 1e-3, (3, 3))
         fixed = o6.nearest_rotation(noisy)
-        from offset6d.geometry import rotation_defect
-
         assert rotation_defect(fixed) < 1e-12
 
     def test_determinant_sign_fix(self):

@@ -254,6 +254,7 @@ class TestDiameter:
             rng.normal(size=(131, 3)),
         ]
         for pts in point_sets:
+            assert len(pts) > 4 * metrics._CHUNK  # several row blocks, the last one partial
             best = 0.0
             for a in pts.tolist():
                 for b in pts.tolist():
@@ -453,6 +454,18 @@ class TestWeightedLoss:
         assert o6.weighted_add_loss(pred, gt, model, 0.0, 1.0) == pytest.approx(
             parts.translation_part, rel=1e-12
         )
+
+    def test_one_decomposition_gives_every_weighting(self, rng, monkeypatch):
+        model = ball_model(rng)
+        pred, gt = random_pose(rng), random_pose(rng)
+        parts = o6.decompose_add_loss(pred, gt, model)
+        calls = []
+        original = metrics.decompose_add_loss
+        monkeypatch.setattr(metrics, "decompose_add_loss", lambda *args: calls.append(1) or original(*args))
+        for w_rot, w_trans in ((1.0, 1.0), (4.0, 0.5), (0.0, 1.0)):
+            assert o6.weighted_add_loss(pred, gt, model, w_rot, w_trans) == parts.weighted(w_rot, w_trans)
+        assert len(calls) == 3  # once per weighted_add_loss
+        assert parts.weighted(1.0, 1.0) == parts.total
 
     def test_rejects_negative_weights(self, rng):
         model = ball_model(rng)

@@ -250,6 +250,54 @@ class TestMakeModel:
             assert np.linalg.norm(model.points, axis=1).max() <= model.diameter / 2 + 1e-12
 
 
+def choice_box_surface(rng, half, n):
+    """The box sampler with its face axes from ``Generator.choice``: the oracle."""
+    areas = np.array([half[1] * half[2], half[0] * half[2], half[0] * half[1]])
+    axes = rng.choice(3, size=n, p=areas / areas.sum())
+    signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    uv = rng.uniform(-1.0, 1.0, size=(n, 2))
+    pts = np.empty((n, 3))
+    for axis in range(3):
+        sel = axes == axis
+        others = [i for i in range(3) if i != axis]
+        pts[sel, axis] = signs[sel] * half[axis]
+        pts[np.ix_(sel, others)] = uv[sel] * half[others]
+    return pts
+
+
+class _NoChoiceGenerator(np.random.Generator):
+    def choice(self, *args, **kwargs):
+        raise AssertionError("Generator.choice called")
+
+
+class TestBoxSampler:
+    @pytest.mark.parametrize("half", [(0.04, 0.03, 0.05), (1.0, 1.0, 1.0), (1e-3, 2.0, 0.5), (5.0, 1e-4, 1e-4)])
+    def test_inverse_cdf_axes_equal_choice(self, half):
+        half = np.array(half)
+        for seed in range(120):
+            ours, oracle = synth._stream(seed, 7), synth._stream(seed, 7)
+            np.testing.assert_array_equal(synth._sample_box_surface(ours, half, 50 + seed),
+                                          choice_box_surface(oracle, half, 50 + seed))
+            assert ours.integers(2**63, size=4).tolist() == oracle.integers(2**63, size=4).tolist()  # same stream use
+
+    def test_box_renders_without_choice_or_det(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.det called")
+
+        monkeypatch.setattr(np.random, "Generator", _NoChoiceGenerator)
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        spec = small_scene_spec(seed=43)
+        model = o6.model_for_spec(spec)
+        assert model.diameter == pytest.approx(math.sqrt(0.08**2 + 0.06**2 + 0.1**2), rel=1e-12)
+        assert o6.render_scene(spec, 0, model=model).observation.mask.values.any()
+        assert o6.nearest_rotation(np.diag([1.0, 1.0, -1.0]))[2, 2] == 1.0  # the sign fix, no LAPACK det
+
+    @pytest.mark.parametrize("size", [1e200, 1e-200])  # face areas overflow / underflow to 0
+    def test_box_without_finite_face_areas_is_refused(self, size):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            o6.make_model(o6.BoxModel(size, size, size), 100, model_rng(small_scene_spec()))
+
+
 class TestRenderScene:
     @pytest.mark.parametrize(
         "kind",
@@ -276,8 +324,11 @@ class TestRenderScene:
             assert dist.max() <= 3 * sigma * 1.5 + 1e-9
 
     def test_full_occlusion_raises(self):
-        spec = small_scene_spec(seed=35, occlusion_fraction=1.0)
-        with pytest.raises(EmptyObjectError):
+        # A 1 cm box spans two rows here; a strip of ceil(0.9 * 2) rows covers it.
+        tiny = o6.BoxModel(0.01, 0.01, 0.01)
+        assert o6.render_scene(small_scene_spec(seed=35, model_kind=tiny), 0).observation.mask.values.any()
+        spec = small_scene_spec(seed=35, model_kind=tiny, occlusion_fraction=0.9)
+        with pytest.raises(EmptyObjectError, match="fully occluded"):
             o6.render_scene(spec, 0)
 
     def test_partial_occlusion_removes_top_rows(self):
@@ -520,6 +571,9 @@ class TestSpecValidation:
             small_scene_spec(surface_sample_count=0)
         with pytest.raises(ValueError):
             small_scene_spec(pixel_dropout=1.0)
+        with pytest.raises(ValueError, match=r"'occlusion_fraction' must be in \[0, 1\), got 1.0"):
+            small_scene_spec(occlusion_fraction=1.0)  # the strip would cover every row
+        small_scene_spec(occlusion_fraction=0.999)
         with pytest.raises(ValueError):
             small_scene_spec(depth_noise_sigma=-1.0)
         with pytest.raises(ValueError, match="'depth_noise_sigma' .* 65.535 m PGM depth range"):
