@@ -32,8 +32,8 @@ byte offset, a PLY comment included.  All writers go through a temp file
 plus atomic rename, so an interrupted run never leaves a truncated artifact
 behind; the file gets the mode a plain ``open`` would give it (``0o666``
 less the umask).  Parse errors name the byte offset of the offending data
-where it is meaningful.  A value that does not parse, or that the type it
-builds rejects, names the file and the key.
+where it is meaningful.  ``_built`` is the one path from a refused value to
+an error naming the file (and the key, through ``_value``).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import ConstraintForm, GeoEncoding, GeoTargets, InputMode, TargetMode, geometric_products
-from .errors import ConfigError, FormatError, InvalidDepthError
+from .errors import ConfigError, FormatError, InvalidDepthError, Offset6DError
 from .geometry import CameraIntrinsics, RigidPose
 from .metrics import ObjectModel
 from .record import astuple, fields
@@ -362,10 +362,7 @@ def _value(kv: dict[str, str], path, key: str, parse=str, default: str | None = 
     text = kv.get(key, default)
     if text is None:
         raise error(f"{path}: missing key {key!r}")
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise error(f"{path}: key {key!r}: {exc}") from None
+    return _built(f"{path}: key {key!r}", parse, text, error=error)
 
 
 def _floats(n: int):
@@ -392,22 +389,24 @@ def _flag(text: str) -> bool:
     return text == "true"
 
 
-def _built(path, make, *args, **kwargs):
-    """``make(...)``, with a ``ValueError`` from the checks of the type it
-    builds raised as a :class:`FormatError` naming the file."""
+def _built(path, make, *args, error=FormatError, **kwargs):
+    """``make(*args, **kwargs)``, with a ``ValueError`` (a value that does not
+    parse or that a type refuses) or a numeric fault raised as ``error`` naming
+    ``path``; a toolkit error, named where it was raised, passes through."""
     try:
         return make(*args, **kwargs)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    except Offset6DError:
+        raise
+    except (ValueError, FloatingPointError) as exc:
+        raise error(f"{path}: {exc}") from None
 
 
-def _check_format(kv: dict[str, str], expected: str, path) -> None:
+def _check_header(kv: dict[str, str], path, expected_format: str, allowed: set[str], error=FormatError) -> None:
+    """``format`` must read ``expected_format`` (else a :class:`FormatError`),
+    and no key may be outside ``allowed`` (else ``error``)."""
     found = _value(kv, path, "format")
-    if found != expected:
-        raise FormatError(f"{path}: expected format {expected!r}, found {found!r}")
-
-
-def _check_no_extra(kv: dict[str, str], allowed: set[str], path, error=FormatError) -> None:
+    if found != expected_format:
+        raise FormatError(f"{path}: expected format {expected_format!r}, found {found!r}")
     extra = set(kv) - allowed
     if extra:
         raise error(f"{path}: unknown keys {sorted(extra)}")
@@ -426,8 +425,7 @@ def write_pose(path, pose: RigidPose) -> None:
 
 def read_pose(path) -> RigidPose:
     kv = read_keyvalue(path)
-    _check_format(kv, "pose/v1", path)
-    _check_no_extra(kv, {"format", "rotation", "translation"}, path)
+    _check_header(kv, path, "pose/v1", {"format", "rotation", "translation"})
     rotation = np.reshape(_value(kv, path, "rotation", _floats(9)), (3, 3))
     translation = np.array(_value(kv, path, "translation", _floats(3)))
     return _built(path, RigidPose, rotation, translation)
@@ -475,8 +473,7 @@ def _read_table(
         if split < 0:
             raise FormatError(f"{path}: missing 'data:' section", offset=len(head))
         kv = _parse_keyvalue(head[:split], path)
-        _check_format(kv, expected_format, path)
-        _check_no_extra(kv, allowed, path)
+        _check_header(kv, path, expected_format, allowed)
         found = _value(kv, path, "columns")
         if found.split() != list(columns):
             raise FormatError(f"{path}: expected columns {' '.join(columns)!r}, found {found!r}")
@@ -760,23 +757,19 @@ def pairs_to_spec(kv: dict[str, str], path="<config>") -> SceneSpec:
     spread_values = value(spread, lambda text: astuple(volume((0.0,) * 3, _floats(3)(text)))[1])
     dist = value(location, lambda text: volume(_floats(3)(text), spread_values))
 
-    try:
-        return SceneSpec(
-            model_kind=kind,
-            surface_sample_count=value("surface_sample_count", int),
-            image_size=(value("image_width", int), value("image_height", int)),
-            intrinsics=CameraIntrinsics(*(value(key, float) for key in ("fx", "fy", "cx", "cy"))),
-            translation_dist=dist,
-            seed=value("seed", int),
-            rotation_dist=value("rotation_dist", default="uniform-so3"),
-            depth_noise_sigma=value("depth_noise_sigma", float, "0"),
-            pixel_dropout=value("pixel_dropout", float, "0"),
-            occlusion_fraction=value("occlusion_fraction", float) if "occlusion_fraction" in kv else None,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:  # a check across keys: focal lengths, image size, noise ranges
-        raise ConfigError(f"{path}: {exc}") from None
+    # A check across keys (focal lengths, image size, noise ranges) names the file.
+    return _built(path, lambda: SceneSpec(
+        model_kind=kind,
+        surface_sample_count=value("surface_sample_count", int),
+        image_size=(value("image_width", int), value("image_height", int)),
+        intrinsics=CameraIntrinsics(*(value(key, float) for key in ("fx", "fy", "cx", "cy"))),
+        translation_dist=dist,
+        seed=value("seed", int),
+        rotation_dist=value("rotation_dist", default="uniform-so3"),
+        depth_noise_sigma=value("depth_noise_sigma", float, "0"),
+        pixel_dropout=value("pixel_dropout", float, "0"),
+        occlusion_fraction=value("occlusion_fraction", float) if "occlusion_fraction" in kv else None,
+    ), error=ConfigError)
 
 
 def scene_count(kv: dict[str, str], path, default: str | None = None) -> int:
@@ -794,14 +787,15 @@ def write_manifest(path, spec: SceneSpec, scene_count: int) -> None:
 def read_manifest(path) -> tuple[SceneSpec, int]:
     """Returns (spec, scene_count)."""
     kv = read_keyvalue(path)
-    _check_format(kv, "dataset/v2", path)
-    _check_no_extra(kv, _MANIFEST_KEYS, path, error=ConfigError)
+    _check_header(kv, path, "dataset/v2", _MANIFEST_KEYS, error=ConfigError)
+    found = _value(kv, path, "rng_algorithm", error=ConfigError)
+    if found != RNG_ALGORITHM:  # the scenes were drawn by another generator
+        raise ConfigError(f"{path}: key 'rng_algorithm': expected {RNG_ALGORITHM!r}, found {found!r}")
     return pairs_to_spec(kv, path), scene_count(kv, path)
 
 
 def read_experiment_config(path) -> dict[str, str]:
     """Schema-checked raw experiment configuration (unknown keys rejected)."""
     kv = read_keyvalue(path)
-    _check_format(kv, "experiment/v1", path)
-    _check_no_extra(kv, _EXPERIMENT_KEYS, path, error=ConfigError)
+    _check_header(kv, path, "experiment/v1", _EXPERIMENT_KEYS, error=ConfigError)
     return kv

@@ -202,17 +202,6 @@ def model_for_spec(spec: SceneSpec) -> ObjectModel:
     return make_model(spec.model_kind, spec.surface_sample_count, model_rng(spec))
 
 
-def _surface_bound(kind: ModelKind, model: ObjectModel) -> float:
-    """Radius of a ball (around the model origin) containing the surface."""
-    if isinstance(kind, BoxModel):
-        return float(np.linalg.norm(kind.half_extents))
-    if isinstance(kind, CylinderModel):
-        return math.hypot(kind.radius, kind.height / 2)
-    if isinstance(kind, SphereModel):
-        return kind.radius
-    return float(np.max(np.linalg.norm(model.points, axis=1)))
-
-
 def _intersect_sphere(origin: np.ndarray, dirs: np.ndarray, r: float) -> np.ndarray:
     a = np.sum(dirs**2, axis=1)
     b = 2.0 * dirs @ origin
@@ -329,7 +318,8 @@ def _pixel_bbox(spec: SceneSpec, t: np.ndarray, r_bound: float):
 def _render_depth(spec: SceneSpec, pose: RigidPose, model: ObjectModel) -> np.ndarray:
     width, height = spec.image_size
     k = spec.intrinsics
-    r_bound = _surface_bound(spec.model_kind, model)
+    # The surface's bounding ball: a primitive's points hold its extreme pairs, which lie on it.
+    r_bound = float(np.max(np.linalg.norm(model.points, axis=1)))
     t = pose.translation
     if t[2] - r_bound <= 0:
         raise EmptyObjectError(

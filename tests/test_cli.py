@@ -449,7 +449,7 @@ class TestSolveEval:
         assert a.read_bytes() != (pipeline_dir / "solves.csv").read_bytes()
 
     def test_refined_solve_reproducible_and_distinct(self, pipeline_dir, tmp_path):
-        # The noisy-sweep path: perturbed targets polished by --refine.
+        # The noisy-sweep path: perturbed targets, then --refine's point re-fits.
         outs = {}
         for name, refine in (("a", "2"), ("b", "2"), ("plain", "0")):
             outs[name] = tmp_path / f"{name}.csv"
@@ -852,6 +852,25 @@ class TestErrors:
     def test_bad_spec_value_names_file_and_detail(self, pipeline_dir, tmp_path, command, key, value, detail):
         path, result = self._run_with_spec_value(pipeline_dir, tmp_path, command, key, value)
         assert_one_error_line(result, str(path), detail)
+
+    @pytest.mark.parametrize("rows, detail", [
+        (["0.01 0.0 0.0"] * 3, "model diameter must be positive (all points coincide?)"),
+        (["0.01 0.0 0.0", "0 oops 0", "0.0 0.02 0.0"], "bad vertex row '0 oops 0' (byte offset {})"),
+    ], ids=["coincident", "bad-row"])
+    def test_refused_model_file_named_once(self, tmp_path, rows, detail):
+        # The PLY's reader names it; synth-gen adds no config key to the line.
+        ply = tmp_path / "part.ply"
+        header = "ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\nproperty double y\nproperty double z\nend_header\n"
+        ply.write_text(header + "".join(f"{row}\n" for row in rows))
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG.replace("model_kind = box\nmodel_params = 0.08 0.06 0.1\n",
+                                         f"model_kind = file\nmodel_path = {ply}\n"))
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["synth-gen", "-c", str(config), "--out", str(out)])
+        assert_one_error_line(result)
+        [error] = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert error == f"Error: {ply}: " + detail.format(len(header) + len(rows[0]) + 1)
+        assert not (out / "manifest.txt").exists()
 
     @pytest.mark.parametrize("command", ["encode", "dist-report"])
     def test_image_size_other_than_the_manifests_names_each_scene(self, three_scene_dir, tmp_path, command):

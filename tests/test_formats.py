@@ -722,6 +722,21 @@ class TestManifestAndConfig:
         with pytest.raises(ConfigError):
             formats.read_manifest(path)
 
+    @pytest.mark.parametrize("line, found", [
+        ("rng_algorithm = mt19937\n", "found 'mt19937'"),
+        ("", "missing key 'rng_algorithm'"),
+    ], ids=["other", "missing"])
+    def test_manifest_names_its_rng_algorithm(self, tmp_path, line, found):
+        # Scenes drawn by another generator are other scenes.
+        path = tmp_path / "manifest.txt"
+        formats.write_manifest(path, small_scene_spec(seed=69), 3)
+        text = path.read_text()
+        assert f"rng_algorithm = {o6.spec.RNG_ALGORITHM}\n" in text
+        path.write_text(text.replace(f"rng_algorithm = {o6.spec.RNG_ALGORITHM}\n", line))
+        with pytest.raises(ConfigError, match=f"{path}: .*'rng_algorithm'") as info:
+            formats.read_manifest(path)
+        assert found in str(info.value)
+
     def test_experiment_config_schema(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text(

@@ -175,7 +175,7 @@ class TestBandedRayCast:
     ], ids=["dense-pixels", "box", "sphere", "cylinder"])
     def test_depth_bytes_do_not_depend_on_the_band(self, spec, monkeypatch):
         model = o6.model_for_spec(spec)
-        r_bound = synth._surface_bound(spec.model_kind, model)
+        r_bound = float(np.max(np.linalg.norm(model.points, axis=1)))  # the render's own bound
 
         def render(index, band_rays):
             monkeypatch.setattr(synth, "_BAND_RAYS", band_rays)
@@ -248,6 +248,25 @@ class TestMakeModel:
         for kind in (o6.SphereModel(0.05), o6.BoxModel(0.1, 0.06, 0.08), o6.CylinderModel(0.04, 0.1)):
             model = o6.make_model(kind, 600, model_rng(small_scene_spec()))
             assert np.linalg.norm(model.points, axis=1).max() <= model.diameter / 2 + 1e-12
+
+    @pytest.mark.parametrize("kind", [
+        o6.BoxModel(0.1, 0.06, 0.08), o6.BoxModel(2.0, 0.003, 0.5), o6.BoxModel(1e-3, 1e-3, 1e-3),
+        o6.CylinderModel(0.04, 0.1), o6.CylinderModel(1.5, 0.02), o6.CylinderModel(0.001, 3.0),
+        o6.SphereModel(0.05), o6.SphereModel(7.0), o6.SphereModel(1e-4),
+    ], ids=repr)
+    @pytest.mark.parametrize("count", [2, 9, 200, 1001])
+    def test_largest_point_norm_is_the_analytic_radius(self, kind, count):
+        # The render bounds a primitive by its points' largest norm: the
+        # extreme pairs put that on the surface's analytic bounding radius.
+        if isinstance(kind, o6.BoxModel):
+            radius = float(np.linalg.norm(kind.half_extents))
+        elif isinstance(kind, o6.CylinderModel):
+            radius = math.hypot(kind.radius, kind.height / 2)
+        else:
+            radius = kind.radius
+        model = o6.make_model(kind, count, model_rng(small_scene_spec(seed=count)))
+        largest = np.linalg.norm(model.points, axis=1).max()
+        assert abs(largest - radius) <= 1e-15 * radius
 
 
 def choice_box_surface(rng, half, n):
