@@ -54,18 +54,7 @@ from .geometry import CameraIntrinsics, RigidPose
 from .metrics import ObjectModel
 from .record import astuple, fields
 from .refpoint import DepthMap, InstanceMask, ReferencePoint, RefStrategy, SceneObservation
-from .spec import (
-    DEPTH_UNIT,
-    MAX_DEPTH_MM,
-    RNG_ALGORITHM,
-    BoxModel,
-    BoxVolume,
-    CylinderModel,
-    FileModel,
-    GaussianVolume,
-    SceneSpec,
-    SphereModel,
-)
+from .spec import DEPTH_UNIT, MAX_DEPTH_MM, PRIMITIVES, RNG_ALGORITHM, VOLUMES, FileModel, SceneSpec
 
 # Depth pixels quantized, or table rows read, at once: the conversion's
 # temporaries stay this size, whatever the image or table.
@@ -684,15 +673,8 @@ _MANIFEST_KEYS = _SPEC_KEYS | {"format", "scene_count", "rng_algorithm"}
 
 # ``model_params`` lists a primitive's fields in order; a volume's fields are
 # stored under ``translation_<field>``.
-_PRIMITIVES = {"box": BoxModel, "cylinder": CylinderModel, "sphere": SphereModel}
-_VOLUMES = {"box": BoxVolume, "gaussian": GaussianVolume}
-
-
-def _config_name(value, table: dict[str, type]) -> str:
-    for name, cls in table.items():
-        if isinstance(value, cls):
-            return name
-    raise ConfigError(f"unknown spec part {type(value).__name__}")
+_PRIMITIVES = {cls.config_name: cls for cls in PRIMITIVES}
+_VOLUMES = {cls.config_name: cls for cls in VOLUMES}
 
 
 def spec_to_pairs(spec: SceneSpec) -> list[tuple[str, str]]:
@@ -710,16 +692,13 @@ def spec_to_pairs(spec: SceneSpec) -> list[tuple[str, str]]:
         ("rotation_dist", spec.rotation_dist),
     ]
     kind = spec.model_kind
+    pairs.append(("model_kind", kind.config_name))
     if isinstance(kind, FileModel):
-        pairs += [
-            ("model_kind", "file"),
-            ("model_path", kind.path),
-            ("model_symmetric", "true" if kind.symmetric else "false"),
-        ]
+        pairs += [("model_path", kind.path), ("model_symmetric", "true" if kind.symmetric else "false")]
     else:
-        pairs += [("model_kind", _config_name(kind, _PRIMITIVES)), ("model_params", format_floats(astuple(kind)))]
+        pairs.append(("model_params", format_floats(astuple(kind))))
     dist = spec.translation_dist
-    pairs.append(("translation_dist", _config_name(dist, _VOLUMES)))
+    pairs.append(("translation_dist", dist.config_name))
     pairs += [(f"translation_{name}", format_floats(getattr(dist, name))) for name in fields(dist)]
     pairs += [
         ("depth_noise_sigma", format_float(spec.depth_noise_sigma)),
@@ -738,7 +717,7 @@ def pairs_to_spec(kv: dict[str, str], path="<config>") -> SceneSpec:
     value = functools.partial(_value, kv, path, error=ConfigError)
 
     kind_name = value("model_kind")
-    if kind_name == "file":
+    if kind_name == FileModel.config_name:
         kind = FileModel(value("model_path"), value("model_symmetric", _flag, "false"))
     elif kind_name in _PRIMITIVES:
         primitive = _PRIMITIVES[kind_name]

@@ -75,11 +75,17 @@ def nearest_rotation(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
     if m.shape != (3, 3):
         raise ValueError(f"expected 3x3 matrix, got shape {m.shape}")
-    u, _, vt = np.linalg.svd(m)
+    return _rotation_and_singular_values(m)[0]
+
+
+def _rotation_and_singular_values(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest proper rotation to a 3x3 ``m`` and the singular values of
+    ``m``, descending, from one SVD."""
+    u, s, vt = np.linalg.svd(m)
     r = u @ vt
     if _det3(r.tolist()) < 0:  # Umeyama's sign fix; r is orthogonal, so det is +-1
         r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return r
+    return r, s
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

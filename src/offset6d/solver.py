@@ -9,8 +9,9 @@ Two independent routes are provided so each can check the other:
     sides leaves a pure rotation problem, one 3x3 Procrustes fit; the
     translation then follows by least squares given R.
 
-Both take their rotation from :func:`offset6d.geometry.nearest_rotation` of
-a 3x3 cross-covariance (SVD with the determinant sign fix).
+Both take their rotation from one SVD of a 3x3 cross-covariance, with the
+determinant sign fix of :func:`offset6d.geometry.nearest_rotation`; the same
+singular values decide whether the rotation is determined.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .encoding import GeoEncoding, camera_side
 from .errors import DegenerateConfigurationError
-from .geometry import RigidPose, nearest_rotation
+from .geometry import RigidPose, _rotation_and_singular_values
 from .refpoint import ReferencePoint
 
 # Relative singular-value floor below which a configuration is declared
@@ -63,10 +64,10 @@ def _as_points(arr, name: str) -> np.ndarray:
 def _fit_rotation(h: np.ndarray, degenerate: str) -> np.ndarray:
     """The rotation R maximizing ``trace(R^T h)`` for a 3x3 cross-covariance
     ``h``; it is determined iff ``h`` has rank >= 2."""
-    s = np.linalg.svd(h, compute_uv=False)
+    rotation, s = _rotation_and_singular_values(h)
     if s[0] <= 0 or s[1] / s[0] < RANK_RATIO_THRESHOLD:
         raise DegenerateConfigurationError(degenerate)
-    return nearest_rotation(h)
+    return rotation
 
 
 def solve_procrustes(cam_points, obj_points) -> SolveReport:

@@ -9,6 +9,8 @@ Rendering: for the analytic primitives (box, cylinder, sphere) every pixel
 ray is intersected with the exact surface and the nearest hit wins, so each
 masked depth pixel backprojects to a point that lies *on* the object surface
 (up to float rounding, and up to the truncated depth noise when enabled).
+Each primitive's sampler, extreme pairs and ray cast, and each translation
+volume's draw, are methods of its class in :mod:`offset6d.spec`.
 Point-set models loaded from file have no analytic surface and fall back to
 point splatting with a per-pixel z-buffer.
 
@@ -32,15 +34,7 @@ from .geometry import RigidPose
 from .metrics import ObjectModel
 from .record import record
 from .refpoint import DepthMap, InstanceMask, SceneObservation
-from .spec import (
-    BoxModel,
-    BoxVolume,
-    CylinderModel,
-    FileModel,
-    ModelKind,
-    SceneSpec,
-    SphereModel,
-)
+from .spec import FileModel, ModelKind, SceneSpec
 
 # Counter-space layout: scene i draws from counter i << 128, the model from
 # a reserved block that no scene index can reach.
@@ -87,79 +81,6 @@ def sample_rotation_uniform(rng: np.random.Generator) -> np.ndarray:
     return RigidPose.from_quaternion(w, x, y, z).rotation
 
 
-def _sample_box_surface(rng: np.random.Generator, half: np.ndarray, n: int) -> np.ndarray:
-    # Pick an axis by total face area (both faces of the axis), then a sign.
-    # The axis is Generator.choice(3, size=n, p=weights) by its own inverse
-    # CDF: the same draws and stream use, without choice's argument checks.
-    hx, hy, hz = half
-    areas = np.array([hy * hz, hx * hz, hx * hy])
-    weights = areas / areas.sum()
-    if not np.isfinite(weights).all():
-        raise ValueError("box face areas are not finite (extents too large or too small?)")
-    cdf = weights.cumsum()
-    cdf /= cdf[-1]
-    axes = cdf.searchsorted(rng.random(n), side="right")
-    signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    uv = rng.uniform(-1.0, 1.0, size=(n, 2))
-    pts = np.empty((n, 3))
-    for axis in range(3):
-        sel = axes == axis
-        others = [i for i in range(3) if i != axis]
-        pts[sel, axis] = signs[sel] * half[axis]
-        pts[np.ix_(sel, others)] = uv[sel] * half[others]
-    return pts
-
-def _sample_cylinder_surface(rng: np.random.Generator, r: float, h: float, n: int) -> np.ndarray:
-    lateral = 2 * math.pi * r * h
-    caps = 2 * math.pi * r * r
-    on_side = rng.random(n) < lateral / (lateral + caps)
-    theta = rng.uniform(0.0, 2 * math.pi, n)
-    pts = np.empty((n, 3))
-    side = on_side
-    pts[side, 0] = r * np.cos(theta[side])
-    pts[side, 1] = r * np.sin(theta[side])
-    pts[side, 2] = rng.uniform(-h / 2, h / 2, n)[side]
-    cap = ~on_side
-    rad = r * np.sqrt(rng.random(n))[cap]
-    pts[cap, 0] = rad * np.cos(theta[cap])
-    pts[cap, 1] = rad * np.sin(theta[cap])
-    pts[cap, 2] = np.where(rng.random(int(cap.sum())) < 0.5, h / 2, -h / 2)
-    return pts
-
-
-def _sample_sphere_surface(rng: np.random.Generator, r: float, n: int) -> np.ndarray:
-    v = rng.normal(size=(n, 3))
-    norms = np.linalg.norm(v, axis=1)
-    while np.any(norms < 1e-12):
-        redo = norms < 1e-12
-        v[redo] = rng.normal(size=(int(redo.sum()), 3))
-        norms = np.linalg.norm(v, axis=1)
-    return v / norms[:, None] * r
-
-
-def _extreme_points(kind: ModelKind) -> np.ndarray:
-    """Deterministic antipodal pairs realizing the exact diameter."""
-    if isinstance(kind, BoxModel):
-        hx, hy, hz = kind.half_extents
-        corners = np.array(
-            [
-                [hx, hy, hz], [-hx, -hy, -hz],
-                [hx, hy, -hz], [-hx, -hy, hz],
-                [hx, -hy, hz], [-hx, hy, -hz],
-                [hx, -hy, -hz], [-hx, hy, hz],
-            ]
-        )
-        return corners
-    if isinstance(kind, CylinderModel):
-        r, hh = kind.radius, kind.height / 2
-        return np.array(
-            [[r, 0, hh], [-r, 0, -hh], [0, r, hh], [0, -r, -hh]]
-        )
-    if isinstance(kind, SphereModel):
-        return np.array([[kind.radius, 0, 0], [-kind.radius, 0, 0]])
-    raise TypeError(f"no extreme points for {type(kind).__name__}")
-
-
 def make_model(kind: ModelKind, surface_sample_count: int, rng: np.random.Generator) -> ObjectModel:
     """Sample a point model on the primitive surface.
 
@@ -181,15 +102,10 @@ def make_model(kind: ModelKind, surface_sample_count: int, rng: np.random.Genera
             points = points - points.mean(axis=0)
         return formats._built(kind.path, ObjectModel.from_points, points, symmetric)  # a refusal names the PLY
 
-    extremes = _extreme_points(kind)
+    extremes = kind.extreme_pairs()
     n_random = max(0, surface_sample_count - extremes.shape[0])
     n_pairs = (n_random + 1) // 2
-    if isinstance(kind, BoxModel):
-        half = _sample_box_surface(rng, kind.half_extents, n_pairs)
-    elif isinstance(kind, CylinderModel):
-        half = _sample_cylinder_surface(rng, kind.radius, kind.height, n_pairs)
-    else:
-        half = _sample_sphere_surface(rng, kind.radius, n_pairs)
+    half = kind.sample_surface(rng, n_pairs)
     paired = np.empty((2 * n_pairs, 3))
     paired[0::2] = half
     paired[1::2] = -half
@@ -200,97 +116,6 @@ def make_model(kind: ModelKind, surface_sample_count: int, rng: np.random.Genera
 def model_for_spec(spec: SceneSpec) -> ObjectModel:
     """The dataset's model; identical for every scene of the spec."""
     return make_model(spec.model_kind, spec.surface_sample_count, model_rng(spec))
-
-
-def _intersect_sphere(origin: np.ndarray, dirs: np.ndarray, r: float) -> np.ndarray:
-    a = np.sum(dirs**2, axis=1)
-    b = 2.0 * dirs @ origin
-    c = origin @ origin - r * r
-    disc = b * b - 4 * a * c
-    hit = disc >= 0
-    s = np.full(dirs.shape[0], np.inf)
-    root = np.sqrt(np.clip(disc, 0, None))
-    near = (-b - root) / (2 * a)
-    s[hit & (near > 0)] = near[hit & (near > 0)]
-    return s
-
-
-def _intersect_box(origin: np.ndarray, dirs: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Ray parameter of the first hit on the box ``|x| <= half``, else inf.
-
-    The slab method (Kay & Kajiya 1986) in one pass per axis: each axis's
-    entry and exit parameters fold into a running ``tmin``/``tmax``, and no
-    ``(n, 3)`` table is built.
-
-    Every depth is bit-identical to a per-axis ``(n, 3)`` table reduced by
-    ``max(axis=1)``/``min(axis=1)``. A ray with ``dj != 0`` gets the same
-    division and the same exact min/max. A ray with ``dj == 0`` (±inf, or
-    NaN from an origin on a face) is overwritten before the fold, with
-    (-inf, inf) inside the slab and (inf, -inf) outside, so no NaN is
-    folded. Folding from -inf/inf over axes 0, 1, 2 takes the maxima and
-    minima in the table's order, and on non-NaN floats they are exact in any
-    order but for the sign of a zero, which no depth shows: a depth is a
-    ``tmin > 0``, and ``tmax >= tmin`` reads alike for either zero.
-    """
-    n = dirs.shape[0]
-    tmin = np.full(n, -np.inf)
-    tmax = np.full(n, np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(3):
-            dj = dirs[:, j]
-            t1 = (-half[j] - origin[j]) / dj
-            t2 = (half[j] - origin[j]) / dj
-            near = np.minimum(t1, t2)
-            far = np.maximum(t1, t2, out=t2)
-            # Ray parallel to this slab: inside is unbounded, outside misses.
-            parallel = dj == 0
-            if parallel.any():
-                inside = abs(origin[j]) <= half[j]
-                near[parallel] = -np.inf if inside else np.inf
-                far[parallel] = np.inf if inside else -np.inf
-            np.maximum(tmin, near, out=tmin)
-            np.minimum(tmax, far, out=tmax)
-    s = np.full(n, np.inf)
-    hit = (tmax >= tmin) & (tmin > 0)
-    s[hit] = tmin[hit]
-    return s
-
-
-def _intersect_cylinder(origin: np.ndarray, dirs: np.ndarray, r: float, half_h: float) -> np.ndarray:
-    n = dirs.shape[0]
-    best = np.full(n, np.inf)
-
-    dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
-    ox, oy, oz = origin
-    a = dx * dx + dy * dy
-    b = 2 * (ox * dx + oy * dy)
-    c = ox * ox + oy * oy - r * r
-    quad = a > 0
-    disc = b * b - 4 * a * c
-    root = np.sqrt(np.clip(disc, 0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for sign in (-1.0, 1.0):
-            s = (-b + sign * root) / (2 * a)
-            z = oz + s * dz
-            ok = quad & (disc >= 0) & (s > 0) & (np.abs(z) <= half_h)
-            best[ok] = np.minimum(best[ok], s[ok])
-        for cap_z in (half_h, -half_h):
-            s = (cap_z - oz) / dz
-            px = ox + s * dx
-            py = oy + s * dy
-            ok = (np.abs(dz) > 0) & (s > 0) & (px * px + py * py <= r * r)
-            best[ok] = np.minimum(best[ok], s[ok])
-    return best
-
-
-def _intersect(kind: ModelKind, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    if isinstance(kind, SphereModel):
-        return _intersect_sphere(origin, dirs, kind.radius)
-    if isinstance(kind, BoxModel):
-        return _intersect_box(origin, dirs, kind.half_extents)
-    if isinstance(kind, CylinderModel):
-        return _intersect_cylinder(origin, dirs, kind.radius, kind.height / 2)
-    raise TypeError(f"no analytic surface for {type(kind).__name__}")
 
 
 def _pixel_bbox(spec: SceneSpec, t: np.ndarray, r_bound: float):
@@ -355,7 +180,7 @@ def _render_depth(spec: SceneSpec, pose: RigidPose, model: ObjectModel) -> np.nd
         dirs_cam = np.ones((b1 - b0, x.size, 3))
         dirs_cam[:, :, 0] = x
         dirs_cam[:, :, 1] = ((np.arange(b0, b1) - k.cy) / k.fy)[:, None]
-        s = _intersect(spec.model_kind, origin_obj, dirs_cam.reshape(-1, 3) @ pose.rotation)
+        s = spec.model_kind.intersect(origin_obj, dirs_cam.reshape(-1, 3) @ pose.rotation)
         s = s.reshape(b1 - b0, x.size)
         hit = np.isfinite(s)
         np.copyto(depth[b0:b1, u0 : u1 + 1], s, where=hit)
@@ -387,14 +212,7 @@ def render_scene(spec: SceneSpec, index: int, model: ObjectModel | None = None) 
     rng = scene_rng(spec, index)
 
     rotation = sample_rotation_uniform(rng)
-    dist = spec.translation_dist
-    if isinstance(dist, BoxVolume):
-        center = np.asarray(dist.center)
-        half = np.asarray(dist.half_widths)
-        translation = rng.uniform(center - half, center + half)
-    else:
-        translation = rng.normal(np.asarray(dist.mean), np.asarray(dist.sigma))
-    pose = RigidPose(rotation, translation)
+    pose = RigidPose(rotation, spec.translation_dist.sample(rng))
 
     depth = _render_depth(spec, pose, model)
     mask = depth > 0

@@ -705,14 +705,35 @@ class TestSceneDir:
             formats.read_scene_dir(tmp_path / "scene_00000", small_scene_spec(image_size=(160, 120)))
 
 
+# Every analytic kind under every translation volume, and a point-set file.
+SPECS = [
+    small_scene_spec(seed=67, model_kind=kind, translation_dist=volume, occlusion_fraction=0.25, depth_noise_sigma=0.001)
+    for kind in (o6.BoxModel(0.08, 0.06, 0.1), o6.CylinderModel(0.06, 0.15), o6.SphereModel(0.1),
+                 o6.FileModel("models/part.ply", symmetric=True))
+    for volume in (o6.BoxVolume((0.0, 0.0, 1.0), (0.25, 0.25, 0.25)),
+                   o6.GaussianVolume((0.01, -0.02, 1.0), (0.05, 0.05, 0.1)))
+]
+
+
 class TestManifestAndConfig:
-    def test_manifest_round_trip(self, tmp_path):
-        spec = small_scene_spec(seed=67, occlusion_fraction=0.25, depth_noise_sigma=0.001)
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.model_kind.config_name}-{s.translation_dist.config_name}")
+    def test_manifest_round_trip(self, tmp_path, spec):
+        pairs = dict(formats.spec_to_pairs(spec))
+        assert (pairs["model_kind"], pairs["translation_dist"]) == (spec.model_kind.config_name,
+                                                                    spec.translation_dist.config_name)
+        assert formats.pairs_to_spec(pairs) == spec
         path = tmp_path / "manifest.txt"
         formats.write_manifest(path, spec, 12)
         back_spec, count = formats.read_manifest(path)
         assert count == 12
         assert back_spec == spec
+
+    def test_config_names_are_distinct(self):
+        kinds, volumes = (*o6.spec.PRIMITIVES, o6.FileModel), o6.spec.VOLUMES
+        assert {type(s.model_kind) for s in SPECS} == set(kinds)
+        assert {type(s.translation_dist) for s in SPECS} == set(volumes)
+        for classes in (kinds, volumes):
+            assert len({cls.config_name for cls in classes}) == len(classes)
 
     def test_manifest_rejects_unknown_keys(self, tmp_path):
         spec = small_scene_spec(seed=69)

@@ -1,7 +1,8 @@
 """Package structure, read from the source: the module-level import graph of
 ``offset6d`` is acyclic, no module hides an import of another package module
 inside a function, no module generates code at import (``dataclasses``,
-``exec``, ``eval``), and every function the benchmark traces exists."""
+``exec``, ``eval``), ``synth`` and ``formats`` do not dispatch on the analytic
+kinds, and every function the benchmark traces exists."""
 
 import ast
 import importlib
@@ -68,6 +69,19 @@ def test_spec_has_one_text_form():
     }
     assert "spec_to_pairs" in names
     assert "spec_canonical_string" not in names
+
+
+def test_no_dispatch_on_analytic_kinds():
+    # Each analytic primitive and translation volume carries its own geometry
+    # and config name in ``spec``; the generator and the text form call it.
+    kinds = {"BoxModel", "CylinderModel", "SphereModel", "BoxVolume", "GaussianVolume"}
+    found = []
+    for name in ("synth", "formats"):
+        for node in ast.walk(TREES[name]):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+                named = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.args[1])}
+                found += [f"{name}.py:{node.lineno} {kind}" for kind in sorted(named & kinds)]
+    assert found == []
 
 
 def test_module_import_graph_is_acyclic():

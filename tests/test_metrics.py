@@ -134,6 +134,22 @@ class TestAddS:
             pred, gt = random_pose(rng), random_pose(rng)
             assert o6.add_s(pred, gt, model) == brute_force_add_s(pred, gt, model.points)
 
+    def test_criterion_7_loop_exact_at_every_seed(self):
+        # Criterion 7's first loop (10 pose pairs on a 24-point symmetric
+        # model of radius 0.08) at rng seeds 0-199, where its own oracle, which
+        # transforms point by point, holds only at its seed 1007.
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            for _ in range(10):
+                half = rng.normal(size=(12, 3))
+                half = half / np.linalg.norm(half, axis=1)[:, None] * 0.08
+                pts = np.empty((24, 3))
+                pts[0::2] = half
+                pts[1::2] = -half
+                model = o6.ObjectModel.from_points(pts, symmetric=True)
+                pred, gt = random_pose(rng), random_pose(rng)
+                assert o6.add_s(pred, gt, model) == brute_force_add_s(pred, gt, model.points), seed
+
     @pytest.mark.parametrize("m", [257, 300])
     def test_exact_across_row_blocks(self, rng, m):
         # Synth sphere models sized past a row-block boundary.

@@ -49,7 +49,7 @@ def lifted_object_points(scene):
 
 
 def intersect_box_table(origin: np.ndarray, dirs: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """The slab method over per-axis ``(n, 3)`` tables: the oracle for ``_intersect_box``."""
+    """The slab method over per-axis ``(n, 3)`` tables: the oracle for ``BoxModel.intersect``."""
     n = dirs.shape[0]
     near = np.full((n, 3), -np.inf)
     far = np.full((n, 3), np.inf)
@@ -70,6 +70,13 @@ def intersect_box_table(origin: np.ndarray, dirs: np.ndarray, half: np.ndarray) 
     hit = (tmax >= tmin) & (tmin > 0)
     s[hit] = tmin[hit]
     return s
+
+
+def box_of(half: np.ndarray) -> o6.BoxModel:
+    """The box whose ``half_extents`` are exactly ``half``."""
+    box = o6.BoxModel(*(2 * half))
+    assert box.half_extents.tobytes() == np.asarray(half, dtype=float).tobytes()
+    return box
 
 
 # The 24 rotations that map each axis onto an axis: their ray directions keep
@@ -139,7 +146,7 @@ class TestBoxRayCastExactness:
     @given(_box_rays())
     def test_equals_table_bit_for_bit(self, rays):
         origin, dirs, half = rays
-        assert synth._intersect_box(origin, dirs, half).tobytes() == intersect_box_table(origin, dirs, half).tobytes()
+        assert box_of(half).intersect(origin, dirs).tobytes() == intersect_box_table(origin, dirs, half).tobytes()
 
     def test_parallel_rays_on_and_off_each_face(self):
         # Identity pose, principal point on a pixel centre: the middle row
@@ -152,14 +159,15 @@ class TestBoxRayCastExactness:
         for ox, oy in itertools.product([0.0, 0.04, -0.04, 0.05, 0.01], [0.0, 0.03, -0.03, -0.07, 0.02]):
             for oz in (-1.0, -0.05, 0.05):
                 origin = np.array([ox, oy, oz])
-                assert synth._intersect_box(origin, dirs, half).tobytes() == intersect_box_table(origin, dirs, half).tobytes()
+                assert box_of(half).intersect(origin, dirs).tobytes() == intersect_box_table(origin, dirs, half).tobytes()
 
     def test_box_scenes_render_as_with_the_table(self, monkeypatch):
         spec = dense_pixels_spec(seed=57)
         model = o6.model_for_spec(spec)
         depths = [o6.render_scene(spec, i, model=model).observation.depth.values for i in range(24)]
         assert all(np.count_nonzero(d) > 1000 for d in depths)
-        monkeypatch.setattr(synth, "_intersect_box", intersect_box_table)
+        monkeypatch.setattr(o6.BoxModel, "intersect",
+                            lambda box, origin, dirs: intersect_box_table(origin, dirs, box.half_extents))
         for i, depth in enumerate(depths):
             assert o6.render_scene(spec, i, model=model).observation.depth.values.tobytes() == depth.tobytes()
 
@@ -295,7 +303,7 @@ class TestBoxSampler:
         half = np.array(half)
         for seed in range(120):
             ours, oracle = synth._stream(seed, 7), synth._stream(seed, 7)
-            np.testing.assert_array_equal(synth._sample_box_surface(ours, half, 50 + seed),
+            np.testing.assert_array_equal(box_of(half).sample_surface(ours, 50 + seed),
                                           choice_box_surface(oracle, half, 50 + seed))
             assert ours.integers(2**63, size=4).tolist() == oracle.integers(2**63, size=4).tolist()  # same stream use
 
