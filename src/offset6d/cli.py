@@ -42,8 +42,10 @@ from __future__ import annotations
 
 import gc
 import math
+import operator
 import os
 import sys
+from functools import reduce
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -52,17 +54,8 @@ import click
 import numpy as np
 
 from . import formats, synth
-from .encoding import (
-    ConstraintForm,
-    GeoEncoding,
-    GeoTargets,
-    InputMode,
-    TargetMode,
-    constraint_residuals,
-    encode_input,
-    encode_targets,
-)
-from .errors import ConfigError, DegenerateConfigurationError, FormatError, MissingPoseError, Offset6DError
+from .encoding import ConstraintForm, constraint_residuals, encode_input, encode_targets
+from .errors import ConfigError, DegenerateConfigurationError, EmptyInputError, MissingPoseError, Offset6DError
 from .geometry import RigidPose
 from .metrics import (
     MetricConfig,
@@ -180,19 +173,6 @@ class _Scenes:
         return _each(self.root, self.names, handle)
 
 
-def _read_encoded(enc_dir: Path) -> tuple[GeoEncoding, GeoTargets]:
-    """One scene's encoding and targets: the geometric channels and
-    relative-offset targets ``encode`` writes, sharing pixels and reference."""
-    enc, _ = formats.read_encoding(enc_dir / "encoding.txt")
-    tgt = formats.read_targets(enc_dir / "targets.txt")
-    if enc.mode is not InputMode.GEOMETRIC or tgt.mode is not TargetMode.RELATIVE_OFFSET:
-        raise FormatError(f"{enc_dir}: expected {InputMode.GEOMETRIC.value} channels and "
-                          f"{TargetMode.RELATIVE_OFFSET.value} targets, found {enc.mode.value} and {tgt.mode.value}")
-    if tgt.ref != enc.ref or not (np.array_equal(tgt.us, enc.us) and np.array_equal(tgt.vs, enc.vs)):
-        raise FormatError(f"{enc_dir}: targets.txt and encoding.txt differ in pixels or reference point")
-    return enc, replace(tgt, us=enc.us, vs=enc.vs)  # one copy of the pixel indices
-
-
 @click.group(cls=_Main)
 def main() -> None:
     """Relative-offset 6D pose toolkit."""
@@ -268,7 +248,7 @@ def verify_cmd(dataset: str, encodings: str, tolerance: float, out: str | None) 
     """Check constraint residuals of encodings against ground-truth poses,
     in both constraint forms; the corrected form is the gate."""
     scenes, encoded = _Scenes(dataset), _Scenes(encodings)
-    if encoded.names != scenes.names or formats.spec_to_pairs(encoded.spec) != formats.spec_to_pairs(scenes.spec):
+    if encoded.names != scenes.names or encoded.spec != scenes.spec:
         raise click.ClickException(
             f"{encoded.root} holds {len(encoded.names)} scenes encoded from another dataset than {scenes.root} "
             f"({len(scenes.names)} scenes); re-encode it"
@@ -276,8 +256,10 @@ def verify_cmd(dataset: str, encodings: str, tolerance: float, out: str | None) 
 
     def residual_stats(_: int, scene_dir: Path) -> dict[ConstraintForm, tuple[float, float, int]]:
         """Per form: the scene's max residual norm, its sum of squares and its pixel count."""
-        gt_pose = formats.read_pose(scene_dir / "pose.txt")
-        enc, tgt = _read_encoded(encoded.root / scene_dir.name)
+        gt_pose = formats.read_scene_pose(scene_dir)
+        enc, tgt = formats.read_encoded_scene(encoded.root / scene_dir.name)
+        if enc.us.size == 0:
+            raise EmptyInputError("the encoding holds no pixels, so its residuals have no maximum")
         residuals = constraint_residuals(enc, tgt, gt_pose)
         # Each row's Euclidean norm, squared in place: the bits of np.linalg.norm(r, axis=1) without its copies.
         norms = {f: np.sqrt(np.square(r, out=r).sum(axis=1)) for f, r in residuals.items()}
@@ -285,21 +267,19 @@ def verify_cmd(dataset: str, encodings: str, tolerance: float, out: str | None) 
             raise Offset6DError("non-finite constraint residuals")
         return {f: (float(n.max()), float(np.sum(n**2)), n.size) for f, n in norms.items()}
 
-    stats = {f: {"max": 0.0, "sq_sum": 0.0, "n": 0} for f in ConstraintForm}
-    for scene in scenes.each(residual_stats):
-        for f, (peak, sq_sum, n) in scene.items():
-            stats[f]["max"] = max(stats[f]["max"], peak)
-            stats[f]["sq_sum"] += sq_sum
-            stats[f]["n"] += n
+    per_scene = list(scenes.each(residual_stats))
     pairs: list[tuple[str, str]] = [("format", "verify/v1")]
+    peaks = {}
     for f in ConstraintForm:
-        rms = (stats[f]["sq_sum"] / stats[f]["n"]) ** 0.5
-        click.echo(f"{f.value}: max residual {stats[f]['max']:.3e}, rms {rms:.3e}")
-        pairs.append((f"{f.value.replace('-', '_')}_max", formats.format_float(stats[f]["max"])))
+        scene_peaks, sq_sums, counts = zip(*(scene[f] for scene in per_scene))
+        # Added in scene order: sum() of floats compensates its rounding from Python 3.12 on.
+        peaks[f], rms = max(scene_peaks), (reduce(operator.add, sq_sums) / sum(counts)) ** 0.5
+        click.echo(f"{f.value}: max residual {peaks[f]:.3e}, rms {rms:.3e}")
+        pairs.append((f"{f.value.replace('-', '_')}_max", formats.format_float(peaks[f])))
         pairs.append((f"{f.value.replace('-', '_')}_rms", formats.format_float(rms)))
     if out:
         formats.write_keyvalue(out, pairs)
-    gate = stats[ConstraintForm.CORRECTED]["max"]
+    gate = peaks[ConstraintForm.CORRECTED]
     if gate > tolerance:
         click.echo(
             f"corrected-form max residual {gate:.3e} exceeds tolerance {tolerance:.3e}",
@@ -322,7 +302,7 @@ def solve_cmd(encodings: str, out: str, perturb_sigma: float, seed: int, refine:
     """Recover poses from encodings (optionally with perturbed targets)."""
 
     def solve_scene(index: int, enc_dir: Path) -> list:
-        enc, tgt = _read_encoded(enc_dir)
+        enc, tgt = formats.read_encoded_scene(enc_dir)
         delta_abc = tgt.delta_abc
         if perturb_sigma > 0:
             rng = perturbation_rng(seed, index)
@@ -375,7 +355,7 @@ def _predicted(dataset: str, pred: str, score: Callable[..., list]) -> tuple[Obj
         raise click.ClickException(f"{pred} has rows for scenes {scenes.root} does not claim: {', '.join(sorted(extra))}")
 
     def scored(_: int, scene_dir: Path) -> list:
-        gt = formats.read_pose(scene_dir / "pose.txt")
+        gt = formats.read_scene_pose(scene_dir)
         return [scene_dir.name, *score(model, gt, *predictions[scene_dir.name])]
 
     return model, list(scenes.each(scored))

@@ -52,7 +52,7 @@ from .encoding import ConstraintForm, GeoEncoding, GeoTargets, InputMode, Target
 from .errors import ConfigError, FormatError, InvalidDepthError, Offset6DError
 from .geometry import CameraIntrinsics, RigidPose
 from .metrics import ObjectModel
-from .record import astuple, fields
+from .record import astuple, fields, replace
 from .refpoint import DepthMap, InstanceMask, ReferencePoint, RefStrategy, SceneObservation
 from .spec import DEPTH_UNIT, MAX_DEPTH_MM, PRIMITIVES, RNG_ALGORITHM, VOLUMES, FileModel, SceneSpec
 
@@ -645,10 +645,29 @@ def read_scene_dir(scene_dir, spec: SceneSpec) -> SceneObservation:
     mask = read_mask_pgm(scene_dir / "mask.pgm")
     depth.flags.writeable = mask.flags.writeable = False  # fresh arrays, handed over rather than copied
     depth, mask = DepthMap(depth), InstanceMask(mask)
-    pose_path = scene_dir / "pose.txt"
-    gt_pose = read_pose(pose_path) if pose_path.exists() else None
+    gt_pose = read_scene_pose(scene_dir) if (scene_dir / "pose.txt").exists() else None
     # The mask is checked against the depth map, so a size mismatch names it.
     return _built(scene_dir / "mask.pgm", SceneObservation, depth=depth, mask=mask, intrinsics=spec.intrinsics, gt_pose=gt_pose)
+
+
+def read_scene_pose(scene_dir) -> RigidPose:
+    """The ground-truth pose in ``scene_dir``'s ``pose.txt``; without one, an
+    ``OSError`` naming the file."""
+    return read_pose(Path(scene_dir) / "pose.txt")
+
+
+def read_encoded_scene(enc_dir) -> tuple[GeoEncoding, GeoTargets]:
+    """One scene's encoding and targets: the geometric channels and
+    relative-offset targets ``encode`` writes, sharing pixels and reference."""
+    enc_dir = Path(enc_dir)
+    enc, _ = read_encoding(enc_dir / "encoding.txt")
+    tgt = read_targets(enc_dir / "targets.txt")
+    if enc.mode is not InputMode.GEOMETRIC or tgt.mode is not TargetMode.RELATIVE_OFFSET:
+        raise FormatError(f"{enc_dir}: expected {InputMode.GEOMETRIC.value} channels and "
+                          f"{TargetMode.RELATIVE_OFFSET.value} targets, found {enc.mode.value} and {tgt.mode.value}")
+    if tgt.ref != enc.ref or not (np.array_equal(tgt.us, enc.us) and np.array_equal(tgt.vs, enc.vs)):
+        raise FormatError(f"{enc_dir}: targets.txt and encoding.txt differ in pixels or reference point")
+    return enc, replace(tgt, us=enc.us, vs=enc.vs)  # one copy of the pixel indices
 
 
 def scene_name(index: int) -> str:

@@ -2,6 +2,7 @@
 evaluation, distribution and loss reports."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -559,15 +560,20 @@ class TestReports:
             original = module.decompose_add_loss
             monkeypatch.setattr(module, "decompose_add_loss",
                                 lambda *args, original=original: calls.append(1) or original(*args))
+        # One degenerate solve: its scene gets blank cells and no decomposition.
+        _, solves = formats.read_csv(pipeline_dir / "solves.csv", SOLVES_VERSION)
+        solves[2] = [solves[2][0]] + [None] * 14 + ["degenerate"]
+        pred = tmp_path / "solves.csv"
+        formats.write_csv(pred, SOLVES_VERSION, SOLVES_HEADER, solves)
         runner = CliRunner()
         out = tmp_path / "loss.csv"
         r = run(runner, [
-            "loss-decompose", "--dataset", str(pipeline_dir / "dataset"),
-            "--pred", str(pipeline_dir / "solves.csv"), "--out", str(out),
+            "loss-decompose", "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pred), "--out", str(out),
         ])
         assert r.exit_code == 0, r.output
         header, rows = formats.read_csv(out, "loss/v1")
-        assert len(calls) == len(rows)  # one decomposition per scene, the weighted total included
+        assert rows.pop(2) == [formats.scene_name(2)] + [""] * 5
+        assert len(calls) == len(rows) == 5  # one decomposition per scene, the weighted total included
         for row in rows:
             total = float(row[1])
             parts = float(row[2]) + float(row[3]) + float(row[4])
@@ -702,6 +708,16 @@ class TestErrors:
         r = CliRunner().invoke(main, [command, "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pred),
                                       "--out", str(out)])
         assert_one_error_line(r, str(pred), "blank row")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "loss-decompose"])
+    def test_other_solves_header_names_file(self, pipeline_dir, tmp_path, command):
+        pred = tmp_path / "header.csv"
+        pred.write_bytes((pipeline_dir / "solves.csv").read_bytes().replace(b",flag\n", b",condition\n", 1))
+        out = tmp_path / "out.csv"
+        r = CliRunner().invoke(main, [command, "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pred),
+                                      "--out", str(out)])
+        assert_one_error_line(r, f"{pred}: unexpected solves header", "'condition'")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "loss-decompose"])
@@ -1094,6 +1110,25 @@ class TestErrors:
         assert isinstance(r.exception, SystemExit)
         assert option in r.output and "Traceback" not in r.output
         assert not out.exists()
+
+    def test_scene_without_pixels(self, pipeline_dir, tmp_path):
+        # Both tables of one scene hold no rows: verify once ended in numpy's
+        # "zero-size array to reduction operation maximum" traceback.
+        enc = tmp_path / "enc"
+        shutil.copytree(pipeline_dir / "enc", enc)
+        for name in ("encoding.txt", "targets.txt"):
+            path = enc / formats.scene_name(1) / name
+            header, mark, _ = path.read_bytes().partition(b"\ndata:\n")
+            path.write_bytes(re.sub(rb"(?m)^count = \d+$", b"count = 0", header) + mark)
+        out = tmp_path / "verify.txt"
+        r = CliRunner().invoke(main, ["verify", "--dataset", str(pipeline_dir / "dataset"), "--encodings", str(enc),
+                                      "--out", str(out)])
+        assert_one_error_line(r, f"Error: {formats.scene_name(1)}: the encoding holds no pixels")
+        assert not out.exists()
+        solves = tmp_path / "solves.csv"
+        assert run(CliRunner(), ["solve", "--encodings", str(enc), "--out", str(solves)]).exit_code == 0
+        _, rows = formats.read_csv(solves, SOLVES_VERSION)
+        assert [row[-1] for row in rows] == ["well-posed", "degenerate"] + ["well-posed"] * 4
 
     @pytest.mark.parametrize("damage", ["nan-target", "huge-delta-d"])
     def test_numeric_fault_flags_scene_degenerate(self, pipeline_dir, tmp_path, damage):

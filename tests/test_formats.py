@@ -1,5 +1,6 @@
 """File format round trips and malformed-input diagnostics."""
 
+import io
 import math
 import os
 import stat
@@ -333,11 +334,14 @@ class TestEncodingFiles:
         _, tgt = _example_encoding(rng)
         path = tmp_path / "targets.txt"
         formats.write_targets(path, tgt)
-        back = formats.read_targets(path)
-        assert back.mode is TargetMode.RELATIVE_OFFSET
-        np.testing.assert_array_equal(back.delta_t, tgt.delta_t)
-        np.testing.assert_array_equal(back.delta_abc, tgt.delta_abc)
-        np.testing.assert_array_equal(back.us, tgt.us)
+        # The same table under a '#' line longer than the reader's first read of the header.
+        commented = tmp_path / "commented.txt"
+        commented.write_bytes(b"# " + b"x" * 3 * io.DEFAULT_BUFFER_SIZE + b"\n" + path.read_bytes())
+        for back in map(formats.read_targets, (path, commented)):
+            assert back.mode is TargetMode.RELATIVE_OFFSET
+            assert back.ref == tgt.ref
+            for name in ("delta_t", "delta_abc", "us", "vs"):
+                assert getattr(back, name).tobytes() == getattr(tgt, name).tobytes(), name
 
     def test_row_count_mismatch_rejected(self, tmp_path, rng):
         enc, _ = _example_encoding(rng)

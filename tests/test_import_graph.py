@@ -2,7 +2,8 @@
 ``offset6d`` is acyclic, no module hides an import of another package module
 inside a function, no module generates code at import (``dataclasses``,
 ``exec``, ``eval``), ``synth`` and ``formats`` do not dispatch on the analytic
-kinds, and every function the benchmark traces exists."""
+kinds, ``cli`` reads a scene directory only through ``formats``' scene
+readers, and every function the benchmark traces exists."""
 
 import ast
 import importlib
@@ -81,6 +82,19 @@ def test_no_dispatch_on_analytic_kinds():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
                 named = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.args[1])}
                 found += [f"{name}.py:{node.lineno} {kind}" for kind in sorted(named & kinds)]
+    assert found == []
+
+
+def test_cli_reads_scenes_through_the_scene_readers():
+    # ``formats.read_encoded_scene`` joins a scene's two tables and
+    # ``formats.read_scene_pose`` names its pose file; the CLI calls those.
+    table_readers = {"read_encoding", "read_targets", "read_pose"}
+    found = [
+        f"cli.py:{node.lineno} {name}"
+        for node in ast.walk(TREES["cli"])
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in table_readers
+    ]
     assert found == []
 
 
