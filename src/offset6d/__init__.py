@@ -51,8 +51,6 @@ from .metrics import (
     weighted_add_loss,
 )
 from .refpoint import (
-    DepthMap,
-    InstanceMask,
     ReferencePoint,
     RefStrategy,
     SceneObservation,

@@ -340,10 +340,10 @@ def _predicted(dataset: str, pred: str, score: Callable[..., list]) -> tuple[Obj
         name = row[0]
         if name in predictions:
             raise click.ClickException(f"{pred}: duplicate row for {name}")
-        if row[-1] == ConditionFlag.DEGENERATE.value:
+        bad_row = f"{pred}: bad row for {name}"
+        if formats._built(bad_row, ConditionFlag, row[-1]) is ConditionFlag.DEGENERATE:
             predictions[name] = (None, None)
             continue
-        bad_row = f"{pred}: bad row for {name}"
         values = formats._built(bad_row, lambda: [float(v) for v in row[1:14]])
         pose = formats._built(bad_row, RigidPose, np.reshape(values[:9], (3, 3)), np.array(values[9:12]))
         predictions[name] = (pose, values[12])

@@ -21,9 +21,10 @@ last term is ``t0/(d_i d0)`` without the dd factor, and is retained only so
 the discrepancy between the two can be measured.
 
 Per-pixel channels are stored sparsely (row-major) with explicit (u, v)
-indices, over the pixels :func:`offset6d.refpoint.visible_points` selects
-for the reference point too: masked pixels with depth above
-``DEPTH_EPSILON``, since the scaled form divides by d_i.  The geometric
+indices, over the pixels the observation's
+:attr:`~offset6d.refpoint.SceneObservation.visible` selects for the
+reference point too: masked pixels with depth above ``DEPTH_EPSILON``,
+since the scaled form divides by d_i.  The geometric
 products ``d_i d0`` and ``t0 / (d_i d0)`` follow from ``dd`` and the
 reference point; :func:`geometric_products` is the one place they are
 computed.

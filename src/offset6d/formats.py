@@ -53,7 +53,7 @@ from .errors import ConfigError, FormatError, InvalidDepthError, Offset6DError
 from .geometry import CameraIntrinsics, RigidPose
 from .metrics import ObjectModel
 from .record import astuple, fields, replace
-from .refpoint import DepthMap, InstanceMask, ReferencePoint, RefStrategy, SceneObservation
+from .refpoint import ReferencePoint, RefStrategy, SceneObservation
 from .spec import DEPTH_UNIT, MAX_DEPTH_MM, PRIMITIVES, RNG_ALGORITHM, VOLUMES, FileModel, SceneSpec
 
 # Depth pixels quantized, or table rows read, at once: the conversion's
@@ -623,8 +623,8 @@ def write_scene_dir(scene_dir, obs: SceneObservation) -> None:
     """``depth.pgm``, ``mask.pgm`` and ``pose.txt``; the camera is the manifest's."""
     scene_dir = Path(scene_dir)
     scene_dir.mkdir(parents=True, exist_ok=True)
-    write_depth_pgm(scene_dir / "depth.pgm", obs.depth.values)
-    write_mask_pgm(scene_dir / "mask.pgm", obs.mask.values)
+    write_depth_pgm(scene_dir / "depth.pgm", obs.depth)
+    write_mask_pgm(scene_dir / "mask.pgm", obs.mask)
     if obs.gt_pose is None:
         (scene_dir / "pose.txt").unlink(missing_ok=True)
     else:
@@ -644,7 +644,6 @@ def read_scene_dir(scene_dir, spec: SceneSpec) -> SceneObservation:
         raise FormatError(f"{depth_path}: {depth.shape[1]}x{depth.shape[0]} image, but the manifest's is {width}x{height}")
     mask = read_mask_pgm(scene_dir / "mask.pgm")
     depth.flags.writeable = mask.flags.writeable = False  # fresh arrays, handed over rather than copied
-    depth, mask = DepthMap(depth), InstanceMask(mask)
     gt_pose = read_scene_pose(scene_dir) if (scene_dir / "pose.txt").exists() else None
     # The mask is checked against the depth map, so a size mismatch names it.
     return _built(scene_dir / "mask.pgm", SceneObservation, depth=depth, mask=mask, intrinsics=spec.intrinsics, gt_pose=gt_pose)

@@ -9,10 +9,11 @@ Three strategies are provided:
   - MEAN_VISIBLE:         componentwise mean of all lifted visible points.
 
 A visible pixel is a masked pixel with depth above ``DEPTH_EPSILON``; any
-smaller depth (0 included) is missing data.  :func:`visible_points` is the
-one place that selects and lifts them, and :attr:`SceneObservation.visible`
-does so once per observation, for the reference point here and for the
-channels and targets in :mod:`offset6d.encoding`.  The ROI is the mask's
+smaller depth (0 included) is missing data.  :class:`SceneObservation` is
+the one place that checks a depth map and its mask, and its
+:attr:`~SceneObservation.visible` the one place that selects and lifts the
+visible pixels, once per observation, for the reference point here and for
+the channels and targets in :mod:`offset6d.encoding`.  The ROI is the mask's
 bounding box.  Its center is used as given even when it falls on
 background; occlusion can push the box center off the object and that case
 is deliberately preserved.
@@ -60,66 +61,47 @@ def _owned(values, dtype) -> np.ndarray:
 
 
 @record
-class DepthMap:
-    """Row-major depth image in meters; a depth <= DEPTH_EPSILON (0, say)
-    marks a missing pixel.  A read-only float64 array that owns its memory
-    is taken as is, anything else is copied."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _owned(self.values, np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"depth map must be 2-D, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("depth values must be finite")
-        if np.any(v < 0):
-            raise ValueError("depth values must be >= 0")
-        object.__setattr__(self, "values", v)
-
-
-@record
-class InstanceMask:
-    """Row-major boolean foreground mask, same shape as its depth map.  A
-    read-only bool array that owns its memory is taken as is, anything else
-    is copied."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _owned(self.values, bool)
-        if v.ndim != 2:
-            raise ValueError(f"mask must be 2-D, got shape {v.shape}")
-        object.__setattr__(self, "values", v)
-
-
-@record
 class SceneObservation:
-    """One observed object instance: depth + mask + intrinsics.
+    """One observed object instance: a row-major depth image in meters, its
+    boolean foreground mask of the same shape, and the camera intrinsics.
+    A depth <= DEPTH_EPSILON (0, say) marks a missing pixel.  Each array is
+    taken as is when it is read-only, of its dtype (float64, bool) and owns
+    its memory, and copied otherwise.
 
     ``gt_pose`` is required only by target encoding.
     """
 
-    depth: DepthMap
-    mask: InstanceMask
+    depth: np.ndarray
+    mask: np.ndarray
     intrinsics: CameraIntrinsics
     gt_pose: RigidPose | None = None
 
     def __post_init__(self):
-        if self.depth.values.shape != self.mask.values.shape:
-            raise ValueError(
-                f"depth {self.depth.values.shape} and mask "
-                f"{self.mask.values.shape} shapes differ"
-            )
+        depth, mask = _owned(self.depth, np.float64), _owned(self.mask, bool)
+        if depth.ndim != 2:
+            raise ValueError(f"depth map must be 2-D, got shape {depth.shape}")
+        if not np.all(np.isfinite(depth)):
+            raise ValueError("depth values must be finite")
+        if np.any(depth < 0):
+            raise ValueError("depth values must be >= 0")
+        if depth.shape != mask.shape:
+            raise ValueError(f"depth {depth.shape} and mask {mask.shape} shapes differ")
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "mask", mask)
 
     @cached_property
     def visible(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`visible_points` of this observation, computed on first use
-        and kept read-only: the reference point, the channels and the
-        targets all share it.  ``cached_property`` stores it in the
-        instance ``__dict__`` past the frozen ``__setattr__``; equality,
-        hashing and ``replace`` see only the fields."""
-        arrays = visible_points(self.depth, self.mask, self.intrinsics)
+        """Row-major ``(rows, cols, points)`` of the masked pixels with depth
+        above ``DEPTH_EPSILON``, lifted to the camera frame: the one pixel set
+        that the reference point, the channels and the targets are built
+        from.  Computed on first use and kept read-only; ``cached_property``
+        stores it in the instance ``__dict__`` past the frozen
+        ``__setattr__``, and equality, hashing and ``replace`` see only the
+        fields."""
+        rows, cols = np.nonzero(self.mask & (self.depth > DEPTH_EPSILON))
+        if rows.size == 0:
+            raise EmptyObjectError("no masked pixel with valid depth")
+        arrays = rows, cols, backproject_pixels(cols, rows, self.depth[rows, cols], self.intrinsics)
         for array in arrays:
             array.flags.writeable = False
         return arrays
@@ -135,27 +117,14 @@ class ReferencePoint:
     strategy: RefStrategy
 
     def __post_init__(self):
+        for name, value in (("x0", self.x0), ("y0", self.y0)):
+            if not math.isfinite(value):
+                raise ValueError(f"reference {name!r} must be finite, got {value!r}")
         if not (math.isfinite(self.d0) and self.d0 > 0):
             raise ValueError(f"reference depth must be positive, got {self.d0!r}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x0, self.y0, self.d0], dtype=np.float64)
-
-
-def visible_points(
-    depth: DepthMap, mask: InstanceMask, k: CameraIntrinsics
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major ``(rows, cols, points)`` of the masked pixels with depth
-    above ``DEPTH_EPSILON``, lifted to the camera frame: the one pixel set
-    that the reference point, the channels and the targets are built from."""
-    if depth.values.shape != mask.values.shape:
-        raise ValueError(
-            f"depth {depth.values.shape} and mask {mask.values.shape} shapes differ"
-        )
-    rows, cols = np.nonzero(mask.values & (depth.values > DEPTH_EPSILON))
-    if rows.size == 0:
-        raise EmptyObjectError("no masked pixel with valid depth")
-    return rows, cols, backproject_pixels(cols, rows, depth.values[rows, cols], k)
 
 
 def fsum_mean(values: np.ndarray) -> float:
@@ -166,16 +135,9 @@ def fsum_mean(values: np.ndarray) -> float:
     return math.fsum(chain.from_iterable(chunks)) / values.size
 
 
-def _mean_point(points: np.ndarray) -> ReferencePoint:
-    """Componentwise mean of lifted points, the MEAN_VISIBLE reference."""
-    x0, y0, d0 = (fsum_mean(points[:, i]) for i in range(3))
-    return ReferencePoint(x0, y0, d0, RefStrategy.MEAN_VISIBLE)
-
-
-def ref_mean_visible(depth: DepthMap, mask: InstanceMask, k: CameraIntrinsics) -> ReferencePoint:
-    """Componentwise mean of every lifted visible point."""
-    _, _, points = visible_points(depth, mask, k)
-    return _mean_point(points)
+def ref_mean_visible(depth: np.ndarray, mask: np.ndarray, k: CameraIntrinsics) -> ReferencePoint:
+    """Componentwise mean of every lifted visible point of ``depth`` and ``mask``."""
+    return make_reference(SceneObservation(depth, mask, k), RefStrategy.MEAN_VISIBLE)
 
 
 def make_reference(obs: SceneObservation, strategy: RefStrategy) -> ReferencePoint:
@@ -187,7 +149,8 @@ def make_reference(obs: SceneObservation, strategy: RefStrategy) -> ReferencePoi
     """
     _, _, points = obs.visible
     if strategy is RefStrategy.MEAN_VISIBLE:
-        return _mean_point(points)
+        x0, y0, d0 = (fsum_mean(points[:, i]) for i in range(3))
+        return ReferencePoint(x0, y0, d0, strategy)
     if strategy is RefStrategy.CENTER_NEAREST_DEPTH:
         d0 = float(points[:, 2].min())
     elif strategy is RefStrategy.CENTER_MEAN_DEPTH:
@@ -195,8 +158,8 @@ def make_reference(obs: SceneObservation, strategy: RefStrategy) -> ReferencePoi
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     # A visible pixel is masked, so both axes have a foreground index.
-    rows = np.flatnonzero(obs.mask.values.any(axis=1))
-    cols = np.flatnonzero(obs.mask.values.any(axis=0))
+    rows = np.flatnonzero(obs.mask.any(axis=1))
+    cols = np.flatnonzero(obs.mask.any(axis=0))
     u0 = (int(cols[0]) + int(cols[-1])) // 2
     v0 = (int(rows[0]) + int(rows[-1])) // 2
     x0, y0, _ = backproject_pixels(u0, v0, d0, obs.intrinsics).tolist()

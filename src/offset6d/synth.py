@@ -33,7 +33,7 @@ from .errors import EmptyInputError, EmptyObjectError, Offset6DError
 from .geometry import RigidPose
 from .metrics import ObjectModel
 from .record import record
-from .refpoint import DepthMap, InstanceMask, SceneObservation
+from .refpoint import SceneObservation
 from .spec import FileModel, ModelKind, SceneSpec
 
 # Counter-space layout: scene i draws from counter i << 128, the model from
@@ -239,12 +239,7 @@ def render_scene(spec: SceneSpec, index: int, model: ObjectModel | None = None) 
         raise EmptyObjectError("no valid depth pixel survived noise/dropout")
 
     depth.flags.writeable = mask.flags.writeable = False  # handed over to the observation, not copied
-    observation = SceneObservation(
-        depth=DepthMap(depth),
-        mask=InstanceMask(mask),
-        intrinsics=spec.intrinsics,
-        gt_pose=pose,
-    )
+    observation = SceneObservation(depth=depth, mask=mask, intrinsics=spec.intrinsics, gt_pose=pose)
     return SyntheticScene(observation=observation, model=model)
 
 

@@ -1,6 +1,7 @@
 """Command-line pipeline: generation, encoding, verification, solving,
 evaluation, distribution and loss reports."""
 
+import functools
 import os
 import re
 import shutil
@@ -15,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 import offset6d as o6
-from offset6d import cli, encoding, formats, metrics, record, refpoint
+from offset6d import cli, formats, metrics, record, refpoint
 from offset6d.cli import SOLVES_HEADER, SOLVES_VERSION, _each, _Scenes, main
 
 from conftest import default_intrinsics, small_scene_spec
@@ -255,15 +256,15 @@ class TestEncode:
     def test_each_scene_selects_its_pixels_once(self, three_scene_dir, tmp_path, monkeypatch, strategy):
         # The reference point, the channels and the targets share one pixel set per scene.
         calls = []
-        select = refpoint.visible_points
+        select = refpoint.SceneObservation.visible.func
 
-        def counted(*args):
-            calls.append(args)
-            return select(*args)
+        def counted(obs):
+            calls.append(obs)
+            return select(obs)
 
-        for module in (refpoint, encoding):  # every module binding the name, so no call escapes the count
-            if hasattr(module, "visible_points"):
-                monkeypatch.setattr(module, "visible_points", counted)
+        visible = functools.cached_property(counted)
+        visible.__set_name__(refpoint.SceneObservation, "visible")
+        monkeypatch.setattr(refpoint.SceneObservation, "visible", visible)
         args = ["encode", "--dataset", str(three_scene_dir / "dataset"), "--out", str(tmp_path / "enc"),
                 "--strategy", strategy]
         assert run(CliRunner(), args).exit_code == 0
@@ -497,9 +498,7 @@ class TestSolveEval:
         mask = np.zeros((40, 40), dtype=bool)
         depth[10:30, 10:30] = 1.0
         mask[10:30, 10:30] = True
-        obs = o6.SceneObservation(
-            o6.DepthMap(depth), o6.InstanceMask(mask), K, gt_pose=o6.RigidPose.identity()
-        )
+        obs = o6.SceneObservation(depth, mask, K, gt_pose=o6.RigidPose.identity())
         ref = o6.ref_mean_visible(obs.depth, obs.mask, K)
         enc = o6.encode_input(obs, ref)
         tgt = o6.encode_targets(obs, ref)
@@ -686,10 +685,11 @@ class TestErrors:
         assert str(targets) in r.output
 
     @pytest.mark.parametrize("command", ["eval", "loss-decompose"])
-    @pytest.mark.parametrize("damage", ["short", "text"])
+    @pytest.mark.parametrize("damage", ["short", "text", "flag"])
     def test_malformed_solves_row_names_file_and_scene(self, pipeline_dir, tmp_path, command, damage):
         header, rows = formats.read_csv(pipeline_dir / "solves.csv", SOLVES_VERSION)
-        bad = rows[2][:12] if damage == "short" else rows[2][:11] + ["x"] + rows[2][12:]
+        bad = {"short": rows[2][:12], "text": rows[2][:11] + ["x"] + rows[2][12:],
+               "flag": rows[2][:-1] + ["banana"]}[damage]  # a flag is well-posed or degenerate, nothing else
         pred = tmp_path / "bad.csv"
         formats.write_csv(pred, SOLVES_VERSION, header, rows[:2] + [bad] + rows[3:])
         r = CliRunner().invoke(main, [
@@ -767,6 +767,8 @@ class TestErrors:
         ("targets.txt", "mode", "bogus"),
         ("targets.txt", "x0", "oops"),
         ("targets.txt", "y0", "oops"),
+        ("targets.txt", "x0", "nan"),  # NaN differs from itself: refused here, not blamed on the pair
+        ("encoding.txt", "y0", "inf"),
         ("targets.txt", "delta_t", "0.1 oops 0.3"),
     ])
     def test_malformed_header_value_names_file_and_key(self, pipeline_dir, tmp_path, name, key, value):

@@ -20,9 +20,7 @@ def obs_from_pixels(pixels: dict[tuple[int, int], float], k=K, gt_pose=None, sha
     for (r, c), d in pixels.items():
         depth[r, c] = d
         mask[r, c] = True
-    return o6.SceneObservation(
-        depth=o6.DepthMap(depth), mask=o6.InstanceMask(mask), intrinsics=k, gt_pose=gt_pose
-    )
+    return o6.SceneObservation(depth=depth, mask=mask, intrinsics=k, gt_pose=gt_pose)
 
 
 def random_obs(rng, gt_pose=None, n_px=40, shape=(30, 30)):
@@ -32,9 +30,7 @@ def random_obs(rng, gt_pose=None, n_px=40, shape=(30, 30)):
     rows, cols = np.unravel_index(idx, shape)
     depth[rows, cols] = rng.uniform(0.3, 3.0, n_px)
     mask[rows, cols] = True
-    return o6.SceneObservation(
-        depth=o6.DepthMap(depth), mask=o6.InstanceMask(mask), intrinsics=K, gt_pose=gt_pose
-    )
+    return o6.SceneObservation(depth=depth, mask=mask, intrinsics=K, gt_pose=gt_pose)
 
 
 def manual_ref(x0, y0, d0):
@@ -92,11 +88,11 @@ class TestEncodeInput:
     def test_row_major_ordering_and_exclusions(self):
         obs = obs_from_pixels({(5, 7): 1.0, (2, 3): 1.5, (5, 1): 2.0})
         # one masked pixel with sub-epsilon depth must be dropped
-        depth = obs.depth.values.copy()
-        mask = obs.mask.values.copy()
+        depth = obs.depth.copy()
+        mask = obs.mask.copy()
         depth[9, 9] = 1e-9
         mask[9, 9] = True
-        obs = o6.SceneObservation(o6.DepthMap(depth), o6.InstanceMask(mask), K)
+        obs = o6.SceneObservation(depth, mask, K)
         enc = o6.encode_input(obs, manual_ref(0.0, 0.0, 1.0), InputMode.GEOMETRIC)
         assert list(zip(enc.vs, enc.us)) == [(2, 3), (5, 1), (5, 7)]
 
@@ -122,7 +118,7 @@ class TestEncodeTargets:
         obs = random_obs(rng, gt_pose=pose)
         ref = o6.ref_mean_visible(obs.depth, obs.mask, K)
         tgt = o6.encode_targets(obs, ref, TargetMode.ABSOLUTE)
-        cam = o6.backproject_pixels(tgt.us, tgt.vs, obs.depth.values[tgt.vs, tgt.us], K)
+        cam = o6.backproject_pixels(tgt.us, tgt.vs, obs.depth[tgt.vs, tgt.us], K)
         np.testing.assert_allclose(tgt.delta_abc, o6.inverse_transform_points(pose, cam), atol=1e-14)
 
     def test_offset_mode(self, rng):

@@ -25,7 +25,7 @@ def make_maps(depths: dict[tuple[int, int], float], shape=(20, 20)):
     for (r, c), d in depths.items():
         depth[r, c] = d
         mask[r, c] = True
-    return o6.DepthMap(depth), o6.InstanceMask(mask)
+    return depth, mask
 
 
 def lift(u, v, d, k=K):
@@ -59,25 +59,22 @@ class TestCenterNearest:
 
     def test_all_invalid_depths(self):
         depth, mask = make_maps({})
-        mask_arr = np.zeros((20, 20), dtype=bool)
-        mask_arr[5, 5] = True  # masked but depth 0 (missing)
-        mask = o6.InstanceMask(mask_arr)
+        mask[5, 5] = True  # masked but depth 0 (missing)
         with pytest.raises(EmptyObjectError):
             reference(depth, mask, NEAREST)
 
     def test_box_is_the_masks_own(self):
         # A masked pixel with missing depth widens the box, though it is not visible.
         depth, mask = make_maps({(10, 12): 1.0})
-        mask_arr = mask.values.copy()
-        mask_arr[2, 2] = True
-        ref = reference(depth, o6.InstanceMask(mask_arr), NEAREST)
+        mask[2, 2] = True
+        ref = reference(depth, mask, NEAREST)
         assert (ref.x0, ref.y0) == lift((2 + 12) // 2, (2 + 10) // 2, 1.0)[:2]
 
     def test_background_roi_center_is_used_as_given(self):
         # Occlusion can push the box center off the object; no snapping.
         depth, mask = make_maps({(2, 2): 1.0, (28, 28): 1.0}, shape=(30, 30))
         ref = reference(depth, mask, NEAREST)
-        assert not mask.values[15, 15]
+        assert not mask[15, 15]
         assert (ref.x0, ref.y0) == lift(15, 15, 1.0)[:2]
 
 
@@ -118,8 +115,7 @@ class TestMeanVisible:
         depth = np.zeros(shape)
         mask = rng.random(shape) < 0.7
         depth[mask] = rng.uniform(0.3, 3.0, int(mask.sum()))
-        dm, im = o6.DepthMap(depth), o6.InstanceMask(mask)
-        ref = o6.ref_mean_visible(dm, im, K)
+        ref = o6.ref_mean_visible(depth, mask, K)
 
         rows, cols = np.nonzero(mask & (depth > 0))
         exact = [Fraction(0)] * 3
@@ -149,22 +145,22 @@ class TestStrategyInvariants:
         # a few masked-but-missing pixels
         holes = mask & (rng.random(shape) < 0.1)
         depth[holes] = 0.0
-        return o6.DepthMap(depth), o6.InstanceMask(mask)
+        return depth, mask
 
     def test_d0_within_valid_depth_range(self, rng):
         for _ in range(50):
             depth, mask = self._random_scene(rng)
-            valid = mask.values & (depth.values > 0)
+            valid = mask & (depth > 0)
             if not valid.any():
                 continue
-            lo, hi = depth.values[valid].min(), depth.values[valid].max()
+            lo, hi = depth[valid].min(), depth[valid].max()
             for strategy in o6.RefStrategy:
                 assert lo <= reference(depth, mask, strategy).d0 <= hi
 
     def test_bit_stable_across_runs(self, rng):
         depth, mask = self._random_scene(rng)
         a = o6.ref_mean_visible(depth, mask, K)
-        b = o6.ref_mean_visible(o6.DepthMap(depth.values.copy()), o6.InstanceMask(mask.values.copy()), K)
+        b = o6.ref_mean_visible(depth.copy(), mask.copy(), K)
         assert (a.x0, a.y0, a.d0) == (b.x0, b.y0, b.d0)
 
     def test_planar_patch_all_strategies_agree(self):
@@ -174,46 +170,52 @@ class TestStrategyInvariants:
         mask = np.zeros(shape, dtype=bool)
         depth[5:15, 5:15] = 1.37
         mask[5:15, 5:15] = True
-        dm, im = o6.DepthMap(depth), o6.InstanceMask(mask)
         for strategy in o6.RefStrategy:
-            assert abs(reference(dm, im, strategy).d0 - 1.37) <= 1e-12
+            assert abs(reference(depth, mask, strategy).d0 - 1.37) <= 1e-12
 
 
 class TestTypes:
     def test_depth_map_rejects_negative(self):
-        with pytest.raises(ValueError):
-            o6.DepthMap(np.full((4, 4), -1.0))
+        with pytest.raises(ValueError, match=">= 0"):
+            o6.SceneObservation(np.full((4, 4), -1.0), np.ones((4, 4), dtype=bool), K)
 
     def test_depth_map_rejects_non_finite(self):
         bad = np.zeros((4, 4))
         bad[0, 0] = np.inf
-        with pytest.raises(ValueError):
-            o6.DepthMap(bad)
+        with pytest.raises(ValueError, match="finite"):
+            o6.SceneObservation(bad, np.ones((4, 4), dtype=bool), K)
+
+    def test_depth_map_must_be_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            o6.SceneObservation(np.ones(4), np.ones(4, dtype=bool), K)
 
     def test_shape_mismatch(self):
-        depth = o6.DepthMap(np.ones((4, 4)))
-        mask = o6.InstanceMask(np.ones((5, 4), dtype=bool))
-        with pytest.raises(ValueError):
-            o6.ref_mean_visible(depth, mask, K)
+        with pytest.raises(ValueError, match="shapes differ"):
+            o6.ref_mean_visible(np.ones((4, 4)), np.ones((5, 4), dtype=bool), K)
 
-    @pytest.mark.parametrize("make, dtype", [(o6.DepthMap, np.float64), (o6.InstanceMask, bool)])
-    def test_owned_read_only_array_is_taken_anything_else_copied(self, make, dtype):
+    @pytest.mark.parametrize("field, dtype", [("depth", np.float64), ("mask", bool)])
+    def test_owned_read_only_array_is_taken_anything_else_copied(self, field, dtype):
+        def held(array):
+            """The array the observation keeps for ``field`` when given ``array``."""
+            arrays = {"depth": np.ones((4, 5)), "mask": np.ones((4, 5), dtype=bool), field: array}
+            return getattr(o6.SceneObservation(arrays["depth"], arrays["mask"], K), field)
+
         # A caller's writable array stays writable and unshared.
         writable = np.ones((4, 5), dtype=dtype)
-        values = make(writable).values
+        values = held(writable)
         assert writable.flags.writeable and not values.flags.writeable
         assert not np.shares_memory(values, writable)
         # A read-only array that owns its memory changes owner, no copy.
         owned = np.ones((4, 5), dtype=dtype)
         owned.flags.writeable = False
-        assert np.shares_memory(make(owned).values, owned)
+        assert held(owned) is owned
         # A read-only view of a writable base, or another dtype, is copied.
         view = np.ones((4, 5), dtype=dtype)[:]
         view.flags.writeable = False
         other = np.ones((4, 5), dtype=np.float32 if dtype is bool else bool)
         other.flags.writeable = False
         for array in (view, other):
-            values = make(array).values
+            values = held(array)
             assert values.dtype == dtype and not values.flags.writeable
             assert not np.shares_memory(values, array)
 
@@ -221,10 +223,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             o6.ReferencePoint(0.0, 0.0, 0.0, o6.RefStrategy.MEAN_VISIBLE)
 
+    @pytest.mark.parametrize("name", ["x0", "y0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_reference_point_needs_finite_coordinates(self, name, value):
+        coordinates = {"x0": 0.0, "y0": 0.0, name: value}
+        with pytest.raises(ValueError, match=f"reference {name!r} must be finite"):
+            o6.ReferencePoint(**coordinates, d0=1.0, strategy=o6.RefStrategy.MEAN_VISIBLE)
+
     def test_roi_from_mask_center(self):
         mask = np.zeros((10, 10), dtype=bool)
         mask[2:5, 3:9] = True  # rows 2..4, cols 3..8
-        ref = reference(o6.DepthMap(np.where(mask, 1.0, 0.0)), o6.InstanceMask(mask), NEAREST)
+        ref = reference(np.where(mask, 1.0, 0.0), mask, NEAREST)
         assert (ref.x0, ref.y0) == lift((3 + 8) // 2, (2 + 4) // 2, 1.0)[:2]
 
 
@@ -238,7 +247,7 @@ def masked_depth_maps(draw):
         st.floats(0.0, DEPTH_EPSILON, exclude_min=True),
         st.floats(0.3, 3.0),
     )))
-    return o6.DepthMap(depth), o6.InstanceMask(draw(hnp.arrays(bool, shape)))
+    return depth, draw(hnp.arrays(bool, shape))
 
 
 class TestOnePixelSet:
@@ -250,14 +259,15 @@ class TestOnePixelSet:
         obs = o6.SceneObservation(depth, mask, K)
         assert obs.visible is obs.visible
         assert not any(array.flags.writeable for array in obs.visible)
-        assert obs == o6.SceneObservation(depth, mask, K)  # the cached set is not a field
+        # Its owned read-only arrays are handed over, and the cached set is not a field.
+        assert obs == o6.SceneObservation(obs.depth, obs.mask, K)
 
     @settings(max_examples=200, deadline=None)
     @given(maps=masked_depth_maps())
     def test_reference_channels_and_targets_agree(self, maps):
         depth, mask = maps
         obs = o6.SceneObservation(depth=depth, mask=mask, intrinsics=K, gt_pose=o6.RigidPose.identity())
-        rows, cols = np.nonzero(mask.values & (depth.values > DEPTH_EPSILON))
+        rows, cols = np.nonzero(mask & (depth > DEPTH_EPSILON))
         if rows.size == 0:
             ref = o6.ReferencePoint(0.0, 0.0, 1.0, o6.RefStrategy.MEAN_VISIBLE)
             for build in (
@@ -269,7 +279,7 @@ class TestOnePixelSet:
                 with pytest.raises(EmptyObjectError):
                     build()
             return
-        depths = depth.values[rows, cols]
+        depths = depth[rows, cols]
         points = [lift(int(u), int(v), float(d)) for u, v, d in zip(cols, rows, depths)]
         ref = o6.ref_mean_visible(depth, mask, K)
         assert (ref.x0, ref.y0, ref.d0) == tuple(math.fsum(c) / len(points) for c in zip(*points))

@@ -42,9 +42,9 @@ def surface_distance(kind, points: np.ndarray) -> np.ndarray:
 
 def lifted_object_points(scene):
     obs = scene.observation
-    valid = obs.mask.values & (obs.depth.values > 0)
+    valid = obs.mask & (obs.depth > 0)
     rows, cols = np.nonzero(valid)
-    cam = o6.backproject_pixels(cols, rows, obs.depth.values[rows, cols], obs.intrinsics)
+    cam = o6.backproject_pixels(cols, rows, obs.depth[rows, cols], obs.intrinsics)
     return o6.inverse_transform_points(obs.gt_pose, cam)
 
 
@@ -164,12 +164,12 @@ class TestBoxRayCastExactness:
     def test_box_scenes_render_as_with_the_table(self, monkeypatch):
         spec = dense_pixels_spec(seed=57)
         model = o6.model_for_spec(spec)
-        depths = [o6.render_scene(spec, i, model=model).observation.depth.values for i in range(24)]
+        depths = [o6.render_scene(spec, i, model=model).observation.depth for i in range(24)]
         assert all(np.count_nonzero(d) > 1000 for d in depths)
         monkeypatch.setattr(o6.BoxModel, "intersect",
                             lambda box, origin, dirs: intersect_box_table(origin, dirs, box.half_extents))
         for i, depth in enumerate(depths):
-            assert o6.render_scene(spec, i, model=model).observation.depth.values.tobytes() == depth.tobytes()
+            assert o6.render_scene(spec, i, model=model).observation.depth.tobytes() == depth.tobytes()
 
 
 class TestBandedRayCast:
@@ -192,13 +192,13 @@ class TestBandedRayCast:
         for index in range(6):
             whole = render(index, spec.image_size[0] * spec.image_size[1])  # one band
             u0, u1, v0, _ = synth._pixel_bbox(spec, whole.gt_pose.translation, r_bound)
-            rows = np.flatnonzero(whole.depth.values.any(axis=1))
+            rows = np.flatnonzero(whole.depth.any(axis=1))
             middle = (rows[0] + rows[-1]) // 2
             assert rows[0] < middle < rows[-1]
             # The first band ends on the object's middle row.
             split = render(index, (u1 - u0 + 1) * (middle - v0 + 1))
             one_row = render(index, 1)
-            assert one_row.depth.values.tobytes() == split.depth.values.tobytes() == whole.depth.values.tobytes()
+            assert one_row.depth.tobytes() == split.depth.tobytes() == whole.depth.tobytes()
 
 
 class TestRotationSampling:
@@ -316,7 +316,7 @@ class TestBoxSampler:
         spec = small_scene_spec(seed=43)
         model = o6.model_for_spec(spec)
         assert model.diameter == pytest.approx(math.sqrt(0.08**2 + 0.06**2 + 0.1**2), rel=1e-12)
-        assert o6.render_scene(spec, 0, model=model).observation.mask.values.any()
+        assert o6.render_scene(spec, 0, model=model).observation.mask.any()
         assert o6.nearest_rotation(np.diag([1.0, 1.0, -1.0]))[2, 2] == 1.0  # the sign fix, no LAPACK det
 
     @pytest.mark.parametrize("size", [1e200, 1e-200])  # face areas overflow / underflow to 0
@@ -353,7 +353,7 @@ class TestRenderScene:
     def test_full_occlusion_raises(self):
         # A 1 cm box spans two rows here; a strip of ceil(0.9 * 2) rows covers it.
         tiny = o6.BoxModel(0.01, 0.01, 0.01)
-        assert o6.render_scene(small_scene_spec(seed=35, model_kind=tiny), 0).observation.mask.values.any()
+        assert o6.render_scene(small_scene_spec(seed=35, model_kind=tiny), 0).observation.mask.any()
         spec = small_scene_spec(seed=35, model_kind=tiny, occlusion_fraction=0.9)
         with pytest.raises(EmptyObjectError, match="fully occluded"):
             o6.render_scene(spec, 0)
@@ -363,25 +363,25 @@ class TestRenderScene:
         occluded = small_scene_spec(seed=37, occlusion_fraction=0.5)
         full = o6.render_scene(base, 0).observation
         part = o6.render_scene(occluded, 0).observation
-        assert part.mask.values.sum() < full.mask.values.sum()
-        full_rows = np.nonzero(full.mask.values.any(axis=1))[0]
-        part_rows = np.nonzero(part.mask.values.any(axis=1))[0]
+        assert part.mask.sum() < full.mask.sum()
+        full_rows = np.nonzero(full.mask.any(axis=1))[0]
+        part_rows = np.nonzero(part.mask.any(axis=1))[0]
         assert part_rows.min() > full_rows.min()
 
     def test_dropout_keeps_mask_but_zeroes_depth(self):
         spec = small_scene_spec(seed=39, pixel_dropout=0.3)
         obs = o6.render_scene(spec, 0).observation
-        holes = obs.mask.values & (obs.depth.values == 0)
+        holes = obs.mask & (obs.depth == 0)
         assert holes.sum() > 0
 
     def test_determinism_byte_identical(self):
         spec = small_scene_spec(seed=41)
         a = o6.render_scene(spec, 2)
         b = o6.render_scene(spec, 2)
-        assert a.observation.depth.values.tobytes() == b.observation.depth.values.tobytes()
-        assert a.observation.mask.values.tobytes() == b.observation.mask.values.tobytes()
+        assert a.observation.depth.tobytes() == b.observation.depth.tobytes()
+        assert a.observation.mask.tobytes() == b.observation.mask.tobytes()
         c = o6.render_scene(spec, 3)
-        assert c.observation.depth.values.tobytes() != a.observation.depth.values.tobytes()
+        assert c.observation.depth.tobytes() != a.observation.depth.tobytes()
 
     def test_gt_pose_draw_matches_stream(self):
         spec = small_scene_spec(seed=45)
@@ -424,7 +424,7 @@ class TestRenderScene:
         scene = o6.render_scene(spec, 1)
         obs = scene.observation
         pose = obs.gt_pose
-        rows, cols = np.nonzero(obs.mask.values)
+        rows, cols = np.nonzero(obs.mask)
         center = pose.translation  # sphere center in camera frame
         for r, c in list(zip(rows, cols))[::7]:
             ray = np.array([(c - K.cx) / K.fx, (r - K.cy) / K.fy, 1.0])
@@ -435,7 +435,7 @@ class TestRenderScene:
             disc = b * b - 4 * a * cc
             assert disc >= 0
             s = (-b - math.sqrt(disc)) / (2 * a)
-            assert obs.depth.values[r, c] == pytest.approx(s, abs=1e-12)
+            assert obs.depth[r, c] == pytest.approx(s, abs=1e-12)
 
     def test_ray_depth_matches_independent_box_intersection(self):
         # Scalar slab test in plain Python, in the box's own frame.
@@ -461,15 +461,15 @@ class TestRenderScene:
                 lo, hi = max(lo, min(a, b)), min(hi, max(a, b))
             return lo, hi
 
-        height, width = obs.depth.values.shape
+        height, width = obs.depth.shape
         checked = 0
         for r in range(0, height, 3):
             for c in range(0, width, 3):
                 span = slab(r, c)
-                if obs.mask.values[r, c]:
+                if obs.mask[r, c]:
                     lo, hi = span
                     assert 0 < lo <= hi
-                    assert obs.depth.values[r, c] == pytest.approx(lo, abs=1e-12)
+                    assert obs.depth[r, c] == pytest.approx(lo, abs=1e-12)
                     checked += 1
                 else:  # a miss, or at most a graze along an edge
                     assert span is None or span[1] - span[0] < 1e-9
@@ -497,10 +497,10 @@ class TestFileModelSplatting:
         for u, v, z in zip(us, vs, cam[:, 2]):
             if 0 <= u < 160 and 0 <= v < 160:
                 expected[(v, u)] = min(expected.get((v, u), np.inf), z)
-        rows, cols = np.nonzero(obs.mask.values)
+        rows, cols = np.nonzero(obs.mask)
         assert set(zip(rows.tolist(), cols.tolist())) == set(expected)
         for (v, u), z in expected.items():
-            assert obs.depth.values[v, u] == z
+            assert obs.depth[v, u] == z
 
     def test_file_symmetric_flag_priority(self, tmp_path):
         from offset6d import formats
