@@ -87,10 +87,9 @@ class GeoEncoding:
     mode: InputMode
 
     def __post_init__(self):
-        n = self.us.shape[0]
-        for name in ("vs", "delta_x", "delta_y", "delta_d"):
-            if getattr(self, name).shape[0] != n:
-                raise ValueError(f"channel {name} length mismatch")
+        n = len(self)
+        _check_shapes(self, us=(n,), vs=(n,), delta_x=(n,), delta_y=(n,), delta_d=(n,),
+                      dd0=(n,), t0_over_dd0=(n, 3))
         if self.mode is InputMode.GEOMETRIC:
             if self.dd0 is None or self.t0_over_dd0 is None:
                 raise ValueError("geometric mode requires dd0 and t0_over_dd0 channels")
@@ -116,8 +115,21 @@ class GeoTargets:
     us: np.ndarray
     vs: np.ndarray
 
+    def __post_init__(self):
+        n = len(self)
+        _check_shapes(self, delta_t=(3,), delta_abc=(n, 3), us=(n,), vs=(n,))
+
     def __len__(self) -> int:
         return self.delta_abc.shape[0]
+
+
+def _check_shapes(channels, **shapes: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` naming the first field of ``channels`` that is
+    not None and not of its shape in ``shapes``."""
+    for name, shape in shapes.items():
+        value = getattr(channels, name)
+        if value is not None and value.shape != shape:
+            raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
 
 
 def geometric_products(delta_d: np.ndarray, ref: ReferencePoint) -> tuple[np.ndarray, np.ndarray]:

@@ -52,7 +52,7 @@ from .encoding import ConstraintForm, GeoEncoding, GeoTargets, InputMode, Target
 from .errors import ConfigError, FormatError, InvalidDepthError, Offset6DError
 from .geometry import CameraIntrinsics, RigidPose
 from .metrics import ObjectModel
-from .record import astuple, fields, replace
+from .record import astuple, fields, replace, same_value
 from .refpoint import ReferencePoint, RefStrategy, SceneObservation
 from .spec import DEPTH_UNIT, MAX_DEPTH_MM, PRIMITIVES, RNG_ALGORITHM, VOLUMES, FileModel, SceneSpec
 
@@ -497,25 +497,15 @@ _ENCODING_KEYS = {
 _ENCODING_COLUMNS = ("u", "v", "delta_x", "delta_y", "delta_d")
 
 
-def _same_bits(stored: tuple[np.ndarray, ...], derived: tuple[np.ndarray, ...]) -> bool:
-    """Whether each stored array has the dtype, shape and bits of its derived
-    one, compared as unsigned integers of the dtype's size (-0.0 is not 0.0
-    and a NaN equals itself)."""
-    for a, b in zip(stored, derived):
-        if (a.dtype, a.shape) != (b.dtype, b.shape):
-            return False
-        if not np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}")):
-            return False
-    return True
-
-
 def write_encoding(path, enc: GeoEncoding) -> None:
     """Write ``u v delta_x delta_y delta_d``.  A GEOMETRIC encoding's ``dd0``
     and ``t0_over_dd0`` are not stored: they must equal, bit for bit,
     :func:`~offset6d.encoding.geometric_products` of its ``delta_d``, which
     :func:`read_encoding` derives, or this raises ``ValueError``."""
     stored = (enc.dd0, enc.t0_over_dd0)
-    if enc.mode is InputMode.GEOMETRIC and not _same_bits(stored, geometric_products(enc.delta_d, enc.ref)):
+    if enc.mode is InputMode.GEOMETRIC and not all(
+        map(same_value, stored, geometric_products(enc.delta_d, enc.ref))
+    ):
         raise ValueError(
             f"{path}: dd0 and t0_over_dd0 differ from the products of delta_d and the "
             "reference point; the file keeps only those"

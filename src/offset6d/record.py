@@ -8,6 +8,12 @@ that refuse every change.  The methods are shared closures over the field
 names rather than source text compiled per class, so decorating a class
 costs microseconds instead of six ``exec`` calls.
 
+A record is a value: ``__eq__`` holds between two records of the same class
+whose fields pair up under :func:`same_value`, so two arrays are equal when
+they have the same dtype, shape and bits.  A record that holds an array,
+itself or in a field's record, is unhashable: its ``__hash__`` raises
+``TypeError`` naming the class.
+
 ``__init__`` binds positional and keyword arguments to the fields (a
 missing, unknown or repeated argument raises ``TypeError``), stores them,
 and then calls ``self.__post_init__()`` if the class has one.  The hook is
@@ -19,8 +25,25 @@ takes effect.  ``__post_init__`` normalises or derives values with
 again; :func:`fields` and :func:`astuple` give the field names and values.
 """
 
+import numpy as np
+
+
 class FrozenInstanceError(AttributeError):
     """Raised on an attempt to assign or delete an attribute of a record."""
+
+
+def same_value(a, b) -> bool:
+    """Whether two field values are equal.  Two ndarrays are when they have
+    the same dtype, shape and bits, compared without a copy as unsigned
+    integers of the dtype's size: -0.0 is not 0.0 and a NaN equals itself.
+    An ndarray equals nothing else; any other pair compares with ``==``."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+            and (a.dtype, a.shape) == (b.dtype, b.shape)
+            and np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
+        )
+    return bool(a == b)
 
 
 def record(cls):
@@ -57,10 +80,13 @@ def record(cls):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return astuple(self) == astuple(other)
+        return all(same_value(getattr(self, name), getattr(other, name)) for name in names)
 
     def __hash__(self):
-        return hash(astuple(self))
+        try:
+            return hash(astuple(self))
+        except TypeError as exc:  # a field holds an array, or a record that does
+            raise TypeError(f"unhashable record {type(self).__name__!r}: {exc}") from None
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

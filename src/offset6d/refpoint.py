@@ -96,8 +96,7 @@ class SceneObservation:
         that the reference point, the channels and the targets are built
         from.  Computed on first use and kept read-only; ``cached_property``
         stores it in the instance ``__dict__`` past the frozen
-        ``__setattr__``, and equality, hashing and ``replace`` see only the
-        fields."""
+        ``__setattr__``, and equality and ``replace`` see only the fields."""
         rows, cols = np.nonzero(self.mask & (self.depth > DEPTH_EPSILON))
         if rows.size == 0:
             raise EmptyObjectError("no masked pixel with valid depth")

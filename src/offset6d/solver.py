@@ -169,11 +169,14 @@ def solve_from_constraints(
     regressor's ``dABC`` stays on one side of every fit.
 
     When every pixel sits at the reference depth (``w = 0``) translation is
-    not observable.  When ``L'^T P'`` has rank below 2 rotation is not: one
-    planar face whose plane holds the reference point makes ``dx``, ``dy``
-    and ``w`` linearly dependent.  Both raise
-    :class:`DegenerateConfigurationError`, as does non-finite input (a NaN
-    regressor output, say).
+    not observable.  When ``L'^T P'`` has rank below 2 rotation is not:
+    visible points in one plane ``n . p = k`` that holds the reference point
+    satisfy ``n_x dx + n_y dy + k w = 0``.  Two views meet this: one planar
+    face under a reference on its plane (a box face under mean-visible), and
+    pixels of one image row, whose plane passes through the camera centre
+    (a small sphere seen in a single row).  An unobservable translation or
+    rotation raises :class:`DegenerateConfigurationError`, as does
+    non-finite input (a NaN regressor output, say).
 
     The result is already the least-squares optimum of the constraint cost
     ``J = |P - L R - w s^T|^2`` (``TestLeastSquaresOptimum``).

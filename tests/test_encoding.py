@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import offset6d as o6
+from offset6d import record
 from offset6d.encoding import ConstraintForm, InputMode, TargetMode
 from offset6d.errors import EmptyObjectError, MissingPoseError, ModeMismatchError
 
@@ -152,6 +153,41 @@ class TestEncodeTargets:
         tgt = o6.encode_targets(obs, ref)
         np.testing.assert_array_equal(enc.us, tgt.us)
         np.testing.assert_array_equal(enc.vs, tgt.vs)
+
+
+class TestChannelShapes:
+    """Every per-pixel array has the encoding's pixel count, and each misfit
+    is refused naming its field, before a residual can broadcast over it."""
+
+    @pytest.fixture
+    def pair(self, rng):
+        obs = random_obs(rng, gt_pose=random_pose(rng), n_px=5)
+        ref = o6.ref_mean_visible(obs.depth, obs.mask, K)
+        return o6.encode_input(obs, ref), o6.encode_targets(obs, ref)
+
+    def test_dd0_of_another_length(self, pair):
+        enc, _ = pair
+        assert len(enc) == 5
+        with pytest.raises(ValueError, match=r"^dd0 has shape \(1,\), expected \(5,\)$"):
+            record.replace(enc, dd0=enc.dd0[:1])
+        with pytest.raises(ValueError, match="^t0_over_dd0 has shape"):
+            record.replace(enc, t0_over_dd0=enc.t0_over_dd0[:, :2])
+        with pytest.raises(ValueError, match="^delta_d has shape"):
+            record.replace(enc, delta_d=enc.delta_d[:, None])
+
+    def test_pixel_indices_of_another_length(self, pair):
+        _, tgt = pair
+        with pytest.raises(ValueError, match=r"^us has shape \(3,\), expected \(5,\)$"):
+            record.replace(tgt, us=tgt.us[:3], vs=tgt.vs[:3])
+        with pytest.raises(ValueError, match="^vs has shape"):
+            record.replace(tgt, vs=tgt.vs[:3])
+
+    def test_delta_t_not_a_3_vector(self, pair):
+        _, tgt = pair
+        with pytest.raises(ValueError, match=r"^delta_t has shape \(1, 3\), expected \(3,\)$"):
+            record.replace(tgt, delta_t=tgt.delta_t[None, :])
+        with pytest.raises(ValueError, match="^delta_abc has shape"):
+            record.replace(tgt, delta_abc=tgt.delta_abc[:, :1])
 
 
 class TestDecodeTranslation:

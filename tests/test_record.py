@@ -101,6 +101,15 @@ class TestValueSemantics:
         assert box.__eq__(gauss) is NotImplemented
         assert box != record.astuple(box)
 
+    def test_records_holding_arrays_compare_by_value_and_are_unhashable(self):
+        a, b = o6.RigidPose(np.eye(3), np.zeros(3)), o6.RigidPose(np.eye(3), np.zeros(3))
+        assert a.rotation is not b.rotation
+        assert a == b and not a != b
+        assert a != o6.RigidPose(np.eye(3), [0.0, 0.0, 1.0])
+        assert a != o6.RigidPose(np.eye(3), [-0.0, 0.0, 0.0])
+        with pytest.raises(TypeError, match="RigidPose"):
+            hash(a)
+
     def test_repr_matches_the_dataclass_form(self):
         assert repr(Pair(1)) == "Pair(left=1, right='r')"
         assert repr(default_intrinsics()) == "CameraIntrinsics(fx=140.0, fy=140.0, cx=80.0, cy=80.0)"
@@ -114,3 +123,43 @@ class TestValueSemantics:
         # Annotated class attributes with defaults are fields; plain ones are not.
         assert record.fields(o6.FileModel) == ("path", "symmetric")
         assert "symmetric" not in record.fields(o6.BoxModel)
+
+
+class TestSameValue:
+    """Arrays are equal by dtype, shape and bits; other values by ``==``."""
+
+    def test_equal_and_unequal_arrays(self):
+        a = np.arange(6.0).reshape(2, 3)
+        assert record.same_value(a, a.copy())
+        assert not record.same_value(a, a + 1.0)
+        assert record.same_value(a[:, ::2], a.copy()[:, ::2])  # strided views, no copy needed
+
+    def test_nan_equals_itself(self):
+        a = np.array([1.0, np.nan, np.inf])
+        assert record.same_value(a, a.copy())
+        assert not record.same_value(a, np.array([1.0, -np.nan, np.inf]))  # another NaN's bits
+
+    def test_negative_zero_is_not_zero(self):
+        assert not record.same_value(np.array([-0.0]), np.array([0.0]))
+        assert record.same_value(-0.0, 0.0)  # floats compare with ==
+
+    def test_dtype_shape_and_type_must_match(self):
+        assert not record.same_value(np.arange(3, dtype=np.int64), np.arange(3, dtype=np.float64))
+        assert not record.same_value(np.zeros(3), np.zeros((1, 3)))
+        assert not record.same_value(np.zeros(3), [0.0, 0.0, 0.0])
+        assert not record.same_value([0.0, 0.0, 0.0], np.zeros(3))
+        assert not record.same_value(np.zeros(3), None)
+        assert record.same_value(None, None) and record.same_value((1, "x"), (1, "x"))
+
+    def test_records_with_array_fields(self):
+        pose = o6.RigidPose.identity()
+        obs = o6.SceneObservation(np.ones((2, 2)), np.ones((2, 2), bool), default_intrinsics(), pose)
+        assert obs == o6.SceneObservation(np.ones((2, 2)), np.ones((2, 2), bool), default_intrinsics(), pose)
+        assert obs != record.replace(obs, gt_pose=None)
+        assert obs != record.replace(obs, mask=np.eye(2, dtype=bool))
+        with pytest.raises(TypeError, match="SceneObservation"):
+            hash(obs)
+        report = o6.SolveReport(pose, 0.0, 6, o6.ConditionFlag.WELL_POSED)
+        with pytest.raises(TypeError, match="^unhashable record 'SolveReport': unhashable record 'RigidPose'"):
+            hash(report)
+        assert hash(default_intrinsics()) == hash(default_intrinsics())

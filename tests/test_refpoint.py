@@ -259,8 +259,11 @@ class TestOnePixelSet:
         obs = o6.SceneObservation(depth, mask, K)
         assert obs.visible is obs.visible
         assert not any(array.flags.writeable for array in obs.visible)
-        # Its owned read-only arrays are handed over, and the cached set is not a field.
-        assert obs == o6.SceneObservation(obs.depth, obs.mask, K)
+        # Its owned read-only arrays are handed over; the cached set is not a field.
+        again = o6.SceneObservation(obs.depth, obs.mask, K)
+        assert again.depth is obs.depth and again.mask is obs.mask
+        # Equality compares the arrays' values, not their identity or flags.
+        assert obs == o6.SceneObservation(depth.copy(), mask.copy(), K)
 
     @settings(max_examples=200, deadline=None)
     @given(maps=masked_depth_maps())

@@ -359,8 +359,10 @@ class TestSpecSpace:
     def test_every_clean_scene_is_exact_or_names_why_not(self):
         # Each spec and reference strategy either meets the exact gates (the
         # corrected residual and the clean solve) or raises a toolkit error:
-        # too few visible pixels, say, or one face whose plane holds the
-        # reference point.
+        # too few visible pixels, say.  A rank-deficient system is one whose
+        # visible points lie in a plane holding the reference point: one box
+        # face under mean-visible, or a sphere seen in pixels of one image
+        # row, whose plane passes through the camera centre.
         rng = np.random.default_rng(20261020)
         outcomes = Counter()
         for _ in range(120):
@@ -376,6 +378,13 @@ class TestSpecSpace:
                     enc, tgt = o6.encode_input(obs, ref), o6.encode_targets(obs, ref)
                     report = o6.solve_from_constraints(enc, tgt.delta_abc)
                 except o6.Offset6DError as exc:
+                    if "rank deficient" in str(exc):
+                        points = obs.visible[2]
+                        centroid = points.mean(axis=0)
+                        _, s, vt = np.linalg.svd(points - centroid, full_matrices=False)
+                        assert s[2] / s[0] < 1e-9, spec
+                        assert abs((ref.as_array() - centroid) @ vt[2]) < 1e-9, spec
+                        outcomes["rank deficient"] += 1
                     outcomes[type(exc).__name__] += 1
                     continue
                 residual = o6.constraint_residual(enc, tgt, obs.gt_pose)
@@ -384,3 +393,4 @@ class TestSpecSpace:
                 assert np.linalg.norm(report.pose.translation - obs.gt_pose.translation) < 1e-8, spec
                 outcomes["exact"] += 1
         assert outcomes["exact"] >= 0.75 * 3 * 120, outcomes
+        assert outcomes["rank deficient"] == 4, outcomes  # the box face and the sphere's one row, three times
