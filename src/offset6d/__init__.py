@@ -19,7 +19,6 @@ from .encoding import (
     naive_offset_residual,
 )
 from .errors import (
-    ConfigError,
     DegenerateConfigurationError,
     EmptyInputError,
     EmptyObjectError,
@@ -39,7 +38,6 @@ from .geometry import (
 )
 from .metrics import (
     LossDecomposition,
-    MetricConfig,
     ObjectModel,
     accuracy_at_threshold,
     add,

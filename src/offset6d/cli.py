@@ -10,7 +10,9 @@ Dataset layout (one directory per dataset)::
         mask.pgm                 # 8-bit, 255 = foreground
         pose.txt                 # ground truth, object -> camera
 
-``synth-gen`` writes ``manifest.txt`` last, so a failed run leaves none.
+``synth-gen`` writes ``manifest.txt`` last, so a failed run leaves none.  A
+model file's ``comment symmetric`` line wins over ``model_symmetric``, in
+``model.ply`` and the manifest alike.
 ``verify``, ``eval`` and ``loss-decompose`` read only each scene's
 ``pose.txt``; ``encode`` and ``dist-report`` read the whole scene.
 Encodings mirror the scene directories (encoding.txt + targets.txt each),
@@ -55,21 +57,13 @@ import numpy as np
 
 from . import formats, synth
 from .encoding import ConstraintForm, constraint_residuals, encode_input, encode_targets
-from .errors import ConfigError, DegenerateConfigurationError, EmptyInputError, MissingPoseError, Offset6DError
+from .errors import DegenerateConfigurationError, EmptyInputError, MissingPoseError, Offset6DError
 from .geometry import RigidPose
-from .metrics import (
-    MetricConfig,
-    ObjectModel,
-    add,
-    add_s,
-    accuracy_at_threshold,
-    auc,
-    decompose_add_loss,
-)
+from .metrics import ObjectModel, accuracy_at_threshold, add, add_s, auc, decompose_add_loss
 from .record import replace
 from .refpoint import RefStrategy, make_reference
-from .solver import ConditionFlag, rotation_geodesic_error, solve_from_constraints
-from .spec import SEED_LIMIT
+from .solver import ConditionFlag, SolveReport, rotation_geodesic_error, solve_from_constraints
+from .spec import SEED_LIMIT, FileModel
 from .synth import perturbation_rng
 
 _STRATEGIES = {s.value: s for s in RefStrategy}
@@ -198,7 +192,9 @@ def synth_gen(config_path: str, out: str | None, count: int | None, seed: int | 
         raise click.ClickException("no output directory (set output_dir or --out)")
 
     # A primitive whose face areas or diameter are not finite; a model file is named by its reader.
-    model = formats._built(f"{config_path}: model_params", synth.model_for_spec, spec, error=ConfigError)
+    model = formats._built(f"{config_path}: model_params", synth.model_for_spec, spec)
+    if isinstance(spec.model_kind, FileModel):  # the PLY's symmetric comment wins, in the manifest too
+        spec = replace(spec, model_kind=replace(spec.model_kind, symmetric=model.symmetric))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.txt").unlink(missing_ok=True)
     formats.write_model(out_dir / "model.ply", model)
@@ -321,18 +317,28 @@ def solve_cmd(encodings: str, out: str, perturb_sigma: float, seed: int, refine:
     click.echo(f"solved {len(rows)} scenes -> {out}")
 
 
+def _solve_report(row: list[str]) -> SolveReport | None:
+    """The report ``solve`` wrote a solves row from; None for a degenerate row."""
+    flag = ConditionFlag(row[-1])
+    if flag is ConditionFlag.DEGENERATE:
+        return None
+    values = [float(v) for v in row[1:14]]
+    return SolveReport(RigidPose(np.reshape(values[:9], (3, 3)), values[9:12]), values[12], int(row[14]), flag)
+
+
 def _predicted(dataset: str, pred: str, score: Callable[..., list]) -> tuple[ObjectModel, list[list]]:
     """The dataset's model, and one row per dataset scene: its name, then
-    ``score(model, gt_pose, pose, residual)`` of its one solves row, joined by
-    name; pose and residual are None for a degenerate row.  A missing or
-    duplicated row fails before any scene is read; a scene whose pose or score
-    fails is named by the scene loop."""
+    ``score(model, gt_pose, report)`` of its one solves row, joined by name;
+    the report is None for a degenerate row.  A missing, duplicated or
+    malformed row (one ``solve`` could not have written) fails before any
+    scene is read; a scene whose pose or score fails is named by the scene
+    loop."""
     scenes = _Scenes(dataset)
     model = formats.read_model(scenes.root / "model.ply")
     header, rows = formats.read_csv(pred, SOLVES_VERSION)
     if header != SOLVES_HEADER:
         raise click.ClickException(f"{pred}: unexpected solves header {header}")
-    predictions: dict[str, tuple[RigidPose | None, float | None]] = {}
+    predictions: dict[str, SolveReport | None] = {}
     for row in rows:
         if len(row) != len(SOLVES_HEADER):
             what = f"row for {row[0]}" if row else "a blank row"
@@ -340,13 +346,7 @@ def _predicted(dataset: str, pred: str, score: Callable[..., list]) -> tuple[Obj
         name = row[0]
         if name in predictions:
             raise click.ClickException(f"{pred}: duplicate row for {name}")
-        bad_row = f"{pred}: bad row for {name}"
-        if formats._built(bad_row, ConditionFlag, row[-1]) is ConditionFlag.DEGENERATE:
-            predictions[name] = (None, None)
-            continue
-        values = formats._built(bad_row, lambda: [float(v) for v in row[1:14]])
-        pose = formats._built(bad_row, RigidPose, np.reshape(values[:9], (3, 3)), np.array(values[9:12]))
-        predictions[name] = (pose, values[12])
+        predictions[name] = formats._built(f"{pred}: bad row for {name}", _solve_report, row)
     missing = [name for name in scenes.names if name not in predictions]
     if missing:
         raise click.ClickException(f"{pred} has no row for {', '.join(missing)}")
@@ -356,7 +356,7 @@ def _predicted(dataset: str, pred: str, score: Callable[..., list]) -> tuple[Obj
 
     def scored(_: int, scene_dir: Path) -> list:
         gt = formats.read_scene_pose(scene_dir)
-        return [scene_dir.name, *score(model, gt, *predictions[scene_dir.name])]
+        return [scene_dir.name, *score(model, gt, predictions[scene_dir.name])]
 
     return model, list(scenes.each(scored))
 
@@ -373,16 +373,16 @@ def _predicted(dataset: str, pred: str, score: Callable[..., list]) -> tuple[Obj
 def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fraction: float,
              summary_out: str | None) -> None:
     """Score predicted poses against ground truth."""
-    cfg = MetricConfig(auc_max_threshold=auc_max, threshold_fraction=threshold_fraction)
 
-    def score(model: ObjectModel, gt: RigidPose, pose: RigidPose | None, residual: float | None) -> list:
-        if pose is None:
+    def score(model: ObjectModel, gt: RigidPose, report: SolveReport | None) -> list:
+        if report is None:
             return [None] * 6 + [ConditionFlag.DEGENERATE.value]
+        pose = report.pose
         err_add = add(pose, gt, model)
         err_add_s = add_s(pose, gt, model)
         err_sel = err_add_s if model.symmetric else err_add  # add_selective, without a second ADD-S
         return [err_add, err_add_s, err_sel, rotation_geodesic_error(pose, gt),
-                float(np.linalg.norm(pose.translation - gt.translation)), residual, "ok"]
+                float(np.linalg.norm(pose.translation - gt.translation)), report.residual_rms, "ok"]
 
     model, rows = _predicted(dataset, pred, score)
     selective_errors = [row[RESULTS_HEADER.index("add_selective")] for row in rows if row[-1] == "ok"]
@@ -392,8 +392,9 @@ def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fracti
         ("format", "summary/v1"),
         ("scene_count", str(len(rows))),
         ("mean_add_selective", formats.format_float(float(np.mean(selective_errors)))),
-        ("accuracy_at_threshold", formats.format_float(accuracy_at_threshold(selective_errors, model, cfg))),
-        ("auc", formats.format_float(auc(selective_errors, cfg))),
+        ("accuracy_at_threshold",
+         formats.format_float(accuracy_at_threshold(selective_errors, model, threshold_fraction))),
+        ("auc", formats.format_float(auc(selective_errors, auc_max))),
     ]
     formats.write_csv(out, RESULTS_VERSION, RESULTS_HEADER, rows)
     for key, value in summary[1:]:
@@ -435,10 +436,10 @@ def dist_report_cmd(dataset: str, strategy: str, out: str) -> None:
 def loss_decompose_cmd(dataset: str, pred: str, out: str, w_rot: float, w_trans: float) -> None:
     """Split the squared pose loss into rotation/cross/translation parts."""
 
-    def score(model: ObjectModel, gt: RigidPose, pose: RigidPose | None, _: float | None) -> list:
-        if pose is None:
+    def score(model: ObjectModel, gt: RigidPose, report: SolveReport | None) -> list:
+        if report is None:
             return [None] * 5
-        parts = decompose_add_loss(pose, gt, model)
+        parts = decompose_add_loss(report.pose, gt, model)
         return [parts.total, parts.rotation_part, parts.cross_term, parts.translation_part,
                 parts.weighted(w_rot, w_trans)]
 

@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import MissingPoseError, ModeMismatchError
-from .geometry import RigidPose, inverse_transform_points
+from .geometry import RigidPose, as_points, inverse_transform_points
 from .refpoint import ReferencePoint, SceneObservation
 
 
@@ -298,12 +298,9 @@ def naive_offset_residual(
     translation, so the result cannot depend on t for data generated from a
     rigid pose; only rotation errors show up.
     """
-    cam = np.asarray(cam_points, dtype=np.float64)
-    obj = np.asarray(obj_points, dtype=np.float64)
-    if cam.shape != obj.shape or cam.ndim != 2 or cam.shape[1] != 3:
-        raise ValueError(
-            f"paired point lists must both be (N, 3), got {cam.shape} and {obj.shape}"
-        )
+    cam, obj = as_points(cam_points, "cam_points"), as_points(obj_points, "obj_points")
+    if cam.shape != obj.shape:
+        raise ValueError(f"point counts differ: {cam.shape[0]} vs {obj.shape[0]}")
     cam_ref = np.asarray(cam_ref, dtype=np.float64).reshape(3)
     obj_ref = np.asarray(obj_ref, dtype=np.float64).reshape(3)
     rotation = np.asarray(rotation, dtype=np.float64)

@@ -30,7 +30,10 @@ class EmptyInputError(Offset6DError):
 
 
 class FormatError(Offset6DError):
-    """Malformed file content.
+    """Malformed or refused file content: a PGM, PLY, table or CSV that does
+    not parse, and an experiment config or dataset manifest with a missing,
+    unknown or refused key.  The message names the file, and the key where
+    one value is at fault.
 
     ``offset`` is the byte offset of the first offending byte when known.
     """
@@ -40,7 +43,3 @@ class FormatError(Offset6DError):
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
-
-
-class ConfigError(Offset6DError):
-    """Experiment configuration violates the schema."""

@@ -42,15 +42,14 @@ import csv
 import functools
 import io
 import os
-import tempfile
 from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
 
 from .encoding import ConstraintForm, GeoEncoding, GeoTargets, InputMode, TargetMode, geometric_products
-from .errors import ConfigError, FormatError, InvalidDepthError, Offset6DError
-from .geometry import CameraIntrinsics, RigidPose
+from .errors import FormatError, InvalidDepthError, Offset6DError
+from .geometry import CameraIntrinsics, RigidPose, as_points
 from .metrics import ObjectModel
 from .record import astuple, fields, replace, same_value
 from .refpoint import ReferencePoint, RefStrategy, SceneObservation
@@ -71,18 +70,15 @@ def _atomic_write_bytes(path, chunks) -> None:
     generator streams; an error it raises leaves no file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    f = open(tmp, "xb")  # O_EXCL, so never another's file; the mode a plain open gives
     try:
-        with os.fdopen(fd, "wb") as f:
+        with f:
             for chunk in chunks:
                 f.write(chunk)
-        umask = os.umask(0)  # mkstemp makes the file 0o600; the umask is only readable by setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -95,9 +91,7 @@ def _atomic_write_text(path, text: str) -> None:
 
 
 def write_ply(path, points: np.ndarray, symmetric: bool | None = None) -> None:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"points must be (N, 3), got {pts.shape}")
+    pts = as_points(points, "points")
     lines = ["ply", "format ascii 1.0"]
     if symmetric is not None:
         lines.append(f"comment symmetric {'true' if symmetric else 'false'}")
@@ -343,15 +337,15 @@ def _parse_keyvalue(raw: bytes, path) -> dict[str, str]:
     return out
 
 
-def _value(kv: dict[str, str], path, key: str, parse=str, default: str | None = None, error=FormatError):
+def _value(kv: dict[str, str], path, key: str, parse=str, default: str | None = None):
     """``parse(kv[key])``, or ``parse(default)`` when the key is absent.  A
     missing key, and a ``ValueError`` from ``parse`` (a value that does not
-    parse, or that the type it builds rejects), raise ``error`` naming the
-    file and the key."""
+    parse, or that the type it builds rejects), raise a :class:`FormatError`
+    naming the file and the key."""
     text = kv.get(key, default)
     if text is None:
-        raise error(f"{path}: missing key {key!r}")
-    return _built(f"{path}: key {key!r}", parse, text, error=error)
+        raise FormatError(f"{path}: missing key {key!r}")
+    return _built(f"{path}: key {key!r}", parse, text)
 
 
 def _floats(n: int):
@@ -378,27 +372,28 @@ def _flag(text: str) -> bool:
     return text == "true"
 
 
-def _built(path, make, *args, error=FormatError, **kwargs):
+def _built(path, make, *args, **kwargs):
     """``make(*args, **kwargs)``, with a ``ValueError`` (a value that does not
-    parse or that a type refuses) or a numeric fault raised as ``error`` naming
-    ``path``; a toolkit error, named where it was raised, passes through."""
+    parse or that a type refuses) or a numeric fault raised as a
+    :class:`FormatError` naming ``path``; a toolkit error, named where it was
+    raised, passes through."""
     try:
         return make(*args, **kwargs)
     except Offset6DError:
         raise
     except (ValueError, FloatingPointError) as exc:
-        raise error(f"{path}: {exc}") from None
+        raise FormatError(f"{path}: {exc}") from None
 
 
-def _check_header(kv: dict[str, str], path, expected_format: str, allowed: set[str], error=FormatError) -> None:
-    """``format`` must read ``expected_format`` (else a :class:`FormatError`),
-    and no key may be outside ``allowed`` (else ``error``)."""
+def _check_header(kv: dict[str, str], path, expected_format: str, allowed: set[str]) -> None:
+    """``format`` must read ``expected_format``, and no key may be outside
+    ``allowed``; else a :class:`FormatError` naming the file."""
     found = _value(kv, path, "format")
     if found != expected_format:
         raise FormatError(f"{path}: expected format {expected_format!r}, found {found!r}")
     extra = set(kv) - allowed
     if extra:
-        raise error(f"{path}: unknown keys {sorted(extra)}")
+        raise FormatError(f"{path}: unknown keys {sorted(extra)}")
 
 
 def write_pose(path, pose: RigidPose) -> None:
@@ -720,9 +715,9 @@ def spec_to_pairs(spec: SceneSpec) -> list[tuple[str, str]]:
 def pairs_to_spec(kv: dict[str, str], path="<config>") -> SceneSpec:
     """The spec of an experiment config or a manifest.  A missing key, a value
     that does not parse and a value the spec types reject raise a
-    :class:`ConfigError` naming the file (and the key, where one value is at
+    :class:`FormatError` naming the file (and the key, where one value is at
     fault)."""
-    value = functools.partial(_value, kv, path, error=ConfigError)
+    value = functools.partial(_value, kv, path)
 
     kind_name = value("model_kind")
     if kind_name == FileModel.config_name:
@@ -732,11 +727,11 @@ def pairs_to_spec(kv: dict[str, str], path="<config>") -> SceneSpec:
         params = _floats(len(fields(primitive)))
         kind = value("model_params", lambda text: primitive(*params(text)))
     else:
-        raise ConfigError(f"{path}: unknown model_kind {kind_name!r}")
+        raise FormatError(f"{path}: unknown model_kind {kind_name!r}")
 
     dist_name = value("translation_dist")
     if dist_name not in _VOLUMES:
-        raise ConfigError(f"{path}: unknown translation_dist {dist_name!r}")
+        raise FormatError(f"{path}: unknown translation_dist {dist_name!r}")
     volume = _VOLUMES[dist_name]
     location, spread = (f"translation_{name}" for name in fields(volume))
     # The spread is checked beside a zero location, then the location beside
@@ -756,13 +751,13 @@ def pairs_to_spec(kv: dict[str, str], path="<config>") -> SceneSpec:
         depth_noise_sigma=value("depth_noise_sigma", float, "0"),
         pixel_dropout=value("pixel_dropout", float, "0"),
         occlusion_fraction=value("occlusion_fraction", float) if "occlusion_fraction" in kv else None,
-    ), error=ConfigError)
+    ))
 
 
 def scene_count(kv: dict[str, str], path, default: str | None = None) -> int:
     """The ``scene_count`` of a manifest or an experiment config, a
     non-negative integer; ``default`` stands in for an absent key."""
-    return _value(kv, path, "scene_count", _count, default, error=ConfigError)
+    return _value(kv, path, "scene_count", _count, default)
 
 
 def write_manifest(path, spec: SceneSpec, scene_count: int) -> None:
@@ -774,15 +769,15 @@ def write_manifest(path, spec: SceneSpec, scene_count: int) -> None:
 def read_manifest(path) -> tuple[SceneSpec, int]:
     """Returns (spec, scene_count)."""
     kv = read_keyvalue(path)
-    _check_header(kv, path, "dataset/v2", _MANIFEST_KEYS, error=ConfigError)
-    found = _value(kv, path, "rng_algorithm", error=ConfigError)
+    _check_header(kv, path, "dataset/v2", _MANIFEST_KEYS)
+    found = _value(kv, path, "rng_algorithm")
     if found != RNG_ALGORITHM:  # the scenes were drawn by another generator
-        raise ConfigError(f"{path}: key 'rng_algorithm': expected {RNG_ALGORITHM!r}, found {found!r}")
+        raise FormatError(f"{path}: key 'rng_algorithm': expected {RNG_ALGORITHM!r}, found {found!r}")
     return pairs_to_spec(kv, path), scene_count(kv, path)
 
 
 def read_experiment_config(path) -> dict[str, str]:
     """Schema-checked raw experiment configuration (unknown keys rejected)."""
     kv = read_keyvalue(path)
-    _check_header(kv, path, "experiment/v1", _EXPERIMENT_KEYS, error=ConfigError)
+    _check_header(kv, path, "experiment/v1", _EXPERIMENT_KEYS)
     return kv

@@ -20,11 +20,11 @@ A pose ``(R, t)`` maps object-frame points to camera-frame points:
 from __future__ import annotations
 
 import math
-from .record import record
 
 import numpy as np
 
 from .errors import InvalidDepthError
+from .record import read_only, record
 
 # Orthonormality drift accepted silently / repaired by SVD projection / rejected.
 ROTATION_TOLERANCE = 1e-9
@@ -88,15 +88,19 @@ def _rotation_and_singular_values(m: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return r, s
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
+def as_points(values, name: str) -> np.ndarray:
+    """``values`` as a float64 (N, 3) point list; any other shape raises a
+    ``ValueError`` naming the argument ``name``."""
+    points = np.asarray(values, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"{name} must be (N, 3), got shape {points.shape}")
+    return points
 
 
 @record
 class RigidPose:
-    """Rotation matrix and translation vector, object frame -> camera frame.
+    """Rotation matrix and translation vector, object frame -> camera frame,
+    each held through :func:`~offset6d.record.read_only`.
 
     The rotation must be orthonormal with det +1 to within 1e-9 (Frobenius).
     Inputs off by at most 1e-6 are repaired by projection to the nearest
@@ -107,8 +111,9 @@ class RigidPose:
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.array(self.rotation, dtype=np.float64)
-        t = np.array(self.translation, dtype=np.float64).reshape(-1)
+        r, t = read_only(self.rotation), read_only(self.translation)
+        if t.ndim != 1:
+            t = read_only(t.reshape(-1))
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
         if t.shape != (3,):
@@ -122,9 +127,9 @@ class RigidPose:
                     f"rotation is not orthonormal (defect {defect:.3e} exceeds "
                     f"repair limit {ROTATION_REPAIR_LIMIT:.0e})"
                 )
-            r = nearest_rotation(r)
-        object.__setattr__(self, "rotation", _read_only(r))
-        object.__setattr__(self, "translation", _read_only(t))
+            r = read_only(nearest_rotation(r))
+        object.__setattr__(self, "rotation", r)
+        object.__setattr__(self, "translation", t)
 
     @staticmethod
     def identity() -> "RigidPose":

@@ -18,8 +18,10 @@ exactly.  The diameter scans every pair; ADD-S scans every pair only when
 the window would hold more than a quarter of them.
 
 Threshold accuracy counts errors strictly below ``threshold_fraction *
-diameter``.  AUC is the exact area under the accuracy-vs-threshold curve up
-to ``auc_max_threshold``, i.e. the mean of ``max(0, 1 - e / M)``.
+diameter`` (:func:`accuracy_at_threshold`'s argument, 0.1 by default).  AUC
+is the exact area under the accuracy-vs-threshold curve up to
+``max_threshold`` meters (:func:`auc`'s argument, 0.1 by default), i.e. the
+mean of ``max(0, 1 - e / max_threshold)``.
 
 The training-style loss (squared distances) decomposes exactly into
 
@@ -32,12 +34,12 @@ cross term vanishes and the split is rotation part + translation part.
 from __future__ import annotations
 
 import math
-from .record import record
 
 import numpy as np
 
 from .errors import EmptyInputError
-from .geometry import RigidPose, transform_points
+from .geometry import RigidPose, as_points, transform_points
+from .record import read_only, record
 
 # Rows of ``a`` per block of pairwise squared distances: two (rows, m)
 # float64 buffers, 256 KB each at m = 1000.  Against 64 rows, 32 scan a
@@ -132,7 +134,8 @@ def max_pairwise_distance(points: np.ndarray) -> float:
 
 @record
 class ObjectModel:
-    """Object-frame point set with its symmetry flag.  The ``diameter``
+    """Object-frame point set with its symmetry flag.  The (m, 3) ``points``
+    are held through :func:`~offset6d.record.read_only`.  The ``diameter``
     attribute is the maximum pairwise distance of ``points``, computed once
     (O(m^2)) at construction; it is not a field and cannot be passed in.
     """
@@ -141,9 +144,9 @@ class ObjectModel:
     symmetric: bool
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
-            raise ValueError(f"model needs >= 2 points of dim 3, got shape {pts.shape}")
+        pts = as_points(read_only(self.points), "points")
+        if pts.shape[0] < 2:
+            raise ValueError(f"model needs >= 2 points, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("model points must be finite")
         with np.errstate(over="ignore"):  # a diameter past the float range squares to infinity
@@ -152,7 +155,6 @@ class ObjectModel:
             raise ValueError("model diameter must be positive (all points coincide?)")
         if diameter == math.inf:
             raise ValueError("model diameter is not finite (coordinates too large?)")
-        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "diameter", diameter)
 
@@ -163,19 +165,6 @@ class ObjectModel:
     @property
     def point_count(self) -> int:
         return self.points.shape[0]
-
-
-@record
-class MetricConfig:
-    """Evaluation knobs: AUC threshold cap (meters) and the diameter fraction
-    used for threshold accuracy."""
-
-    auc_max_threshold: float = 0.1
-    threshold_fraction: float = 0.1
-
-    def __post_init__(self):
-        if not (self.auc_max_threshold > 0 and self.threshold_fraction > 0):
-            raise ValueError("metric config values must be positive")
 
 
 @record
@@ -226,28 +215,32 @@ def add_selective(pred: RigidPose, gt: RigidPose, model: ObjectModel) -> float:
     return add(pred, gt, model)
 
 
-def accuracy_at_threshold(errors, model: ObjectModel, cfg: MetricConfig = MetricConfig()) -> float:
-    """Fraction of errors strictly below ``threshold_fraction * diameter``."""
+def accuracy_at_threshold(errors, model: ObjectModel, threshold_fraction: float = 0.1) -> float:
+    """Fraction of errors strictly below ``threshold_fraction * model.diameter``;
+    ``threshold_fraction`` must be > 0."""
+    if not threshold_fraction > 0:  # NaN included
+        raise ValueError(f"threshold_fraction must be positive, got {threshold_fraction!r}")
     e = np.asarray(errors, dtype=np.float64)
     if e.size == 0:
         raise EmptyInputError("no errors to evaluate")
-    threshold = cfg.threshold_fraction * model.diameter
-    return float(np.count_nonzero(e < threshold)) / e.size
+    return float(np.count_nonzero(e < threshold_fraction * model.diameter)) / e.size
 
 
-def auc(errors, cfg: MetricConfig = MetricConfig()) -> float:
-    """Exact area under the accuracy-threshold curve, normalized to [0, 1].
+def auc(errors, max_threshold: float = 0.1) -> float:
+    """Exact area under the accuracy-threshold curve up to ``max_threshold``
+    meters (> 0), normalized to [0, 1].
 
-    Equals the mean over errors of ``max(0, 1 - e / M)`` with M the cap:
-    each error contributes the area of the interval where it counts as
-    accurate.
+    Equals the mean over errors of ``max(0, 1 - e / max_threshold)``: each
+    error contributes the area of the interval where it counts as accurate.
     """
+    if not max_threshold > 0:  # NaN included
+        raise ValueError(f"max_threshold must be positive, got {max_threshold!r}")
     e = np.asarray(errors, dtype=np.float64)
     if e.size == 0:
         raise EmptyInputError("no errors to evaluate")
     if np.any(e < 0) or not np.all(np.isfinite(e)):
         raise ValueError("errors must be finite and >= 0")
-    return float(np.mean(np.clip(1.0 - e / cfg.auc_max_threshold, 0.0, None)))
+    return float(np.mean(np.clip(1.0 - e / max_threshold, 0.0, None)))
 
 
 def add_loss(pred: RigidPose, gt: RigidPose, model: ObjectModel) -> float:

@@ -14,6 +14,15 @@ they have the same dtype, shape and bits.  A record that holds an array,
 itself or in a field's record, is unhashable: its ``__hash__`` raises
 ``TypeError`` naming the class.
 
+A record holds each array it keeps through :func:`read_only`: a read-only
+array that owns its memory is taken as it is, and anything else is copied
+and frozen, so a caller's writable array is never frozen or aliased.
+``SceneObservation``, ``RigidPose`` and ``ObjectModel`` do.  The channel
+records ``GeoEncoding`` and ``GeoTargets`` keep their arrays as given: their
+channels are views (the columns of a table read from a file, the rows
+``np.nonzero`` selects from an observation), which the rule would copy, and
+their memory per pixel is bounded.
+
 ``__init__`` binds positional and keyword arguments to the fields (a
 missing, unknown or repeated argument raises ``TypeError``), stores them,
 and then calls ``self.__post_init__()`` if the class has one.  The hook is
@@ -44,6 +53,17 @@ def same_value(a, b) -> bool:
             and np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
         )
     return bool(a == b)
+
+
+def read_only(values, dtype=np.float64) -> np.ndarray:
+    """``values`` itself when it is a read-only ``dtype`` array that owns its
+    memory, which no one else can write to; a read-only copy of anything
+    else, so a caller's writable array is never frozen or aliased."""
+    if type(values) is np.ndarray and values.dtype == dtype and values.base is None and not values.flags.writeable:
+        return values
+    copy = np.array(values, dtype=dtype)
+    copy.flags.writeable = False
+    return copy
 
 
 def record(cls):

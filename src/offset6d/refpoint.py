@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import chain
-from .record import record
+from .record import read_only, record
 from enum import Enum
 
 import numpy as np
@@ -49,24 +49,12 @@ class RefStrategy(Enum):
     MEAN_VISIBLE = "mean-visible"
 
 
-def _owned(values, dtype) -> np.ndarray:
-    """``values`` itself when it is a read-only ``dtype`` array that owns its
-    memory, which no one else can write to; a read-only copy of anything
-    else, so a caller's writable array is never frozen or aliased."""
-    if type(values) is np.ndarray and values.dtype == dtype and values.base is None and not values.flags.writeable:
-        return values
-    copy = np.array(values, dtype=dtype)
-    copy.flags.writeable = False
-    return copy
-
-
 @record
 class SceneObservation:
     """One observed object instance: a row-major depth image in meters, its
     boolean foreground mask of the same shape, and the camera intrinsics.
     A depth <= DEPTH_EPSILON (0, say) marks a missing pixel.  Each array is
-    taken as is when it is read-only, of its dtype (float64, bool) and owns
-    its memory, and copied otherwise.
+    held through :func:`~offset6d.record.read_only`, as float64 and bool.
 
     ``gt_pose`` is required only by target encoding.
     """
@@ -77,7 +65,7 @@ class SceneObservation:
     gt_pose: RigidPose | None = None
 
     def __post_init__(self):
-        depth, mask = _owned(self.depth, np.float64), _owned(self.mask, bool)
+        depth, mask = read_only(self.depth), read_only(self.mask, bool)
         if depth.ndim != 2:
             raise ValueError(f"depth map must be 2-D, got shape {depth.shape}")
         if not np.all(np.isfinite(depth)):

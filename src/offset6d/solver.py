@@ -16,14 +16,15 @@ singular values decide whether the rotation is determined.
 
 from __future__ import annotations
 
-from .record import record
+import math
 from enum import Enum
 
 import numpy as np
 
 from .encoding import GeoEncoding, camera_side
 from .errors import DegenerateConfigurationError
-from .geometry import RigidPose, _rotation_and_singular_values
+from .geometry import RigidPose, _rotation_and_singular_values, as_points
+from .record import record
 from .refpoint import ReferencePoint
 
 # Relative singular-value floor below which a configuration is declared
@@ -50,15 +51,10 @@ class SolveReport:
     condition_flag: ConditionFlag
 
     def __post_init__(self):
-        if self.residual_rms < 0:
-            raise ValueError("residual_rms must be >= 0")
-
-
-def _as_points(arr, name: str) -> np.ndarray:
-    pts = np.asarray(arr, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"{name} must be (N, 3), got shape {pts.shape}")
-    return pts
+        if not (math.isfinite(self.residual_rms) and self.residual_rms >= 0):
+            raise ValueError(f"residual_rms must be a finite number >= 0, got {self.residual_rms!r}")
+        if self.point_count < 0:
+            raise ValueError(f"point_count must be >= 0, got {self.point_count!r}")
 
 
 def _fit_rotation(h: np.ndarray, degenerate: str) -> np.ndarray:
@@ -79,8 +75,8 @@ def solve_procrustes(cam_points, obj_points) -> SolveReport:
     or duplicate configurations leave the rotation undetermined and raise
     :class:`DegenerateConfigurationError`.
     """
-    cam = _as_points(cam_points, "cam_points")
-    obj = _as_points(obj_points, "obj_points")
+    cam = as_points(cam_points, "cam_points")
+    obj = as_points(obj_points, "obj_points")
     if cam.shape != obj.shape:
         raise ValueError(f"point counts differ: {cam.shape[0]} vs {obj.shape[0]}")
     n = cam.shape[0]
@@ -185,7 +181,7 @@ def solve_from_constraints(
     cases checked and failed the rotation check in 525 of 1,800.
     """
     lhs, w = camera_side(enc)
-    delta_abc = _as_points(delta_abc, "delta_abc")
+    delta_abc = as_points(delta_abc, "delta_abc")
     n = len(enc)
     if delta_abc.shape[0] != n:
         raise ValueError(f"delta_abc rows ({delta_abc.shape[0]}) != pixel count ({n})")

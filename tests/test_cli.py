@@ -195,6 +195,22 @@ class TestSynthGen:
         assert "in front of the camera" in r.output
         assert (out / formats.scene_name(0)).is_dir() and not (out / "manifest.txt").exists()
 
+    def test_manifest_says_what_model_ply_says(self, tmp_path):
+        # The PLY's symmetric comment wins over model_symmetric; the manifest,
+        # and the copy encode makes of it, must not contradict model.ply.
+        ply = tmp_path / "part.ply"
+        formats.write_ply(ply, o6.make_model(o6.BoxModel(0.08, 0.06, 0.1), 100, np.random.default_rng(5)).points,
+                          symmetric=False)
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG.replace("model_kind = box\nmodel_params = 0.08 0.06 0.1\n",
+                                         f"model_kind = file\nmodel_path = {ply}\nmodel_symmetric = true\n"))
+        out, enc = tmp_path / "dataset", tmp_path / "enc"
+        assert run(CliRunner(), ["synth-gen", "-c", str(config), "--out", str(out), "--count", "1"]).exit_code == 0
+        assert run(CliRunner(), ["encode", "--dataset", str(out), "--out", str(enc)]).exit_code == 0
+        assert formats.read_model(out / "model.ply").symmetric is False
+        for manifest in (out / "manifest.txt", enc / "manifest.txt"):
+            assert formats.read_keyvalue(manifest)["model_symmetric"] == "false"
+
     def test_memory_is_bounded_by_the_image_not_the_object(self, tmp_path):
         # A box filling a 640x480 frame: the ray cast runs in bands of a fixed
         # number of rays, the observation takes the rendered arrays without a
@@ -685,20 +701,28 @@ class TestErrors:
         assert str(targets) in r.output
 
     @pytest.mark.parametrize("command", ["eval", "loss-decompose"])
-    @pytest.mark.parametrize("damage", ["short", "text", "flag"])
+    @pytest.mark.parametrize("damage", ["short", "text", "flag", "nan-residual", "negative-residual",
+                                        "text-count", "empty-count"])
     def test_malformed_solves_row_names_file_and_scene(self, pipeline_dir, tmp_path, command, damage):
+        # A row solve could not have written: a residual that is not a finite
+        # number >= 0, or a point count that is not a non-negative integer.
         header, rows = formats.read_csv(pipeline_dir / "solves.csv", SOLVES_VERSION)
-        bad = {"short": rows[2][:12], "text": rows[2][:11] + ["x"] + rows[2][12:],
-               "flag": rows[2][:-1] + ["banana"]}[damage]  # a flag is well-posed or degenerate, nothing else
+        residual, count = SOLVES_HEADER.index("residual_rms"), SOLVES_HEADER.index("point_count")
+        row = rows[2]
+        bad = {"short": row[:12], "text": row[:11] + ["x"] + row[12:],
+               "flag": row[:-1] + ["banana"],  # a flag is well-posed or degenerate, nothing else
+               "nan-residual": row[:residual] + ["nan"] + row[residual + 1:],
+               "negative-residual": row[:residual] + ["-5"] + row[residual + 1:],
+               "text-count": row[:count] + ["banana"] + row[count + 1:],
+               "empty-count": row[:count] + [""] + row[count + 1:]}[damage]
         pred = tmp_path / "bad.csv"
         formats.write_csv(pred, SOLVES_VERSION, header, rows[:2] + [bad] + rows[3:])
+        out = tmp_path / "out.csv"
         r = CliRunner().invoke(main, [
-            command, "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pred),
-            "--out", str(tmp_path / "out.csv"),
+            command, "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pred), "--out", str(out),
         ])
-        assert r.exit_code == 1, r.output
-        assert r.exception is None or isinstance(r.exception, SystemExit)
-        assert str(pred) in r.output and formats.scene_name(2) in r.output
+        assert_one_error_line(r, str(pred), formats.scene_name(2))
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "loss-decompose"])
     def test_blank_solves_row_names_file(self, pipeline_dir, tmp_path, command):

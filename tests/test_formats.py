@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 import offset6d as o6
 from offset6d import formats, record
 from offset6d.encoding import ConstraintForm, GeoEncoding, GeoTargets, InputMode, TargetMode, geometric_products
-from offset6d.errors import ConfigError, FormatError
+from offset6d.errors import FormatError
 
 from conftest import random_pose, random_rotation, small_scene_spec
 
@@ -22,8 +22,8 @@ from conftest import random_pose, random_rotation, small_scene_spec
 class TestAtomicWrite:
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
     def test_mode_is_what_a_plain_open_gives(self, tmp_path, umask):
-        # The temp file behind each atomic write is created 0o600; the
-        # artifact must not keep that mode.
+        # The temp file behind each atomic write is opened like a plain file,
+        # so the artifact gets the mode the process umask gives it.
         old = os.umask(umask)
         try:
             (tmp_path / "plain.txt").write_text("a = 1\n")
@@ -33,6 +33,29 @@ class TestAtomicWrite:
             os.umask(old)
         modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
         assert modes == {"plain.txt": 0o666 & ~umask, "kv.txt": 0o666 & ~umask, "depth.pgm": 0o666 & ~umask}
+
+    def test_writers_leave_the_umask_alone(self, tmp_path, monkeypatch):
+        # Setting the umask to read it would make files other threads create
+        # meanwhile world-writable; no writer may call os.umask.
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        rng = np.random.default_rng(3)
+        spec = small_scene_spec(seed=3)
+        obs = o6.render_scene(spec, 0).observation
+        ref = o6.make_reference(obs, o6.RefStrategy.MEAN_VISIBLE)
+        formats.write_keyvalue(tmp_path / "kv.txt", [("a", "1")])
+        formats.write_pose(tmp_path / "pose.txt", random_pose(rng))
+        formats.write_ply(tmp_path / "points.ply", rng.uniform(-1, 1, (4, 3)), symmetric=True)
+        formats.write_scene_dir(tmp_path / "scene", obs)
+        formats.write_encoding(tmp_path / "encoding.txt", o6.encode_input(obs, ref))
+        formats.write_targets(tmp_path / "targets.txt", o6.encode_targets(obs, ref))
+        formats.write_csv(tmp_path / "rows.csv", "rows/v1", ["a"], [[1.0]])
+        formats.write_manifest(tmp_path / "manifest.txt", spec, 1)
+        written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+        assert written == ["encoding.txt", "kv.txt", "manifest.txt", "points.ply", "pose.txt", "rows.csv",
+                           "scene/depth.pgm", "scene/mask.pgm", "scene/pose.txt", "targets.txt"]
 
 
 class TestPly:
@@ -728,7 +751,7 @@ class TestManifestAndConfig:
         path = tmp_path / "manifest.txt"
         formats.write_manifest(path, spec, 3)
         path.write_text(path.read_text() + "banana = yes\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(FormatError):
             formats.read_manifest(path)
 
     @pytest.mark.parametrize("line, found", [
@@ -742,7 +765,7 @@ class TestManifestAndConfig:
         text = path.read_text()
         assert f"rng_algorithm = {o6.spec.RNG_ALGORITHM}\n" in text
         path.write_text(text.replace(f"rng_algorithm = {o6.spec.RNG_ALGORITHM}\n", line))
-        with pytest.raises(ConfigError, match=f"{path}: .*'rng_algorithm'") as info:
+        with pytest.raises(FormatError, match=f"{path}: .*'rng_algorithm'") as info:
             formats.read_manifest(path)
         assert found in str(info.value)
 
@@ -764,19 +787,19 @@ class TestManifestAndConfig:
     def test_experiment_config_unknown_key(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text("format = experiment/v1\nnonsense = 1\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(FormatError):
             formats.read_experiment_config(path)
 
     def test_model_symmetric_must_be_true_or_false(self):
         kv = dict(formats.spec_to_pairs(small_scene_spec(model_kind=o6.FileModel("part.ply", symmetric=True))))
         assert formats.pairs_to_spec(kv, "config.txt").model_kind.symmetric
         kv["model_symmetric"] = "yes"
-        with pytest.raises(ConfigError, match="config.txt: key 'model_symmetric'"):
+        with pytest.raises(FormatError, match="config.txt: key 'model_symmetric'"):
             formats.pairs_to_spec(kv, "config.txt")
 
     def test_config_missing_key_message(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text("format = experiment/v1\nmodel_kind = sphere\n")
         kv = formats.read_experiment_config(path)
-        with pytest.raises(ConfigError):
+        with pytest.raises(FormatError):
             formats.pairs_to_spec(kv, path)

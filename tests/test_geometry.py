@@ -1,11 +1,14 @@
 """Geometry: backprojection, rigid transforms, pose invariants."""
 
+import re
+
 import numpy as np
 import pytest
 
 import offset6d as o6
+from offset6d import formats
 from offset6d.errors import InvalidDepthError
-from offset6d.geometry import rotation_defect
+from offset6d.geometry import as_points, rotation_defect
 
 from conftest import random_pose, random_rotation
 
@@ -153,6 +156,42 @@ class TestRigidPoseInvariants:
         pose = o6.RigidPose.identity()
         with pytest.raises(ValueError):
             pose.rotation[0, 0] = 5.0
+
+
+def _encoding():
+    depth = np.linspace(0.9, 1.1, 16).reshape(4, 4)
+    obs = o6.SceneObservation(depth, np.ones((4, 4), dtype=bool), K)
+    return o6.encode_input(obs, o6.make_reference(obs, o6.RefStrategy.MEAN_VISIBLE))
+
+
+# Each user of as_points, called with ``bad`` as the argument it names.
+POINT_LISTS = {
+    "solve_procrustes-cam_points": (lambda bad, _: o6.solve_procrustes(bad, np.zeros((4, 3))), "cam_points"),
+    "solve_procrustes-obj_points": (lambda bad, _: o6.solve_procrustes(np.zeros((4, 3)), bad), "obj_points"),
+    "solve_from_constraints": (lambda bad, _: o6.solve_from_constraints(_encoding(), bad), "delta_abc"),
+    "naive_offset_residual-cam_points": (
+        lambda bad, _: o6.naive_offset_residual(bad, np.zeros((4, 3)), np.zeros(3), np.zeros(3), np.eye(3)),
+        "cam_points"),
+    "naive_offset_residual-obj_points": (
+        lambda bad, _: o6.naive_offset_residual(np.zeros((4, 3)), bad, np.zeros(3), np.zeros(3), np.eye(3)),
+        "obj_points"),
+    "write_ply": (lambda bad, tmp_path: formats.write_ply(tmp_path / "points.ply", bad), "points"),
+    "ObjectModel": (lambda bad, _: o6.ObjectModel(bad, False), "points"),
+}
+
+
+class TestAsPoints:
+    @pytest.mark.parametrize("user", sorted(POINT_LISTS))
+    @pytest.mark.parametrize("shape", [(4, 2), (12,), (2, 3, 2)])
+    def test_each_user_names_its_argument(self, tmp_path, user, shape):
+        call, name = POINT_LISTS[user]
+        with pytest.raises(ValueError, match=rf"^{name} must be \(N, 3\), got shape {re.escape(str(shape))}$"):
+            call(np.zeros(shape), tmp_path)
+        assert not list(tmp_path.iterdir())
+
+    def test_a_point_list_passes_as_float64(self):
+        points = as_points([[0, 1, 2]], "points")
+        assert points.dtype == np.float64 and points.tolist() == [[0.0, 1.0, 2.0]]
 
 
 def numpy_rotation_defect(m):

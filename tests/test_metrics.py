@@ -295,8 +295,8 @@ class TestAccuracy:
 
     def test_direct_count(self):
         model = o6.ObjectModel.from_points([[0, 0, 0], [0.1, 0, 0]], False)  # diameter 0.1
-        cfg = o6.MetricConfig()  # threshold 0.01
-        assert o6.accuracy_at_threshold([0.005, 0.02], model, cfg) == 0.5
+        assert o6.accuracy_at_threshold([0.005, 0.02], model) == 0.5  # threshold 0.01
+        assert o6.accuracy_at_threshold([0.005, 0.02], model, threshold_fraction=0.3) == 1.0
 
     def test_all_above(self):
         model = o6.ObjectModel.from_points([[0, 0, 0], [0.1, 0, 0]], False)
@@ -316,17 +316,19 @@ class TestAuc:
     def test_all_zero(self):
         assert o6.auc([0.0, 0.0]) == 1.0
 
-    @pytest.mark.parametrize("kwargs", [
-        {"auc_max_threshold": 0.0}, {"auc_max_threshold": float("nan")}, {"threshold_fraction": -0.1},
-    ])
-    def test_config_rejects_non_positive_and_nan(self, kwargs):
-        with pytest.raises(ValueError):
-            o6.MetricConfig(**kwargs)
+    @pytest.mark.parametrize("value", [0.0, float("nan"), -0.1])
+    def test_thresholds_reject_non_positive_and_nan(self, value):
+        model = o6.ObjectModel.from_points([[0, 0, 0], [0.1, 0, 0]], False)
+        with pytest.raises(ValueError, match="max_threshold must be positive"):
+            o6.auc([0.05], max_threshold=value)
+        with pytest.raises(ValueError, match="threshold_fraction must be positive"):
+            o6.accuracy_at_threshold([0.005], model, threshold_fraction=value)
 
     def test_single_midpoint_error(self):
         # Step accuracy curve: 0 for thresholds below 0.05, 1 above -> area
         # over [0, 0.1] is half.
         assert o6.auc([0.05]) == 0.5
+        assert o6.auc([0.05], max_threshold=0.2) == 0.75  # a cap of 0.2: three quarters
 
     def test_mixed_errors(self):
         # 0.05 contributes 0.5, 0.2 is beyond the cap and contributes 0.

@@ -163,3 +163,39 @@ class TestSameValue:
         with pytest.raises(TypeError, match="^unhashable record 'SolveReport': unhashable record 'RigidPose'"):
             hash(report)
         assert hash(default_intrinsics()) == hash(default_intrinsics())
+
+
+# Each array field a record holds through read_only: the field's value in a
+# record built from an array, and a valid array for it.
+HELD = {
+    "RigidPose.rotation": (lambda a: o6.RigidPose(a, np.zeros(3)).rotation, np.eye(3)),
+    "RigidPose.translation": (lambda a: o6.RigidPose(np.eye(3), a).translation, np.array([0.0, 0.0, 1.0])),
+    "ObjectModel.points": (lambda a: o6.ObjectModel(a, False).points, np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]])),
+}
+
+
+class TestReadOnly:
+    """A record takes a read-only array that owns its memory as it is, and
+    holds a read-only copy of anything else."""
+
+    @pytest.mark.parametrize("field", sorted(HELD))
+    def test_owned_read_only_array_is_taken_anything_else_copied(self, field):
+        held, values = HELD[field]
+        owned = values.copy()
+        owned.flags.writeable = False
+        assert held(owned) is owned
+        # A caller's writable array stays writable and unshared; the copy is handed on.
+        writable = values.copy()
+        kept = held(writable)
+        assert writable.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(kept, writable) and record.same_value(kept, writable)
+        assert held(kept) is kept
+        # A read-only view of a writable base, or another dtype, is copied.
+        view = values.copy()[:]
+        view.flags.writeable = False
+        other = values.astype(np.float32)
+        other.flags.writeable = False
+        for array in (view, other):
+            kept = held(array)
+            assert kept.dtype == np.float64 and not kept.flags.writeable
+            assert not np.shares_memory(kept, array)

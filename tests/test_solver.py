@@ -1,5 +1,6 @@
 """Pose recovery: Procrustes alignment and the closed-form constraint solve."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -273,6 +274,18 @@ class TestConstraintSolve:
         report = o6.solve_from_constraints(enc, tgt.delta_abc)
         assert report.point_count == len(enc)
         assert report.condition_flag is ConditionFlag.WELL_POSED
+
+
+class TestSolveReport:
+    @pytest.mark.parametrize("residual, count, message", [
+        (np.nan, 6, "residual_rms must be a finite number >= 0, got nan"),
+        (np.inf, 6, "residual_rms must be a finite number >= 0, got inf"),
+        (-5.0, 6, "residual_rms must be a finite number >= 0, got -5.0"),
+        (0.0, -1, "point_count must be >= 0, got -1"),
+    ])
+    def test_refuses_what_no_solve_reports(self, residual, count, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            o6.SolveReport(o6.RigidPose.identity(), residual, count, ConditionFlag.WELL_POSED)
 
 
 class TestGeodesicError:
