@@ -33,11 +33,13 @@ scene index.  All commands are deterministic for fixed inputs and seed, and
 their outputs are byte-identical across reruns.  Every batch command runs
 the scenes its manifest claims through one loop (``_each``): a failed scene
 stops no other; after the last, one line names each failed scene and the
-command exits 1 without writing its manifest, CSV or ``--out`` file.  Any
-other toolkit or file error exits 1 with a one-line diagnostic too.  Every
-command runs with numpy's overflow, invalid and divide-by-zero faults raised:
-a numeric fault (a finite but huge pose or channel) fails its scene like any
-other fault, and in ``solve`` it gives the scene a ``degenerate`` row.
+command exits 1 without writing its manifest, CSV or ``--out`` file.  An
+output file that would replace an input or another output is refused first
+(``_outputs_apart``).  Any other toolkit or file error, and a failed
+``verify`` gate, exits 1 with a one-line diagnostic too.  Every command runs
+with numpy's overflow, invalid and divide-by-zero faults raised: a numeric
+fault (a finite but huge pose or channel) fails its scene like any other
+fault, and in ``solve`` it gives the scene a ``degenerate`` row.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import gc
 import math
 import operator
 import os
-import sys
 from functools import reduce
 from itertools import islice
 from pathlib import Path
@@ -67,13 +68,12 @@ from .spec import SEED_LIMIT, FileModel
 from .synth import perturbation_rng
 
 _STRATEGIES = {s.value: s for s in RefStrategy}
-_SEED = click.IntRange(0, SEED_LIMIT - 1)  # the Philox key range
 _NAMED = 10  # an error line names at most this many scenes, then their total
 
 SOLVES_VERSION = "solves/v1"
 RESULTS_VERSION = "results/v1"
 DIST_VERSION = "dist/v1"
-LOSS_VERSION = "loss/v1"
+LOSS_VERSION = "loss/v2"
 
 SOLVES_HEADER = [
     "scene", "r00", "r01", "r02", "r10", "r11", "r12", "r20", "r21", "r22",
@@ -84,7 +84,7 @@ RESULTS_HEADER = [
     "translation_error_m", "solver_residual_rms", "flag",
 ]
 DIST_HEADER = ["quantity", "component", "variance", "min", "max", "variance_ratio"]
-LOSS_HEADER = ["scene", "total", "rotation_part", "cross_term", "translation_part", "weighted_total"]
+LOSS_HEADER = ["scene", "total", "rotation_part", "cross_term", "translation_part"]
 
 
 # What fails a scene, or a command outside the scene loop: a toolkit error, a
@@ -136,6 +136,21 @@ def _each(root: Path, names: Iterable[str], handle: Callable[[int, Path], object
         raise click.ClickException(_capped(failures, failed, "; "))
 
 
+def _outputs_apart(outputs: dict[str, str | None], inputs: dict[str, str]) -> None:
+    """Refuse, before anything is read, an output (option: path) that is an
+    input, lies inside an input directory or is another output."""
+    taken = {f"{option} {path}": Path(path).resolve() for option, path in inputs.items()}
+    for option, out in outputs.items():
+        if out is None:
+            continue
+        target = Path(out).resolve()
+        for other, path in taken.items():
+            if path in (target, *target.parents):
+                where = "" if path == target else "inside "
+                raise click.ClickException(f"{option} {out} is {where}{other}; write it elsewhere")
+        taken[f"{option} {out}"] = target
+
+
 class _Scenes:
     """The scenes a directory's ``manifest.txt`` claims: a dataset's, or the
     copy ``encode`` writes into its encodings.  Not iterable: every command
@@ -175,21 +190,14 @@ def main() -> None:
 @main.command("synth-gen")
 @click.option("--config", "-c", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(file_okay=False), default=None, help="Overrides output_dir from the config.")
-@click.option("--count", type=click.IntRange(min=1), default=None, help="Overrides scene_count from the config.")
-@click.option("--seed", type=_SEED, default=None, help="Overrides the config seed.")
-def synth_gen(config_path: str, out: str | None, count: int | None, seed: int | None) -> None:
-    """Generate a synthetic dataset directory."""
+def synth_gen(config_path: str, out: str | None) -> None:
+    """Generate a synthetic dataset directory: the config's scene_count scenes, from its seed."""
     kv = formats.read_experiment_config(config_path)
     spec = formats.pairs_to_spec(kv, config_path)
-    if seed is not None:
-        spec = replace(spec, seed=seed)
-    config_count = formats.scene_count(kv, config_path, default="0")
-    n = count if count is not None else config_count
+    n = formats.scene_count(kv, config_path)
     if n <= 0:
-        raise click.ClickException("scene count must be positive (set scene_count or --count)")
-    out_dir = Path(out or kv.get("output_dir", ""))
-    if not str(out_dir):
-        raise click.ClickException("no output directory (set output_dir or --out)")
+        raise click.ClickException(f"{config_path}: scene_count must be positive")
+    out_dir = Path(out or formats._value(kv, config_path, "output_dir"))
 
     # A primitive whose face areas or diameter are not finite; a model file is named by its reader.
     model = formats._built(f"{config_path}: model_params", synth.model_for_spec, spec)
@@ -213,10 +221,8 @@ def synth_gen(config_path: str, out: str | None, count: int | None, seed: int | 
 @click.option("--strategy", type=click.Choice(sorted(_STRATEGIES)), default=RefStrategy.MEAN_VISIBLE.value)
 def encode_cmd(dataset: str, out: str, strategy: str) -> None:
     """Encode every scene of a dataset into input channels and targets."""
-    scenes = _Scenes(dataset)
-    out_dir = Path(out)
-    if out_dir.resolve() == scenes.root.resolve():  # its manifest.txt would be the dataset's
-        raise click.ClickException(f"--out {out} is the dataset directory; write the encodings elsewhere")
+    _outputs_apart({"--out": out}, {"--dataset": dataset})
+    scenes, out_dir = _Scenes(dataset), Path(out)
     (out_dir / "manifest.txt").unlink(missing_ok=True)
 
     def encode_scene(_: int, scene_dir: Path) -> None:
@@ -243,6 +249,7 @@ def encode_cmd(dataset: str, out: str, strategy: str) -> None:
 def verify_cmd(dataset: str, encodings: str, tolerance: float, out: str | None) -> None:
     """Check constraint residuals of encodings against ground-truth poses,
     in both constraint forms; the corrected form is the gate."""
+    _outputs_apart({"--out": out}, {"--dataset": dataset, "--encodings": encodings})
     scenes, encoded = _Scenes(dataset), _Scenes(encodings)
     if encoded.names != scenes.names or encoded.spec != scenes.spec:
         raise click.ClickException(
@@ -277,11 +284,7 @@ def verify_cmd(dataset: str, encodings: str, tolerance: float, out: str | None) 
         formats.write_keyvalue(out, pairs)
     gate = peaks[ConstraintForm.CORRECTED]
     if gate > tolerance:
-        click.echo(
-            f"corrected-form max residual {gate:.3e} exceeds tolerance {tolerance:.3e}",
-            err=True,
-        )
-        sys.exit(1)
+        raise click.ClickException(f"corrected-form max residual {gate:.3e} exceeds tolerance {tolerance:.3e}")
 
 
 @main.command("solve")
@@ -289,13 +292,15 @@ def verify_cmd(dataset: str, encodings: str, tolerance: float, out: str | None) 
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--perturb-sigma", type=click.FloatRange(min=0.0), callback=_finite, default=0.0, show_default=True,
               help="Gaussian noise added to the object-frame targets before solving.")
-@click.option("--seed", type=_SEED, default=0, show_default=True, help="Seed for the perturbation stream.")
+@click.option("--seed", type=click.IntRange(0, SEED_LIMIT - 1), default=0, show_default=True,
+              help="Seed for the perturbation stream, a Philox key.")
 @click.option("--refine", type=click.IntRange(min=0), default=0, show_default=True,
               help="Re-fits of reconstructed 3D points. The closed form already minimises the constraint cost J; "
                    "a re-fit minimises another: 2 raised J in all 180 cases checked and failed 525 of 1,800 "
                    "rotation checks.")
 def solve_cmd(encodings: str, out: str, perturb_sigma: float, seed: int, refine: int) -> None:
     """Recover poses from encodings (optionally with perturbed targets)."""
+    _outputs_apart({"--out": out}, {"--encodings": encodings})
 
     def solve_scene(index: int, enc_dir: Path) -> list:
         enc, tgt = formats.read_encoded_scene(enc_dir)
@@ -365,14 +370,10 @@ def _predicted(dataset: str, pred: str, score: Callable[..., list]) -> tuple[Obj
 @click.option("--dataset", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--pred", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--auc-max", type=click.FloatRange(min=0.0, min_open=True), callback=_finite, default=0.1,
-              show_default=True)
-@click.option("--threshold-fraction", type=click.FloatRange(min=0.0, min_open=True), callback=_finite, default=0.1,
-              show_default=True)
 @click.option("--summary-out", type=click.Path(dir_okay=False), default=None)
-def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fraction: float,
-             summary_out: str | None) -> None:
-    """Score predicted poses against ground truth."""
+def eval_cmd(dataset: str, pred: str, out: str, summary_out: str | None) -> None:
+    """Score predicted poses; the summary's accuracy is at a tenth of the diameter, its AUC up to 0.1 m."""
+    _outputs_apart({"--out": out, "--summary-out": summary_out}, {"--dataset": dataset, "--pred": pred})
 
     def score(model: ObjectModel, gt: RigidPose, report: SolveReport | None) -> list:
         if report is None:
@@ -386,15 +387,15 @@ def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fracti
 
     model, rows = _predicted(dataset, pred, score)
     selective_errors = [row[RESULTS_HEADER.index("add_selective")] for row in rows if row[-1] == "ok"]
-    if not selective_errors:
-        raise click.ClickException("no non-degenerate predictions to summarize")
+    if not selective_errors:  # every row is degenerate
+        degenerate = _capped([row[0] for row in rows], len(rows), ", ")
+        raise click.ClickException(f"no non-degenerate predictions to summarize: {degenerate}")
     summary = [  # before results.csv: a summary that fails leaves no CSV
         ("format", "summary/v1"),
         ("scene_count", str(len(rows))),
         ("mean_add_selective", formats.format_float(float(np.mean(selective_errors)))),
-        ("accuracy_at_threshold",
-         formats.format_float(accuracy_at_threshold(selective_errors, model, threshold_fraction))),
-        ("auc", formats.format_float(auc(selective_errors, auc_max))),
+        ("accuracy_at_threshold", formats.format_float(accuracy_at_threshold(selective_errors, model))),
+        ("auc", formats.format_float(auc(selective_errors))),
     ]
     formats.write_csv(out, RESULTS_VERSION, RESULTS_HEADER, rows)
     for key, value in summary[1:]:
@@ -409,6 +410,7 @@ def eval_cmd(dataset: str, pred: str, out: str, auc_max: float, threshold_fracti
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def dist_report_cmd(dataset: str, strategy: str, out: str) -> None:
     """Translation-spread table: raw ground truth vs anchored offsets."""
+    _outputs_apart({"--out": out}, {"--dataset": dataset})
     scenes = _Scenes(dataset)
 
     def offset(_: int, scene_dir: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -431,17 +433,15 @@ def dist_report_cmd(dataset: str, strategy: str, out: str) -> None:
 @click.option("--dataset", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--pred", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--w-rot", type=click.FloatRange(min=0.0), callback=_finite, default=1.0, show_default=True)
-@click.option("--w-trans", type=click.FloatRange(min=0.0), callback=_finite, default=1.0, show_default=True)
-def loss_decompose_cmd(dataset: str, pred: str, out: str, w_rot: float, w_trans: float) -> None:
+def loss_decompose_cmd(dataset: str, pred: str, out: str) -> None:
     """Split the squared pose loss into rotation/cross/translation parts."""
+    _outputs_apart({"--out": out}, {"--dataset": dataset, "--pred": pred})
 
     def score(model: ObjectModel, gt: RigidPose, report: SolveReport | None) -> list:
         if report is None:
-            return [None] * 5
+            return [None] * 4
         parts = decompose_add_loss(report.pose, gt, model)
-        return [parts.total, parts.rotation_part, parts.cross_term, parts.translation_part,
-                parts.weighted(w_rot, w_trans)]
+        return [parts.total, parts.rotation_part, parts.cross_term, parts.translation_part]
 
     _, rows = _predicted(dataset, pred, score)
     formats.write_csv(out, LOSS_VERSION, LOSS_HEADER, rows)

@@ -754,10 +754,9 @@ def pairs_to_spec(kv: dict[str, str], path="<config>") -> SceneSpec:
     ))
 
 
-def scene_count(kv: dict[str, str], path, default: str | None = None) -> int:
-    """The ``scene_count`` of a manifest or an experiment config, a
-    non-negative integer; ``default`` stands in for an absent key."""
-    return _value(kv, path, "scene_count", _count, default)
+def scene_count(kv: dict[str, str], path) -> int:
+    """The ``scene_count`` of a manifest or an experiment config, a non-negative integer."""
+    return _value(kv, path, "scene_count", _count)
 
 
 def write_manifest(path, spec: SceneSpec, scene_count: int) -> None:

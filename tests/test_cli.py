@@ -72,6 +72,11 @@ def traced_peak(args) -> tuple[click.testing.Result, int]:
     return r, peak
 
 
+def tree(root: Path) -> dict[str, bytes]:
+    """Every file under ``root``, by relative path, and its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def assert_one_error_line(result, *names) -> None:
     """Exit 1 with a single ``Error:`` line that names each of ``names``."""
     assert result.exit_code == 1, result.output
@@ -103,8 +108,8 @@ def three_scene_dir(pipeline_dir, tmp_path_factory):
     encoded on their own."""
     root = tmp_path_factory.mktemp("cli3")
     runner = CliRunner()
-    r = run(runner, ["synth-gen", "-c", str(pipeline_dir / "config.txt"), "--out", str(root / "dataset"),
-                     "--count", "3"])
+    (root / "config.txt").write_text(CONFIG.replace("scene_count = 6", "scene_count = 3"))
+    r = run(runner, ["synth-gen", "-c", str(root / "config.txt"), "--out", str(root / "dataset")])
     assert r.exit_code == 0, r.output
     r = run(runner, ["encode", "--dataset", str(root / "dataset"), "--out", str(root / "enc")])
     assert r.exit_code == 0, r.output
@@ -121,44 +126,32 @@ class TestSynthGen:
             scene = dataset / formats.scene_name(i)
             assert sorted(p.name for p in scene.iterdir()) == ["depth.pgm", "mask.pgm", "pose.txt"]
 
-    def test_seed_override_changes_scenes(self, tmp_path):
+    def test_config_seed_changes_scenes(self, tmp_path):
         runner = CliRunner()
-        (tmp_path / "config.txt").write_text(CONFIG)
-        for seed, out in ((None, "a"), (None, "b"), (123, "c")):
-            args = ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(tmp_path / out), "--count", "2"]
-            if seed is not None:
-                args += ["--seed", str(seed)]
-            assert run(runner, args).exit_code == 0
+        for seed, out in ((7, "a"), (7, "b"), (123, "c")):
+            config = tmp_path / f"{out}.txt"
+            config.write_text(CONFIG.replace("seed = 7", f"seed = {seed}").replace("scene_count = 6", "scene_count = 2"))
+            assert run(runner, ["synth-gen", "-c", str(config), "--out", str(tmp_path / out)]).exit_code == 0
         depth = lambda d: (tmp_path / d / "scene_00000" / "depth.pgm").read_bytes()
         assert depth("a") == depth("b")  # same seed: byte identical
-        assert depth("a") != depth("c")  # overridden seed: different
+        assert depth("a") != depth("c")  # another seed: different
 
     def test_rerun_writes_identical_tree(self, tmp_path):
         # Every file of the dataset, not only the depth maps: manifest,
         # model and poses must repeat byte for byte too.
-        (tmp_path / "config.txt").write_text(CONFIG)
+        (tmp_path / "config.txt").write_text(CONFIG.replace("scene_count = 6", "scene_count = 3"))
         trees = []
         for out in ("a", "b"):
-            args = ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(tmp_path / out), "--count", "3"]
+            args = ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(tmp_path / out)]
             assert run(CliRunner(), args).exit_code == 0
-            root = tmp_path / out
-            trees.append({str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()})
+            trees.append(tree(tmp_path / out))
         assert trees[0] == trees[1]
         assert {"manifest.txt", "model.ply", "scene_00002/pose.txt", "scene_00002/mask.pgm"} <= set(trees[0])
 
-    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
-    def test_out_of_range_seed_option_rejected(self, tmp_path, seed):
-        (tmp_path / "config.txt").write_text(CONFIG)
-        args = ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(tmp_path / "x"), "--seed", seed]
-        r = CliRunner().invoke(main, args)
-        assert r.exit_code == 2, r.output
-        assert "--seed" in r.output and "Traceback" not in r.output
-        assert not (tmp_path / "x").exists()
-
     def test_largest_seed_accepted(self, tmp_path):
-        (tmp_path / "config.txt").write_text(CONFIG)
-        args = ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(tmp_path / "x"), "--count", "1",
-                "--seed", str(2**128 - 1)]
+        (tmp_path / "config.txt").write_text(
+            CONFIG.replace("seed = 7", f"seed = {2**128 - 1}").replace("scene_count = 6", "scene_count = 1"))
+        args = ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(tmp_path / "x")]
         assert run(CliRunner(), args).exit_code == 0
         assert formats.read_manifest(tmp_path / "x" / "manifest.txt")[0].seed == 2**128 - 1
 
@@ -170,6 +163,15 @@ class TestSynthGen:
         r = runner.invoke(main, ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(tmp_path / "x")])
         assert r.exit_code != 0
         assert key in r.output
+
+    def test_missing_output_dir_fails(self, tmp_path, monkeypatch):
+        # Once: with neither --out nor output_dir, the scenes went into the
+        # working directory.
+        (tmp_path / "config.txt").write_text(CONFIG.replace("output_dir = dataset\n", ""))
+        monkeypatch.chdir(tmp_path)
+        r = CliRunner().invoke(main, ["synth-gen", "-c", "config.txt"])
+        assert_one_error_line(r, "config.txt: missing key 'output_dir'")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.txt"]
 
     def test_missing_count_fails(self, tmp_path):
         runner = CliRunner()
@@ -203,9 +205,10 @@ class TestSynthGen:
                           symmetric=False)
         config = tmp_path / "config.txt"
         config.write_text(CONFIG.replace("model_kind = box\nmodel_params = 0.08 0.06 0.1\n",
-                                         f"model_kind = file\nmodel_path = {ply}\nmodel_symmetric = true\n"))
+                                         f"model_kind = file\nmodel_path = {ply}\nmodel_symmetric = true\n")
+                          .replace("scene_count = 6", "scene_count = 1"))
         out, enc = tmp_path / "dataset", tmp_path / "enc"
-        assert run(CliRunner(), ["synth-gen", "-c", str(config), "--out", str(out), "--count", "1"]).exit_code == 0
+        assert run(CliRunner(), ["synth-gen", "-c", str(config), "--out", str(out)]).exit_code == 0
         assert run(CliRunner(), ["encode", "--dataset", str(out), "--out", str(enc)]).exit_code == 0
         assert formats.read_model(out / "model.ply").symmetric is False
         for manifest in (out / "manifest.txt", enc / "manifest.txt"):
@@ -314,7 +317,7 @@ class TestVerify:
             "verify", "--dataset", str(pipeline_dir / "dataset"),
             "--encodings", str(pipeline_dir / "enc"), "--tolerance", "1e-30",
         ])
-        assert r.exit_code == 1
+        assert_one_error_line(r, "corrected-form max residual", "exceeds tolerance 1.000e-30")
 
     def test_stats_file(self, pipeline_dir, tmp_path):
         runner = CliRunner()
@@ -586,9 +589,10 @@ class TestReports:
             "loss-decompose", "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pred), "--out", str(out),
         ])
         assert r.exit_code == 0, r.output
-        header, rows = formats.read_csv(out, "loss/v1")
-        assert rows.pop(2) == [formats.scene_name(2)] + [""] * 5
-        assert len(calls) == len(rows) == 5  # one decomposition per scene, the weighted total included
+        header, rows = formats.read_csv(out, "loss/v2")
+        assert header == ["scene", "total", "rotation_part", "cross_term", "translation_part"]
+        assert rows.pop(2) == [formats.scene_name(2)] + [""] * 4
+        assert len(calls) == len(rows) == 5  # one decomposition per scene
         for row in rows:
             total = float(row[1])
             parts = float(row[2]) + float(row[3]) + float(row[4])
@@ -778,8 +782,7 @@ class TestErrors:
         out = tmp_path / "results.csv"
         r = CliRunner().invoke(main, ["eval", "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pred),
                                       "--out", str(out)])
-        assert r.exit_code == 1, r.output
-        assert "no non-degenerate predictions" in r.output
+        assert_one_error_line(r, "no non-degenerate predictions", *(row[0] for row in rows))
         assert not out.exists()
 
     @pytest.mark.parametrize("name, key, value", [
@@ -1107,30 +1110,17 @@ class TestErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, option, value", [
-        ("eval", "--auc-max", "-1"),
-        ("eval", "--auc-max", "0"),
-        ("eval", "--auc-max", "nan"),
-        ("eval", "--threshold-fraction", "inf"),
-        ("loss-decompose", "--w-rot", "-1"),
-        ("loss-decompose", "--w-trans", "nan"),
         ("solve", "--perturb-sigma", "-1"),
         ("solve", "--perturb-sigma", "nan"),
         ("solve", "--refine", "-2"),
         ("solve", "--seed", "-1"),
         ("solve", "--seed", str(2**128)),
-        ("synth-gen", "--count", "-5"),
-        ("synth-gen", "--count", "0"),
     ])
     def test_bad_option_value_rejected(self, pipeline_dir, tmp_path, command, option, value):
         # Click refuses each (exit 2) before any file is read: none may reach
-        # a ValueError traceback, a NaN summary or a silent no-op.
+        # a ValueError traceback or a silent no-op.
         out = tmp_path / "out.csv"
-        if command == "solve":
-            args = ["solve", "--encodings", str(pipeline_dir / "enc")]
-        elif command == "synth-gen":
-            args = ["synth-gen", "-c", str(pipeline_dir / "config.txt")]
-        else:
-            args = [command, "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pipeline_dir / "solves.csv")]
+        args = [command, "--encodings", str(pipeline_dir / "enc")]
         r = CliRunner().invoke(main, args + ["--out", str(out), option, value])
         assert r.exit_code == 2, r.output
         assert isinstance(r.exception, SystemExit)
@@ -1315,18 +1305,45 @@ class TestEveryScene:
         assert_one_error_line(r, formats.scene_name(6), formats.scene_name(15), "(199994 in all)")
         assert len(r.output) < 1024 and formats.scene_name(16) not in r.output
 
-    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "inside"])
     def test_encode_into_the_dataset_refused(self, pipeline_dir, tmp_path, spelling):
         # Once: the dataset's manifest was unlinked before the first scene,
         # so every later command refused the dataset.
         dataset = tmp_path / "dataset"
         shutil.copytree(pipeline_dir / "dataset", dataset)
-        manifest = (dataset / "manifest.txt").read_bytes()
-        out = dataset if spelling == "same" else tmp_path / "dataset" / ".." / "dataset"
+        before = tree(dataset)
+        out = {"same": dataset, "dotted": tmp_path / "dataset" / ".." / "dataset", "inside": dataset / "enc"}[spelling]
         r = CliRunner().invoke(main, ["encode", "--dataset", str(dataset), "--out", str(out)])
-        assert_one_error_line(r, "--out", "dataset directory")
-        assert (dataset / "manifest.txt").read_bytes() == manifest
-        assert not (dataset / formats.scene_name(0) / "encoding.txt").exists()
+        assert_one_error_line(r, "--out", "is inside --dataset" if spelling == "inside" else "is --dataset")
+        assert tree(dataset) == before
+
+    @pytest.mark.parametrize("case", ["verify-manifest", "dist-report-manifest", "eval-model", "solve-manifest",
+                                      "loss-decompose-pred", "eval-summary-out"])
+    def test_output_over_an_input_refused(self, pipeline_dir, tmp_path, case):
+        # Once each exited 0: the first four replaced a file of the dataset or
+        # encodings they read, so every later command refused the directory;
+        # loss-decompose overwrote its solves, and eval kept only the summary.
+        shutil.copytree(pipeline_dir / "dataset", tmp_path / "dataset")
+        shutil.copytree(pipeline_dir / "enc", tmp_path / "enc")
+        shutil.copy(pipeline_dir / "solves.csv", tmp_path / "solves.csv")
+        (tmp_path / "results.csv").write_text("an earlier run's results\n")
+        dataset, enc, pred, results = (str(tmp_path / name) for name in ("dataset", "enc", "solves.csv", "results.csv"))
+        scored = ["--dataset", dataset, "--pred", pred]
+        args, named = {
+            "verify-manifest": (["verify", "--dataset", dataset, "--encodings", enc,
+                                 "--out", f"{dataset}/manifest.txt"], ["--out", "is inside --dataset"]),
+            "dist-report-manifest": (["dist-report", "--dataset", dataset, "--out", f"{enc}/../dataset/manifest.txt"],
+                                     ["--out", "is inside --dataset"]),
+            "eval-model": (["eval", *scored, "--out", f"{dataset}/model.ply"], ["--out", "is inside --dataset"]),
+            "solve-manifest": (["solve", "--encodings", enc, "--out", f"{enc}/manifest.txt"],
+                               ["--out", "is inside --encodings"]),
+            "loss-decompose-pred": (["loss-decompose", *scored, "--out", pred], ["--out", "is --pred"]),
+            "eval-summary-out": (["eval", *scored, "--out", results, "--summary-out", results],
+                                 ["--summary-out", "is --out"]),
+        }[case]
+        before = tree(tmp_path)
+        assert_one_error_line(CliRunner().invoke(main, args), *named)
+        assert tree(tmp_path) == before
 
 
 def python_prints(code: str) -> str:
@@ -1373,3 +1390,121 @@ def test_the_numeric_error_state_stays_inside_the_cli(pipeline_dir, tmp_path):
     r = CliRunner().invoke(main, [*args, str(huge)])
     assert_one_error_line(r, formats.scene_name(1))
     assert np.geterr() == before
+
+
+def _random_config(rng: np.random.Generator) -> tuple[str, str]:
+    """A 3-scene experiment config and an anchor strategy drawn from the spec
+    space: a primitive of 1-30 cm, an image of 24-96 px a side with an
+    off-centre principal point, f from 40 to 300, a depth of 0.2-3 m with a
+    spread of up to a tenth of it, and, each half the time, depth noise,
+    pixel dropout and occlusion."""
+    a, b, c = (float(size) for size in rng.uniform(0.01, 0.30, 3))
+    kind, params = [("sphere", [a / 2]), ("box", [a, b, c]), ("cylinder", [a / 2, b])][rng.integers(3)]
+    width, height = (int(n) for n in rng.integers(24, 97, 2))
+    z = float(rng.uniform(0.2, 3.0))
+    floats = lambda values: " ".join(repr(float(v)) for v in values)
+    lines = [
+        "format = experiment/v1", f"seed = {rng.integers(2**63)}", "scene_count = 3",
+        f"image_width = {width}", f"image_height = {height}",
+        *(f"{key} = {float(f)!r}" for key, f in zip(("fx", "fy"), rng.uniform(40.0, 300.0, 2))),
+        f"cx = {rng.uniform(0.3, 0.7) * width!r}", f"cy = {rng.uniform(0.3, 0.7) * height!r}",
+        f"model_kind = {kind}", f"model_params = {floats(params)}",
+        f"surface_sample_count = {rng.integers(50, 401)}", "translation_dist = box",
+        f"translation_center = {floats([*rng.uniform(-0.05, 0.05, 2) * z, z])}",
+        f"translation_half_widths = {floats(rng.uniform(0.0, 0.1, 3) * z)}",
+        f"depth_noise_sigma = {rng.uniform(0.0, 0.003) if rng.random() < 0.5 else 0.0!r}",
+        f"pixel_dropout = {rng.uniform(0.0, 0.5) if rng.random() < 0.5 else 0.0!r}",
+    ]
+    if rng.random() < 0.5:
+        lines.append(f"occlusion_fraction = {rng.uniform(0.0, 0.6)!r}")
+    return "\n".join(lines) + "\n", sorted(cli._STRATEGIES)[rng.integers(3)]
+
+
+def _spec_space(count: int) -> list[tuple[str, str]]:
+    # The first seed from 20261020 on whose 12 draws meet every outcome: a
+    # scene synth-gen refuses, an eval with every scene degenerate, a run
+    # with one degenerate scene, and runs where every scene solves.
+    rng = np.random.default_rng(20261055)
+    return [_random_config(rng) for _ in range(count)]
+
+
+class TestSpecSpace:
+    @pytest.mark.parametrize("config, strategy", _spec_space(12), ids=[f"config{i}" for i in range(12)])
+    def test_pipeline_writes_every_output_or_names_each_failed_scene(self, tmp_path, config, strategy):
+        # The CLI twin of tests/test_solver.py::TestSpecSpace.  A stage that
+        # exits 1 names exactly the scenes it could not handle: those whose
+        # files synth-gen or encode did not write, and for eval the scenes
+        # solve flagged degenerate.  No scene may fail verify or solve.
+        (tmp_path / "config.txt").write_text(config)
+        data, enc, solves = tmp_path / "data", tmp_path / "enc", tmp_path / "solves.csv"
+        verified, results, summary = tmp_path / "verify.txt", tmp_path / "results.csv", tmp_path / "summary.txt"
+        names = [formats.scene_name(i) for i in range(3)]
+        scene_files = {data: ["depth.pgm", "mask.pgm", "pose.txt"], enc: ["encoding.txt", "targets.txt"]}
+
+        def missing(root: Path) -> set[str]:
+            return {name for name in names if not all((root / name / f).is_file() for f in scene_files[root])}
+
+        def degenerate() -> set[str]:
+            return {row[0] for row in formats.read_csv(solves, SOLVES_VERSION)[1] if row[-1] == "degenerate"}
+
+        stages = [  # a stage's arguments, the files it writes last, and the scenes it failed
+            (["synth-gen", "-c", tmp_path / "config.txt", "--out", data], [data / "manifest.txt"],
+             lambda: missing(data)),
+            (["encode", "--dataset", data, "--out", enc, "--strategy", strategy], [enc / "manifest.txt"],
+             lambda: missing(enc)),
+            (["verify", "--dataset", data, "--encodings", enc, "--out", verified], [verified], set),
+            (["solve", "--encodings", enc, "--out", solves], [solves], set),
+            (["eval", "--dataset", data, "--pred", solves, "--out", results, "--summary-out", summary],
+             [results, summary], degenerate),
+        ]
+        for args, last, failed in stages:
+            r = CliRunner().invoke(main, [str(arg) for arg in args])
+            if r.exit_code == 0:
+                assert all(path.is_file() for path in last), args[0]
+                assert args[0] == "eval" or not failed(), args[0]
+                continue
+            assert_one_error_line(r)
+            [error] = [line for line in r.output.splitlines() if line.startswith("Error:")]
+            assert set(re.findall(r"scene_\d{5}", error)) == failed() != set(), (args[0], error)
+            assert not any(path.exists() for path in last), args[0]
+            return
+        assert len(formats.read_csv(results, cli.RESULTS_VERSION)[1]) == 3
+
+
+# Each command's options, each with its caller outside the tests: a new
+# option is a reviewed change to this table.
+CALLED_OPTIONS = {
+    "synth-gen": {
+        "--config",  # every recipe
+        "--out",  # bench/run.py and CI; the README recipe sets output_dir instead
+    },
+    "encode": {
+        "--dataset", "--out",  # every recipe
+        "--strategy",  # the paper's anchor choice, which dist-report reports on
+    },
+    "verify": {
+        "--dataset", "--encodings",  # every recipe
+        "--tolerance",  # bench/run.py and the README recipe
+        "--out",  # a sidecar: the max and RMS residual of each constraint form
+    },
+    "solve": {
+        "--encodings", "--out",  # every recipe
+        "--perturb-sigma", "--seed", "--refine",  # bench/run.py's three solve settings
+    },
+    "eval": {
+        "--dataset", "--pred", "--out",  # every recipe
+        "--summary-out",  # a sidecar: the summary eval prints
+    },
+    "dist-report": {
+        "--dataset", "--out",  # every recipe
+        "--strategy",  # bench/run.py and the README recipe
+    },
+    "loss-decompose": {
+        "--dataset", "--pred", "--out",  # every recipe
+    },
+}
+
+
+def test_each_option_has_a_caller():
+    found = {name: {max(param.opts, key=len) for param in command.params} for name, command in main.commands.items()}
+    assert found == CALLED_OPTIONS

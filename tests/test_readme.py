@@ -24,7 +24,7 @@ def test_cli_recipe_runs(tmp_path):
     # command's exit status count.
     [block] = [b for b in re.findall(r"^```sh\n(.*?)^```$", README.read_text(), flags=re.S | re.M)
                if "offset6d synth-gen" in b]
-    script = block.replace("offset6d synth-gen -c config.txt", "offset6d synth-gen -c config.txt --count 4")
+    script = block.replace("scene_count = 500", "scene_count = 4")
     assert script != block
     prelude = f"set -e\noffset6d() {{ {shlex.quote(sys.executable)} -m offset6d.cli \"$@\"; }}\n"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
