@@ -17,13 +17,8 @@ model file's ``comment symmetric`` line wins over ``model_symmetric``, in
 ``pose.txt``; ``encode`` and ``dist-report`` read the whole scene.
 Encodings mirror the scene directories (encoding.txt + targets.txt each),
 and ``encode`` writes ``enc/manifest.txt``, a copy of the dataset's
-manifest, last, so a failed or interrupted encode leaves none.  Each table is
-a ``key = value`` text header ending in ``data:``, then the rows as raw
-little-endian float64 (``<f8``), so ``head encoding.txt`` shows the header.
-``encode`` writes the geometric channels and relative-offset targets, the
-one encoding ``verify`` and ``solve`` accept.  Every ``encoding.txt`` holds
-the columns ``u v delta_x delta_y delta_d``; the geometric ``d*d0`` and
-``t0/(d*d0)`` are derived from ``delta_d`` when the file is read.
+manifest, last, so a failed or interrupted encode leaves none.  The tables'
+layout, and the one encoding they hold, are set out in :mod:`offset6d.formats`.
 Inputs are joined by scene name, never by position: a missing encoding or
 solves row, a solves row for a scene the dataset does not claim, a
 duplicated row, or targets that do not match their encoding fail the
@@ -113,6 +108,13 @@ def _finite(ctx: click.Context, param: click.Parameter, value: float) -> float:
     return value
 
 
+def _directory(text: str) -> Path:
+    """Parser for a config's ``output_dir``: an empty one would be the working directory."""
+    if not text:
+        raise ValueError("must name a directory, not be empty")
+    return Path(text)
+
+
 def _capped(names: list[str], total: int, sep: str) -> str:
     """The first ``_NAMED`` of ``names``, and the ``total`` if that is more."""
     shown = sep.join(names[:_NAMED])
@@ -197,7 +199,7 @@ def synth_gen(config_path: str, out: str | None) -> None:
     n = formats.scene_count(kv, config_path)
     if n <= 0:
         raise click.ClickException(f"{config_path}: scene_count must be positive")
-    out_dir = Path(out or formats._value(kv, config_path, "output_dir"))
+    out_dir = Path(out) if out else formats._value(kv, config_path, "output_dir", _directory)
 
     # A primitive whose face areas or diameter are not finite; a model file is named by its reader.
     model = formats._built(f"{config_path}: model_params", synth.model_for_spec, spec)

@@ -17,10 +17,12 @@ Conventions:
   - Encodings and targets: the same ``key = value`` text as a header, ending
     in a ``data:`` line, then ``count x len(columns)`` little-endian float64
     values (``<f8``, row-major), like a binary PGM.  ``head encoding.txt``
-    still shows the header.  Each table has one fixed column list:
-    ``u v delta_x delta_y delta_d`` for an encoding in every input mode
-    (``encoding/v3``; a geometric reader derives ``dd0`` and ``t0/dd0``
-    with ``encoding.geometric_products``), ``u v da db dc`` for targets
+    still shows the header.  The library keeps every mode in memory; the
+    files hold one, geometric channels in the corrected form and
+    relative-offset targets, and the writers refuse the others.  Each table
+    has one column list: ``u v delta_x delta_y delta_d`` for an encoding
+    (``encoding/v3``; its reader derives ``dd0`` and ``t0/dd0`` with
+    ``encoding.geometric_products``), ``u v da db dc`` for targets
     (``targets/v2``).
   - Results: CSV with a ``# name/vN`` version line; readers reject unknown
     versions.
@@ -33,7 +35,9 @@ plus atomic rename, so an interrupted run never leaves a truncated artifact
 behind; the file gets the mode a plain ``open`` would give it (``0o666``
 less the umask).  Parse errors name the byte offset of the offending data
 where it is meaningful.  ``_built`` is the one path from a refused value to
-an error naming the file (and the key, through ``_value``).
+an error naming the file (and the key, through ``_value``), and
+``_check_header`` the one rule for a header's fixed values (``format``, the
+manifest's ``rng_algorithm``, a table's ``mode`` and ``constraint_form``).
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import ConstraintForm, GeoEncoding, GeoTargets, InputMode, TargetMode, geometric_products
-from .errors import FormatError, InvalidDepthError, Offset6DError
+from .errors import FormatError, InvalidDepthError, ModeMismatchError, Offset6DError
 from .geometry import CameraIntrinsics, RigidPose, as_points
 from .metrics import ObjectModel
 from .record import astuple, fields, replace, same_value
@@ -385,13 +389,15 @@ def _built(path, make, *args, **kwargs):
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _check_header(kv: dict[str, str], path, expected_format: str, allowed: set[str]) -> None:
-    """``format`` must read ``expected_format``, and no key may be outside
-    ``allowed``; else a :class:`FormatError` naming the file."""
-    found = _value(kv, path, "format")
-    if found != expected_format:
-        raise FormatError(f"{path}: expected format {expected_format!r}, found {found!r}")
-    extra = set(kv) - allowed
+def _check_header(kv: dict[str, str], path, fixed: dict[str, str], allowed: set[str]) -> None:
+    """Each key of ``fixed`` must read its value there, and no key may be
+    outside ``fixed`` and ``allowed``; else a :class:`FormatError` naming the
+    file (and the key, for a fixed value)."""
+    for key, expected in fixed.items():
+        found = _value(kv, path, key)
+        if found != expected:
+            raise FormatError(f"{path}: key {key!r}: expected {expected!r}, found {found!r}")
+    extra = set(kv) - fixed.keys() - allowed
     if extra:
         raise FormatError(f"{path}: unknown keys {sorted(extra)}")
 
@@ -409,7 +415,7 @@ def write_pose(path, pose: RigidPose) -> None:
 
 def read_pose(path) -> RigidPose:
     kv = read_keyvalue(path)
-    _check_header(kv, path, "pose/v1", {"format", "rotation", "translation"})
+    _check_header(kv, path, {"format": "pose/v1"}, {"rotation", "translation"})
     rotation = np.reshape(_value(kv, path, "rotation", _floats(9)), (3, 3))
     translation = np.array(_value(kv, path, "translation", _floats(3)))
     return _built(path, RigidPose, rotation, translation)
@@ -419,6 +425,7 @@ def read_pose(path) -> RigidPose:
 # encodings and targets (key/value header + raw <f8 rows)
 
 _DATA_MARK = b"\ndata:\n"
+_REF_KEYS = {"x0", "y0", "d0", "strategy"}
 
 
 def _ref_pairs(ref: ReferencePoint) -> list[tuple[str, str]]:
@@ -435,19 +442,28 @@ def _ref_from(kv: dict[str, str], path) -> ReferencePoint:
     return _built(path, ReferencePoint, x0=x0, y0=y0, d0=d0, strategy=_value(kv, path, "strategy", RefStrategy))
 
 
-def _write_table(path, header_pairs: list[tuple[str, str]], columns: tuple[str, ...], rows: np.ndarray) -> None:
-    pairs = [*header_pairs, ("count", str(rows.shape[0])), ("columns", " ".join(columns))]
+def _refuse_other_mode(path, fixed: dict[str, str], mode: InputMode | TargetMode) -> None:
+    """A table file holds only the ``mode`` its ``fixed`` header names."""
+    if mode.value != fixed["mode"]:
+        raise ModeMismatchError(f"{path}: the file holds {fixed['mode']!r} mode only, not {mode.value!r}")
+
+
+def _write_table(
+    path, fixed: dict[str, str], pairs: list[tuple[str, str]], columns: tuple[str, ...], rows: np.ndarray
+) -> None:
+    pairs = [*fixed.items(), *pairs, ("count", str(rows.shape[0])), ("columns", " ".join(columns))]
     header = format_keyvalue(pairs) + "data:\n"
     _atomic_write_bytes(path, [header.encode(), np.ascontiguousarray(rows, dtype="<f8")])
 
 
 def _read_table(
-    path, expected_format: str, allowed: set[str], columns: tuple[str, ...]
+    path, fixed: dict[str, str], keys: set[str], columns: tuple[str, ...]
 ) -> tuple[dict[str, str], np.ndarray, np.ndarray, np.ndarray]:
     """Header pairs, the int64 pixel columns ``us`` and ``vs``, and the
     C-contiguous ``(count, len(columns) - 2)`` float64 rest, read a band of
-    rows at a time.  The header must list exactly ``columns``, which start
-    with ``u v``: whole numbers in ``[0, 2**53]``, where float64 holds every
+    rows at a time.  The header holds the ``fixed`` values, the reference
+    point, ``keys``, ``count`` and exactly ``columns``, which start with
+    ``u v``: whole numbers in ``[0, 2**53]``, where float64 holds every
     integer, checked before the cast, so a bad one names its column and byte
     offset."""
     with open(path, "rb") as f:
@@ -457,7 +473,7 @@ def _read_table(
         if split < 0:
             raise FormatError(f"{path}: missing 'data:' section", offset=len(head))
         kv = _parse_keyvalue(head[:split], path)
-        _check_header(kv, path, expected_format, allowed)
+        _check_header(kv, path, fixed, _REF_KEYS | keys | {"count", "columns"})
         found = _value(kv, path, "columns")
         if found.split() != list(columns):
             raise FormatError(f"{path}: expected columns {' '.join(columns)!r}, found {found!r}")
@@ -486,43 +502,35 @@ def _read_table(
     return kv, pixels[0], pixels[1], rest
 
 
-_ENCODING_KEYS = {
-    "format", "mode", "constraint_form", "x0", "y0", "d0", "strategy", "count", "columns",
-}
+_ENCODING_FIXED = {"format": "encoding/v3", "mode": InputMode.GEOMETRIC.value,
+                   "constraint_form": ConstraintForm.CORRECTED.value}
 _ENCODING_COLUMNS = ("u", "v", "delta_x", "delta_y", "delta_d")
 
 
 def write_encoding(path, enc: GeoEncoding) -> None:
-    """Write ``u v delta_x delta_y delta_d``.  A GEOMETRIC encoding's ``dd0``
-    and ``t0_over_dd0`` are not stored: they must equal, bit for bit,
+    """Write a GEOMETRIC encoding's ``u v delta_x delta_y delta_d``; another
+    mode raises :class:`ModeMismatchError`.  ``dd0`` and ``t0_over_dd0`` are
+    not stored: they must equal, bit for bit,
     :func:`~offset6d.encoding.geometric_products` of its ``delta_d``, which
     :func:`read_encoding` derives, or this raises ``ValueError``."""
-    stored = (enc.dd0, enc.t0_over_dd0)
-    if enc.mode is InputMode.GEOMETRIC and not all(
-        map(same_value, stored, geometric_products(enc.delta_d, enc.ref))
-    ):
+    _refuse_other_mode(path, _ENCODING_FIXED, enc.mode)
+    if not all(map(same_value, (enc.dd0, enc.t0_over_dd0), geometric_products(enc.delta_d, enc.ref))):
         raise ValueError(
             f"{path}: dd0 and t0_over_dd0 differ from the products of delta_d and the "
             "reference point; the file keeps only those"
         )
     rows = np.stack([enc.us, enc.vs, enc.delta_x, enc.delta_y, enc.delta_d], axis=1, dtype=np.float64)
-    header = [
-        ("format", "encoding/v3"),
-        ("mode", enc.mode.value),
-        ("constraint_form", ConstraintForm.CORRECTED.value),
-        *_ref_pairs(enc.ref),
-    ]
-    _write_table(path, header, _ENCODING_COLUMNS, rows)
+    _write_table(path, _ENCODING_FIXED, _ref_pairs(enc.ref), _ENCODING_COLUMNS, rows)
 
 
 def read_encoding(path) -> tuple[GeoEncoding, ConstraintForm]:
-    kv, us, vs, rest = _read_table(path, "encoding/v3", _ENCODING_KEYS, _ENCODING_COLUMNS)
-    mode = _value(kv, path, "mode", InputMode)
-    form = _value(kv, path, "constraint_form", ConstraintForm)
+    """The GEOMETRIC encoding in ``path`` and its constraint form, which the
+    header fixes as CORRECTED."""
+    kv, us, vs, rest = _read_table(path, _ENCODING_FIXED, set(), _ENCODING_COLUMNS)
     ref = _ref_from(kv, path)
     delta_x, delta_y, delta_d = rest.T
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # products past the float range read as inf
-        dd0, t0_over_dd0 = geometric_products(delta_d, ref) if mode is InputMode.GEOMETRIC else (None, None)
+        dd0, t0_over_dd0 = geometric_products(delta_d, ref)
     enc = _built(
         path,
         GeoEncoding,
@@ -534,32 +542,28 @@ def read_encoding(path) -> tuple[GeoEncoding, ConstraintForm]:
         dd0=dd0,
         t0_over_dd0=t0_over_dd0,
         ref=ref,
-        mode=mode,
+        mode=InputMode.GEOMETRIC,
     )
-    return enc, form
+    return enc, ConstraintForm.CORRECTED
 
 
-_TARGET_KEYS = {"format", "mode", "delta_t", "x0", "y0", "d0", "strategy", "count", "columns"}
+_TARGET_FIXED = {"format": "targets/v2", "mode": TargetMode.RELATIVE_OFFSET.value}
 _TARGET_COLUMNS = ("u", "v", "da", "db", "dc")
 
 
 def write_targets(path, tgt: GeoTargets) -> None:
+    """Write RELATIVE_OFFSET targets; another mode raises :class:`ModeMismatchError`."""
+    _refuse_other_mode(path, _TARGET_FIXED, tgt.mode)
     rows = np.concatenate([tgt.us[:, None], tgt.vs[:, None], tgt.delta_abc], axis=1, dtype=np.float64)
-    header = [
-        ("format", "targets/v2"),
-        ("mode", tgt.mode.value),
-        ("delta_t", format_floats(tgt.delta_t)),
-        *_ref_pairs(tgt.ref),
-    ]
-    _write_table(path, header, _TARGET_COLUMNS, rows)
+    header = [("delta_t", format_floats(tgt.delta_t)), *_ref_pairs(tgt.ref)]
+    _write_table(path, _TARGET_FIXED, header, _TARGET_COLUMNS, rows)
 
 
 def read_targets(path) -> GeoTargets:
-    kv, us, vs, delta_abc = _read_table(path, "targets/v2", _TARGET_KEYS, _TARGET_COLUMNS)
-    mode = _value(kv, path, "mode", TargetMode)
+    kv, us, vs, delta_abc = _read_table(path, _TARGET_FIXED, {"delta_t"}, _TARGET_COLUMNS)
     ref = _ref_from(kv, path)
     delta_t = np.array(_value(kv, path, "delta_t", _floats(3)))
-    return GeoTargets(delta_t=delta_t, delta_abc=delta_abc, mode=mode, ref=ref, us=us, vs=vs)
+    return GeoTargets(delta_t=delta_t, delta_abc=delta_abc, mode=TargetMode.RELATIVE_OFFSET, ref=ref, us=us, vs=vs)
 
 
 # ---------------------------------------------------------------------------
@@ -641,14 +645,10 @@ def read_scene_pose(scene_dir) -> RigidPose:
 
 
 def read_encoded_scene(enc_dir) -> tuple[GeoEncoding, GeoTargets]:
-    """One scene's encoding and targets: the geometric channels and
-    relative-offset targets ``encode`` writes, sharing pixels and reference."""
+    """One scene's encoding and targets, which must share pixels and reference."""
     enc_dir = Path(enc_dir)
     enc, _ = read_encoding(enc_dir / "encoding.txt")
     tgt = read_targets(enc_dir / "targets.txt")
-    if enc.mode is not InputMode.GEOMETRIC or tgt.mode is not TargetMode.RELATIVE_OFFSET:
-        raise FormatError(f"{enc_dir}: expected {InputMode.GEOMETRIC.value} channels and "
-                          f"{TargetMode.RELATIVE_OFFSET.value} targets, found {enc.mode.value} and {tgt.mode.value}")
     if tgt.ref != enc.ref or not (np.array_equal(tgt.us, enc.us) and np.array_equal(tgt.vs, enc.vs)):
         raise FormatError(f"{enc_dir}: targets.txt and encoding.txt differ in pixels or reference point")
     return enc, replace(tgt, us=enc.us, vs=enc.vs)  # one copy of the pixel indices
@@ -670,9 +670,8 @@ _SPEC_KEYS = {
     "depth_noise_sigma", "pixel_dropout", "occlusion_fraction",
 }
 
-_EXPERIMENT_KEYS = _SPEC_KEYS | {"format", "scene_count", "output_dir"}
-
-_MANIFEST_KEYS = _SPEC_KEYS | {"format", "scene_count", "rng_algorithm"}
+# Scenes drawn by another generator are other scenes.
+_MANIFEST_FIXED = {"format": "dataset/v2", "rng_algorithm": RNG_ALGORITHM}
 
 # ``model_params`` lists a primitive's fields in order; a volume's fields are
 # stored under ``translation_<field>``.
@@ -760,7 +759,8 @@ def scene_count(kv: dict[str, str], path) -> int:
 
 
 def write_manifest(path, spec: SceneSpec, scene_count: int) -> None:
-    pairs = [("format", "dataset/v2"), ("scene_count", str(scene_count)), ("rng_algorithm", RNG_ALGORITHM)]
+    pairs = [("format", _MANIFEST_FIXED["format"]), ("scene_count", str(scene_count)),
+             ("rng_algorithm", _MANIFEST_FIXED["rng_algorithm"])]
     pairs += spec_to_pairs(spec)
     write_keyvalue(path, pairs)
 
@@ -768,15 +768,12 @@ def write_manifest(path, spec: SceneSpec, scene_count: int) -> None:
 def read_manifest(path) -> tuple[SceneSpec, int]:
     """Returns (spec, scene_count)."""
     kv = read_keyvalue(path)
-    _check_header(kv, path, "dataset/v2", _MANIFEST_KEYS)
-    found = _value(kv, path, "rng_algorithm")
-    if found != RNG_ALGORITHM:  # the scenes were drawn by another generator
-        raise FormatError(f"{path}: key 'rng_algorithm': expected {RNG_ALGORITHM!r}, found {found!r}")
+    _check_header(kv, path, _MANIFEST_FIXED, _SPEC_KEYS | {"scene_count"})
     return pairs_to_spec(kv, path), scene_count(kv, path)
 
 
 def read_experiment_config(path) -> dict[str, str]:
     """Schema-checked raw experiment configuration (unknown keys rejected)."""
     kv = read_keyvalue(path)
-    _check_header(kv, path, "experiment/v1", _EXPERIMENT_KEYS)
+    _check_header(kv, path, {"format": "experiment/v1"}, _SPEC_KEYS | {"scene_count", "output_dir"})
     return kv

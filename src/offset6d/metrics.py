@@ -176,12 +176,6 @@ class LossDecomposition:
     translation_part: float
     cross_term: float
 
-    def weighted(self, w_rot: float, w_trans: float) -> float:
-        """Reweighted split: ``w_rot * rotation + cross + w_trans * translation``."""
-        if not (w_rot >= 0 and w_trans >= 0):
-            raise ValueError("weights must be >= 0")
-        return w_rot * self.rotation_part + self.cross_term + w_trans * self.translation_part
-
 
 def add(pred: RigidPose, gt: RigidPose, model: ObjectModel) -> float:
     """Mean matched-point distance between the two transformed models."""
@@ -276,4 +270,7 @@ def weighted_add_loss(
     w_trans: float,
 ) -> float:
     """Reweighted split: ``w_rot * rotation + cross + w_trans * translation``."""
-    return decompose_add_loss(pred, gt, model).weighted(w_rot, w_trans)
+    if not (w_rot >= 0 and w_trans >= 0):
+        raise ValueError("weights must be >= 0")
+    parts = decompose_add_loss(pred, gt, model)
+    return w_rot * parts.rotation_part + parts.cross_term + w_trans * parts.translation_part

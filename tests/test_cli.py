@@ -77,6 +77,14 @@ def tree(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def set_header(path: Path, key: str, value: str) -> None:
+    """Rewrite the ``key`` line of a table's header to read ``value``."""
+    header, mark, payload = path.read_bytes().partition(b"\ndata:\n")
+    lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in header.decode().split("\n")]
+    assert f"{key} = {value}" in lines
+    path.write_bytes("\n".join(lines).encode() + mark + payload)
+
+
 def assert_one_error_line(result, *names) -> None:
     """Exit 1 with a single ``Error:`` line that names each of ``names``."""
     assert result.exit_code == 1, result.output
@@ -164,13 +172,17 @@ class TestSynthGen:
         assert r.exit_code != 0
         assert key in r.output
 
-    def test_missing_output_dir_fails(self, tmp_path, monkeypatch):
-        # Once: with neither --out nor output_dir, the scenes went into the
-        # working directory.
-        (tmp_path / "config.txt").write_text(CONFIG.replace("output_dir = dataset\n", ""))
+    @pytest.mark.parametrize("line, detail", [
+        ("", "missing key 'output_dir'"),
+        ("output_dir =\n", "key 'output_dir': must name a directory"),
+    ], ids=["absent", "empty"])
+    def test_missing_output_dir_fails(self, tmp_path, monkeypatch, line, detail):
+        # Once: with neither --out nor output_dir, or with an empty one, the
+        # scenes went into the working directory.
+        (tmp_path / "config.txt").write_text(CONFIG.replace("output_dir = dataset\n", line))
         monkeypatch.chdir(tmp_path)
         r = CliRunner().invoke(main, ["synth-gen", "-c", "config.txt"])
-        assert_one_error_line(r, "config.txt: missing key 'output_dir'")
+        assert_one_error_line(r, f"config.txt: {detail}")
         assert [p.name for p in tmp_path.iterdir()] == ["config.txt"]
 
     def test_missing_count_fails(self, tmp_path):
@@ -673,25 +685,26 @@ class TestErrors:
         assert f"{scene}: targets.txt and encoding.txt differ" in r.output
 
     @pytest.mark.parametrize("command", ["verify", "solve"])
-    @pytest.mark.parametrize("name, mode", [("targets.txt", "absolute"), ("encoding.txt", "offset")])
-    def test_other_encoding_mode_refused(self, pipeline_dir, tmp_path, command, name, mode):
-        # Only geometric channels with relative-offset targets constrain the
-        # pose: absolute targets solve to poses centimeters off, yet well-posed.
+    @pytest.mark.parametrize("name, key, value", [
+        ("targets.txt", "mode", "absolute"),
+        ("encoding.txt", "mode", "offset"),
+        ("encoding.txt", "constraint_form", "as-printed"),
+    ])
+    def test_other_encoding_mode_refused(self, pipeline_dir, tmp_path, command, name, key, value):
+        # Only geometric channels with relative-offset targets in the corrected
+        # form constrain the pose: absolute targets solve to poses centimeters
+        # off, yet well-posed.  A header that says otherwise was once read as
+        # the corrected form.
         enc = tmp_path / "enc"
         shutil.copytree(pipeline_dir / "enc", enc)
-        scene = enc / formats.scene_name(2)
-        obs = formats.read_scene_dir(pipeline_dir / "dataset" / scene.name, small_scene_spec())
-        ref = formats.read_targets(scene / "targets.txt").ref
-        if name == "targets.txt":
-            formats.write_targets(scene / name, o6.encode_targets(obs, ref, o6.TargetMode(mode)))
-        else:
-            formats.write_encoding(scene / name, o6.encode_input(obs, ref, o6.InputMode(mode)))
+        path = enc / formats.scene_name(2) / name
+        set_header(path, key, value)
         out = tmp_path / "out.txt"
         if command == "verify":
             args = ["verify", "--dataset", str(pipeline_dir / "dataset"), "--encodings", str(enc), "--out", str(out)]
         else:
             args = ["solve", "--encodings", str(enc), "--out", str(out)]
-        assert_one_error_line(CliRunner().invoke(main, args), str(scene), mode)
+        assert_one_error_line(CliRunner().invoke(main, args), f"{path}: key {key!r}", f"found {value!r}")
         assert not out.exists()
 
     def test_missing_targets_file_names_path(self, pipeline_dir, tmp_path):
@@ -788,10 +801,13 @@ class TestErrors:
     @pytest.mark.parametrize("name, key, value", [
         ("encoding.txt", "count", "many"),
         ("encoding.txt", "mode", "bogus"),
+        ("encoding.txt", "mode", "offset"),
         ("encoding.txt", "constraint_form", "bogus"),
+        ("encoding.txt", "constraint_form", "as-printed"),
         ("encoding.txt", "strategy", "bogus"),
         ("encoding.txt", "d0", "oops"),
         ("targets.txt", "mode", "bogus"),
+        ("targets.txt", "mode", "absolute"),
         ("targets.txt", "x0", "oops"),
         ("targets.txt", "y0", "oops"),
         ("targets.txt", "x0", "nan"),  # NaN differs from itself: refused here, not blamed on the pair
@@ -802,11 +818,7 @@ class TestErrors:
         enc = tmp_path / "enc"
         shutil.copytree(pipeline_dir / "enc", enc)
         path = enc / formats.scene_name(3) / name
-        header, mark, payload = path.read_bytes().partition(b"\ndata:\n")
-        lines = header.decode().split("\n")
-        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
-        assert f"{key} = {value}" in lines
-        path.write_bytes("\n".join(lines).encode() + mark + payload)
+        set_header(path, key, value)
         r = CliRunner().invoke(main, ["solve", "--encodings", str(enc), "--out", str(tmp_path / "solves.csv")])
         assert_one_error_line(r, str(path), repr(key))
 
@@ -935,7 +947,7 @@ class TestErrors:
         path = tmp_path / "dataset" / "manifest.txt"
         path.write_text(path.read_text().replace("format = dataset/v2\n", "format = dataset/v1\n"))
         r = CliRunner().invoke(main, ["encode", "--dataset", str(tmp_path / "dataset"), "--out", str(tmp_path / "enc")])
-        assert_one_error_line(r, str(path), "expected format 'dataset/v2', found 'dataset/v1'")
+        assert_one_error_line(r, str(path), "key 'format': expected 'dataset/v2', found 'dataset/v1'")
         assert not (tmp_path / "enc").exists()
 
     @pytest.mark.parametrize("command", ["encode", "verify", "eval", "dist-report", "loss-decompose"])
@@ -1229,13 +1241,11 @@ def _break_two_scenes(command, pipeline_dir, tmp_path):
         (scene(enc, 3) / "targets.txt").unlink()
         return (["verify", "--dataset", str(dataset), "--encodings", str(enc), "--out", str(out)], out,
                 [f"{formats.scene_name(1)}: non-finite constraint residuals", str(scene(enc, 3) / "targets.txt")])
-    if command == "solve":  # another scene's targets and another encoding mode
+    if command == "solve":  # another scene's targets and another target mode
         shutil.copy(scene(enc, 1) / "targets.txt", scene(enc, 0) / "targets.txt")
-        obs = formats.read_scene_dir(scene(dataset, 5), small_scene_spec())
-        ref = formats.read_targets(scene(enc, 5) / "targets.txt").ref
-        formats.write_targets(scene(enc, 5) / "targets.txt", o6.encode_targets(obs, ref, o6.TargetMode("absolute")))
+        set_header(scene(enc, 5) / "targets.txt", "mode", "absolute")
         return (["solve", "--encodings", str(enc), "--out", str(out)], out,
-                [f"{scene(enc, 0)}: targets.txt and encoding.txt differ", f"{scene(enc, 5)}: expected geometric"])
+                [f"{scene(enc, 0)}: targets.txt and encoding.txt differ", f"{scene(enc, 5) / 'targets.txt'}: key 'mode'"])
     if command in ("eval", "loss-decompose"):  # a missing and a malformed pose.txt
         (scene(dataset, 2) / "pose.txt").unlink()
         pose = scene(dataset, 3) / "pose.txt"

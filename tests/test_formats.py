@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -273,7 +274,7 @@ class TestKeyValueFiles:
     def test_wrong_format_rejected(self, tmp_path):
         other = tmp_path / "verify.txt"
         formats.write_keyvalue(other, [("format", "verify/v1"), ("rotation", "1 0 0 0 1 0 0 0 1")])
-        with pytest.raises(FormatError, match="expected format 'pose/v1', found 'verify/v1'"):
+        with pytest.raises(FormatError, match="key 'format': expected 'pose/v1', found 'verify/v1'"):
             formats.read_pose(other)
 
     def test_duplicate_key_rejected(self, tmp_path):
@@ -283,46 +284,48 @@ class TestKeyValueFiles:
             formats.read_keyvalue(path)
 
 
-def _example_encoding(rng, mode=InputMode.GEOMETRIC, strategy=o6.RefStrategy.MEAN_VISIBLE):
+def _example_encoding(rng, strategy=o6.RefStrategy.MEAN_VISIBLE):
     spec = small_scene_spec(seed=63)
     scene = o6.render_scene(spec, 0)
     obs = scene.observation
     ref = o6.make_reference(obs, strategy)
-    enc = o6.encode_input(obs, ref, mode)
+    enc = o6.encode_input(obs, ref)
     tgt = o6.encode_targets(obs, ref)
     return enc, tgt
 
 
 class TestEncodingFiles:
-    @pytest.mark.parametrize("mode", list(InputMode))
-    def test_encoding_round_trip_exact(self, tmp_path, rng, mode):
+    def test_encoding_round_trip_exact(self, tmp_path, rng):
         # A non-default strategy, so a reader that assumed mean-visible would fail.
-        enc, _ = _example_encoding(rng, mode=mode, strategy=o6.RefStrategy.CENTER_MEAN_DEPTH)
+        enc, _ = _example_encoding(rng, strategy=o6.RefStrategy.CENTER_MEAN_DEPTH)
         path = tmp_path / "encoding.txt"
         formats.write_encoding(path, enc)
         back, form = formats.read_encoding(path)
         assert form is ConstraintForm.CORRECTED
-        assert back.mode is mode
+        assert back.mode is InputMode.GEOMETRIC
         np.testing.assert_array_equal(back.us, enc.us)
         np.testing.assert_array_equal(back.vs, enc.vs)
         np.testing.assert_array_equal(back.delta_x, enc.delta_x)
         np.testing.assert_array_equal(back.delta_y, enc.delta_y)
         np.testing.assert_array_equal(back.delta_d, enc.delta_d)
-        if mode is InputMode.GEOMETRIC:
-            np.testing.assert_array_equal(back.dd0, enc.dd0)
-            np.testing.assert_array_equal(back.t0_over_dd0, enc.t0_over_dd0)
+        np.testing.assert_array_equal(back.dd0, enc.dd0)
+        np.testing.assert_array_equal(back.t0_over_dd0, enc.t0_over_dd0)
         assert (back.ref.x0, back.ref.y0, back.ref.d0) == (enc.ref.x0, enc.ref.y0, enc.ref.d0)
         assert back.ref.strategy is enc.ref.strategy is o6.RefStrategy.CENTER_MEAN_DEPTH
 
-    @pytest.mark.parametrize("mode", list(InputMode))
-    def test_one_column_layout_for_every_mode(self, tmp_path, rng, mode):
-        enc, _ = _example_encoding(rng, mode=mode)
-        path = tmp_path / "encoding.txt"
-        formats.write_encoding(path, enc)
-        header = path.read_bytes().partition(b"\ndata:\n")[0].decode()
-        assert header.startswith("format = encoding/v3\n")
-        assert header.endswith(f"count = {len(enc)}\ncolumns = u v delta_x delta_y delta_d")
-        assert path.stat().st_size == len(header) + len(b"\ndata:\n") + len(enc) * 5 * 8
+    @pytest.mark.parametrize("mode", [InputMode.ABSOLUTE_XYD, InputMode.OFFSET_XYD,
+                                      TargetMode.ABSOLUTE, TargetMode.OFFSET], ids=lambda m: m.name)
+    def test_other_mode_refused_and_no_file_left(self, tmp_path, mode):
+        # The files hold the pipeline's one encoding; the library keeps the other modes in memory.
+        obs = o6.render_scene(small_scene_spec(seed=63), 0).observation
+        ref = o6.make_reference(obs, o6.RefStrategy.MEAN_VISIBLE)
+        if isinstance(mode, InputMode):
+            path, write, made = tmp_path / "encoding.txt", formats.write_encoding, o6.encode_input(obs, ref, mode)
+        else:
+            path, write, made = tmp_path / "targets.txt", formats.write_targets, o6.encode_targets(obs, ref, mode)
+        with pytest.raises(o6.ModeMismatchError, match=f"{re.escape(str(path))}: .* not '{mode.value}'"):
+            write(path, made)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("field", ["dd0", "t0_over_dd0"])
     def test_inconsistent_geometric_products_refused(self, tmp_path, rng, field):
@@ -342,7 +345,7 @@ class TestEncodingFiles:
     def test_other_column_list_rejected(self, tmp_path, columns):
         path = tmp_path / "encoding.txt"
         path.write_text(
-            "format = encoding/v3\nmode = offset\nconstraint_form = corrected\n"
+            "format = encoding/v3\nmode = geometric\nconstraint_form = corrected\n"
             "x0 = 0.0\ny0 = 0.0\nd0 = 1.0\nstrategy = mean-visible\n"
             f"count = 0\ncolumns = {columns}\ndata:\n"
         )
@@ -390,7 +393,7 @@ class TestEncodingFiles:
             "x0 = 0.0\ny0 = 0.0\nd0 = 1.0\nstrategy = mean-visible\n"
             "count = 1\ncolumns = u v delta_x delta_y delta_d\ndata:\n3 4 0.5 0.25 0.125\n"
         )
-        with pytest.raises(FormatError, match="expected format 'encoding/v3', found 'encoding/v1'"):
+        with pytest.raises(FormatError, match="key 'format': expected 'encoding/v3', found 'encoding/v1'"):
             formats.read_encoding(path)
 
     def test_table_of_version_2_rejected_by_format(self, tmp_path):
@@ -402,7 +405,7 @@ class TestEncodingFiles:
             b"count = 1\ncolumns = u v delta_x delta_y delta_d dd0 t0dd0_x t0dd0_y t0dd0_z\ndata:\n"
             + np.array([3, 4, 0.5, 0.25, 1.0, 2.0, 0.0, 0.0, 0.5], dtype="<f8").tobytes()
         )
-        with pytest.raises(FormatError, match="expected format 'encoding/v3', found 'encoding/v2'"):
+        with pytest.raises(FormatError, match="key 'format': expected 'encoding/v3', found 'encoding/v2'"):
             formats.read_encoding(path)
 
     def test_zero_row_table_is_its_text_header(self, tmp_path):
@@ -491,21 +494,18 @@ def _refs(d0=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)):
 
 @st.composite
 def _encodings(draw):
-    """Encodings with arbitrary channel bits; a GEOMETRIC one takes its
-    products from ``geometric_products``, as ``encode_input`` does."""
+    """GEOMETRIC encodings, the one mode a file holds, with arbitrary channel
+    bits; the products come from ``geometric_products``, as in ``encode_input``."""
     n = draw(_ROWS)
-    mode = draw(st.sampled_from(list(InputMode)))
-    geometric = mode is InputMode.GEOMETRIC
-    ref = draw(_refs(_GEOMETRIC_D0) if geometric else _refs())
+    ref = draw(_refs(_GEOMETRIC_D0))
 
     def column(elements=_VALUES):
         return draw(hnp.arrays(np.float64, n, elements=elements))
 
     above_minus_d0 = st.floats(min_value=-ref.d0, exclude_min=True)
-    delta_d = column(st.one_of(st.sampled_from([v for v in _SPECIAL if not v <= -ref.d0]), above_minus_d0)
-                     if geometric else _VALUES)
+    delta_d = column(st.one_of(st.sampled_from([v for v in _SPECIAL if not v <= -ref.d0]), above_minus_d0))
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN products are stored bits too
-        dd0, t0_over_dd0 = geometric_products(delta_d, ref) if geometric else (None, None)
+        dd0, t0_over_dd0 = geometric_products(delta_d, ref)
     return GeoEncoding(
         us=draw(hnp.arrays(np.int64, n, elements=_PIXELS)),
         vs=draw(hnp.arrays(np.int64, n, elements=_PIXELS)),
@@ -515,7 +515,7 @@ def _encodings(draw):
         dd0=dd0,
         t0_over_dd0=t0_over_dd0,
         ref=ref,
-        mode=mode,
+        mode=InputMode.GEOMETRIC,
     )
 
 
@@ -525,7 +525,7 @@ def _targets(draw):
     return GeoTargets(
         delta_t=draw(hnp.arrays(np.float64, 3, elements=_HEADER_FLOATS)),
         delta_abc=draw(hnp.arrays(np.float64, (n, 3), elements=_VALUES)),
-        mode=draw(st.sampled_from(list(TargetMode))),
+        mode=TargetMode.RELATIVE_OFFSET,
         ref=draw(_refs()),
         us=draw(hnp.arrays(np.int64, n, elements=_PIXELS)),
         vs=draw(hnp.arrays(np.int64, n, elements=_PIXELS)),

@@ -481,9 +481,10 @@ class TestWeightedLoss:
         original = metrics.decompose_add_loss
         monkeypatch.setattr(metrics, "decompose_add_loss", lambda *args: calls.append(1) or original(*args))
         for w_rot, w_trans in ((1.0, 1.0), (4.0, 0.5), (0.0, 1.0)):
-            assert o6.weighted_add_loss(pred, gt, model, w_rot, w_trans) == parts.weighted(w_rot, w_trans)
+            expected = w_rot * parts.rotation_part + parts.cross_term + w_trans * parts.translation_part
+            assert o6.weighted_add_loss(pred, gt, model, w_rot, w_trans) == expected
         assert len(calls) == 3  # once per weighted_add_loss
-        assert parts.weighted(1.0, 1.0) == parts.total
+        assert o6.weighted_add_loss(pred, gt, model, 1.0, 1.0) == parts.total
 
     def test_rejects_negative_weights(self, rng):
         model = ball_model(rng)
