@@ -108,13 +108,6 @@ def _finite(ctx: click.Context, param: click.Parameter, value: float) -> float:
     return value
 
 
-def _directory(text: str) -> Path:
-    """Parser for a config's ``output_dir``: an empty one would be the working directory."""
-    if not text:
-        raise ValueError("must name a directory, not be empty")
-    return Path(text)
-
-
 def _capped(names: list[str], total: int, sep: str) -> str:
     """The first ``_NAMED`` of ``names``, and the ``total`` if that is more."""
     shown = sep.join(names[:_NAMED])
@@ -164,8 +157,6 @@ class _Scenes:
         if not manifest.exists():
             raise click.ClickException(f"{manifest} not found; is {directory} a dataset or encodings directory?")
         self.spec, count = formats.read_manifest(manifest)
-        if count == 0:
-            raise click.ClickException(f"{manifest} claims no scenes (scene_count = 0)")
         # The claim is checked against one listing before a list of its
         # length is built: a hand-edited count costs no time or memory.
         with os.scandir(self.root) as entries:
@@ -194,12 +185,10 @@ def main() -> None:
 @click.option("--out", type=click.Path(file_okay=False), default=None, help="Overrides output_dir from the config.")
 def synth_gen(config_path: str, out: str | None) -> None:
     """Generate a synthetic dataset directory: the config's scene_count scenes, from its seed."""
-    kv = formats.read_experiment_config(config_path)
-    spec = formats.pairs_to_spec(kv, config_path)
-    n = formats.scene_count(kv, config_path)
-    if n <= 0:
-        raise click.ClickException(f"{config_path}: scene_count must be positive")
-    out_dir = Path(out) if out else formats._value(kv, config_path, "output_dir", _directory)
+    spec, n, out_dir = formats.read_experiment_config(config_path)
+    out_dir = Path(out) if out else out_dir
+    if out_dir is None:
+        raise click.ClickException(f"{config_path}: missing key 'output_dir', and no --out")
 
     # A primitive whose face areas or diameter are not finite; a model file is named by its reader.
     model = formats._built(f"{config_path}: model_params", synth.model_for_spec, spec)

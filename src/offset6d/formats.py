@@ -38,6 +38,8 @@ where it is meaningful.  ``_built`` is the one path from a refused value to
 an error naming the file (and the key, through ``_value``), and
 ``_check_header`` the one rule for a header's fixed values (``format``, the
 manifest's ``rng_algorithm``, a table's ``mode`` and ``constraint_form``).
+A key/value file's keys are its reader's reads: ``_value`` takes each out,
+refusing an empty value, and ``_refuse_unread`` names any key left over.
 """
 
 from __future__ import annotations
@@ -342,14 +344,22 @@ def _parse_keyvalue(raw: bytes, path) -> dict[str, str]:
 
 
 def _value(kv: dict[str, str], path, key: str, parse=str, default: str | None = None):
-    """``parse(kv[key])``, or ``parse(default)`` when the key is absent.  A
-    missing key, and a ``ValueError`` from ``parse`` (a value that does not
-    parse, or that the type it builds rejects), raise a :class:`FormatError`
-    naming the file and the key."""
-    text = kv.get(key, default)
+    """``parse`` of ``key``'s value, taken out of ``kv``, or ``parse(default)``
+    when the key is absent.  A missing key, an empty value and a ``ValueError``
+    from ``parse`` (a value that does not parse, or that the type it builds
+    rejects) raise a :class:`FormatError` naming the file and the key."""
+    text = kv.pop(key, default)
     if text is None:
         raise FormatError(f"{path}: missing key {key!r}")
+    if not text:
+        raise FormatError(f"{path}: key {key!r}: empty value")
     return _built(f"{path}: key {key!r}", parse, text)
+
+
+def _refuse_unread(kv: dict[str, str], path) -> None:
+    """A key ``_value`` did not take out of ``kv`` is one its reader does not know."""
+    if kv:
+        raise FormatError(f"{path}: unknown keys {sorted(kv)}")
 
 
 def _floats(n: int):
@@ -364,9 +374,9 @@ def _floats(n: int):
     return parse
 
 
-def _count(text: str) -> int:
-    if not text.isdecimal():
-        raise ValueError(f"must be a non-negative integer, got {text!r}")
+def _count(text: str, least: int = 0) -> int:
+    if not (text.isdecimal() and int(text) >= least):
+        raise ValueError(f"must be an integer >= {least}, got {text!r}")
     return int(text)
 
 
@@ -389,17 +399,12 @@ def _built(path, make, *args, **kwargs):
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _check_header(kv: dict[str, str], path, fixed: dict[str, str], allowed: set[str]) -> None:
-    """Each key of ``fixed`` must read its value there, and no key may be
-    outside ``fixed`` and ``allowed``; else a :class:`FormatError` naming the
-    file (and the key, for a fixed value)."""
+def _check_header(kv: dict[str, str], path, fixed: dict[str, str]) -> None:
+    """Each key of ``fixed`` must read its value there, or a :class:`FormatError` names it."""
     for key, expected in fixed.items():
         found = _value(kv, path, key)
         if found != expected:
             raise FormatError(f"{path}: key {key!r}: expected {expected!r}, found {found!r}")
-    extra = set(kv) - fixed.keys() - allowed
-    if extra:
-        raise FormatError(f"{path}: unknown keys {sorted(extra)}")
 
 
 def write_pose(path, pose: RigidPose) -> None:
@@ -415,9 +420,10 @@ def write_pose(path, pose: RigidPose) -> None:
 
 def read_pose(path) -> RigidPose:
     kv = read_keyvalue(path)
-    _check_header(kv, path, {"format": "pose/v1"}, {"rotation", "translation"})
+    _check_header(kv, path, {"format": "pose/v1"})
     rotation = np.reshape(_value(kv, path, "rotation", _floats(9)), (3, 3))
     translation = np.array(_value(kv, path, "translation", _floats(3)))
+    _refuse_unread(kv, path)
     return _built(path, RigidPose, rotation, translation)
 
 
@@ -425,7 +431,6 @@ def read_pose(path) -> RigidPose:
 # encodings and targets (key/value header + raw <f8 rows)
 
 _DATA_MARK = b"\ndata:\n"
-_REF_KEYS = {"x0", "y0", "d0", "strategy"}
 
 
 def _ref_pairs(ref: ReferencePoint) -> list[tuple[str, str]]:
@@ -457,15 +462,14 @@ def _write_table(
 
 
 def _read_table(
-    path, fixed: dict[str, str], keys: set[str], columns: tuple[str, ...]
+    path, fixed: dict[str, str], columns: tuple[str, ...]
 ) -> tuple[dict[str, str], np.ndarray, np.ndarray, np.ndarray]:
-    """Header pairs, the int64 pixel columns ``us`` and ``vs``, and the
-    C-contiguous ``(count, len(columns) - 2)`` float64 rest, read a band of
-    rows at a time.  The header holds the ``fixed`` values, the reference
-    point, ``keys``, ``count`` and exactly ``columns``, which start with
-    ``u v``: whole numbers in ``[0, 2**53]``, where float64 holds every
-    integer, checked before the cast, so a bad one names its column and byte
-    offset."""
+    """The header pairs left to read, the int64 pixel columns ``us`` and
+    ``vs``, and the C-contiguous ``(count, len(columns) - 2)`` float64 rest,
+    read a band of rows at a time.  The header holds the ``fixed`` values,
+    ``count`` and exactly ``columns``, which start with ``u v``: whole numbers
+    in ``[0, 2**53]``, where float64 holds every integer, checked before the
+    cast, so a bad one names its column and byte offset."""
     with open(path, "rb") as f:
         head = f.read(io.DEFAULT_BUFFER_SIZE)
         while (split := head.find(_DATA_MARK)) < 0 and (more := f.read(len(head))):
@@ -473,7 +477,7 @@ def _read_table(
         if split < 0:
             raise FormatError(f"{path}: missing 'data:' section", offset=len(head))
         kv = _parse_keyvalue(head[:split], path)
-        _check_header(kv, path, fixed, _REF_KEYS | keys | {"count", "columns"})
+        _check_header(kv, path, fixed)
         found = _value(kv, path, "columns")
         if found.split() != list(columns):
             raise FormatError(f"{path}: expected columns {' '.join(columns)!r}, found {found!r}")
@@ -526,8 +530,9 @@ def write_encoding(path, enc: GeoEncoding) -> None:
 def read_encoding(path) -> tuple[GeoEncoding, ConstraintForm]:
     """The GEOMETRIC encoding in ``path`` and its constraint form, which the
     header fixes as CORRECTED."""
-    kv, us, vs, rest = _read_table(path, _ENCODING_FIXED, set(), _ENCODING_COLUMNS)
+    kv, us, vs, rest = _read_table(path, _ENCODING_FIXED, _ENCODING_COLUMNS)
     ref = _ref_from(kv, path)
+    _refuse_unread(kv, path)
     delta_x, delta_y, delta_d = rest.T
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # products past the float range read as inf
         dd0, t0_over_dd0 = geometric_products(delta_d, ref)
@@ -560,9 +565,10 @@ def write_targets(path, tgt: GeoTargets) -> None:
 
 
 def read_targets(path) -> GeoTargets:
-    kv, us, vs, delta_abc = _read_table(path, _TARGET_FIXED, {"delta_t"}, _TARGET_COLUMNS)
+    kv, us, vs, delta_abc = _read_table(path, _TARGET_FIXED, _TARGET_COLUMNS)
     ref = _ref_from(kv, path)
     delta_t = np.array(_value(kv, path, "delta_t", _floats(3)))
+    _refuse_unread(kv, path)
     return GeoTargets(delta_t=delta_t, delta_abc=delta_abc, mode=TargetMode.RELATIVE_OFFSET, ref=ref, us=us, vs=vs)
 
 
@@ -661,15 +667,6 @@ def scene_name(index: int) -> str:
 # ---------------------------------------------------------------------------
 # experiment configuration / dataset manifest: the scene spec's text form
 
-_SPEC_KEYS = {
-    "seed", "image_width", "image_height", "fx", "fy", "cx", "cy",
-    "model_kind", "model_params", "model_path", "model_symmetric",
-    "surface_sample_count", "rotation_dist",
-    "translation_dist", "translation_center", "translation_half_widths",
-    "translation_mean", "translation_sigma",
-    "depth_noise_sigma", "pixel_dropout", "occlusion_fraction",
-}
-
 # Scenes drawn by another generator are other scenes.
 _MANIFEST_FIXED = {"format": "dataset/v2", "rng_algorithm": RNG_ALGORITHM}
 
@@ -712,10 +709,11 @@ def spec_to_pairs(spec: SceneSpec) -> list[tuple[str, str]]:
 
 
 def pairs_to_spec(kv: dict[str, str], path="<config>") -> SceneSpec:
-    """The spec of an experiment config or a manifest.  A missing key, a value
-    that does not parse and a value the spec types reject raise a
-    :class:`FormatError` naming the file (and the key, where one value is at
-    fault)."""
+    """The spec of an experiment config or a manifest, read from a copy of
+    ``kv``.  A missing, empty, malformed or unread key (another model kind's,
+    say) and a value the spec types reject raise a :class:`FormatError`
+    naming the file (and the key, where one value is at fault)."""
+    kv = dict(kv)
     value = functools.partial(_value, kv, path)
 
     kind_name = value("model_kind")
@@ -739,7 +737,7 @@ def pairs_to_spec(kv: dict[str, str], path="<config>") -> SceneSpec:
     dist = value(location, lambda text: volume(_floats(3)(text), spread_values))
 
     # A check across keys (focal lengths, image size, noise ranges) names the file.
-    return _built(path, lambda: SceneSpec(
+    spec = _built(path, lambda: SceneSpec(
         model_kind=kind,
         surface_sample_count=value("surface_sample_count", int),
         image_size=(value("image_width", int), value("image_height", int)),
@@ -751,11 +749,8 @@ def pairs_to_spec(kv: dict[str, str], path="<config>") -> SceneSpec:
         pixel_dropout=value("pixel_dropout", float, "0"),
         occlusion_fraction=value("occlusion_fraction", float) if "occlusion_fraction" in kv else None,
     ))
-
-
-def scene_count(kv: dict[str, str], path) -> int:
-    """The ``scene_count`` of a manifest or an experiment config, a non-negative integer."""
-    return _value(kv, path, "scene_count", _count)
+    _refuse_unread(kv, path)
+    return spec
 
 
 def write_manifest(path, spec: SceneSpec, scene_count: int) -> None:
@@ -766,14 +761,19 @@ def write_manifest(path, spec: SceneSpec, scene_count: int) -> None:
 
 
 def read_manifest(path) -> tuple[SceneSpec, int]:
-    """Returns (spec, scene_count)."""
+    """Returns (spec, scene_count); the count is positive."""
     kv = read_keyvalue(path)
-    _check_header(kv, path, _MANIFEST_FIXED, _SPEC_KEYS | {"scene_count"})
-    return pairs_to_spec(kv, path), scene_count(kv, path)
+    _check_header(kv, path, _MANIFEST_FIXED)
+    count = _value(kv, path, "scene_count", functools.partial(_count, least=1))
+    return pairs_to_spec(kv, path), count
 
 
-def read_experiment_config(path) -> dict[str, str]:
-    """Schema-checked raw experiment configuration (unknown keys rejected)."""
+def read_experiment_config(path) -> tuple[SceneSpec, int, Path | None]:
+    """Returns (spec, scene_count, output_dir) like :func:`read_manifest`, with
+    ``output_dir`` None when absent.  An unknown, missing, empty or malformed
+    key raises a :class:`FormatError` naming the config (and the key)."""
     kv = read_keyvalue(path)
-    _check_header(kv, path, {"format": "experiment/v1"}, _SPEC_KEYS | {"scene_count", "output_dir"})
-    return kv
+    _check_header(kv, path, {"format": "experiment/v1"})
+    count = _value(kv, path, "scene_count", functools.partial(_count, least=1))
+    output_dir = _value(kv, path, "output_dir", Path) if "output_dir" in kv else None
+    return pairs_to_spec(kv, path), count, output_dir

@@ -91,13 +91,10 @@ def solve_procrustes(cam_points, obj_points) -> SolveReport:
     rotation = _fit_rotation(
         cam_c.T @ obj_c, "points are collinear or coincident; rotation is not determined"
     )
-    translation = cam_centroid - rotation @ obj_centroid
-
-    residual = obj @ rotation.T + translation - cam
-    rms = float(np.sqrt(np.mean(np.sum(residual**2, axis=1))))
+    pose = RigidPose(rotation, cam_centroid - rotation @ obj_centroid)
     return SolveReport(
-        pose=RigidPose(rotation, translation),
-        residual_rms=rms,
+        pose=pose,
+        residual_rms=_alignment_rms(cam, obj, pose),
         point_count=n,
         condition_flag=ConditionFlag.WELL_POSED,
     )
@@ -127,12 +124,10 @@ def _object_points(
     return obj
 
 
-def _constraint_rms(
-    cam: np.ndarray, delta_abc: np.ndarray, ref: ReferencePoint, pose: RigidPose
-) -> float:
-    """Meters-level RMS: reconstruct each surface point in both frames under
-    the recovered pose and measure the 3D mismatch."""
-    residual = _object_points(cam, delta_abc, ref, pose) @ pose.rotation.T
+def _alignment_rms(cam: np.ndarray, obj: np.ndarray, pose: RigidPose) -> float:
+    """The RMS in meters of the 3D mismatch between the camera points and the
+    object points mapped by ``pose``."""
+    residual = obj @ pose.rotation.T
     residual += pose.translation
     residual -= cam
     return float(np.sqrt(np.mean(np.sum(np.square(residual, out=residual), axis=1))))
@@ -201,15 +196,12 @@ def solve_from_constraints(
     pose = RigidPose(rotation, rotation @ ((delta_abc - lhs @ rotation).T @ w / ww))
     del lhs, w  # freed before the (N, 3) arrays of the RMS
     cam = _reconstruct_camera_points(enc)
-    rms = _constraint_rms(cam, delta_abc, enc.ref, pose)
-
     for _ in range(refine_iterations):
         pose = solve_procrustes(cam, _object_points(cam, delta_abc, enc.ref, pose)).pose
-        rms = _constraint_rms(cam, delta_abc, enc.ref, pose)
 
     return SolveReport(
         pose=pose,
-        residual_rms=rms,
+        residual_rms=_alignment_rms(cam, _object_points(cam, delta_abc, enc.ref, pose), pose),
         point_count=n,
         condition_flag=ConditionFlag.WELL_POSED,
     )

@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from . import formats
-from .errors import EmptyInputError, EmptyObjectError, Offset6DError
+from .errors import EmptyInputError, EmptyObjectError, FormatError, Offset6DError
 from .geometry import RigidPose
 from .metrics import ObjectModel
 from .record import record
@@ -94,6 +94,8 @@ def make_model(kind: ModelKind, surface_sample_count: int, rng: np.random.Genera
     if isinstance(kind, FileModel):
         points, file_symmetric = formats.read_ply(kind.path)
         symmetric = kind.symmetric if file_symmetric is None else file_symmetric
+        if len(points) < 2:  # refused before the re-centering: a mean of no points warns
+            raise FormatError(f"{kind.path}: model needs >= 2 points, got shape {points.shape}")
         # Two-pass re-centering: the residual mean after the second pass is
         # far below float resolution at these scales.  A sum past the float
         # range leaves points the model refuses as not finite.

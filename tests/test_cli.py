@@ -174,7 +174,7 @@ class TestSynthGen:
 
     @pytest.mark.parametrize("line, detail", [
         ("", "missing key 'output_dir'"),
-        ("output_dir =\n", "key 'output_dir': must name a directory"),
+        ("output_dir =\n", "key 'output_dir': empty value"),
     ], ids=["absent", "empty"])
     def test_missing_output_dir_fails(self, tmp_path, monkeypatch, line, detail):
         # Once: with neither --out nor output_dir, or with an empty one, the
@@ -184,6 +184,15 @@ class TestSynthGen:
         r = CliRunner().invoke(main, ["synth-gen", "-c", "config.txt"])
         assert_one_error_line(r, f"config.txt: {detail}")
         assert [p.name for p in tmp_path.iterdir()] == ["config.txt"]
+
+    def test_empty_model_path_names_config_and_key(self, tmp_path):
+        # Once read as the working directory: "Error: [Errno 21] Is a directory: '.'".
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG.replace("model_kind = box\nmodel_params = 0.08 0.06 0.1\n",
+                                         "model_kind = file\nmodel_path =\n"))
+        r = CliRunner().invoke(main, ["synth-gen", "-c", str(config), "--out", str(tmp_path / "out")])
+        assert_one_error_line(r, f"{config}: key 'model_path': empty value")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_count_fails(self, tmp_path):
         runner = CliRunner()
@@ -905,6 +914,8 @@ class TestErrors:
         # Box face areas that overflow or underflow: once a bare numpy message naming no file.
         ("synth-gen", "model_params", "1e200 1e200 1e200", "model_params: overflow"),
         ("synth-gen", "model_params", "1e-200 1e-200 1e-200", "model_params: invalid value"),
+        ("synth-gen", "scene_count", "", "key 'scene_count': empty value"),
+        ("encode", "fx", "", "key 'fx': empty value"),
     ])
     def test_bad_spec_value_names_file_and_detail(self, pipeline_dir, tmp_path, command, key, value, detail):
         path, result = self._run_with_spec_value(pipeline_dir, tmp_path, command, key, value)
@@ -913,11 +924,15 @@ class TestErrors:
     @pytest.mark.parametrize("rows, detail", [
         (["0.01 0.0 0.0"] * 3, "model diameter must be positive (all points coincide?)"),
         (["0.01 0.0 0.0", "0 oops 0", "0.0 0.02 0.0"], "bad vertex row '0 oops 0' (byte offset {})"),
-    ], ids=["coincident", "bad-row"])
+        # No vertices once printed two numpy "Mean of empty slice" warnings before the line.
+        ([], "model needs >= 2 points, got shape (0, 3)"),
+        (["0.01 0.0 0.0"], "model needs >= 2 points, got shape (1, 3)"),
+    ], ids=["coincident", "bad-row", "no-vertices", "one-vertex"])
     def test_refused_model_file_named_once(self, tmp_path, rows, detail):
         # The PLY's reader names it; synth-gen adds no config key to the line.
         ply = tmp_path / "part.ply"
-        header = "ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\nproperty double y\nproperty double z\nend_header\n"
+        header = (f"ply\nformat ascii 1.0\nelement vertex {len(rows)}\n"
+                  "property double x\nproperty double y\nproperty double z\nend_header\n")
         ply.write_text(header + "".join(f"{row}\n" for row in rows))
         config = tmp_path / "config.txt"
         config.write_text(CONFIG.replace("model_kind = box\nmodel_params = 0.08 0.06 0.1\n",
@@ -926,7 +941,7 @@ class TestErrors:
         result = CliRunner().invoke(main, ["synth-gen", "-c", str(config), "--out", str(out)])
         assert_one_error_line(result)
         [error] = [line for line in result.output.splitlines() if line.startswith("Error:")]
-        assert error == f"Error: {ply}: " + detail.format(len(header) + len(rows[0]) + 1)
+        assert error == f"Error: {ply}: " + detail.format(len(header) + len(rows[0]) + 1 if rows else 0)
         assert not (out / "manifest.txt").exists()
 
     @pytest.mark.parametrize("command", ["encode", "dist-report"])
@@ -950,6 +965,28 @@ class TestErrors:
         assert_one_error_line(r, str(path), "key 'format': expected 'dataset/v2', found 'dataset/v1'")
         assert not (tmp_path / "enc").exists()
 
+    # Once read by no code, exit 0, and dropped from the manifest: another
+    # model kind's or translation volume's keys.
+    @pytest.mark.parametrize("command, lines, keys", [
+        ("synth-gen", ["model_path = part.ply", "model_symmetric = true"], "['model_path', 'model_symmetric']"),
+        ("synth-gen", ["translation_mean = 0.0 0.0 1.0"], "['translation_mean']"),
+        ("encode", ["model_path = part.ply"], "['model_path']"),
+        ("encode", ["translation_mean = 0.0 0.0 1.0", "translation_sigma = 0.1 0.1 0.1"],
+         "['translation_mean', 'translation_sigma']"),
+    ], ids=["config-file-model", "config-gaussian", "manifest-file-model", "manifest-gaussian"])
+    def test_key_of_another_kind_refused(self, pipeline_dir, tmp_path, command, lines, keys):
+        if command == "synth-gen":
+            path = tmp_path / "config.txt"
+            path.write_text(CONFIG)
+            args = ["synth-gen", "-c", str(path), "--out", str(tmp_path / "out")]
+        else:
+            shutil.copytree(pipeline_dir / "dataset", tmp_path / "dataset")
+            path = tmp_path / "dataset" / "manifest.txt"
+            args = ["encode", "--dataset", str(tmp_path / "dataset"), "--out", str(tmp_path / "out")]
+        path.write_text(path.read_text() + "".join(f"{line}\n" for line in lines))
+        assert_one_error_line(CliRunner().invoke(main, args), f"{path}: unknown keys {keys}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["encode", "verify", "eval", "dist-report", "loss-decompose"])
     def test_manifest_of_no_scenes_refused(self, pipeline_dir, tmp_path, command):
         # synth-gen never writes one; a hand-edited count of 0 must not pass
@@ -964,7 +1001,8 @@ class TestErrors:
             args += ["--encodings", str(pipeline_dir / "enc")]
         elif command in ("eval", "loss-decompose"):
             args += ["--pred", str(pipeline_dir / "solves.csv")]
-        assert_one_error_line(CliRunner().invoke(main, args), str(path), "scene_count = 0")
+        result = CliRunner().invoke(main, args)
+        assert_one_error_line(result, f"{path}: key 'scene_count': must be an integer >= 1, got '0'")
         assert not out.exists()
 
     def test_reencode_without_pose_drops_stale_targets(self, pipeline_dir, tmp_path):

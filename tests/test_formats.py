@@ -5,6 +5,7 @@ import math
 import os
 import re
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,6 +271,28 @@ class TestKeyValueFiles:
         path.write_text(path.read_text() + "color = blue\n")
         with pytest.raises(FormatError):
             formats.read_pose(path)
+
+    # A header's keys are the ones its reader reads: a stray key and an empty value are refused by name.
+    @pytest.mark.parametrize("name", ["pose.txt", "encoding.txt", "targets.txt"])
+    @pytest.mark.parametrize("line, detail", [
+        ("stray = 1", "unknown keys ['stray']"),
+        ("{key} =", "key '{key}': empty value"),
+    ], ids=["unread", "empty"])
+    def test_header_keys_are_the_readers_reads(self, tmp_path, rng, name, line, detail):
+        enc, tgt = _example_encoding(rng)
+        path = tmp_path / name
+        write, read, key = {
+            "pose.txt": (lambda: formats.write_pose(path, random_pose(rng)), formats.read_pose, "translation"),
+            "encoding.txt": (lambda: formats.write_encoding(path, enc), formats.read_encoding, "strategy"),
+            "targets.txt": (lambda: formats.write_targets(path, tgt), formats.read_targets, "delta_t"),
+        }[name]
+        write()
+        header, mark, payload = path.read_bytes().partition(b"\ndata:\n")
+        line = line.format(key=key)  # in place of the key's own line, if the file has one
+        lines = [x for x in header.decode().split("\n") if x.split(" =")[0] != line.split(" =")[0]]
+        path.write_bytes("\n".join([*lines, line]).encode() + (mark or b"\n") + payload)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {detail.format(key=key)}")):
+            read(path)
 
     def test_wrong_format_rejected(self, tmp_path):
         other = tmp_path / "verify.txt"
@@ -751,7 +774,7 @@ class TestManifestAndConfig:
         path = tmp_path / "manifest.txt"
         formats.write_manifest(path, spec, 3)
         path.write_text(path.read_text() + "banana = yes\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: unknown keys ['banana']")):
             formats.read_manifest(path)
 
     @pytest.mark.parametrize("line, found", [
@@ -769,26 +792,40 @@ class TestManifestAndConfig:
             formats.read_manifest(path)
         assert found in str(info.value)
 
+    CONFIG = (
+        "format = experiment/v1\nseed = 1\nscene_count = 2\n"
+        "image_width = 64\nimage_height = 64\n"
+        "fx = 60.0\nfy = 60.0\ncx = 32.0\ncy = 32.0\n"
+        "model_kind = sphere\nmodel_params = 0.05\n"
+        "surface_sample_count = 100\n"
+        "translation_dist = box\ntranslation_center = 0 0 1\n"
+        "translation_half_widths = 0.1 0.1 0.1\n"
+    )
+
     def test_experiment_config_schema(self, tmp_path):
         path = tmp_path / "config.txt"
-        path.write_text(
-            "format = experiment/v1\nseed = 1\nscene_count = 2\n"
-            "image_width = 64\nimage_height = 64\n"
-            "fx = 60.0\nfy = 60.0\ncx = 32.0\ncy = 32.0\n"
-            "model_kind = sphere\nmodel_params = 0.05\n"
-            "surface_sample_count = 100\n"
-            "translation_dist = box\ntranslation_center = 0 0 1\n"
-            "translation_half_widths = 0.1 0.1 0.1\n"
-        )
-        kv = formats.read_experiment_config(path)
-        spec = formats.pairs_to_spec(kv, path)
+        path.write_text(self.CONFIG)
+        spec, count, output_dir = formats.read_experiment_config(path)
         assert spec.seed == 1 and spec.image_size == (64, 64)
+        assert count == 2 and output_dir is None
+        path.write_text(self.CONFIG + "output_dir = out/data\n")
+        assert formats.read_experiment_config(path)[2] == Path("out/data")
 
     def test_experiment_config_unknown_key(self, tmp_path):
+        # A complete config, so the key is refused for being unknown and not for another missing.
         path = tmp_path / "config.txt"
-        path.write_text("format = experiment/v1\nnonsense = 1\n")
-        with pytest.raises(FormatError):
+        path.write_text(self.CONFIG + "nonsense = 1\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: unknown keys ['nonsense']")):
             formats.read_experiment_config(path)
+
+    def test_pairs_to_spec_leaves_the_callers_pairs(self):
+        kv = dict(formats.spec_to_pairs(small_scene_spec(seed=70)))
+        before = dict(kv)
+        formats.pairs_to_spec(kv)
+        kv["translation_mean"] = "0 0 1"
+        with pytest.raises(FormatError, match=re.escape("<config>: unknown keys ['translation_mean']")):
+            formats.pairs_to_spec(kv)
+        assert kv == {**before, "translation_mean": "0 0 1"}
 
     def test_model_symmetric_must_be_true_or_false(self):
         kv = dict(formats.spec_to_pairs(small_scene_spec(model_kind=o6.FileModel("part.ply", symmetric=True))))
@@ -799,7 +836,6 @@ class TestManifestAndConfig:
 
     def test_config_missing_key_message(self, tmp_path):
         path = tmp_path / "config.txt"
-        path.write_text("format = experiment/v1\nmodel_kind = sphere\n")
-        kv = formats.read_experiment_config(path)
-        with pytest.raises(FormatError):
-            formats.pairs_to_spec(kv, path)
+        path.write_text(self.CONFIG.replace("model_params = 0.05\n", ""))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: missing key 'model_params'")):
+            formats.read_experiment_config(path)

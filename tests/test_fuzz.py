@@ -29,7 +29,7 @@ FLOATS = [np.nan, np.inf, -np.inf, 1e300, -1.0, 0.5, 2.0**63]
 
 READERS = {
     "manifest.txt": formats.read_manifest,
-    "config.txt": lambda path: formats.pairs_to_spec(formats.read_experiment_config(path), path),
+    "config.txt": formats.read_experiment_config,
     "pose.txt": formats.read_pose,
     "depth.pgm": formats.read_depth_pgm,
     "mask.pgm": formats.read_mask_pgm,
