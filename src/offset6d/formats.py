@@ -116,8 +116,10 @@ def write_ply(path, points: np.ndarray, symmetric: bool | None = None) -> None:
 def read_ply(path) -> tuple[np.ndarray, bool | None]:
     """Returns (points, symmetric-flag-or-None).
 
-    A ``comment symmetric`` line must read ``true`` or ``false``.  Every
-    error names the file.
+    A ``comment symmetric`` line must read ``true`` or ``false``, and it and
+    the ``element vertex`` line may each appear once.  A property line is
+    ``property <type> <name>`` (no lists), and a vertex row holds one value
+    per property.  Every error names the file and the byte offset.
     """
     raw = Path(path).read_bytes()
     it = _lines(raw, path)
@@ -136,6 +138,8 @@ def read_ply(path) -> tuple[np.ndarray, bool | None]:
             if words[1:2] == ["symmetric"]:
                 if words[2:] not in (["true"], ["false"]):
                     raise FormatError(f"{path}: symmetric flag must be true or false, got {line!r}", offset=off)
+                if symmetric is not None:
+                    raise FormatError(f"{path}: a second symmetric comment {line!r}", offset=off)
                 symmetric = words[2] == "true"
             continue
         if words[0] == "format":
@@ -144,6 +148,8 @@ def read_ply(path) -> tuple[np.ndarray, bool | None]:
         elif words[0] == "element":
             if words[1:2] != ["vertex"]:
                 raise FormatError(f"{path}: unsupported PLY element {line!r}", offset=off)
+            if vertex_count is not None:
+                raise FormatError(f"{path}: a second element line {line!r}", offset=off)
             try:
                 vertex_count = int(words[2])
             except (IndexError, ValueError):
@@ -151,7 +157,9 @@ def read_ply(path) -> tuple[np.ndarray, bool | None]:
             if vertex_count < 0:
                 raise FormatError(f"{path}: bad element line {line!r}", offset=off)
         elif words[0] == "property":
-            properties.append(words[-1])
+            if len(words) != 3:  # "property <type> <name>", never a list
+                raise FormatError(f"{path}: unsupported PLY property {line!r}", offset=off)
+            properties.append(words[2])
         elif words[0] == "end_header":
             data_start = it
             break
@@ -172,8 +180,8 @@ def read_ply(path) -> tuple[np.ndarray, bool | None]:
         if filled >= vertex_count:
             raise FormatError(f"{path}: more vertex rows than declared", offset=off)
         words = line.split()
-        if len(words) < 3:
-            raise FormatError(f"{path}: vertex row needs 3 values, got {line!r}", offset=off)
+        if len(words) != len(properties):
+            raise FormatError(f"{path}: vertex row needs {len(properties)} values, got {line!r}", offset=off)
         try:
             points[filled] = [float(words[0]), float(words[1]), float(words[2])]
         except ValueError:

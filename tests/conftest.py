@@ -6,6 +6,8 @@ printed as one line per criterion in the terminal summary.
 """
 
 import os
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ import offset6d as o6
 # too much for one.  Local runs keep hypothesis's default random exploration.
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 _acceptance_results: dict[str, str] = {}
 
@@ -81,3 +85,11 @@ def small_scene_spec(seed: int = 42, **overrides) -> o6.SceneSpec:
     )
     kwargs.update(overrides)
     return o6.SceneSpec(**kwargs)
+
+
+def launch(argv: list, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``argv`` to its end, its output captured as text, with this
+    checkout's ``src/`` first on ``PYTHONPATH`` and the caller's path after
+    it: a fresh interpreter imports the code under test."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(argv, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, **kwargs)

@@ -2,13 +2,13 @@
 evaluation, distribution and loss reports."""
 
 import functools
-import os
+import hashlib
 import re
 import shutil
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import Callable
 
 import click
 import numpy as np
@@ -19,7 +19,7 @@ import offset6d as o6
 from offset6d import cli, formats, metrics, record, refpoint
 from offset6d.cli import SOLVES_HEADER, SOLVES_VERSION, _each, _Scenes, main
 
-from conftest import default_intrinsics, small_scene_spec
+from conftest import default_intrinsics, launch, small_scene_spec
 
 K = default_intrinsics()
 
@@ -72,17 +72,60 @@ def traced_peak(args) -> tuple[click.testing.Result, int]:
     return r, peak
 
 
-def tree(root: Path) -> dict[str, bytes]:
-    """Every file under ``root``, by relative path, and its bytes."""
-    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+def tree(root: Path) -> dict[str, bytes | None]:
+    """Every file and directory under ``root``, by relative path, and a file's bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
 
 
-def set_header(path: Path, key: str, value: str) -> None:
-    """Rewrite the ``key`` line of a table's header to read ``value``."""
-    header, mark, payload = path.read_bytes().partition(b"\ndata:\n")
-    lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in header.decode().split("\n")]
-    assert f"{key} = {value}" in lines
-    path.write_bytes("\n".join(lines).encode() + mark + payload)
+def edit(path: Path, change: Callable[[bytes], bytes]) -> None:
+    path.write_bytes(change(path.read_bytes()))
+
+
+def set_header(key: str, value: str) -> Callable[[bytes], bytes]:
+    """Sets the ``key`` line of a key/value text, or of a table's header, to read ``value``."""
+    def change(raw: bytes) -> bytes:
+        header, mark, payload = raw.partition(b"\ndata:\n")
+        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in header.decode().split("\n")]
+        assert f"{key} = {value}" in lines
+        return "\n".join(lines).encode() + mark + payload
+    return change
+
+
+def set_first_row(column: str, value: float) -> Callable[[bytes], bytes]:
+    """Sets ``column`` of an ``encoding.txt``'s first row."""
+    def change(table: bytes) -> bytes:
+        at = table.index(b"\ndata:\n") + len(b"\ndata:\n") + 8 * formats._ENCODING_COLUMNS.index(column)
+        return table[:at] + np.array([value], dtype="<f8").tobytes() + table[at + 8:]
+    return change
+
+
+def set_cell(scene: str, column: str, value: str) -> Callable[[bytes], bytes]:
+    """Sets ``column`` of a solves CSV's row for ``scene``."""
+    def change(solves: bytes) -> bytes:
+        start = solves.index(f"\n{scene},".encode()) + 1
+        end = solves.index(b"\n", start)
+        cells = solves[start:end].split(b",")
+        cells[SOLVES_HEADER.index(column)] = value.encode()
+        return solves[:start] + b",".join(cells) + solves[end:]
+    return change
+
+
+def no_rows(table: bytes) -> bytes:
+    """A table with its count set to 0 and its rows dropped."""
+    header, mark, _ = table.partition(b"\ndata:\n")
+    return set_header("count", "0")(header + mark)
+
+
+def replaced(old: bytes, new: bytes) -> Callable[[bytes], bytes]:
+    """Replaces the one ``old`` in a file."""
+    def change(raw: bytes) -> bytes:
+        assert raw.count(old) == 1, old
+        return raw.replace(old, new)
+    return change
+
+
+def appended(tail: bytes) -> Callable[[bytes], bytes]:
+    return lambda raw: raw + tail
 
 
 def assert_one_error_line(result, *names) -> None:
@@ -144,18 +187,6 @@ class TestSynthGen:
         assert depth("a") == depth("b")  # same seed: byte identical
         assert depth("a") != depth("c")  # another seed: different
 
-    def test_rerun_writes_identical_tree(self, tmp_path):
-        # Every file of the dataset, not only the depth maps: manifest,
-        # model and poses must repeat byte for byte too.
-        (tmp_path / "config.txt").write_text(CONFIG.replace("scene_count = 6", "scene_count = 3"))
-        trees = []
-        for out in ("a", "b"):
-            args = ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(tmp_path / out)]
-            assert run(CliRunner(), args).exit_code == 0
-            trees.append(tree(tmp_path / out))
-        assert trees[0] == trees[1]
-        assert {"manifest.txt", "model.ply", "scene_00002/pose.txt", "scene_00002/mask.pgm"} <= set(trees[0])
-
     def test_largest_seed_accepted(self, tmp_path):
         (tmp_path / "config.txt").write_text(
             CONFIG.replace("seed = 7", f"seed = {2**128 - 1}").replace("scene_count = 6", "scene_count = 1"))
@@ -171,28 +202,6 @@ class TestSynthGen:
         r = runner.invoke(main, ["synth-gen", "-c", str(tmp_path / "config.txt"), "--out", str(tmp_path / "x")])
         assert r.exit_code != 0
         assert key in r.output
-
-    @pytest.mark.parametrize("line, detail", [
-        ("", "missing key 'output_dir'"),
-        ("output_dir =\n", "key 'output_dir': empty value"),
-    ], ids=["absent", "empty"])
-    def test_missing_output_dir_fails(self, tmp_path, monkeypatch, line, detail):
-        # Once: with neither --out nor output_dir, or with an empty one, the
-        # scenes went into the working directory.
-        (tmp_path / "config.txt").write_text(CONFIG.replace("output_dir = dataset\n", line))
-        monkeypatch.chdir(tmp_path)
-        r = CliRunner().invoke(main, ["synth-gen", "-c", "config.txt"])
-        assert_one_error_line(r, f"config.txt: {detail}")
-        assert [p.name for p in tmp_path.iterdir()] == ["config.txt"]
-
-    def test_empty_model_path_names_config_and_key(self, tmp_path):
-        # Once read as the working directory: "Error: [Errno 21] Is a directory: '.'".
-        config = tmp_path / "config.txt"
-        config.write_text(CONFIG.replace("model_kind = box\nmodel_params = 0.08 0.06 0.1\n",
-                                         "model_kind = file\nmodel_path =\n"))
-        r = CliRunner().invoke(main, ["synth-gen", "-c", str(config), "--out", str(tmp_path / "out")])
-        assert_one_error_line(r, f"{config}: key 'model_path': empty value")
-        assert not (tmp_path / "out").exists()
 
     def test_missing_count_fails(self, tmp_path):
         runner = CliRunner()
@@ -460,24 +469,6 @@ class TestSolveEval:
         assert float(kv["accuracy_at_threshold"]) == 1.0
         assert float(kv["mean_add_selective"]) == 0.0
 
-    def test_encode_outputs_byte_identical(self, pipeline_dir, tmp_path):
-        runner = CliRunner()
-        r = run(runner, ["encode", "--dataset", str(pipeline_dir / "dataset"), "--out", str(tmp_path / "enc2")])
-        assert r.exit_code == 0
-        for name in ("encoding.txt", "targets.txt"):
-            a = (pipeline_dir / "enc" / "scene_00000" / name).read_bytes()
-            b = (tmp_path / "enc2" / "scene_00000" / name).read_bytes()
-            assert a == b
-
-    def test_solve_outputs_byte_identical(self, pipeline_dir, tmp_path):
-        runner = CliRunner()
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out in (a, b):
-            r = run(runner, ["solve", "--encodings", str(pipeline_dir / "enc"), "--out", str(out)])
-            assert r.exit_code == 0
-        assert a.read_bytes() == b.read_bytes()
-        assert a.read_bytes() == (pipeline_dir / "solves.csv").read_bytes()
-
     def test_perturbed_solve_reproducible_and_noisy(self, pipeline_dir, tmp_path):
         runner = CliRunner()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -637,6 +628,163 @@ class TestReports:
         assert peak < 6 * depth_bytes, peak
 
 
+# bench/run.py's three workloads at smoke size, held here so that a change to
+# the benchmark moves no digest: each one's keys beyond CONFIG's, the
+# reference strategy of its encode and dist-report (one each), and its solve
+# settings.
+RECIPES = {
+    "sym-eval": ({"model_kind": "sphere", "model_params": "0.1", "surface_sample_count": "1000"}, "mean-visible", [[]]),
+    "dense-pixels": ({"image_width": "320", "image_height": "240", "fx": "300.0", "fy": "300.0", "cx": "160.0",
+                      "cy": "120.0", "model_params": "0.16 0.12 0.2", "surface_sample_count": "200",
+                      "translation_center": "0.0 0.0 0.8", "translation_half_widths": "0.1 0.1 0.15"},
+                     "center-mean", [[]]),
+    "noisy-sweep": ({"model_kind": "cylinder", "model_params": "0.06 0.15", "surface_sample_count": "300",
+                     "translation_half_widths": "0.2 0.2 0.2", "depth_noise_sigma": "0.001", "pixel_dropout": "0.1",
+                     "occlusion_fraction": "0.2"}, "center-nearest",
+                    [["--seed", "1"], ["--perturb-sigma", "1e-4", "--seed", "2"],
+                     ["--perturb-sigma", "1e-3", "--refine", "2", "--seed", "3"]]),
+}
+DIGESTS = Path(__file__).with_name("cli_outputs.sha256")
+
+
+def test_every_output_keeps_its_recorded_bytes(tmp_path):
+    # Reruns agreeing with each other miss a change that moves the bytes the
+    # same way on every run.  A change that moves them on purpose rewrites
+    # DIGESTS (sha256sum's format, from tmp_path) and says why in CHANGES.md.
+    base = {**dict(line.split(" = ") for line in CONFIG.splitlines()), "seed": "41", "scene_count": "3"}
+    del base["output_dir"]
+    for name, (keys, strategy, settings) in RECIPES.items():
+        work = tmp_path / name
+        data, enc, solves = work / "data", work / "enc", [work / f"solves{i}.csv" for i in range(len(settings))]
+        work.mkdir()
+        (work / "config.txt").write_text("".join(f"{key} = {value}\n" for key, value in {**base, **keys}.items()))
+        for args in (
+            ["synth-gen", "-c", work / "config.txt", "--out", data],
+            ["encode", "--dataset", data, "--out", enc, "--strategy", strategy],
+            ["verify", "--dataset", data, "--encodings", enc, "--out", work / "verify.txt"],
+            *(["solve", "--encodings", enc, "--out", out, *extra] for out, extra in zip(solves, settings)),
+            *(["eval", "--dataset", data, "--pred", out, "--out", out.with_name(f"results{i}.csv"),
+               "--summary-out", out.with_name(f"summary{i}.txt")] for i, out in enumerate(solves)),
+            ["dist-report", "--dataset", data, "--strategy", strategy, "--out", work / "dist.csv"],
+            ["loss-decompose", "--dataset", data, "--pred", solves[0], "--out", work / "loss.csv"],
+        ):
+            r = run(CliRunner(), [str(arg) for arg in args])
+            assert r.exit_code == 0, r.output
+    found = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    recorded = dict(reversed(line.split("  ")) for line in DIGESTS.read_text().splitlines())
+    assert [path for path in sorted(found.keys() | recorded.keys()) if found.get(path) != recorded.get(path)] == []
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """Two 64x64 scenes, their encodings and solves, and the config with no
+    output_dir that made them: each refusal damages a copy."""
+    root = tmp_path_factory.mktemp("pristine")
+    (root / "config.txt").write_text(
+        CONFIG.replace("scene_count = 6", "scene_count = 2").replace("output_dir = dataset\n", "")
+        .replace("image_width = 160\nimage_height = 160\nfx = 140.0\nfy = 140.0\ncx = 80.0\ncy = 80.0",
+                 "image_width = 64\nimage_height = 64\nfx = 56.0\nfy = 56.0\ncx = 32.0\ncy = 32.0"))
+    config, dataset, enc, solves = (str(root / name) for name in ("config.txt", "dataset", "enc", "solves.csv"))
+    for args in (["synth-gen", "-c", config, "--out", dataset], ["encode", "--dataset", dataset, "--out", enc],
+                 ["solve", "--encodings", enc, "--out", solves]):
+        r = run(CliRunner(), args)
+        assert r.exit_code == 0, r.output
+    return root
+
+
+# The commands the rows run, with paths relative to the copy.
+SYNTH, ENCODE = "synth-gen -c config.txt --out out", "encode --dataset dataset --out out"
+VERIFY, SOLVE = "verify --dataset dataset --encodings enc", "solve --encodings enc --out out"
+EVAL, DIST = "eval --dataset dataset --pred solves.csv --out out", "dist-report --dataset dataset --out out"
+LOSS = "loss-decompose --dataset dataset --pred solves.csv --out out"
+POSE, ENC1, ENC0 = "dataset/scene_00001/pose.txt", "enc/scene_00001/encoding.txt", "enc/scene_00000/encoding.txt"
+BOX = b"model_kind = box\nmodel_params = 0.08 0.06 0.1"
+
+# Every input a launched command refuses, one row each: the files damaged
+# (path in the copy: change of its bytes), the command, and the start of its
+# one error line, a pattern ("$" ends the line).  Each once ended in a
+# traceback, a numpy warning, exit 0 or a file written over an input.
+REFUSALS = [pytest.param(*row[1:], id=row[0]) for row in [
+    # Bytes that are not UTF-8.
+    ("synth-gen-config-not-utf8", {"config.txt": appended(b"\xff")}, SYNTH, r"config\.txt: not UTF-8 text"),
+    ("encode-manifest-not-utf8", {"dataset/manifest.txt": appended(b"\xff")}, ENCODE,
+     r"dataset/manifest\.txt: not UTF-8 text"),
+    # dataset/v1 kept a copy of the camera in every scene; there is no v1 reader.
+    ("encode-manifest-v1", {"dataset/manifest.txt": set_header("format", "dataset/v1")}, ENCODE,
+     r"dataset/manifest\.txt: key 'format': expected 'dataset/v2', found 'dataset/v1'$"),
+    ("verify-pose-not-utf8", {POSE: appended(b"\xff")}, VERIFY, r"dataset/scene_00001/pose\.txt: not UTF-8 text"),
+    ("dist-report-pose-not-utf8", {POSE: appended(b"\xff")}, DIST, r"dataset/scene_00001/pose\.txt: not UTF-8 text"),
+    ("eval-solves-not-utf8", {"solves.csv": appended(b"\xff")}, EVAL, r"solves\.csv: not UTF-8 text"),
+    # Configs: no output_dir, or an empty one, and no --out (once the scenes
+    # went into the working directory), another volume's key, an empty
+    # model_path or one naming no file, and primitives whose diameter or face
+    # areas overflow or whose depth noise leaves the PGM range.
+    ("synth-gen-no-output-dir", {}, "synth-gen -c config.txt", r"config\.txt: missing key 'output_dir'"),
+    ("synth-gen-empty-output-dir", {"config.txt": appended(b"output_dir =\n")}, "synth-gen -c config.txt",
+     r"config\.txt: key 'output_dir': empty value$"),
+    ("synth-gen-key-of-another-volume", {"config.txt": appended(b"translation_mean = 0.0 0.0 1.0\n")}, SYNTH,
+     r"config\.txt: unknown keys \['translation_mean'\]$"),
+    ("synth-gen-empty-model-path", {"config.txt": replaced(BOX, b"model_kind = file\nmodel_path =")}, SYNTH,
+     r"config\.txt: key 'model_path': empty value$"),
+    ("synth-gen-model-path-not-found", {"config.txt": replaced(BOX, b"model_kind = file\nmodel_path = part.ply")},
+     SYNTH, r"\[Errno 2\] No such file or directory: 'part\.ply'$"),
+    ("synth-gen-huge-model", {"config.txt": set_header("model_params", "1e300 0.06 0.1")}, SYNTH,
+     r"config\.txt: model_params: model diameter is not finite"),
+    ("synth-gen-box-areas-overflow", {"config.txt": set_header("model_params", "1e200 1e200 1e200")}, SYNTH,
+     r"config\.txt: model_params: overflow"),
+    ("synth-gen-huge-noise", {"config.txt": set_header("depth_noise_sigma", "1e300")}, SYNTH,
+     r"config\.txt: 'depth_noise_sigma' .*PGM depth range"),
+    # Finite values whose squares overflow: named by their scene.
+    ("verify-huge-channel", {ENC1: set_first_row("delta_x", 1e300)}, VERIFY, "scene_00001: overflow"),
+    ("eval-huge-tx", {"solves.csv": set_cell("scene_00001", "tx", "1e300")}, EVAL, "scene_00001: overflow"),
+    ("loss-decompose-huge-tx", {"solves.csv": set_cell("scene_00001", "tx", "1e300")}, LOSS, "scene_00001: overflow"),
+    ("eval-huge-gt", {POSE: set_header("translation", "1e300 0.0 1.0")}, EVAL, "scene_00001: overflow"),
+    ("dist-report-huge-gt", {POSE: set_header("translation", "1e300 0.0 1.0")}, DIST, "scene_00001: overflow"),
+    # Models: a vertex whose diameter overflows, and a contradictory header.
+    ("loss-decompose-huge-vertex",
+     {"dataset/model.ply": lambda raw: re.sub(rb"end_header\n.*\n", b"end_header\n1e300 0 0\n", raw, count=1)},
+     LOSS, r"dataset/model\.ply: model diameter is not finite"),
+    ("eval-two-symmetric-comments",
+     {"dataset/model.ply": replaced(b"comment symmetric false\n", b"comment symmetric true\ncomment symmetric false\n")},
+     EVAL, r"dataset/model\.ply: a second symmetric comment 'comment symmetric false' \(byte offset \d+\)$"),
+    # Encodings: a NaN pixel column, a header in the as-printed form, a scene
+    # with no pixels, and a NaN reference in both headers (so the join of
+    # encoding and targets cannot blame the pair).
+    ("solve-nan-pixel-column", {ENC1: set_first_row("u", np.nan)}, SOLVE,
+     r"enc/scene_00001/encoding\.txt: column 'u', row 0: nan is not a pixel index"),
+    ("verify-as-printed", {ENC0: set_header("constraint_form", "as-printed")}, VERIFY,
+     r"enc/scene_00000/encoding\.txt: key 'constraint_form': expected 'corrected', found 'as-printed'"),
+    ("solve-as-printed", {ENC0: set_header("constraint_form", "as-printed")}, SOLVE,
+     r"enc/scene_00000/encoding\.txt: key 'constraint_form': expected 'corrected', found 'as-printed'"),
+    ("verify-no-pixels", {ENC0: no_rows, "enc/scene_00000/targets.txt": no_rows}, VERIFY + " --out verify.txt",
+     "scene_00000: the encoding holds no pixels"),
+    ("solve-nan-reference", {ENC1: set_header("x0", "nan"), "enc/scene_00001/targets.txt": set_header("x0", "nan")},
+     SOLVE, r"enc/scene_00001/encoding\.txt: reference 'x0' must be finite"),
+    # Solves files solve never writes: an unknown flag, a NaN residual, a
+    # blank row, another header.
+    ("eval-unknown-flag", {"solves.csv": set_cell("scene_00001", "flag", "banana")}, EVAL,
+     r"solves\.csv: bad row for scene_00001: 'banana'"),
+    ("loss-decompose-unknown-flag", {"solves.csv": set_cell("scene_00001", "flag", "banana")}, LOSS,
+     r"solves\.csv: bad row for scene_00001: 'banana'"),
+    ("eval-nan-residual", {"solves.csv": set_cell("scene_00001", "residual_rms", "nan")}, EVAL,
+     r"solves\.csv: bad row for scene_00001: residual_rms must be a finite number >= 0, got nan$"),
+    ("loss-decompose-nan-residual", {"solves.csv": set_cell("scene_00001", "residual_rms", "nan")}, LOSS,
+     r"solves\.csv: bad row for scene_00001: residual_rms must be a finite number >= 0, got nan$"),
+    ("eval-blank-solves-row", {"solves.csv": appended(b"\n")}, EVAL,
+     r"solves\.csv: a blank row has 0 fields, expected 16$"),
+    ("loss-decompose-blank-solves-row", {"solves.csv": appended(b"\n")}, LOSS,
+     r"solves\.csv: a blank row has 0 fields, expected 16$"),
+    ("eval-other-solves-header", {"solves.csv": replaced(b",flag\n", b",condition\n")}, EVAL,
+     r"solves\.csv: unexpected solves header .*'condition'"),
+    ("loss-decompose-other-solves-header", {"solves.csv": replaced(b",flag\n", b",condition\n")}, LOSS,
+     r"solves\.csv: unexpected solves header .*'condition'"),
+    # An output over an input, refused before anything is read.
+    ("verify-out-over-manifest", {}, VERIFY + " --out dataset/manifest.txt",
+     r"--out dataset/manifest\.txt is inside --dataset dataset"),
+]]
+
+
 class TestErrors:
     def test_missing_manifest(self, tmp_path):
         runner = CliRunner()
@@ -697,17 +845,16 @@ class TestErrors:
     @pytest.mark.parametrize("name, key, value", [
         ("targets.txt", "mode", "absolute"),
         ("encoding.txt", "mode", "offset"),
-        ("encoding.txt", "constraint_form", "as-printed"),
     ])
     def test_other_encoding_mode_refused(self, pipeline_dir, tmp_path, command, name, key, value):
         # Only geometric channels with relative-offset targets in the corrected
         # form constrain the pose: absolute targets solve to poses centimeters
-        # off, yet well-posed.  A header that says otherwise was once read as
-        # the corrected form.
+        # off, yet well-posed.  (An as-printed header, once read as the
+        # corrected form, is a refusal row.)
         enc = tmp_path / "enc"
         shutil.copytree(pipeline_dir / "enc", enc)
         path = enc / formats.scene_name(2) / name
-        set_header(path, key, value)
+        edit(path, set_header(key, value))
         out = tmp_path / "out.txt"
         if command == "verify":
             args = ["verify", "--dataset", str(pipeline_dir / "dataset"), "--encodings", str(enc), "--out", str(out)]
@@ -727,8 +874,7 @@ class TestErrors:
         assert str(targets) in r.output
 
     @pytest.mark.parametrize("command", ["eval", "loss-decompose"])
-    @pytest.mark.parametrize("damage", ["short", "text", "flag", "nan-residual", "negative-residual",
-                                        "text-count", "empty-count"])
+    @pytest.mark.parametrize("damage", ["short", "text", "negative-residual", "text-count", "empty-count"])
     def test_malformed_solves_row_names_file_and_scene(self, pipeline_dir, tmp_path, command, damage):
         # A row solve could not have written: a residual that is not a finite
         # number >= 0, or a point count that is not a non-negative integer.
@@ -736,8 +882,6 @@ class TestErrors:
         residual, count = SOLVES_HEADER.index("residual_rms"), SOLVES_HEADER.index("point_count")
         row = rows[2]
         bad = {"short": row[:12], "text": row[:11] + ["x"] + row[12:],
-               "flag": row[:-1] + ["banana"],  # a flag is well-posed or degenerate, nothing else
-               "nan-residual": row[:residual] + ["nan"] + row[residual + 1:],
                "negative-residual": row[:residual] + ["-5"] + row[residual + 1:],
                "text-count": row[:count] + ["banana"] + row[count + 1:],
                "empty-count": row[:count] + [""] + row[count + 1:]}[damage]
@@ -748,26 +892,6 @@ class TestErrors:
             command, "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pred), "--out", str(out),
         ])
         assert_one_error_line(r, str(pred), formats.scene_name(2))
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["eval", "loss-decompose"])
-    def test_blank_solves_row_names_file(self, pipeline_dir, tmp_path, command):
-        pred = tmp_path / "blank.csv"
-        pred.write_bytes((pipeline_dir / "solves.csv").read_bytes() + b"\n")
-        out = tmp_path / "out.csv"
-        r = CliRunner().invoke(main, [command, "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pred),
-                                      "--out", str(out)])
-        assert_one_error_line(r, str(pred), "blank row")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["eval", "loss-decompose"])
-    def test_other_solves_header_names_file(self, pipeline_dir, tmp_path, command):
-        pred = tmp_path / "header.csv"
-        pred.write_bytes((pipeline_dir / "solves.csv").read_bytes().replace(b",flag\n", b",condition\n", 1))
-        out = tmp_path / "out.csv"
-        r = CliRunner().invoke(main, [command, "--dataset", str(pipeline_dir / "dataset"), "--pred", str(pred),
-                                      "--out", str(out)])
-        assert_one_error_line(r, f"{pred}: unexpected solves header", "'condition'")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "loss-decompose"])
@@ -812,7 +936,6 @@ class TestErrors:
         ("encoding.txt", "mode", "bogus"),
         ("encoding.txt", "mode", "offset"),
         ("encoding.txt", "constraint_form", "bogus"),
-        ("encoding.txt", "constraint_form", "as-printed"),
         ("encoding.txt", "strategy", "bogus"),
         ("encoding.txt", "d0", "oops"),
         ("targets.txt", "mode", "bogus"),
@@ -827,7 +950,7 @@ class TestErrors:
         enc = tmp_path / "enc"
         shutil.copytree(pipeline_dir / "enc", enc)
         path = enc / formats.scene_name(3) / name
-        set_header(path, key, value)
+        edit(path, set_header(key, value))
         r = CliRunner().invoke(main, ["solve", "--encodings", str(enc), "--out", str(tmp_path / "solves.csv")])
         assert_one_error_line(r, str(path), repr(key))
 
@@ -911,8 +1034,7 @@ class TestErrors:
         ("encode", "fx", "-5.0", "fx=-5.0"),
         ("synth-gen", "seed", "-1", "seed must be in [0, 2**128)"),
         ("synth-gen", "seed", str(2**128), "seed must be in [0, 2**128)"),
-        # Box face areas that overflow or underflow: once a bare numpy message naming no file.
-        ("synth-gen", "model_params", "1e200 1e200 1e200", "model_params: overflow"),
+        # Box face areas that underflow (an overflow is a refusal row): once a bare numpy message naming no file.
         ("synth-gen", "model_params", "1e-200 1e-200 1e-200", "model_params: invalid value"),
         ("synth-gen", "scene_count", "", "key 'scene_count': empty value"),
         ("encode", "fx", "", "key 'fx': empty value"),
@@ -956,24 +1078,14 @@ class TestErrors:
         assert_one_error_line(r, *depths, "160x160 image, but the manifest's is 4097x160")
         assert not (out / "manifest.txt").exists() and not out.is_file()
 
-    def test_manifest_of_version_1_refused(self, pipeline_dir, tmp_path):
-        # dataset/v1 kept a copy of the camera in every scene; there is no v1 reader.
-        shutil.copytree(pipeline_dir / "dataset", tmp_path / "dataset")
-        path = tmp_path / "dataset" / "manifest.txt"
-        path.write_text(path.read_text().replace("format = dataset/v2\n", "format = dataset/v1\n"))
-        r = CliRunner().invoke(main, ["encode", "--dataset", str(tmp_path / "dataset"), "--out", str(tmp_path / "enc")])
-        assert_one_error_line(r, str(path), "key 'format': expected 'dataset/v2', found 'dataset/v1'")
-        assert not (tmp_path / "enc").exists()
-
     # Once read by no code, exit 0, and dropped from the manifest: another
     # model kind's or translation volume's keys.
     @pytest.mark.parametrize("command, lines, keys", [
         ("synth-gen", ["model_path = part.ply", "model_symmetric = true"], "['model_path', 'model_symmetric']"),
-        ("synth-gen", ["translation_mean = 0.0 0.0 1.0"], "['translation_mean']"),
         ("encode", ["model_path = part.ply"], "['model_path']"),
         ("encode", ["translation_mean = 0.0 0.0 1.0", "translation_sigma = 0.1 0.1 0.1"],
          "['translation_mean', 'translation_sigma']"),
-    ], ids=["config-file-model", "config-gaussian", "manifest-file-model", "manifest-gaussian"])
+    ], ids=["config-file-model", "manifest-file-model", "manifest-gaussian"])
     def test_key_of_another_kind_refused(self, pipeline_dir, tmp_path, command, lines, keys):
         if command == "synth-gen":
             path = tmp_path / "config.txt"
@@ -1093,71 +1205,24 @@ class TestErrors:
         assert_one_error_line(CliRunner().invoke(main, args), str(path), detail)
         assert not (tmp_path / "results.csv").exists()
 
-    @pytest.mark.parametrize("command, target, damage", [
-        ("synth-gen", "config.txt", "not-utf8"),
-        ("encode", "dataset/manifest.txt", "not-utf8"),
-        ("verify", "dataset/scene_00001/pose.txt", "not-utf8"),
-        ("solve", "enc/scene_00001/encoding.txt", "nan-u"),
-        ("eval", "solves.csv", "not-utf8"),
-        ("dist-report", "dataset/scene_00001/pose.txt", "not-utf8"),
-        ("loss-decompose", "dataset/model.ply", "huge-vertex"),
-        ("verify", "enc/scene_00001/encoding.txt", "huge-delta-x"),
-        ("eval", "solves.csv", "huge-tx"),
-        ("loss-decompose", "solves.csv", "huge-tx"),
-        ("eval", "dataset/scene_00001/pose.txt", "huge-gt"),
-        ("dist-report", "dataset/scene_00001/pose.txt", "huge-gt"),
-        ("synth-gen", "config.txt", "huge-model"),
-        ("synth-gen", "config.txt", "huge-noise"),
-    ])
-    def test_corrupted_input_is_one_error_line(self, pipeline_dir, tmp_path, command, target, damage):
-        # One bad input per command: a byte that is not UTF-8, a NaN pixel
-        # column, a finite vertex or primitive whose diameter overflows, a
-        # finite channel or pose whose square overflows, a depth noise that
-        # leaves the PGM range.  Each once ended in a traceback or a numpy
-        # warning.
-        for name in ("config.txt", "dataset", "enc", "solves.csv"):
-            copy = shutil.copytree if (pipeline_dir / name).is_dir() else shutil.copy
-            copy(pipeline_dir / name, tmp_path / name)
-        path = tmp_path / target
-        raw = path.read_bytes()
-        if damage == "not-utf8":
-            raw += b"\xff"
-        elif damage == "nan-u":
-            raw = first_row_set(raw, "u", np.nan)
-        elif damage == "huge-delta-x":
-            raw = first_row_set(raw, "delta_x", 1e300)
-        elif damage == "huge-tx":
-            raw = huge_tx(raw)
-        elif damage in HUGE_VALUES:
-            line = HUGE_VALUES[damage]
-            start = raw.index(line.split(b"= ")[0] + b"= ")
-            raw = raw[:start] + line + raw[raw.index(b"\n", start):]
-        else:
-            header_end = raw.index(b"end_header\n") + len(b"end_header\n")
-            raw = raw[:header_end] + b"1e300 0 0" + raw[raw.index(b"\n", header_end):]
-        path.write_bytes(raw)
-        dataset, enc, out = tmp_path / "dataset", tmp_path / "enc", tmp_path / "out"
-        args = {
-            "synth-gen": ["-c", tmp_path / "config.txt", "--out", out],
-            "encode": ["--dataset", dataset, "--out", out],
-            "verify": ["--dataset", dataset, "--encodings", enc],
-            "solve": ["--encodings", enc, "--out", out],
-            "eval": ["--dataset", dataset, "--pred", tmp_path / "solves.csv", "--out", out],
-            "dist-report": ["--dataset", dataset, "--out", out],
-            "loss-decompose": ["--dataset", dataset, "--pred", tmp_path / "solves.csv", "--out", out],
-        }[command]
-        r = CliRunner().invoke(main, [command, *map(str, args)])
-        if damage in ("not-utf8", "nan-u", "huge-vertex"):
-            named = [str(path)]
-        elif damage == "huge-model":
-            named = [f"{path}: model_params: model diameter is not finite"]
-        elif damage == "huge-noise":  # refused with the config, before anything is written
-            named = [f"{path}: 'depth_noise_sigma'", "PGM depth range"]
-        else:  # a numeric fault names its scene
-            named = [formats.scene_name(1)]
-        assert_one_error_line(r, *named)
-        assert "Warning" not in r.output
-        assert not out.exists()
+    @pytest.mark.parametrize("edits, argv, error", REFUSALS)
+    def test_refused_input_is_one_error_line(self, pristine, tmp_path, edits, argv, error):
+        # One real launch per row, in a fresh copy of the pristine inputs: the
+        # module entry point, its exit status and its stderr.  The line names
+        # exactly the scenes the row's error does, and the launch writes,
+        # changes and removes no file or directory of the copy.
+        shutil.copytree(pristine, tmp_path, dirs_exist_ok=True)
+        for name, change in edits.items():
+            edit(tmp_path / name, change)
+        before = tree(tmp_path)
+        done = launch([sys.executable, "-m", "offset6d.cli", *argv.split()], cwd=tmp_path)
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr, done.stderr
+        errors = [line for line in done.stderr.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and re.match(f"Error: {error}", errors[0]), done.stderr
+        assert set(re.findall(r"scene_\d{5}", errors[0])) == set(re.findall(r"scene_\d{5}", error)), errors[0]
+        after = tree(tmp_path)
+        assert [path for path in sorted(before.keys() | after.keys()) if before.get(path) != after.get(path)] == []
 
     @pytest.mark.parametrize("command, option, value", [
         ("solve", "--perturb-sigma", "-1"),
@@ -1178,19 +1243,12 @@ class TestErrors:
         assert not out.exists()
 
     def test_scene_without_pixels(self, pipeline_dir, tmp_path):
-        # Both tables of one scene hold no rows: verify once ended in numpy's
-        # "zero-size array to reduction operation maximum" traceback.
+        # Both tables of one scene hold no rows: solve flags it degenerate
+        # (verify refuses it, as the verify-no-pixels refusal shows).
         enc = tmp_path / "enc"
         shutil.copytree(pipeline_dir / "enc", enc)
         for name in ("encoding.txt", "targets.txt"):
-            path = enc / formats.scene_name(1) / name
-            header, mark, _ = path.read_bytes().partition(b"\ndata:\n")
-            path.write_bytes(re.sub(rb"(?m)^count = \d+$", b"count = 0", header) + mark)
-        out = tmp_path / "verify.txt"
-        r = CliRunner().invoke(main, ["verify", "--dataset", str(pipeline_dir / "dataset"), "--encodings", str(enc),
-                                      "--out", str(out)])
-        assert_one_error_line(r, f"Error: {formats.scene_name(1)}: the encoding holds no pixels")
-        assert not out.exists()
+            edit(enc / formats.scene_name(1) / name, no_rows)
         solves = tmp_path / "solves.csv"
         assert run(CliRunner(), ["solve", "--encodings", str(enc), "--out", str(solves)]).exit_code == 0
         _, rows = formats.read_csv(solves, SOLVES_VERSION)
@@ -1210,36 +1268,13 @@ class TestErrors:
             formats.write_targets(targets, record.replace(tgt, delta_abc=delta_abc))
         else:
             path = enc / formats.scene_name(1) / "encoding.txt"
-            path.write_bytes(first_row_set(path.read_bytes(), "delta_d", 1e300))
+            edit(path, set_first_row("delta_d", 1e300))
         out = tmp_path / "solves.csv"
         r = run(CliRunner(), ["solve", "--encodings", str(enc), "--out", str(out)])
         assert r.exit_code == 0, r.output
         assert r.output == f"solved 6 scenes -> {out}\n"  # stdout and stderr: no warning
         _, rows = formats.read_csv(out, SOLVES_VERSION)
         assert [row[-1] for row in rows] == ["well-posed", "degenerate"] + ["well-posed"] * 4
-
-
-# A finite but huge value for one ``key = value`` line of a file.
-HUGE_VALUES = {
-    "huge-gt": b"translation = 1e300 0.0 1.0",
-    "huge-model": b"model_params = 1e300 0.06 0.1",
-    "huge-noise": b"depth_noise_sigma = 1e300",
-}
-
-
-def first_row_set(table: bytes, column: str, value: float) -> bytes:
-    """An ``encoding.txt``'s bytes with ``column`` of its first row set to ``value``."""
-    at = table.index(b"\ndata:\n") + len(b"\ndata:\n") + 8 * formats._ENCODING_COLUMNS.index(column)
-    return table[:at] + np.array([value], dtype="<f8").tobytes() + table[at + 8:]
-
-
-def huge_tx(solves: bytes) -> bytes:
-    """``solves`` with the ``tx`` of scene_00001's row set to ``1e300``."""
-    start = solves.index(b"\nscene_00001,") + 1
-    end = solves.index(b"\n", start)
-    cells = solves[start:end].split(b",")
-    cells[SOLVES_HEADER.index("tx")] = b"1e300"
-    return solves[:start] + b",".join(cells) + solves[end:]
 
 
 def _break_two_scenes(command, pipeline_dir, tmp_path):
@@ -1281,7 +1316,7 @@ def _break_two_scenes(command, pipeline_dir, tmp_path):
                 [f"{formats.scene_name(1)}: non-finite constraint residuals", str(scene(enc, 3) / "targets.txt")])
     if command == "solve":  # another scene's targets and another target mode
         shutil.copy(scene(enc, 1) / "targets.txt", scene(enc, 0) / "targets.txt")
-        set_header(scene(enc, 5) / "targets.txt", "mode", "absolute")
+        edit(scene(enc, 5) / "targets.txt", set_header("mode", "absolute"))
         return (["solve", "--encodings", str(enc), "--out", str(out)], out,
                 [f"{scene(enc, 0)}: targets.txt and encoding.txt differ", f"{scene(enc, 5) / 'targets.txt'}: key 'mode'"])
     if command in ("eval", "loss-decompose"):  # a missing and a malformed pose.txt
@@ -1365,10 +1400,10 @@ class TestEveryScene:
         assert_one_error_line(r, "--out", "is inside --dataset" if spelling == "inside" else "is --dataset")
         assert tree(dataset) == before
 
-    @pytest.mark.parametrize("case", ["verify-manifest", "dist-report-manifest", "eval-model", "solve-manifest",
-                                      "loss-decompose-pred", "eval-summary-out"])
+    @pytest.mark.parametrize("case", ["dist-report-manifest", "eval-model", "solve-manifest", "loss-decompose-pred",
+                                      "eval-summary-out"])
     def test_output_over_an_input_refused(self, pipeline_dir, tmp_path, case):
-        # Once each exited 0: the first four replaced a file of the dataset or
+        # Once each exited 0: the first three replaced a file of the dataset or
         # encodings they read, so every later command refused the directory;
         # loss-decompose overwrote its solves, and eval kept only the summary.
         shutil.copytree(pipeline_dir / "dataset", tmp_path / "dataset")
@@ -1378,8 +1413,6 @@ class TestEveryScene:
         dataset, enc, pred, results = (str(tmp_path / name) for name in ("dataset", "enc", "solves.csv", "results.csv"))
         scored = ["--dataset", dataset, "--pred", pred]
         args, named = {
-            "verify-manifest": (["verify", "--dataset", dataset, "--encodings", enc,
-                                 "--out", f"{dataset}/manifest.txt"], ["--out", "is inside --dataset"]),
             "dist-report-manifest": (["dist-report", "--dataset", dataset, "--out", f"{enc}/../dataset/manifest.txt"],
                                      ["--out", "is inside --dataset"]),
             "eval-model": (["eval", *scored, "--out", f"{dataset}/model.ply"], ["--out", "is inside --dataset"]),
@@ -1396,10 +1429,7 @@ class TestEveryScene:
 
 def python_prints(code: str) -> str:
     """What ``code`` prints in a fresh interpreter that imports this package."""
-    src = Path(o6.__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    return done.stdout.strip()
+    return launch([sys.executable, "-c", code], check=True).stdout.strip()
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -1430,7 +1460,7 @@ def test_the_numeric_error_state_stays_inside_the_cli(pipeline_dir, tmp_path):
     assert python_prints("import offset6d.cli" + state) == python_prints("import numpy" + state)
     before = np.geterr()
     huge = tmp_path / "huge.csv"
-    huge.write_bytes(huge_tx((pipeline_dir / "solves.csv").read_bytes()))
+    huge.write_bytes(set_cell(formats.scene_name(1), "tx", "1e300")((pipeline_dir / "solves.csv").read_bytes()))
     args = ["eval", "--dataset", str(pipeline_dir / "dataset"), "--out", str(tmp_path / "results.csv"), "--pred"]
     r = CliRunner().invoke(main, [*args, str(pipeline_dir / "solves.csv")])
     assert r.exit_code == 0, r.output

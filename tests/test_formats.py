@@ -133,6 +133,24 @@ class TestPly:
             formats.read_ply(path)
         assert str(err.value).startswith(f"{path}: ")
 
+    # Each was once read back: the last of two lines won, a list passed as
+    # the scalar it names, and a row's extra values were dropped.
+    @pytest.mark.parametrize("old, new, detail", [
+        ("comment symmetric true\n", "comment symmetric true\ncomment symmetric false\n", "a second symmetric comment"),
+        ("element vertex 2\n", "element vertex 5\nelement vertex 2\n", "a second element line"),
+        ("property double x\n", "property list uchar int x\n", "unsupported PLY property"),
+        ("end_header\n0.0 0.0 0.0\n", "end_header\n0 0 0 7 8\n", "vertex row needs 3 values"),
+    ], ids=["two-symmetric-comments", "two-element-lines", "list-property", "long-vertex-row"])
+    def test_contradictory_line_names_file_and_offset(self, tmp_path, old, new, detail):
+        path = tmp_path / "pts.ply"
+        formats.write_ply(path, np.zeros((2, 3)), symmetric=True)
+        text = path.read_text().replace(old, new)
+        path.write_text(text)
+        with pytest.raises(FormatError, match=detail) as err:
+            formats.read_ply(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert err.value.offset == text.index(new.rstrip("\n").split("\n")[-1])
+
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         points=hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(3)),

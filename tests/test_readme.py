@@ -1,11 +1,11 @@
 """The README's library tour and CLI recipe run as written."""
 
-import os
 import re
 import shlex
-import subprocess
 import sys
 from pathlib import Path
+
+from conftest import launch
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -27,8 +27,7 @@ def test_cli_recipe_runs(tmp_path):
     script = block.replace("scene_count = 500", "scene_count = 4")
     assert script != block
     prelude = f"set -e\noffset6d() {{ {shlex.quote(sys.executable)} -m offset6d.cli \"$@\"; }}\n"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(["bash", "-c", prelude + script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    result = launch(["bash", "-c", prelude + script], cwd=tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
     assert "wrote 4 scenes" in result.stdout
     assert (tmp_path / "loss.csv").is_file()
